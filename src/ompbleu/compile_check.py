@@ -181,15 +181,17 @@ def compile_score(source: str, config: CompileConfig | None = None) -> CompileRe
 
     suffix = ".cpp" if cfg.language == "c++" else ".c"
     with tempfile.TemporaryDirectory(prefix="ompbleu-cc-") as workdir:
-        src_path = Path(workdir) / f"unit{suffix}"
-        src_path.write_text(text)
+        # relative names, run in workdir: the compiler's messages then name
+        # `unit.c`/`unit.cpp`, not this call's temporary directory
+        src_name = f"unit{suffix}"
+        (Path(workdir) / src_name).write_text(text)
         cmd = list(argv) + ["-fopenmp"]
         if cfg.mode == "syntax_only":
             cmd.append("-fsyntax-only")
         else:
-            cmd += ["-o", str(Path(workdir) / "unit.out")]
+            cmd += ["-o", "unit.out"]
         cmd += list(cfg.extra_flags)
-        cmd.append(str(src_path))
+        cmd.append(src_name)
 
         start = time.monotonic()
         try:

@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import zip_longest
 from typing import TYPE_CHECKING
 
-from .compile_check import CompileConfig, compile_score
-from .similarity import BagOfTokensBackend, SimilarityBackend, lcs_ratio, lev_similarity
+from .compile_check import compile_score
+from .similarity import (
+    BagOfTokensBackend,
+    CodeText,
+    SimilarityBackend,
+    SparseTokenVector,
+    lcs_ratio,
+    lev_similarity,
+)
 from .syntax import (
     ATTACHED_FOR_LOOP,
     Directive,
@@ -23,9 +31,13 @@ from .syntax import (
     SourceUnit,
     normalize_directive,
     parse_source,
-    strip_openmp,
 )
-from .syntax.directives import attached_construct_span, extract_directives
+from .syntax.directives import (
+    attached_construct_span,
+    extract_directives,
+    pragma_line_range,
+    stripped_slice,
+)
 from .syntax.regions import parallel_region_blocks
 
 if TYPE_CHECKING:
@@ -119,13 +131,35 @@ class ScoreBreakdown:
 
 @dataclass(frozen=True)
 class SideAnalysis:
-    """Everything the sub-scores need from one side of a pair."""
+    """Everything the sub-scores need from one side of a pair.
+
+    Built from one tokenization of the source.  The code texts the cosine
+    backends compare are cut from that token stream and kept here, so a
+    reference shared by several candidates builds each of them once.
+    """
 
     unit: SourceUnit
     directives: tuple[Directive, ...]
     normalized: tuple[NormalizedDirective, ...]
     regions: tuple[RegionBlock, ...]
     region_diagnostics: tuple[str, ...]
+    pragma_lines: tuple[tuple[int, int], ...]
+    _stripped: dict[tuple[int, int], CodeText] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @cached_property
+    def code(self) -> CodeText:
+        """The whole source, pragmas included."""
+        return CodeText(self.unit.text, SparseTokenVector.from_tokens(self.unit.tokens))
+
+    def stripped(self, span: tuple[int, int]) -> CodeText:
+        """A byte span of the source with its OpenMP pragma lines removed."""
+        code = self._stripped.get(span)
+        if code is None:
+            text, tokens = stripped_slice(self.unit, self.pragma_lines, *span)
+            code = self._stripped[span] = CodeText(text, SparseTokenVector.from_tokens(tokens))
+        return code
 
 
 def analyze(source: str) -> SideAnalysis:
@@ -147,6 +181,10 @@ def analyze(source: str) -> SideAnalysis:
         normalized=tuple(normalized),
         regions=tuple(regions),
         region_diagnostics=tuple(region_diags),
+        pragma_lines=tuple(
+            pragma_line_range(unit.text, d.byte_offset, d.byte_offset + len(d.raw_text))
+            for d in directives
+        ),
     )
 
 
@@ -233,8 +271,8 @@ def _directive_strings(normalized: tuple[NormalizedDirective, ...]) -> str:
 
 
 def integrated_semantic_score(
-    gt_code: str,
-    gen_code: str,
+    gt: SideAnalysis,
+    gen: SideAnalysis,
     backend: SimilarityBackend | None = None,
     is_blend_alpha: float = 0.7,
 ) -> float:
@@ -242,10 +280,8 @@ def integrated_semantic_score(
     their concatenated normalized directive strings."""
     if backend is None:
         backend = BagOfTokensBackend()
-    gt_norm = analyze(gt_code).normalized
-    gen_norm = analyze(gen_code).normalized
-    s_lev = lev_similarity(_directive_strings(gt_norm), _directive_strings(gen_norm))
-    s_emb = backend.similarity(gt_code, gen_code)
+    s_lev = lev_similarity(_directive_strings(gt.normalized), _directive_strings(gen.normalized))
+    s_emb = backend.similarity(gt.code, gen.code)
     return is_blend_alpha * s_emb + (1.0 - is_blend_alpha) * s_lev
 
 
@@ -355,22 +391,14 @@ def _is_loop_related(nd: NormalizedDirective) -> bool:
     return "for" in nd.kinds or nd.directive.clause_of("collapse") is not None
 
 
-def _stripped(text: str) -> str:
-    return strip_openmp(parse_source(text)).text
-
-
-def _construct_text(unit: SourceUnit, nd: NormalizedDirective) -> str | None:
-    span = attached_construct_span(unit, nd.directive)
-    if span is None:
-        return None
-    return _stripped(unit.text[span[0] : span[1]])
+def _construct_code(side: SideAnalysis, nd: NormalizedDirective) -> CodeText | None:
+    span = attached_construct_span(side.unit, nd.directive)
+    return None if span is None else side.stripped(span)
 
 
 def pragma_location_score(
-    gt: tuple[NormalizedDirective, ...],
-    gen: tuple[NormalizedDirective, ...],
-    gt_unit: SourceUnit,
-    gen_unit: SourceUnit,
+    gt: SideAnalysis,
+    gen: SideAnalysis,
     backend: SimilarityBackend | None = None,
     diagnostics: list[str] | None = None,
 ) -> float:
@@ -383,10 +411,10 @@ def pragma_location_score(
     if backend is None:
         backend = BagOfTokensBackend()
 
-    gt_loop = [nd for nd in gt if _is_loop_related(nd)]
-    gen_loop = [nd for nd in gen if _is_loop_related(nd)]
-    gt_other = [nd for nd in gt if not _is_loop_related(nd)]
-    gen_other = [nd for nd in gen if not _is_loop_related(nd)]
+    gt_loop = [nd for nd in gt.normalized if _is_loop_related(nd)]
+    gen_loop = [nd for nd in gen.normalized if _is_loop_related(nd)]
+    gt_other = [nd for nd in gt.normalized if not _is_loop_related(nd)]
+    gen_other = [nd for nd in gen.normalized if not _is_loop_related(nd)]
 
     def loop_term(a: NormalizedDirective | None, b: NormalizedDirective | None) -> float:
         if a is None or b is None:
@@ -406,7 +434,10 @@ def pragma_location_score(
                     + " side"
                 )
             return 0.0
-        cos = backend.similarity(_stripped(la.context_text), _stripped(lb.context_text))
+        cos = backend.similarity(
+            gt.stripped((la.byte_offset, la.end_offset)),
+            gen.stripped((lb.byte_offset, lb.end_offset)),
+        )
         penalty = max(0.0, 1.0 - abs(la.loop_index - lb.loop_index) / 2.0)
         if penalty < 1.0 and diagnostics is not None:
             diagnostics.append(
@@ -424,8 +455,8 @@ def pragma_location_score(
                     f"pragma '{' '.join(present.kinds)}' unmatched on {missing} side"
                 )
             return 0.0
-        ctx_a = _construct_text(gt_unit, a)
-        ctx_b = _construct_text(gen_unit, b)
+        ctx_a = _construct_code(gt, a)
+        ctx_b = _construct_code(gen, b)
         if ctx_a is None and ctx_b is None:
             return 1.0
         if ctx_a is None or ctx_b is None:
@@ -457,35 +488,38 @@ def compose(scores: tuple[float, ...], weights: MetricWeights) -> float:
 
 
 def ompbleu_score(
-    gt_source: str,
-    gen_source: str,
+    gt_source: str | SideAnalysis,
+    gen_source: str | SideAnalysis,
     config: "EvalConfig | None" = None,
+    backend: SimilarityBackend | None = None,
 ) -> ScoreBreakdown:
-    """Score one candidate against its reference across all eight components."""
+    """Score one candidate against its reference across all eight components.
+
+    Either side may be given as its :func:`analyze` result, and the
+    similarity backend may be passed in, so that several candidates can
+    share one reference analysis and one backend.
+    """
     from .config import EvalConfig  # deferred to avoid an import cycle
 
     cfg = config if config is not None else EvalConfig()
-    gt = analyze(gt_source)
-    gen = analyze(gen_source)
-    backend = cfg.make_backend()
+    gt = gt_source if isinstance(gt_source, SideAnalysis) else analyze(gt_source)
+    gen = gen_source if isinstance(gen_source, SideAnalysis) else analyze(gen_source)
+    if backend is None:
+        backend = cfg.make_backend()
     diagnostics: dict[str, list[str]] = {k: [] for k in ("wc", "vu", "or", "rc", "cc", "pl", "compile")}
 
     wc = weighted_clause_score(gt.normalized, gen.normalized, cfg.clause_weights, diagnostics["wc"])
     vu = variable_usage_score(gt.directives, gen.directives, diagnostics["vu"])
-    is_ = integrated_semantic_score(
-        gt_source, gen_source, backend, cfg.weights.is_blend_alpha
-    )
+    is_ = integrated_semantic_score(gt, gen, backend, cfg.weights.is_blend_alpha)
     or_ = ordering_score(gt.normalized, gen.normalized, diagnostics["or"])
     rc = redundancy_coverage_score(gt.normalized, gen.normalized, diagnostics["rc"])
     cc = cyclomatic_ratio(gt.regions, gen.regions, diagnostics["cc"])
     diagnostics["cc"].extend(gt.region_diagnostics)
     diagnostics["cc"].extend(gen.region_diagnostics)
-    pl = pragma_location_score(
-        gt.normalized, gen.normalized, gt.unit, gen.unit, backend, diagnostics["pl"]
-    )
+    pl = pragma_location_score(gt, gen, backend, diagnostics["pl"])
 
     if cfg.compile_enabled:
-        result = compile_score(gen_source, cfg.compile)
+        result = compile_score(gen.unit.text, cfg.compile)
         c = float(result.score)
         if result.diagnostics and result.score == 0:
             diagnostics["compile"].append(result.diagnostics.strip())

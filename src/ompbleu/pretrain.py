@@ -12,11 +12,13 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .syntax import SourceUnit, Token
 from .syntax.directives import DIRECTIVE_KINDS, _SUCCESSORS
+
+if TYPE_CHECKING:  # numpy is imported by the two loss functions only
+    import numpy as np
 
 _TYPE_KEYWORDS = frozenset(
     "int long short char float double void bool signed unsigned auto wchar_t "
@@ -375,6 +377,8 @@ class LossInputs:
     lam: float = 5.0
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         p, y = np.asarray(self.probabilities, float), np.asarray(self.labels, float)
         o, m = np.asarray(self.omp_flags, float), np.asarray(self.padding_mask, float)
         if p.ndim != 3 or p.shape != y.shape:
@@ -402,6 +406,8 @@ def weighted_token_cross_entropy(inputs: LossInputs) -> float:
     Positions flagged as OpenMP weigh ``lam`` instead of 1; padding
     positions are excluded; the mean is over real tokens.
     """
+    import numpy as np
+
     p, y = inputs.probabilities, inputs.labels
     o, m = inputs.omp_flags, inputs.padding_mask
     p_true = (p * y).sum(axis=2)

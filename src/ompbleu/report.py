@@ -24,7 +24,8 @@ from .classify import (
     clause_confusion,
 )
 from .config import EvalConfig
-from .metrics import ScoreBreakdown, analyze, ompbleu_score
+from .metrics import ScoreBreakdown, SideAnalysis, analyze, ompbleu_score
+from .similarity import SimilarityBackend
 
 SUBSCORE_KEYS = ("wc", "vu", "is", "or", "rc", "cc", "pl", "compile")
 
@@ -48,6 +49,8 @@ class RankedCandidate:
     rank: int
     breakdown: ScoreBreakdown | None
     error: str | None = None
+    # the (reference, candidate) analyses the breakdown was scored from
+    analyses: tuple[SideAnalysis, SideAnalysis] | None = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -129,17 +132,36 @@ def load_dataset(path: str | Path, fmt: str) -> tuple[list[DatasetRecord], list[
     raise DatasetError(f"unknown dataset format: {fmt!r}")
 
 
-def rank_candidates(record: DatasetRecord, config: EvalConfig) -> list[RankedCandidate]:
+def rank_candidates(
+    record: DatasetRecord, config: EvalConfig, backend: SimilarityBackend | None = None
+) -> list[RankedCandidate]:
     """Score every candidate and rank by composite, best first.
 
-    Ties break toward the earlier candidate; a candidate that fails hard is
-    ranked after every scored one with the error recorded, never dropped.
+    The reference is analysed once and, with one similarity backend, shared
+    by every candidate.  Ties break toward the earlier candidate; a
+    candidate that fails hard is ranked after every scored one with the
+    error recorded, never dropped.
     """
+    if backend is None:
+        backend = config.make_backend()
+    reference: SideAnalysis | None = None
     scored: list[RankedCandidate] = []
     for idx, candidate in enumerate(record.candidates):
         try:
-            breakdown = ompbleu_score(record.reference, candidate, config)
-            scored.append(RankedCandidate(candidate_index=idx, rank=0, breakdown=breakdown))
+            # inside the try: a reference that cannot be analysed fails
+            # each candidate with its error, not the whole run
+            if reference is None:
+                reference = analyze(record.reference)
+            analysis = analyze(candidate)
+            breakdown = ompbleu_score(reference, analysis, config, backend)
+            scored.append(
+                RankedCandidate(
+                    candidate_index=idx,
+                    rank=0,
+                    breakdown=breakdown,
+                    analyses=(reference, analysis),
+                )
+            )
         except Exception as exc:  # noqa: BLE001 - candidate faults must not abort the run
             scored.append(
                 RankedCandidate(candidate_index=idx, rank=0, breakdown=None, error=str(exc))
@@ -236,8 +258,13 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _score_record(record: DatasetRecord, config: EvalConfig, vocab: ClauseVocabulary) -> dict:
-    ranked = rank_candidates(record, config)
+def _score_record(
+    record: DatasetRecord,
+    config: EvalConfig,
+    vocab: ClauseVocabulary,
+    backend: SimilarityBackend,
+) -> dict:
+    ranked = rank_candidates(record, config, backend)
     best = ranked[0]
     row: dict = {
         "id": record.id,
@@ -248,10 +275,9 @@ def _score_record(record: DatasetRecord, config: EvalConfig, vocab: ClauseVocabu
         row["error"] = best.error or "all candidates failed"
         return row
     row["breakdown"] = best.breakdown.as_dict()
+    gt, gen = best.analyses
     try:
-        gt_dirs = analyze(record.reference).directives
-        gen_dirs = analyze(record.candidates[best.candidate_index]).directives
-        row["_confusion"] = clause_confusion(list(gt_dirs), list(gen_dirs), vocab)
+        row["_confusion"] = clause_confusion(list(gt.directives), list(gen.directives), vocab)
     except Exception as exc:  # noqa: BLE001
         row["error"] = f"classification failed: {exc}"
     return row
@@ -272,11 +298,12 @@ def evaluate_dataset(
         else ClauseVocabulary.default()
     )
 
+    backend = config.make_backend()
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda r: _score_record(r, config, vocab), records))
+            rows = list(pool.map(lambda r: _score_record(r, config, vocab, backend), records))
     else:
-        rows = [_score_record(r, config, vocab) for r in records]
+        rows = [_score_record(r, config, vocab, backend) for r in records]
 
     rows.sort(key=lambda r: r["id"])
     errors = list(load_errors or [])

@@ -8,19 +8,57 @@ HTTP protocol for callers who want model-based similarity.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import threading
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
-import requests
-
-from .syntax import tokenize
+from .syntax import Token, tokenize
 
 
 class SimilarityError(RuntimeError):
     """A similarity backend failed; the caller decides on fallback."""
+
+
+def edit_distance(a: str, b: str) -> int:
+    """Levenshtein distance by the bit-parallel algorithm of Myers (J. ACM
+    46(3), 1999) in Hyyrö's (2001) form for global edit distance.
+
+    The longer string is the pattern: bit ``i`` of each vector describes
+    row ``i`` of the dynamic-programming table, held in one Python int, and
+    the loop runs once per character of the shorter string.  ``pv``/``mv``
+    mark where a column steps up/down by one; ``score`` follows the last
+    row.  The result equals the O(|a|*|b|) table exactly.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(a)
+    if not b:
+        return m
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << m) - 1
+    high = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        # row 0 of the table rises by one per column: shift a +1 in
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return score
 
 
 def lev_similarity(a: str, b: str) -> float:
@@ -29,15 +67,7 @@ def lev_similarity(a: str, b: str) -> float:
         return 1.0
     if not a or not b:
         return 0.0
-    prev = list(range(len(b) + 1))
-    cur = [0] * (len(b) + 1)
-    for i, ca in enumerate(a, 1):
-        cur[0] = i
-        for j, cb in enumerate(b, 1):
-            cost = 0 if ca == cb else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev, cur = cur, prev
-    return 1.0 - prev[len(b)] / max(len(a), len(b))
+    return 1.0 - edit_distance(a, b) / max(len(a), len(b))
 
 
 def lcs_length(a: Sequence, b: Sequence) -> int:
@@ -69,13 +99,18 @@ class SparseTokenVector:
     counts: dict[str, int]
 
     @classmethod
+    def from_tokens(cls, tokens: Iterable[Token]) -> "SparseTokenVector":
+        """Counts of the code lexemes among ``tokens`` (comments and
+        whitespace excluded)."""
+        return cls(
+            counts=dict(
+                Counter(t.lexeme for t in tokens if t.kind not in ("whitespace", "comment"))
+            )
+        )
+
+    @classmethod
     def from_code(cls, text: str) -> "SparseTokenVector":
-        tokens = [
-            t.lexeme
-            for t in tokenize(text)
-            if t.kind not in ("whitespace", "comment")
-        ]
-        return cls(counts=dict(Counter(tokens)))
+        return cls.from_tokens(tokenize(text))
 
     def cosine(self, other: "SparseTokenVector") -> float:
         if self.counts == other.counts:
@@ -88,10 +123,22 @@ class SparseTokenVector:
         return dot / math.sqrt(sq_a * sq_b)
 
 
+@dataclass(frozen=True)
+class CodeText:
+    """A code text together with its bag of code tokens.
+
+    The scorer cuts both from the token stream of the unit the text comes
+    from, so the bag costs no second lexing of ``text``.
+    """
+
+    text: str
+    vector: SparseTokenVector
+
+
 class SimilarityBackend(Protocol):
     """Scores two code texts in [0, 1]."""
 
-    def similarity(self, a: str, b: str) -> float: ...
+    def similarity(self, a: str | CodeText, b: str | CodeText) -> float: ...
 
 
 class BagOfTokensBackend:
@@ -99,21 +146,13 @@ class BagOfTokensBackend:
 
     kind = "bag_of_tokens"
 
-    def __init__(self) -> None:
-        self._cache: dict[str, SparseTokenVector] = {}
-        self._lock = threading.Lock()
+    @staticmethod
+    def _vector(code: str | CodeText) -> SparseTokenVector:
+        if isinstance(code, CodeText):
+            return code.vector
+        return SparseTokenVector.from_code(code)
 
-    def _vector(self, text: str) -> SparseTokenVector:
-        key = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        with self._lock:
-            vec = self._cache.get(key)
-        if vec is None:
-            vec = SparseTokenVector.from_code(text)
-            with self._lock:
-                self._cache[key] = vec
-        return vec
-
-    def similarity(self, a: str, b: str) -> float:
+    def similarity(self, a: str | CodeText, b: str | CodeText) -> float:
         return _clamp01(self._vector(a).cosine(self._vector(b)))
 
 
@@ -121,39 +160,50 @@ class RemoteEmbeddingBackend:
     """HTTP embedding service client with per-text caching.
 
     Protocol: POST {endpoint}/embed with ``{"model": id, "text": code}``;
-    the response must be ``{"vector": [..]}``.  Any non-200 status or
-    malformed body raises :class:`SimilarityError` - never a silent zero.
+    the response must be ``{"vector": [..]}``.  Any non-200 status,
+    malformed body or transport failure raises :class:`SimilarityError` -
+    never a silent zero.  The cache keeps the ``cache_entries`` most
+    recently used vectors, so one client can serve a whole dataset.
     """
 
     kind = "remote_embedding"
+    cache_entries = 4096
 
     def __init__(self, endpoint: str, model_id: str, timeout: float = 30.0) -> None:
         self.endpoint = endpoint.rstrip("/")
         self.model_id = model_id
         self.timeout = timeout
-        self._session = requests.Session()
-        self._cache: dict[str, list[float]] = {}
+        self._cache: OrderedDict[str, list[float]] = OrderedDict()
         self._lock = threading.Lock()
 
     def embed(self, text: str) -> list[float]:
         key = hashlib.sha256(text.encode("utf-8")).hexdigest()
         with self._lock:
             if key in self._cache:
+                self._cache.move_to_end(key)
                 return self._cache[key]
+        # imported here: http.client and its email parser cost ~50 ms at start-up
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(
+            f"{self.endpoint}/embed",
+            data=json.dumps({"model": self.model_id, "text": text}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
         try:
-            resp = self._session.post(
-                f"{self.endpoint}/embed",
-                json={"model": self.model_id, "text": text},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            raise SimilarityError(f"embedding service returned HTTP {exc.code}") from exc
+        except (OSError, http.client.HTTPException) as exc:
             raise SimilarityError(f"embedding request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise SimilarityError(
-                f"embedding service returned HTTP {resp.status_code}"
-            )
+        if status != 200:
+            raise SimilarityError(f"embedding service returned HTTP {status}")
         try:
-            vector = resp.json()["vector"]
+            vector = json.loads(body)["vector"]
         except (ValueError, KeyError, TypeError) as exc:
             raise SimilarityError("malformed embedding response") from exc
         if not isinstance(vector, list) or not vector:
@@ -161,10 +211,12 @@ class RemoteEmbeddingBackend:
         vec = [float(x) for x in vector]
         with self._lock:
             self._cache[key] = vec
+            if len(self._cache) > self.cache_entries:
+                self._cache.popitem(last=False)
         return vec
 
-    def similarity(self, a: str, b: str) -> float:
-        va, vb = self.embed(a), self.embed(b)
+    def similarity(self, a: str | CodeText, b: str | CodeText) -> float:
+        va, vb = self.embed(_text(a)), self.embed(_text(b))
         if len(va) != len(vb):
             raise SimilarityError("embedding dimensions differ between texts")
         sq_a = sum(x * x for x in va)
@@ -186,11 +238,15 @@ class FallbackBackend:
         self.primary = primary
         self.secondary = secondary
 
-    def similarity(self, a: str, b: str) -> float:
+    def similarity(self, a: str | CodeText, b: str | CodeText) -> float:
         try:
             return self.primary.similarity(a, b)
         except SimilarityError:
             return self.secondary.similarity(a, b)
+
+
+def _text(code: str | CodeText) -> str:
+    return code.text if isinstance(code, CodeText) else code
 
 
 def _clamp01(x: float) -> float:

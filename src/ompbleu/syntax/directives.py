@@ -10,12 +10,14 @@ syntax tree.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .lexer import SourceUnit, Token, parse_source
-from .loops import LoopContext, _match_delim, _statement_end, loop_contexts
+from .loops import LoopContext, _match_delim, _skip_to_code, _statement_end, loop_contexts
 
 # Directive keywords and the combinations they may extend.
 DIRECTIVE_KINDS = frozenset(
@@ -502,34 +504,74 @@ def normalize_directive(
     )
 
 
-def attached_construct_span(unit: SourceUnit, directive: Directive) -> tuple[int, int] | None:
-    """Byte span of the construct a directive governs, if parsable."""
+def attached_construct_span(
+    unit: SourceUnit, directive: Directive, diagnostics: list[str] | None = None
+) -> tuple[int, int] | None:
+    """Byte span of the construct a directive governs, if parsable.
+
+    When there is none, the reason is appended to ``diagnostics``.
+    """
     if directive.attached_kind == ATTACHED_FOR_LOOP and directive.attached_loop is not None:
         return (directive.attached_loop.byte_offset, directive.attached_loop.end_offset)
-    if directive.attached_kind not in (ATTACHED_BLOCK, ATTACHED_STATEMENT):
-        return None
-    tokens = unit.tokens
-    idx = next(
-        (
-            i
-            for i, t in enumerate(tokens)
-            if t.byte_offset >= directive.byte_offset + len(directive.raw_text)
-            and t.kind not in ("whitespace", "comment")
-            and not t.in_directive
-        ),
-        None,
-    )
-    if idx is None:
-        return None
-    if tokens[idx].kind == "punctuation" and tokens[idx].lexeme == "{":
-        close = _match_delim(tokens, idx)
-        if close is None:
-            return None
-        return (tokens[idx].byte_offset, tokens[close].end_offset)
-    end = _statement_end(tokens, idx)
-    if end is None:
-        return None
-    return (tokens[idx].byte_offset, tokens[end].end_offset)
+    problem = "no construct follows pragma"
+    if directive.attached_kind in (ATTACHED_BLOCK, ATTACHED_STATEMENT):
+        tokens = unit.tokens
+        idx = _skip_to_code(tokens, unit.token_index(directive.byte_offset + len(directive.raw_text)))
+        if idx < len(tokens) and tokens[idx].kind == "punctuation" and tokens[idx].lexeme == "{":
+            close = _match_delim(tokens, idx)
+            if close is not None:
+                return (tokens[idx].byte_offset, tokens[close].end_offset)
+            problem = "unbalanced block after pragma"
+        elif idx < len(tokens):
+            end = _statement_end(tokens, idx)
+            if end is not None:
+                return (tokens[idx].byte_offset, tokens[end].end_offset)
+            problem = "unterminated statement after pragma"
+    if diagnostics is not None:
+        diagnostics.append(f"line {directive.line}: {problem}")
+    return None
+
+
+def pragma_line_range(text: str, start: int, end: int) -> tuple[int, int]:
+    """Byte range of the physical lines holding ``text[start:end]``, through
+    the newline that ends the last one: what stripping a pragma removes."""
+    line_start = text.rfind("\n", 0, start) + 1
+    line_end = text.find("\n", end)
+    return line_start, len(text) if line_end == -1 else line_end + 1
+
+
+def _kept_ranges(
+    cuts: list[tuple[int, int]] | tuple[tuple[int, int], ...], lo: int, hi: int
+) -> list[tuple[int, int]]:
+    """The parts of [lo, hi) outside the sorted ``cuts`` that start in it."""
+    kept: list[tuple[int, int]] = []
+    pos = lo
+    for cut_lo, cut_hi in cuts[bisect.bisect_left(cuts, lo, key=itemgetter(0)) :]:
+        if cut_lo >= hi:
+            break
+        kept.append((pos, cut_lo))
+        pos = min(max(pos, cut_hi), hi)
+    kept.append((pos, hi))
+    return kept
+
+
+def stripped_slice(
+    unit: SourceUnit, pragma_lines: tuple[tuple[int, int], ...], lo: int, hi: int
+) -> tuple[str, list[Token]]:
+    """``unit.text[lo:hi]`` without its OpenMP pragma lines, and its tokens.
+
+    ``pragma_lines`` are the unit's :func:`pragma_line_range` spans in
+    source order.  For a span that starts and ends on token boundaries with
+    a code token first, the text equals ``strip_openmp`` of the span's own
+    text, and the tokens, cut from the unit's token stream, have the
+    lexemes and kinds of that text's tokens.  The one exception is a span opening with a ``#`` that
+    follows a comment: the unit lexes it as punctuation, the span's text
+    alone as the start of a directive; the unit's reading is kept.
+    """
+    kept = _kept_ranges(pragma_lines, lo, hi)
+    text = "".join(unit.text[a:b] for a, b in kept)
+    tokens = [t for a, b in kept for t in unit.tokens[unit.token_index(a) : unit.token_index(b)]]
+    return text, tokens
 
 
 def strip_openmp(unit: SourceUnit) -> SourceUnit:
@@ -542,19 +584,8 @@ def strip_openmp(unit: SourceUnit) -> SourceUnit:
     if not spans:
         return unit
     text = unit.text
-    cut_ranges: list[tuple[int, int]] = []
-    for start, end in spans:
-        first = unit.tokens[start]
-        last = unit.tokens[end - 1]
-        line_start = text.rfind("\n", 0, first.byte_offset) + 1
-        line_end = text.find("\n", last.end_offset)
-        line_end = len(text) if line_end == -1 else line_end + 1
-        cut_ranges.append((line_start, line_end))
-
-    pieces: list[str] = []
-    pos = 0
-    for lo, hi in cut_ranges:
-        pieces.append(text[pos:lo])
-        pos = max(pos, hi)
-    pieces.append(text[pos:])
-    return parse_source("".join(pieces))
+    cuts = [
+        pragma_line_range(text, unit.tokens[start].byte_offset, unit.tokens[end - 1].end_offset)
+        for start, end in spans
+    ]
+    return parse_source("".join(text[a:b] for a, b in _kept_ranges(cuts, 0, len(text))))

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 TOKEN_KINDS = (
     "identifier",
@@ -82,6 +83,15 @@ class SourceUnit:
     text: str
     tokens: tuple[Token, ...]
     line_starts: tuple[int, ...]
+
+    @cached_property
+    def offsets(self) -> list[int]:
+        """Byte offset of every token, in order."""
+        return [t.byte_offset for t in self.tokens]
+
+    def token_index(self, byte_offset: int) -> int:
+        """Index of the first token starting at or after ``byte_offset``."""
+        return bisect.bisect_left(self.offsets, byte_offset)
 
     def line_of(self, byte_offset: int) -> int:
         """1-based line number containing ``byte_offset``."""

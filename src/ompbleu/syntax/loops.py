@@ -8,6 +8,7 @@ loops included) and the number of perfectly nested loops rooted at it.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .lexer import SourceUnit, Token
@@ -66,6 +67,17 @@ def _statement_end(tokens: tuple[Token, ...] | list[Token], start: int) -> int |
         elif tok.lexeme == ";" and depth == 0:
             return i
     return None
+
+
+def _skip_to_code(tokens: tuple[Token, ...] | list[Token], start: int) -> int:
+    """Index of the first token at or after ``start`` that is code outside
+    any preprocessor line; ``len(tokens)`` if there is none."""
+    i = start
+    while i < len(tokens) and (
+        tokens[i].kind in ("whitespace", "comment") or tokens[i].in_directive
+    ):
+        i += 1
+    return i
 
 
 def _induction_vars(header_tokens: list[Token]) -> frozenset[str]:
@@ -166,11 +178,7 @@ def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
         header = [
             t for t in tokens[j + 1 : close] if t.kind not in ("whitespace", "comment")
         ]
-        k = close + 1
-        while k < len(tokens) and (
-            tokens[k].kind in ("whitespace", "comment") or tokens[k].in_directive
-        ):
-            k += 1
+        k = _skip_to_code(tokens, close + 1)
         if k >= len(tokens):
             end_tok = close
             body_span = (close + 1, close + 1)
@@ -187,6 +195,7 @@ def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
                 "for_index": idx,
                 "start": tok.byte_offset,
                 "end": tokens[end_tok].end_offset,
+                "end_index": end_tok,
                 "body_span": body_span,
                 "induction": _induction_vars(header),
             }
@@ -197,30 +206,19 @@ def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
     n = len(raw)
     depth = [1] * n
     nest_vars: list[frozenset[str]] = [info["induction"] for info in raw]
+    for_indices = [info["for_index"] for info in raw]
     for i in range(n - 1, -1, -1):
         body_start, body_end = raw[i]["body_span"]
-        child = None
-        for j in range(i + 1, n):
-            if body_start <= raw[j]["for_index"] < body_end:
-                child = j
-                break
-        if child is None:
+        child = bisect.bisect_left(for_indices, body_start)
+        if child == n or for_indices[child] >= body_end:
+            continue
+        if _skip_to_code(tokens, raw[child]["end_index"] + 1) < body_end:
             continue
         pre = [
             t
-            for t in tokens[body_start : raw[child]["for_index"]]
+            for t in tokens[body_start : for_indices[child]]
             if t.kind not in ("whitespace", "comment") and not t.in_directive
         ]
-        child_end_offset = raw[child]["end"]
-        post = [
-            t
-            for t in tokens[body_start:body_end]
-            if t.byte_offset >= child_end_offset
-            and t.kind not in ("whitespace", "comment")
-            and not t.in_directive
-        ]
-        if post:
-            continue
         if _is_declaration_of(pre, raw[child]["induction"]):
             depth[i] = 1 + depth[child]
             nest_vars[i] = nest_vars[i] | nest_vars[child]

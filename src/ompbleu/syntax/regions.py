@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .directives import ATTACHED_BLOCK, ATTACHED_FOR_LOOP, ATTACHED_STATEMENT, Directive
+from .directives import ATTACHED_FOR_LOOP, Directive, attached_construct_span
 from .lexer import SourceUnit
-from .loops import _match_delim, _statement_end
 
 DECISION_KEYWORDS = frozenset({"if", "for", "while", "case"})
 DECISION_OPERATORS = frozenset({"&&", "||"})
@@ -31,9 +30,7 @@ def count_decisions(unit: SourceUnit, start_offset: int, end_offset: int) -> int
     Comments, strings, and pragma lines never contribute.
     """
     count = 0
-    for tok in unit.tokens:
-        if tok.byte_offset < start_offset or tok.byte_offset >= end_offset:
-            continue
+    for tok in unit.tokens[unit.token_index(start_offset) : unit.token_index(end_offset)]:
         if tok.in_directive:
             continue
         if tok.kind == "keyword" and tok.lexeme in DECISION_KEYWORDS:
@@ -53,50 +50,19 @@ def parallel_region_blocks(
     """
     blocks: list[RegionBlock] = []
     diagnostics: list[str] = []
-    tokens = unit.tokens
 
     for d in directives:
         if "parallel" not in d.kinds:
             continue
-        span: tuple[int, int] | None = None
-        if "for" in d.kinds or "loop" in d.kinds:
-            if d.attached_kind == ATTACHED_FOR_LOOP and d.attached_loop is not None:
-                span = (d.attached_loop.byte_offset, d.attached_loop.end_offset)
-            else:
-                diagnostics.append(
-                    f"line {d.line}: worksharing-loop pragma not followed by a for loop; "
-                    "region omitted"
-                )
-        elif d.attached_kind == ATTACHED_FOR_LOOP and d.attached_loop is not None:
-            span = (d.attached_loop.byte_offset, d.attached_loop.end_offset)
-        elif d.attached_kind in (ATTACHED_BLOCK, ATTACHED_STATEMENT):
-            idx = next(
-                (
-                    i
-                    for i, t in enumerate(tokens)
-                    if t.byte_offset >= d.byte_offset + len(d.raw_text)
-                    and t.kind not in ("whitespace", "comment")
-                    and not t.in_directive
-                ),
-                None,
+        if ("for" in d.kinds or "loop" in d.kinds) and not (
+            d.attached_kind == ATTACHED_FOR_LOOP and d.attached_loop is not None
+        ):
+            diagnostics.append(
+                f"line {d.line}: worksharing-loop pragma not followed by a for loop; "
+                "region omitted"
             )
-            if idx is None:
-                diagnostics.append(f"line {d.line}: no construct follows pragma")
-            elif tokens[idx].lexeme == "{" and tokens[idx].kind == "punctuation":
-                close = _match_delim(tokens, idx)
-                if close is None:
-                    diagnostics.append(f"line {d.line}: unbalanced block after pragma")
-                else:
-                    span = (tokens[idx].byte_offset, tokens[close].end_offset)
-            else:
-                end = _statement_end(tokens, idx)
-                if end is None:
-                    diagnostics.append(f"line {d.line}: unterminated statement after pragma")
-                else:
-                    span = (tokens[idx].byte_offset, tokens[end].end_offset)
-        else:
-            diagnostics.append(f"line {d.line}: no construct follows pragma")
-
+            continue
+        span = attached_construct_span(unit, d, diagnostics)
         if span is not None:
             blocks.append(
                 RegionBlock(

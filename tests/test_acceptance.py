@@ -78,15 +78,11 @@ def _static_scores(gt_name: str, gen_name: str) -> dict:
     return {
         "wc": weighted_clause_score(gt.normalized, gen.normalized, TABLE),
         "vu": variable_usage_score(gt.directives, gen.directives),
-        "is_": integrated_semantic_score(
-            fixture_text(gt_name), fixture_text(gen_name), BACKEND
-        ),
+        "is_": integrated_semantic_score(gt, gen, BACKEND),
         "or_": ordering_score(gt.normalized, gen.normalized),
         "rc": redundancy_coverage_score(gt.normalized, gen.normalized),
         "cc": cyclomatic_ratio(gt.regions, gen.regions),
-        "pl": pragma_location_score(
-            gt.normalized, gen.normalized, gt.unit, gen.unit, BACKEND
-        ),
+        "pl": pragma_location_score(gt, gen, BACKEND),
     }
 
 

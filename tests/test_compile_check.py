@@ -115,3 +115,22 @@ def test_stripped_code_still_compiles_and_pragmas_readd():
         assert extract_directives(parse_source(serial)) == []
         assert compile_score(serial, CompileConfig()).score == 1, name
         assert compile_score(source, CompileConfig()).score == 1, name
+
+
+def test_failing_candidate_report_identical_across_cold_caches(tmp_path):
+    from ompbleu.config import EvalConfig
+    from ompbleu.report import DatasetRecord, evaluate_dataset
+
+    record = DatasetRecord(
+        id="r",
+        reference=fixture_text("single_gt.c"),
+        candidates=(fixture_text("single_case1.c"),),
+    )
+    reports = [
+        evaluate_dataset(
+            [record], EvalConfig(compile=CompileConfig(cache_dir=str(tmp_path / cache)))
+        ).to_json()
+        for cache in ("first", "second")
+    ]
+    assert '"compile": 0.0' in reports[0]
+    assert reports[0] == reports[1]

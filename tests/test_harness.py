@@ -135,10 +135,10 @@ def test_failing_candidate_ranked_last_not_dropped(monkeypatch):
     gt = fixture_text("single_gt.c")
     real = report_mod.ompbleu_score
 
-    def flaky(ref, gen, config=None):
-        if gen == "BOOM":
+    def flaky(ref, gen, *args, **kwargs):
+        if gen.unit.text == "BOOM":
             raise RuntimeError("unreadable candidate")
-        return real(ref, gen, config)
+        return real(ref, gen, *args, **kwargs)
 
     monkeypatch.setattr(report_mod, "ompbleu_score", flaky)
     record = DatasetRecord(id="r", reference=gt, candidates=("BOOM", gt))

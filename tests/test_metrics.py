@@ -47,7 +47,7 @@ def _static_cells(gt_name, gen_name):
         ordering_score(gt.normalized, gen.normalized),
         redundancy_coverage_score(gt.normalized, gen.normalized),
         cyclomatic_ratio(gt.regions, gen.regions),
-        pragma_location_score(gt.normalized, gen.normalized, gt.unit, gen.unit, BACKEND),
+        pragma_location_score(gt, gen, BACKEND),
     )
 
 
@@ -155,7 +155,7 @@ def _sibling_loops(pragma_before: int, count: int) -> str:
 def test_pl_loop_index_penalty():
     gt = analyze(_sibling_loops(0, 2))
     gen = analyze(_sibling_loops(1, 2))
-    score = pragma_location_score(gt.normalized, gen.normalized, gt.unit, gen.unit, BACKEND)
+    score = pragma_location_score(gt, gen, BACKEND)
     # identical context, loop index drift of 1: cosine 1 times penalty 0.5
     assert score == pytest.approx(0.5)
 
@@ -163,21 +163,17 @@ def test_pl_loop_index_penalty():
 def test_pl_two_position_drift_zeroes_contribution():
     gt = analyze(_sibling_loops(0, 3))
     gen = analyze(_sibling_loops(2, 3))
-    assert pragma_location_score(
-        gt.normalized, gen.normalized, gt.unit, gen.unit, BACKEND
-    ) == pytest.approx(0.0)
+    assert pragma_location_score(gt, gen, BACKEND) == pytest.approx(0.0)
 
 
 def test_pl_vacuous_when_no_pragmas():
     plain = analyze("int main(void){return 0;}\n")
-    assert pragma_location_score(
-        plain.normalized, plain.normalized, plain.unit, plain.unit, BACKEND
-    ) == 1.0
+    assert pragma_location_score(plain, plain, BACKEND) == 1.0
 
 
 def test_is_blend_arithmetic():
     # identical directive strings, identical code
-    code = fixture_text("fig1_gt.c")
+    code = analyze(fixture_text("fig1_gt.c"))
     assert integrated_semantic_score(code, code, BACKEND) == 1.0
 
 
@@ -192,7 +188,9 @@ def test_is_blend_weights():
 
     s_lev = lev_similarity("parallel private(x)", "parallel")
     expected = 0.7 * 1.0 + 0.3 * s_lev
-    assert integrated_semantic_score(a, b, FixedBackend()) == pytest.approx(expected)
+    assert integrated_semantic_score(analyze(a), analyze(b), FixedBackend()) == pytest.approx(
+        expected
+    )
 
 
 # -- compose ----------------------------------------------------------------

@@ -1,0 +1,148 @@
+"""One tokenization per source: the work per pair, and the token-slice bags.
+
+The scorer cuts every code text it compares (loop contexts, constructs, the
+whole unit) from the token stream of the unit it analysed.  The oracle below
+is the path that re-lexed the pragma-stripped text of each span instead.
+"""
+
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ompbleu.config import EvalConfig
+from ompbleu.metrics import analyze, ompbleu_score
+from ompbleu.report import DatasetRecord, evaluate_dataset
+from ompbleu.similarity import SparseTokenVector
+from ompbleu.syntax import lexer, parse_source, strip_openmp
+from ompbleu.syntax.directives import attached_construct_span
+
+from conftest import FIXTURES, fixture_text
+
+NO_COMPILE_CFG = EvalConfig(compile_enabled=False)
+
+
+@pytest.fixture()
+def tokenize_calls(monkeypatch):
+    """Texts passed to ``tokenize`` through any ``ompbleu`` module."""
+    original = lexer.tokenize
+    calls: list[str] = []
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ompbleu") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_one_pair_tokenizes_each_side_once(tokenize_calls):
+    ompbleu_score(fixture_text("multiple_gt.c"), fixture_text("multiple_case2.c"), NO_COMPILE_CFG)
+    assert len(tokenize_calls) <= 2
+
+
+def test_dataset_record_tokenizes_each_source_once(tokenize_calls, monkeypatch):
+    built = []
+    make_backend = EvalConfig.make_backend
+    monkeypatch.setattr(
+        EvalConfig, "make_backend", lambda self: built.append(1) or make_backend(self)
+    )
+    record = DatasetRecord(
+        id="r",
+        reference=fixture_text("multiple_gt.c"),
+        candidates=tuple(fixture_text(f"multiple_case{i}.c") for i in range(1, 5)),
+    )
+    report = evaluate_dataset([record], NO_COMPILE_CFG, jobs=2)
+    assert report.classification is not None
+    assert len(tokenize_calls) <= 5
+    assert len(built) == 1
+
+
+def _stripped(text: str) -> str:
+    return strip_openmp(parse_source(text)).text
+
+
+def _assert_slices_match_relexing(source: str) -> None:
+    side = analyze(source)
+    assert side.code.text == source
+    assert side.code.vector == SparseTokenVector.from_code(source)
+    spans = []
+    for d in side.directives:
+        if d.attached_loop is not None:
+            spans.append((d.attached_loop.byte_offset, d.attached_loop.end_offset))
+        span = attached_construct_span(side.unit, d)
+        if span is not None:
+            spans.append(span)
+    for lo, hi in spans:
+        expected = _stripped(source[lo:hi])
+        code = side.stripped((lo, hi))
+        assert code.text == expected, (lo, hi)
+        assert code.vector == SparseTokenVector.from_code(expected), (lo, hi)
+
+
+def test_slices_match_relexing_on_every_fixture():
+    for path in sorted(FIXTURES.glob("*.c")):
+        _assert_slices_match_relexing(path.read_text())
+
+
+_SOUP_LINES = [
+    "#pragma omp parallel for private(i) reduction(+:s)",
+    "#pragma omp parallel",
+    "  #pragma omp for collapse(2)",
+    "#pragma omp single",
+    "#pragma omp atomic",
+    "#pragma omp barrier",
+    "#pragma omp critical(name)",
+    "#pragma omp parallel \\\n    for schedule(static)",
+    "#pragma omp task /* comment\n spanning lines */ untied",
+    "#pragma GCC ivdep",
+    "#define BODY { x++; }",
+    "for (int i = 0; i < n; i++) {",
+    "for (j = 0; j < m; j++)",
+    "  for (k = 0; k < 4; ++k) s += a[k] && b[k];",
+    "if (a || b) y++;",
+    "while (x) { x--; }",
+    "x += a[i] * b[j];",
+    "{",
+    "}",
+    "/* #pragma omp parallel */",
+    "// line comment",
+    '"#pragma omp for"',
+    "FOR_EACH(i, n) { t = i; }",
+    "",
+    "\t",
+]
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_SOUP_LINES),
+            st.text(alphabet="ab{}();#\\ \t\n+&|", max_size=16),
+        ),
+        max_size=24,
+    ),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_slices_match_relexing_on_pragma_soups(lines, newline, trailing_newline):
+    source = newline.join(lines) + (newline if trailing_newline else "")
+    _assert_slices_match_relexing(source)
+
+
+def test_construct_keeps_the_units_lexing_of_a_leading_hash():
+    # After a comment, `#` is punctuation in the unit.  Lexed on its own,
+    # the construct text would start a directive; the slice keeps the unit's
+    # reading, which the whole-unit scores use too.
+    side = analyze("#pragma omp single\n/* c */ # x;\n")
+    span = attached_construct_span(side.unit, side.directives[0])
+    assert side.unit.text[span[0] : span[1]] == "# x;"
+    assert side.stripped(span).vector.counts == {"#": 1, "x": 1, ";": 1}
+    assert SparseTokenVector.from_code("# x;").counts == {"# x": 1, ";": 1}
+

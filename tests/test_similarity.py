@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -77,6 +78,42 @@ def test_lev_matches_oracle_sampled_up_to_length_8():
         a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
         b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
         assert lev_similarity(a, b) == pytest.approx(_oracle_lev(a, b), abs=1e-12)
+
+
+def test_lev_matches_oracle_past_one_machine_word():
+    rng = random.Random(20261018)
+    alphabets = ["ab", "acgt", "for(i=0;<n+)", "aé€😀 \n\t"]
+    for trial in range(24):
+        alphabet = alphabets[trial % len(alphabets)]
+        a = "".join(rng.choice(alphabet) for _ in range(rng.randint(60, 400)))
+        if trial % 6 == 5:
+            b = ""
+        elif trial % 3 == 0:
+            # a mutated copy: long matching runs as well as edits
+            b = "".join(
+                c if rng.random() < 0.9 else rng.choice(alphabet) * rng.randint(0, 2)
+                for c in a
+            )
+        else:
+            b = "".join(rng.choice(alphabet) for _ in range(rng.randint(60, 400)))
+        assert lev_similarity(a, b) == _oracle_lev(a, b)
+        assert lev_similarity(b, a) == lev_similarity(a, b)
+
+
+def test_lev_matches_oracle_on_replicated_directive_strings():
+    from ompbleu.metrics import _directive_strings, analyze
+
+    from conftest import fixture_text
+
+    def directive_string(name: str) -> str:
+        return _directive_strings(analyze(fixture_text(name) * 4).normalized)
+
+    gt = directive_string("multiple_gt.c")
+    for case in ("multiple_case1.c", "multiple_case4.c"):
+        gen = directive_string(case)
+        assert len(gt) > 64 and len(gen) > 64
+        assert lev_similarity(gt, gen) == _oracle_lev(gt, gen)
+        assert lev_similarity(gen, gt) == lev_similarity(gt, gen)
 
 
 @given(st.text(alphabet="abc", max_size=8), st.text(alphabet="abc", max_size=8))
@@ -245,6 +282,36 @@ def test_remote_backend_caches_by_content(embed_server):
     backend.similarity("alpha", "beta")
     _EmbedHandler.fail_mode = "http500"  # cache must make this invisible
     assert backend.similarity("alpha", "beta") == 0.0
+
+
+def test_remote_cache_stays_bounded_under_threads(embed_server):
+    # one backend serves every worker of a dataset run
+    backend = RemoteEmbeddingBackend(embed_server, "test-model", timeout=5)
+    backend.cache_entries = 4
+    texts = ["alpha", "beta", "both"] + [f"text{i}" for i in range(9)]
+    expected = {t: _EmbedHandler.vectors.get(t, [1.0, 2.0, 3.0]) for t in texts}
+    wrong = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            text = rng.choice(texts)
+            if backend.embed(text) != expected[text]:
+                wrong.append(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []
+    assert len(backend._cache) <= 4
 
 
 def test_scoring_through_remote_backend(embed_server):
