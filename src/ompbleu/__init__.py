@@ -9,12 +9,13 @@ reports, ranks multi-candidate generations, and ships corpus utilities
 __version__ = "0.1.0"
 
 from .config import ConfigError, EvalConfig, load_config
-from .metrics import MetricWeights, ScoreBreakdown, ompbleu_score
+from .metrics import SUBSCORE_WEIGHTS, MetricWeights, ScoreBreakdown, ompbleu_score
 
 __all__ = [
     "ConfigError",
     "EvalConfig",
     "MetricWeights",
+    "SUBSCORE_WEIGHTS",
     "ScoreBreakdown",
     "__version__",
     "load_config",

@@ -42,9 +42,6 @@ class ClauseVocabulary:
     def size(self) -> int:
         return len(self.kinds)
 
-    def __contains__(self, kind: str) -> bool:
-        return kind in set(self.kinds)
-
     @classmethod
     def load(cls, path: str | Path) -> "ClauseVocabulary":
         kinds = []

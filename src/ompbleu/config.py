@@ -7,11 +7,12 @@ empty config (or none at all) runs the hermetic pipeline end to end.
 from __future__ import annotations
 
 import json
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .compile_check import CompileConfig
-from .metrics import ClauseWeightTable, MetricWeights
+from .metrics import SUBSCORE_WEIGHTS, ClauseWeightTable, MetricWeights
 from .similarity import (
     BagOfTokensBackend,
     FallbackBackend,
@@ -66,17 +67,7 @@ class EvalConfig:
     def echo(self) -> dict:
         """JSON-serializable view of the effective configuration."""
         return {
-            "weights": {
-                "wc": self.weights.wc,
-                "vu": self.weights.vu,
-                "is": self.weights.is_,
-                "or": self.weights.or_,
-                "rc": self.weights.rc,
-                "cc": self.weights.cc,
-                "pl": self.weights.pl,
-                "compile": self.weights.compile_,
-                "is_blend_alpha": self.weights.is_blend_alpha,
-            },
+            "weights": {**self.weights.composite, "is_blend_alpha": self.weights.is_blend_alpha},
             "clause_weights": {
                 "table": dict(sorted(self.clause_weights.weights.items())),
                 "default": self.clause_weights.default_weight,
@@ -91,44 +82,59 @@ class EvalConfig:
         }
 
 
-def _build_weights(raw: dict) -> MetricWeights:
-    mapping = {
-        "wc": "wc",
-        "vu": "vu",
-        "is": "is_",
-        "or": "or_",
-        "rc": "rc",
-        "cc": "cc",
-        "pl": "pl",
-        "compile": "compile_",
-        "is_blend_alpha": "is_blend_alpha",
-    }
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in mapping:
-            raise ConfigError(f"unknown weight key: {key!r}")
-        kwargs[mapping[key]] = float(value)
+def _section(raw: object, name: str, known: Collection[str] | None) -> dict:
+    """``raw`` if it is a JSON object whose keys are all in ``known``
+    (``None``: any keys)."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(raw).__name__}")
+    unknown = set() if known is None else set(raw) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return raw
+
+
+def _build_weights(raw: object) -> MetricWeights:
+    raw = _section(raw, "weights", (*SUBSCORE_WEIGHTS, "is_blend_alpha"))
     try:
-        return MetricWeights(**kwargs)
-    except ValueError as exc:
+        values = {key: float(value) for key, value in raw.items()}
+        alpha = values.pop("is_blend_alpha", MetricWeights.is_blend_alpha)
+        return MetricWeights({**SUBSCORE_WEIGHTS, **values}, alpha)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _build_clause_weights(raw: dict) -> ClauseWeightTable:
-    table = {str(k): float(v) for k, v in raw.get("table", {}).items()}
-    if not table and raw and "table" not in raw and "default" not in raw:
-        # allow the flat form {"reduction": 5, ...}
-        table = {str(k): float(v) for k, v in raw.items()}
+def _build_clause_weights(raw: object) -> ClauseWeightTable:
+    raw = _section(raw, "clause_weights", ("table", "default"))
+    table = _section(raw.get("table", {}), "clause_weights table", None)
     try:
         return ClauseWeightTable(
-            weights=table or {"reduction": 5.0},
+            weights={str(k): float(v) for k, v in table.items()} or {"reduction": 5.0},
             default_weight=float(raw.get("default", 1.0)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _build_compile(raw: dict) -> CompileConfig:
+def _build_backend(raw: object) -> BackendSpec:
+    raw = _section(raw, "backend", ("kind", "endpoint", "model_id", "timeout", "fallback"))
+    try:
+        return BackendSpec(
+            kind=raw.get("kind", "bag_of_tokens"),
+            endpoint=raw.get("endpoint"),
+            model_id=raw.get("model_id"),
+            timeout=float(raw.get("timeout", 30.0)),
+            fallback=raw.get("fallback"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _build_compile(raw: object) -> CompileConfig:
+    known = (
+        "command", "extra_flags", "mode", "timeout", "wrap_snippets", "cache_dir",
+        "timeout_as_failure", "language",
+    )
+    raw = _section(raw, "compile", known)
     command = raw.get("command")
     try:
         return CompileConfig(
@@ -141,12 +147,15 @@ def _build_compile(raw: dict) -> CompileConfig:
             timeout_as_failure=bool(raw.get("timeout_as_failure", False)),
             language=raw.get("language", "c++"),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | Path | None) -> EvalConfig:
-    """Load and validate a JSON config; None yields the defaults."""
+    """Load and validate a JSON config; None yields the defaults.
+
+    Every section must be a JSON object and every key in it known.
+    """
     if path is None:
         return EvalConfig()
     try:
@@ -155,38 +164,15 @@ def load_config(path: str | Path | None) -> EvalConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-
-    known = {
-        "weights",
-        "clause_weights",
-        "backend",
-        "compile",
-        "compile_enabled",
-        "clause_vocabulary",
-        "tag_vocabulary",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    backend_raw = raw.get("backend", {})
-    try:
-        backend = BackendSpec(
-            kind=backend_raw.get("kind", "bag_of_tokens"),
-            endpoint=backend_raw.get("endpoint"),
-            model_id=backend_raw.get("model_id"),
-            timeout=float(backend_raw.get("timeout", 30.0)),
-            fallback=backend_raw.get("fallback"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    known = (
+        "weights", "clause_weights", "backend", "compile", "compile_enabled",
+        "clause_vocabulary", "tag_vocabulary",
+    )
+    raw = _section(raw, "config", known)
     return EvalConfig(
         weights=_build_weights(raw.get("weights", {})),
         clause_weights=_build_clause_weights(raw.get("clause_weights", {})),
-        backend=backend,
+        backend=_build_backend(raw.get("backend", {})),
         compile=_build_compile(raw.get("compile", {})),
         compile_enabled=bool(raw.get("compile_enabled", True)),
         clause_vocabulary_path=raw.get("clause_vocabulary"),

@@ -67,26 +67,42 @@ class ClauseWeightTable:
         return self.weights.get(kind, self.default_weight)
 
 
+# The sub-scores, in report order, with their default composite weights.
+# Weights, breakdowns, the config file and the reports all take their keys
+# from this table.
+SUBSCORE_WEIGHTS: dict[str, float] = {
+    "wc": 0.3,
+    "vu": 0.05,
+    "is": 0.10,
+    "or": 0.05,
+    "rc": 0.05,
+    "cc": 0.05,
+    "pl": 0.2,
+    "compile": 0.2,
+}
+
+
+def _check_subscore_keys(table: dict[str, float], what: str) -> None:
+    if table.keys() != SUBSCORE_WEIGHTS.keys():
+        raise ValueError(f"{what} keys must be {list(SUBSCORE_WEIGHTS)}, got {list(table)}")
+
+
 @dataclass(frozen=True)
 class MetricWeights:
-    """Composite weights; they must sum to exactly 1."""
+    """Composite weights keyed like :data:`SUBSCORE_WEIGHTS`; they must sum
+    to exactly 1."""
 
-    wc: float = 0.3
-    vu: float = 0.05
-    is_: float = 0.10
-    or_: float = 0.05
-    rc: float = 0.05
-    cc: float = 0.05
-    pl: float = 0.2
-    compile_: float = 0.2
+    composite: dict[str, float] = field(default_factory=lambda: dict(SUBSCORE_WEIGHTS))
     is_blend_alpha: float = 0.7
 
     def __post_init__(self) -> None:
-        values = self.as_tuple()
-        for v in values:
+        _check_subscore_keys(self.composite, "composite weight")
+        # keep a copy in table order: the caller's dict may change after the checks
+        object.__setattr__(self, "composite", {k: self.composite[k] for k in SUBSCORE_WEIGHTS})
+        for v in self.composite.values():
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"composite weights must lie in [0,1], got {v}")
-        total = math.fsum(values)
+        total = math.fsum(self.composite.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(
                 f"composite weights must sum to 1, got {total!r}; "
@@ -95,38 +111,18 @@ class MetricWeights:
         if not 0.0 <= self.is_blend_alpha <= 1.0:
             raise ValueError("is_blend_alpha must lie in [0,1]")
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.wc, self.vu, self.is_, self.or_, self.rc, self.cc, self.pl, self.compile_)
-
 
 @dataclass
 class ScoreBreakdown:
-    """Sub-scores in [0,1], composite in [0,100], and explanations."""
+    """Sub-scores in [0,1] keyed like :data:`SUBSCORE_WEIGHTS`, composite
+    in [0,100], and explanations."""
 
-    wc: float
-    vu: float
-    is_: float
-    or_: float
-    rc: float
-    cc: float
-    pl: float
-    compile_: float
+    scores: dict[str, float]
     composite: float
     diagnostics: dict[str, list[str]] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "wc": self.wc,
-            "vu": self.vu,
-            "is": self.is_,
-            "or": self.or_,
-            "rc": self.rc,
-            "cc": self.cc,
-            "pl": self.pl,
-            "compile": self.compile_,
-            "composite": self.composite,
-            "diagnostics": self.diagnostics,
-        }
+        return {**self.scores, "composite": self.composite, "diagnostics": self.diagnostics}
 
 
 @dataclass(frozen=True)
@@ -476,15 +472,23 @@ def pragma_location_score(
     return (ls + sum(other_terms) / len(other_terms)) / 2.0
 
 
-def compose(scores: tuple[float, ...], weights: MetricWeights) -> float:
+def compose(scores: dict[str, float], weights: MetricWeights) -> float:
     """100 times the weighted sum of the eight sub-scores."""
-    ws = weights.as_tuple()
-    if len(scores) != len(ws):
-        raise ValueError(f"expected {len(ws)} sub-scores, got {len(scores)}")
-    for s in scores:
+    _check_subscore_keys(scores, "sub-score")
+    for s in scores.values():
         if not 0.0 <= s <= 1.0 + 1e-12:
             raise ValueError(f"sub-score out of range: {s}")
-    return 100.0 * math.fsum(w * s for w, s in zip(ws, scores))
+    return 100.0 * math.fsum(w * scores[k] for k, w in weights.composite.items())
+
+
+def _compile_subscore(gen: SideAnalysis, cfg: "EvalConfig", diagnostics: list[str]) -> float:
+    if not cfg.compile_enabled:
+        diagnostics.append("compile check disabled by configuration")
+        return 1.0
+    result = compile_score(gen.unit.text, cfg.compile)
+    if result.diagnostics and result.score == 0:
+        diagnostics.append(result.diagnostics.strip())
+    return float(result.score)
 
 
 def ompbleu_score(
@@ -506,38 +510,24 @@ def ompbleu_score(
     gen = gen_source if isinstance(gen_source, SideAnalysis) else analyze(gen_source)
     if backend is None:
         backend = cfg.make_backend()
-    diagnostics: dict[str, list[str]] = {k: [] for k in ("wc", "vu", "or", "rc", "cc", "pl", "compile")}
+    diags: dict[str, list[str]] = {k: [] for k in SUBSCORE_WEIGHTS}
 
-    wc = weighted_clause_score(gt.normalized, gen.normalized, cfg.clause_weights, diagnostics["wc"])
-    vu = variable_usage_score(gt.directives, gen.directives, diagnostics["vu"])
-    is_ = integrated_semantic_score(gt, gen, backend, cfg.weights.is_blend_alpha)
-    or_ = ordering_score(gt.normalized, gen.normalized, diagnostics["or"])
-    rc = redundancy_coverage_score(gt.normalized, gen.normalized, diagnostics["rc"])
-    cc = cyclomatic_ratio(gt.regions, gen.regions, diagnostics["cc"])
-    diagnostics["cc"].extend(gt.region_diagnostics)
-    diagnostics["cc"].extend(gen.region_diagnostics)
-    pl = pragma_location_score(gt, gen, backend, diagnostics["pl"])
-
-    if cfg.compile_enabled:
-        result = compile_score(gen.unit.text, cfg.compile)
-        c = float(result.score)
-        if result.diagnostics and result.score == 0:
-            diagnostics["compile"].append(result.diagnostics.strip())
-    else:
-        c = 1.0
-        diagnostics["compile"].append("compile check disabled by configuration")
-
-    scores = (wc, vu, is_, or_, rc, cc, pl, c)
-    composite = compose(scores, cfg.weights)
+    scores = {
+        "wc": weighted_clause_score(
+            gt.normalized, gen.normalized, cfg.clause_weights, diags["wc"]
+        ),
+        "vu": variable_usage_score(gt.directives, gen.directives, diags["vu"]),
+        "is": integrated_semantic_score(gt, gen, backend, cfg.weights.is_blend_alpha),
+        "or": ordering_score(gt.normalized, gen.normalized, diags["or"]),
+        "rc": redundancy_coverage_score(gt.normalized, gen.normalized, diags["rc"]),
+        "cc": cyclomatic_ratio(gt.regions, gen.regions, diags["cc"]),
+        "pl": pragma_location_score(gt, gen, backend, diags["pl"]),
+        "compile": _compile_subscore(gen, cfg, diags["compile"]),
+    }
+    diags["cc"].extend(gt.region_diagnostics)
+    diags["cc"].extend(gen.region_diagnostics)
     return ScoreBreakdown(
-        wc=wc,
-        vu=vu,
-        is_=is_,
-        or_=or_,
-        rc=rc,
-        cc=cc,
-        pl=pl,
-        compile_=c,
-        composite=composite,
-        diagnostics={k: v for k, v in diagnostics.items() if v},
+        scores=scores,
+        composite=compose(scores, cfg.weights),
+        diagnostics={k: v for k, v in diags.items() if v},
     )

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from .syntax import SourceUnit, Token
 from .syntax.directives import DIRECTIVE_KINDS, _SUCCESSORS
 
-if TYPE_CHECKING:  # numpy is imported by the two loss functions only
+if TYPE_CHECKING:  # numpy (the `loss` extra) is imported by the two loss functions only
     import numpy as np
 
 _TYPE_KEYWORDS = frozenset(

@@ -24,10 +24,10 @@ from .classify import (
     clause_confusion,
 )
 from .config import EvalConfig
-from .metrics import ScoreBreakdown, SideAnalysis, analyze, ompbleu_score
+from .metrics import SUBSCORE_WEIGHTS, ScoreBreakdown, SideAnalysis, analyze, ompbleu_score
 from .similarity import SimilarityBackend
 
-SUBSCORE_KEYS = ("wc", "vu", "is", "or", "rc", "cc", "pl", "compile")
+SUBSCORE_KEYS = tuple(SUBSCORE_WEIGHTS)
 
 
 @dataclass(frozen=True)

@@ -251,10 +251,3 @@ def _text(code: str | CodeText) -> str:
 
 def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-
-
-def context_cosine(a: str, b: str, backend: SimilarityBackend | None = None) -> float:
-    """Cosine similarity of two code snippets in [0, 1]."""
-    if backend is None:
-        backend = BagOfTokensBackend()
-    return backend.similarity(a, b)

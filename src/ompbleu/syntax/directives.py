@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .lexer import SourceUnit, Token, parse_source
-from .loops import LoopContext, _match_delim, _skip_to_code, _statement_end, loop_contexts
+from .loops import (
+    LoopContext,
+    _match_delim,
+    _skip_to_code,
+    _split_top_level,
+    _statement_end,
+    loop_contexts,
+)
 
 # Directive keywords and the combinations they may extend.
 DIRECTIVE_KINDS = frozenset(
@@ -126,22 +133,6 @@ class NormalizedDirective:
         return " ".join(parts)
 
 
-def _split_top_level(tokens: list[Token], sep: str) -> list[list[Token]]:
-    groups: list[list[Token]] = [[]]
-    depth = 0
-    for tok in tokens:
-        if tok.kind == "punctuation":
-            if tok.lexeme in "([{":
-                depth += 1
-            elif tok.lexeme in ")]}":
-                depth -= 1
-            elif tok.lexeme == sep and depth == 0:
-                groups.append([])
-                continue
-        groups[-1].append(tok)
-    return groups
-
-
 def _text_of(tokens: list[Token]) -> str:
     return " ".join(t.lexeme for t in tokens)
 
@@ -202,8 +193,6 @@ def _parse_clause(word: str, arg_tokens: list[Token] | None, raw: str) -> tuple[
     elif word == "schedule" and arg_tokens is not None:
         if args:
             schedule_kind = args[0].replace(" ", "")
-    elif word in VAR_LIST_CLAUSES and arg_tokens is not None:
-        variables = frozenset(_idents_of(arg_tokens))
     elif arg_tokens is not None:
         variables = frozenset(_idents_of(arg_tokens))
 

@@ -69,6 +69,23 @@ def _statement_end(tokens: tuple[Token, ...] | list[Token], start: int) -> int |
     return None
 
 
+def _split_top_level(tokens: list[Token], sep: str) -> list[list[Token]]:
+    """``tokens`` cut at each ``sep`` punctuation outside any brackets."""
+    groups: list[list[Token]] = [[]]
+    depth = 0
+    for tok in tokens:
+        if tok.kind == "punctuation":
+            if tok.lexeme in "([{":
+                depth += 1
+            elif tok.lexeme in ")]}":
+                depth -= 1
+            elif tok.lexeme == sep and depth == 0:
+                groups.append([])
+                continue
+        groups[-1].append(tok)
+    return groups
+
+
 def _skip_to_code(tokens: tuple[Token, ...] | list[Token], start: int) -> int:
     """Index of the first token at or after ``start`` that is code outside
     any preprocessor line; ``len(tokens)`` if there is none."""
@@ -86,21 +103,8 @@ def _induction_vars(header_tokens: list[Token]) -> frozenset[str]:
     Handles `int i = 0`, `i = 0`, multi-declarations, and range-for
     (`auto x : v`).  Best effort: unparseable headers yield an empty set.
     """
-    init: list[Token] = []
-    depth = 0
-    saw_semicolon = False
-    for tok in header_tokens:
-        if tok.kind == "punctuation":
-            if tok.lexeme in "([{":
-                depth += 1
-            elif tok.lexeme in ")]}":
-                depth -= 1
-            elif tok.lexeme == ";" and depth == 0:
-                saw_semicolon = True
-                break
-        init.append(tok)
-
-    if not saw_semicolon:
+    clauses = _split_top_level(header_tokens, ";")
+    if len(clauses) == 1:
         # range-based for: `for (decl : range)` declares one name
         decl: list[Token] = []
         for tok in header_tokens:
@@ -110,19 +114,7 @@ def _induction_vars(header_tokens: list[Token]) -> frozenset[str]:
         names = [t.lexeme for t in decl if t.kind == "identifier"]
         return frozenset(names[-1:])
 
-    groups: list[list[Token]] = [[]]
-    depth = 0
-    for tok in init:
-        if tok.kind == "punctuation":
-            if tok.lexeme in "([{":
-                depth += 1
-            elif tok.lexeme in ")]}":
-                depth -= 1
-            elif tok.lexeme == "," and depth == 0:
-                groups.append([])
-                continue
-        groups[-1].append(tok)
-
+    groups = _split_top_level(clauses[0], ",")
     found: set[str] = set()
     for group in groups:
         target: str | None = None

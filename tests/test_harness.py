@@ -220,7 +220,7 @@ def test_records_merged_in_id_order(tmp_path):
 
 def test_load_config_defaults():
     cfg = load_config(None)
-    assert cfg.weights.wc == 0.3
+    assert cfg.weights.composite["wc"] == 0.3
     assert cfg.clause_weights.weight_of("reduction(+:x)") == 5.0
 
 
@@ -239,7 +239,7 @@ def test_load_config_overrides(tmp_path):
         )
     )
     cfg = load_config(path)
-    assert cfg.weights.wc == 0.25
+    assert cfg.weights.composite["wc"] == 0.25
     assert cfg.weights.is_blend_alpha == 0.5
     assert cfg.clause_weights.weight_of("collapse(2)") == 2.0
     assert cfg.compile_enabled is False
@@ -352,6 +352,41 @@ def test_cli_empty_dataset_errors(tmp_path, capsys):
 def test_cli_config_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"weights\": {\"wc\": 0.999}}")
+    rc = main(["--config", str(bad), "strip", str(FIXTURES / "fig1_gt.c")])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [],
+        {"weights": 5},
+        {"compile": []},
+        {"backend": None},
+        {"clause_weights": {"table": [1]}},
+        {"compile": {"langauge": "c"}},
+        {"backend": {"kind": "bag_of_tokens", "endpont": "x"}},
+        {"clause_weights": {"colapse": 2}},
+        {"clause_weights": {"reduction": 7}},
+        {"weights": {"wc": "heavy"}},
+    ],
+    ids=[
+        "root-not-object",
+        "weights-not-object",
+        "compile-not-object",
+        "backend-null",
+        "clause-table-not-object",
+        "compile-misspelled-key",
+        "backend-misspelled-key",
+        "clause-weights-misspelled-key",
+        "clause-weights-flat-form",
+        "weight-not-a-number",
+    ],
+)
+def test_cli_malformed_config_section_exit_2(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
     rc = main(["--config", str(bad), "strip", str(FIXTURES / "fig1_gt.c")])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err

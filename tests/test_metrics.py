@@ -4,6 +4,7 @@ import pytest
 
 from ompbleu.config import EvalConfig
 from ompbleu.metrics import (
+    SUBSCORE_WEIGHTS,
     ClauseWeightTable,
     MetricWeights,
     analyze,
@@ -198,11 +199,12 @@ def test_is_blend_weights():
 
 def test_compose_trivial_and_linearity():
     weights = MetricWeights()
-    assert compose((1.0,) * 8, weights) == 100.0
-    base = compose((0.5,) * 8, weights)
-    bumped = compose((0.5 + 0.2, *([0.5] * 7)), weights)
-    assert bumped - base == pytest.approx(100 * weights.wc * 0.2)
-    double = compose((0.5 + 0.4, *([0.5] * 7)), weights)
+    half = dict.fromkeys(SUBSCORE_WEIGHTS, 0.5)
+    assert compose(dict.fromkeys(SUBSCORE_WEIGHTS, 1.0), weights) == 100.0
+    base = compose(half, weights)
+    bumped = compose({**half, "wc": 0.5 + 0.2}, weights)
+    assert bumped - base == pytest.approx(100 * weights.composite["wc"] * 0.2)
+    double = compose({**half, "wc": 0.5 + 0.4}, weights)
     assert double - base == pytest.approx(2 * (bumped - base))
 
 
@@ -221,19 +223,31 @@ def test_compose_from_printed_component_cells():
         ((0.83, 0.83, 0.95, 0.5, 0.5, 1, 1, 1), 88.69),
     ]
     for cells, composite in printed:
-        assert compose(cells, weights) == pytest.approx(composite, abs=0.5)
+        assert compose(dict(zip(SUBSCORE_WEIGHTS, cells)), weights) == pytest.approx(
+            composite, abs=0.5
+        )
 
 
 def test_weights_must_sum_to_one():
     with pytest.raises(ValueError):
-        MetricWeights(wc=0.5)
+        MetricWeights({**SUBSCORE_WEIGHTS, "wc": 0.5})
     with pytest.raises(ValueError):
-        MetricWeights(wc=-0.1, vu=0.45)
+        MetricWeights({**SUBSCORE_WEIGHTS, "wc": -0.1, "vu": 0.45})
 
 
 def test_compose_rejects_out_of_range_scores():
     with pytest.raises(ValueError):
-        compose((1.5, 1, 1, 1, 1, 1, 1, 1), MetricWeights())
+        compose({**dict.fromkeys(SUBSCORE_WEIGHTS, 1.0), "wc": 1.5}, MetricWeights())
+
+
+def test_weights_and_compose_reject_a_key_set_unlike_the_table():
+    ones = dict.fromkeys(SUBSCORE_WEIGHTS, 1.0)
+    with pytest.raises(ValueError, match="keys"):
+        compose({k: v for k, v in ones.items() if k != "pl"}, MetricWeights())
+    with pytest.raises(ValueError, match="keys"):
+        compose({**ones, "extra": 1.0}, MetricWeights())
+    with pytest.raises(ValueError, match="keys"):
+        MetricWeights({**{k: w for k, w in SUBSCORE_WEIGHTS.items() if k != "cc"}, "pl": 0.25})
 
 
 # -- orchestration ----------------------------------------------------------
@@ -252,18 +266,16 @@ def test_breakdown_composite_matches_weighted_sum():
     gen = fixture_text("multiple_case2.c")
     b = ompbleu_score(gt, gen)
     weights = MetricWeights()
-    expected = compose(
-        (b.wc, b.vu, b.is_, b.or_, b.rc, b.cc, b.pl, b.compile_), weights
-    )
+    expected = compose(b.scores, weights)
     assert abs(b.composite - expected) < 1e-9
-    assert all(0.0 <= s <= 1.0 for s in (b.wc, b.vu, b.is_, b.or_, b.rc, b.cc, b.pl, b.compile_))
+    assert all(0.0 <= s <= 1.0 for s in b.scores.values())
 
 
 def test_compile_disabled_path():
     cfg = EvalConfig(compile_enabled=False)
     code = fixture_text("single_gt.c")
     b = ompbleu_score(code, code, cfg)
-    assert b.compile_ == 1.0
+    assert b.scores["compile"] == 1.0
     assert b.composite == 100.0
     assert "compile" in b.diagnostics
 
