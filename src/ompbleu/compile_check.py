@@ -17,6 +17,7 @@ import subprocess
 import tempfile
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,7 +85,10 @@ class CompileResult:
     command: tuple[str, ...] = ()
 
 
-_memory_cache: dict[str, dict] = {}
+# Without a cache_dir, results live in memory: the _MEMORY_CACHE_ENTRIES most
+# recently used, as many as the embedding client keeps.
+_MEMORY_CACHE_ENTRIES = 4096
+_memory_cache: OrderedDict[str, dict] = OrderedDict()
 _memory_lock = threading.Lock()
 
 
@@ -139,7 +143,10 @@ def _cache_load(config: CompileConfig, key: str) -> dict | None:
                 return None
         return None
     with _memory_lock:
-        return _memory_cache.get(key)
+        entry = _memory_cache.get(key)
+        if entry is not None:
+            _memory_cache.move_to_end(key)
+        return entry
 
 
 def _cache_store(config: CompileConfig, key: str, entry: dict) -> None:
@@ -157,6 +164,9 @@ def _cache_store(config: CompileConfig, key: str, entry: dict) -> None:
         return
     with _memory_lock:
         _memory_cache[key] = entry
+        _memory_cache.move_to_end(key)
+        if len(_memory_cache) > _MEMORY_CACHE_ENTRIES:
+            _memory_cache.popitem(last=False)
 
 
 def compile_score(source: str, config: CompileConfig | None = None) -> CompileResult:

@@ -19,6 +19,7 @@ from .similarity import (
     RemoteEmbeddingBackend,
     SimilarityBackend,
 )
+from .syntax.directives import KNOWN_CLAUSE_KINDS
 
 
 class ConfigError(ValueError):
@@ -93,6 +94,13 @@ def _section(raw: object, name: str, known: Collection[str] | None) -> dict:
     return raw
 
 
+def _flag(value: object, name: str) -> bool:
+    """``value`` if it is a JSON boolean: no other value passes for one."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _build_weights(raw: object) -> MetricWeights:
     raw = _section(raw, "weights", (*SUBSCORE_WEIGHTS, "is_blend_alpha"))
     try:
@@ -105,10 +113,10 @@ def _build_weights(raw: object) -> MetricWeights:
 
 def _build_clause_weights(raw: object) -> ClauseWeightTable:
     raw = _section(raw, "clause_weights", ("table", "default"))
-    table = _section(raw.get("table", {}), "clause_weights table", None)
+    table = _section(raw.get("table", {}), "clause_weights table", KNOWN_CLAUSE_KINDS)
     try:
         return ClauseWeightTable(
-            weights={str(k): float(v) for k, v in table.items()} or {"reduction": 5.0},
+            weights={k: float(v) for k, v in table.items()} or {"reduction": 5.0},
             default_weight=float(raw.get("default", 1.0)),
         )
     except (TypeError, ValueError) as exc:
@@ -142,9 +150,11 @@ def _build_compile(raw: object) -> CompileConfig:
             extra_flags=tuple(raw.get("extra_flags", ())),
             mode=raw.get("mode", "syntax_only"),
             timeout=float(raw.get("timeout", 30.0)),
-            wrap_snippets=bool(raw.get("wrap_snippets", True)),
+            wrap_snippets=_flag(raw.get("wrap_snippets", True), "compile.wrap_snippets"),
             cache_dir=raw.get("cache_dir"),
-            timeout_as_failure=bool(raw.get("timeout_as_failure", False)),
+            timeout_as_failure=_flag(
+                raw.get("timeout_as_failure", False), "compile.timeout_as_failure"
+            ),
             language=raw.get("language", "c++"),
         )
     except (TypeError, ValueError) as exc:
@@ -174,7 +184,7 @@ def load_config(path: str | Path | None) -> EvalConfig:
         clause_weights=_build_clause_weights(raw.get("clause_weights", {})),
         backend=_build_backend(raw.get("backend", {})),
         compile=_build_compile(raw.get("compile", {})),
-        compile_enabled=bool(raw.get("compile_enabled", True)),
+        compile_enabled=_flag(raw.get("compile_enabled", True), "compile_enabled"),
         clause_vocabulary_path=raw.get("clause_vocabulary"),
         tag_vocabulary_path=raw.get("tag_vocabulary"),
     )

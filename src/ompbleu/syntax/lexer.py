@@ -12,6 +12,7 @@ import bisect
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 TOKEN_KINDS = (
     "identifier",
@@ -46,23 +47,23 @@ _MULTI_CHAR_OPERATORS = (
     "^=", ".*", "##",
 )
 
-_RE_LINE_SPLICE = re.compile(r"\\\r?\n")
-_RE_HORIZONTAL_WS = re.compile(r"[ \t\r\f\v]+")
-_RE_LINE_COMMENT = re.compile(r"//[^\n]*")
-_RE_BLOCK_COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
-_RE_UNTERMINATED_BLOCK_COMMENT = re.compile(r"/\*.*", re.DOTALL)
-_RE_STRING = re.compile(r'"(?:\\.|[^"\\\n])*"?')
-_RE_CHAR = re.compile(r"'(?:\\.|[^'\\\n])*'?")
-_RE_NUMBER = re.compile(
-    r"(?:0[xX][0-9a-fA-F]+|0[bB][01]+|\d+\.\d*(?:[eE][+-]?\d+)?"
-    r"|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)[uUlLfF]*"
+# One alternative per token rule, in priority order, so that each token costs
+# one match; ``tokenize`` branches on the name of the group that matched.
+_RE_TOKEN = re.compile(
+    r"(?P<nl>\n)"
+    r"|(?P<ws>\\\r?\n|[ \t\r\f\v]+)"
+    r"|(?P<comment>//[^\n]*|(?s:/\*.*?\*/|/\*.*))"
+    r"|(?P<hash>#)"
+    r'|(?P<string>"(?:\\.|[^"\\\n])*"?' r"|'(?:\\.|[^'\\\n])*'?)"
+    r"|(?P<number>(?:0[xX][0-9a-fA-F]+|0[bB][01]+|\d+\.\d*(?:[eE][+-]?\d+)?"
+    r"|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)[uUlLfF]*)"
+    r"|(?P<word>[A-Za-z_]\w*)"
+    r"|(?P<punctuation>" + "|".join(map(re.escape, _MULTI_CHAR_OPERATORS)) + r"|(?s:.))"
 )
-_RE_WORD = re.compile(r"[A-Za-z_]\w*")
 _RE_PREPROC = re.compile(r"#[ \t]*[A-Za-z_]\w*|#")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme with its classification and source position."""
 
     lexeme: str
@@ -106,11 +107,7 @@ class SourceUnit:
 
 
 def _line_starts(text: str) -> tuple[int, ...]:
-    starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(i + 1)
-    return tuple(starts)
+    return (0, *(m.end() for m in re.finditer("\n", text)))
 
 
 def tokenize(text: str) -> list[Token]:
@@ -122,86 +119,48 @@ def tokenize(text: str) -> list[Token]:
     backslash continuations, is flagged ``in_directive``.
     """
     tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # builds a Token without its Python-level __new__
+    match = _RE_TOKEN.match
     pos = 0
     line = 1
+    # A directive starts only at line start and ends only at a newline, so
+    # inside one ``at_line_start`` is always false.
     at_line_start = True
     in_directive = False
     n = len(text)
 
-    def emit(lexeme: str, kind: str, directive_flag: bool) -> None:
-        nonlocal pos, line
-        tokens.append(Token(lexeme, kind, pos, line, directive_flag))
-        line += lexeme.count("\n")
-        pos += len(lexeme)
-
     while pos < n:
-        ch = text[pos]
-
-        if ch == "\n":
-            emit("\n", "whitespace", False)
+        m = match(text, pos)
+        group = m.lastgroup
+        lexeme = m.group()
+        if group == "ws":
+            append(new(Token, (lexeme, "whitespace", pos, line, in_directive)))
+            if lexeme[0] == "\\":  # a spliced newline continues the logical line
+                line += 1
+        elif group == "nl":
+            append(new(Token, (lexeme, "whitespace", pos, line, False)))
+            line += 1
             at_line_start = True
             in_directive = False
-            continue
-
-        m = _RE_LINE_SPLICE.match(text, pos)
-        if m:
-            # A spliced newline continues the current logical line.
-            emit(m.group(), "whitespace", in_directive)
-            continue
-
-        m = _RE_HORIZONTAL_WS.match(text, pos)
-        if m:
-            emit(m.group(), "whitespace", in_directive)
-            continue
-
-        if ch == "/" and pos + 1 < n and text[pos + 1] in "/*":
-            m = _RE_LINE_COMMENT.match(text, pos) or _RE_BLOCK_COMMENT.match(
-                text, pos
-            ) or _RE_UNTERMINATED_BLOCK_COMMENT.match(text, pos)
-            emit(m.group(), "comment", in_directive)
-            at_line_start = False
-            continue
-
-        if ch == "#" and at_line_start and not in_directive:
-            m = _RE_PREPROC.match(text, pos)
-            emit(m.group(), "preprocessor", True)
-            in_directive = True
-            at_line_start = False
-            continue
-
-        if ch == '"':
-            m = _RE_STRING.match(text, pos)
-            emit(m.group(), "string", in_directive)
-            at_line_start = False
-            continue
-
-        if ch == "'":
-            m = _RE_CHAR.match(text, pos)
-            emit(m.group(), "string", in_directive)
-            at_line_start = False
-            continue
-
-        m = _RE_NUMBER.match(text, pos)
-        if m and (ch.isdigit() or (ch == "." and pos + 1 < n and text[pos + 1].isdigit())):
-            emit(m.group(), "number", in_directive)
-            at_line_start = False
-            continue
-
-        m = _RE_WORD.match(text, pos)
-        if m:
-            word = m.group()
-            kind = "keyword" if word in KEYWORDS else "identifier"
-            emit(word, kind, in_directive)
-            at_line_start = False
-            continue
-
-        for op in _MULTI_CHAR_OPERATORS:
-            if text.startswith(op, pos):
-                emit(op, "punctuation", in_directive)
-                break
         else:
-            emit(ch, "punctuation", in_directive)
-        at_line_start = False
+            if group == "word":
+                kind = "keyword" if lexeme in KEYWORDS else "identifier"
+            elif group == "hash":
+                if at_line_start:
+                    lexeme = _RE_PREPROC.match(text, pos).group()
+                    kind = "preprocessor"
+                    in_directive = True
+                else:
+                    lexeme = "##" if text.startswith("##", pos) else "#"
+                    kind = "punctuation"
+            else:
+                kind = group  # punctuation, string, number or comment
+            append(new(Token, (lexeme, kind, pos, line, in_directive)))
+            if kind == "comment":
+                line += lexeme.count("\n")
+            at_line_start = False
+        pos += len(lexeme)
 
     return tokens
 

@@ -1,7 +1,9 @@
 import os
+from collections import OrderedDict
 
 import pytest
 
+from ompbleu import compile_check
 from ompbleu.compile_check import (
     CompileConfig,
     CompileError,
@@ -60,6 +62,19 @@ def test_memory_cache_when_no_dir():
     second = compile_score(source, cfg)
     assert not first.cached
     assert second.cached
+
+
+def test_memory_cache_keeps_the_most_recently_used(monkeypatch):
+    monkeypatch.setattr(compile_check, "_memory_cache", OrderedDict())
+    cfg = CompileConfig()
+    for i in range(compile_check._MEMORY_CACHE_ENTRIES):
+        compile_check._cache_store(cfg, f"k{i}", {"score": i})
+    assert compile_check._cache_load(cfg, "k0") == {"score": 0}  # now the newest used
+    compile_check._cache_store(cfg, "new", {"score": -1})
+    assert len(compile_check._memory_cache) == compile_check._MEMORY_CACHE_ENTRIES
+    assert compile_check._cache_load(cfg, "k1") is None  # the oldest, evicted
+    assert compile_check._cache_load(cfg, "k0") == {"score": 0}
+    assert compile_check._cache_load(cfg, "new") == {"score": -1}
 
 
 def test_cache_distinguishes_configs(tmp_path):

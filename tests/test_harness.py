@@ -370,6 +370,10 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         {"clause_weights": {"colapse": 2}},
         {"clause_weights": {"reduction": 7}},
         {"weights": {"wc": "heavy"}},
+        {"clause_weights": {"table": {"colapse": 2}}},
+        {"compile_enabled": "false"},
+        {"compile": {"wrap_snippets": "no"}},
+        {"compile": {"timeout_as_failure": 1}},
     ],
     ids=[
         "root-not-object",
@@ -382,6 +386,10 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         "clause-weights-misspelled-key",
         "clause-weights-flat-form",
         "weight-not-a-number",
+        "clause-table-unknown-kind",
+        "compile-enabled-not-boolean",
+        "wrap-snippets-not-boolean",
+        "timeout-as-failure-not-boolean",
     ],
 )
 def test_cli_malformed_config_section_exit_2(tmp_path, capsys, raw):

@@ -1,9 +1,18 @@
+import re
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ompbleu.syntax import parse_source, tokenize
+from ompbleu.syntax.lexer import (
+    _MULTI_CHAR_OPERATORS,
+    _RE_PREPROC,
+    KEYWORDS,
+    Token,
+    _line_starts,
+)
 
 from conftest import FIXTURES, fixture_text
 
@@ -31,6 +40,7 @@ def test_round_trip_on_fixtures():
     for path in sorted(FIXTURES.glob("*.c")):
         unit = parse_source(path.read_text())
         assert unit.detokenize() == unit.text
+        assert_matches_oracle(unit.text)
 
 
 def test_offsets_strictly_increasing():
@@ -84,9 +94,153 @@ def test_line_numbers():
 @settings(max_examples=300, deadline=None)
 def test_round_trip_property(text):
     assert "".join(t.lexeme for t in tokenize(text)) == text
+    assert_matches_oracle(text)
 
 
 @given(st.text(max_size=120))
 @settings(max_examples=150, deadline=None)
 def test_round_trip_arbitrary_unicode(text):
     assert "".join(t.lexeme for t in tokenize(text)) == text
+    assert_matches_oracle(text)
+
+
+# Oracle: the rule-by-rule scanner that tries each regex in turn at each
+# position, sharing only the keyword, operator and directive tables with the
+# lexer.  ``tokenize`` must give the same token stream field for field.
+
+_RE_LINE_SPLICE = re.compile(r"\\\r?\n")
+_RE_HORIZONTAL_WS = re.compile(r"[ \t\r\f\v]+")
+_RE_LINE_COMMENT = re.compile(r"//[^\n]*")
+_RE_BLOCK_COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
+_RE_UNTERMINATED_BLOCK_COMMENT = re.compile(r"/\*.*", re.DOTALL)
+_RE_STRING = re.compile(r'"(?:\\.|[^"\\\n])*"?')
+_RE_CHAR = re.compile(r"'(?:\\.|[^'\\\n])*'?")
+_RE_NUMBER = re.compile(
+    r"(?:0[xX][0-9a-fA-F]+|0[bB][01]+|\d+\.\d*(?:[eE][+-]?\d+)?"
+    r"|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)[uUlLfF]*"
+)
+_RE_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def oracle_line_starts(text: str) -> tuple[int, ...]:
+    starts = [0]
+    for i, ch in enumerate(text):
+        if ch == "\n":
+            starts.append(i + 1)
+    return tuple(starts)
+
+
+def oracle_tokenize(text: str) -> list[tuple[str, str, int, int, bool]]:
+    """Try each rule in turn at each position; one tuple per token."""
+    tokens = []
+    pos = 0
+    line = 1
+    at_line_start = True
+    in_directive = False
+    n = len(text)
+
+    def emit(lexeme: str, kind: str, directive_flag: bool) -> None:
+        nonlocal pos, line
+        tokens.append((lexeme, kind, pos, line, directive_flag))
+        line += lexeme.count("\n")
+        pos += len(lexeme)
+
+    while pos < n:
+        ch = text[pos]
+
+        if ch == "\n":
+            emit("\n", "whitespace", False)
+            at_line_start = True
+            in_directive = False
+            continue
+
+        m = _RE_LINE_SPLICE.match(text, pos)
+        if m:
+            emit(m.group(), "whitespace", in_directive)
+            continue
+
+        m = _RE_HORIZONTAL_WS.match(text, pos)
+        if m:
+            emit(m.group(), "whitespace", in_directive)
+            continue
+
+        if ch == "/" and pos + 1 < n and text[pos + 1] in "/*":
+            m = _RE_LINE_COMMENT.match(text, pos) or _RE_BLOCK_COMMENT.match(
+                text, pos
+            ) or _RE_UNTERMINATED_BLOCK_COMMENT.match(text, pos)
+            emit(m.group(), "comment", in_directive)
+            at_line_start = False
+            continue
+
+        if ch == "#" and at_line_start and not in_directive:
+            m = _RE_PREPROC.match(text, pos)
+            emit(m.group(), "preprocessor", True)
+            in_directive = True
+            at_line_start = False
+            continue
+
+        if ch == '"':
+            m = _RE_STRING.match(text, pos)
+            emit(m.group(), "string", in_directive)
+            at_line_start = False
+            continue
+
+        if ch == "'":
+            m = _RE_CHAR.match(text, pos)
+            emit(m.group(), "string", in_directive)
+            at_line_start = False
+            continue
+
+        m = _RE_NUMBER.match(text, pos)
+        if m and (ch.isdigit() or (ch == "." and pos + 1 < n and text[pos + 1].isdigit())):
+            emit(m.group(), "number", in_directive)
+            at_line_start = False
+            continue
+
+        m = _RE_WORD.match(text, pos)
+        if m:
+            word = m.group()
+            kind = "keyword" if word in KEYWORDS else "identifier"
+            emit(word, kind, in_directive)
+            at_line_start = False
+            continue
+
+        for op in _MULTI_CHAR_OPERATORS:
+            if text.startswith(op, pos):
+                emit(op, "punctuation", in_directive)
+                break
+        else:
+            emit(ch, "punctuation", in_directive)
+        at_line_start = False
+
+    return tokens
+
+
+def assert_matches_oracle(text: str) -> None:
+    fields = [(t.lexeme, t.kind, t.byte_offset, t.line, t.in_directive) for t in tokenize(text)]
+    assert fields == oracle_tokenize(text)
+    assert _line_starts(text) == oracle_line_starts(text)
+
+
+C_FRAGMENTS = (
+    "#", "##", "#pragma omp", "#define X", " # include", "\\\n", "\\\r\n", "\\",
+    "\r", "\n", "\n\n", " ", "\t", "\f", "/*", "*/", "/* c */", "//", "/", "*",
+    '"', "'", '\\"', "\\'", "...", ".", ".5", "3.", "1e-3", "0x1F", "0b101", "42uL",
+    "<<=", "->*", "->", ".*", "::", "=", "<", ">", "-", "+", "(", ")", "{", "}",
+    ";", ",", "int", "for", "x", "_y1", "parallel", "²", "٣", "é",
+)
+
+
+@given(st.lists(st.sampled_from(C_FRAGMENTS), max_size=60).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_tokenize_matches_oracle_on_c_fragments(text):
+    assert_matches_oracle(text)
+
+
+def test_token_is_immutable():
+    tok = Token("x", "identifier", 0, 1)
+    with pytest.raises(AttributeError):
+        tok.lexeme = "y"
+    assert tok == Token("x", "identifier", 0, 1, False)
+    assert hash(tok) == hash(Token("x", "identifier", 0, 1))
+    assert tok.end_offset == 1
