@@ -149,8 +149,7 @@ def _cmd_classify(args: argparse.Namespace, config: EvalConfig) -> int:
 
 
 def _cmd_strip(args: argparse.Namespace) -> int:
-    unit = parse_source(Path(args.path).read_text())
-    _write_out(args, strip_openmp(unit).text)
+    _write_out(args, strip_openmp(parse_source(Path(args.path).read_text())))
     return 0
 
 

@@ -401,8 +401,9 @@ def pragma_location_score(
     """Whether pragmas attach to the right constructs.
 
     Loop-related pragmas compare pragma-stripped loop contexts with a
-    penalty of 50% per position of loop-index drift; others compare the
-    immediate construct that follows.  Unpaired pragmas contribute zero.
+    penalty of 50% per position of loop-index drift; others, and loop
+    pragmas attached to no for-loop on either side, compare the immediate
+    construct that follows.  Unpaired pragmas contribute zero.
     """
     if backend is None:
         backend = BagOfTokensBackend()
@@ -422,6 +423,8 @@ def pragma_location_score(
                 )
             return 0.0
         la, lb = a.directive.attached_loop, b.directive.attached_loop
+        if la is None and lb is None:
+            return other_term(a, b)
         if la is None or lb is None:
             if diagnostics is not None:
                 diagnostics.append(

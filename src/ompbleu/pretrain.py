@@ -9,13 +9,14 @@ model or gradient code lives here.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .syntax import SourceUnit, Token
-from .syntax.directives import DIRECTIVE_KINDS, _SUCCESSORS
+from .syntax.directives import directive_kinds, directive_line_spans
 
 if TYPE_CHECKING:  # numpy (the `loss` extra) is imported by the two loss functions only
     import numpy as np
@@ -136,53 +137,54 @@ class TagVocabulary:
             return cls.load(path)
 
 
-def _pragma_line_roles(tokens: list[Token]) -> list[str]:
-    """Role names for the tokens of one `#pragma omp …` logical line."""
-    roles = ["omp_pragma"]  # the #pragma token itself
-    words = tokens[1:]
-    # find the `omp` marker
-    i = 0
-    roles_rest: list[str] = []
-    state = "marker"
-    kinds: list[str] = []
-    current_clause_role: str | None = None
+def _pragma_line_roles(tokens: tuple[Token, ...]) -> list[str]:
+    """Role names for the non-whitespace tokens of one `#pragma omp` line.
+
+    The directive parser reads the kinds; a clause word at paren depth 0
+    lends its role to the tokens inside its parentheses.
+    """
+    code = [t for t in tokens if t.kind not in ("whitespace", "comment")]
+    kinds, _ = directive_kinds(code[2:])  # code[:2] is `#pragma omp`
+    head = deque(
+        ["omp_pragma", "omp_marker", *(_OMP_DIRECTIVE_ROLES.get(k, "omp_directive_other") for k in kinds)]
+    )
+    roles: list[str] = []
+    clause_role: str | None = None
     paren_depth = 0
-    for tok in words:
-        lex = tok.lexeme
-        if state == "marker":
-            roles_rest.append("omp_marker")
-            state = "kinds"
+    for tok in tokens:
+        if tok.kind == "whitespace":
             continue
-        if state == "kinds":
-            if tok.kind in ("identifier", "keyword") and (
-                (not kinds and lex in DIRECTIVE_KINDS)
-                or (kinds and lex in _SUCCESSORS.get(kinds[-1], frozenset()))
-            ):
-                kinds.append(lex)
-                roles_rest.append(_OMP_DIRECTIVE_ROLES.get(lex, "omp_directive_other"))
-                continue
-            state = "clauses"
-        if tok.kind in ("identifier", "keyword") and paren_depth == 0:
-            current_clause_role = _OMP_CLAUSE_ROLES.get(lex, "omp_clause_other")
-            roles_rest.append(current_clause_role)
+        lex = tok.lexeme
+        if tok.kind == "comment":
+            role = "comment"
+        elif head:
+            role = head.popleft()
+        elif tok.kind in ("identifier", "keyword") and paren_depth == 0:
+            role = clause_role = _OMP_CLAUSE_ROLES.get(lex, "omp_clause_other")
         elif lex in _CLAUSE_STRUCTURAL:
             if lex == "(":
                 paren_depth += 1
             elif lex == ")":
                 paren_depth = max(0, paren_depth - 1)
                 if paren_depth == 0:
-                    current_clause_role = None
-            roles_rest.append(_PUNCT_ROLES.get(lex, "none"))
-        elif current_clause_role is not None and paren_depth > 0:
-            roles_rest.append(current_clause_role)
+                    clause_role = None
+            role = _PUNCT_ROLES[lex]
+        elif clause_role is not None and paren_depth > 0:
+            role = clause_role
         else:
-            roles_rest.append("none")
-    return roles + roles_rest
+            role = "none"
+        roles.append(role)
+    return roles
 
 
 def _token_role(tok: Token) -> str:
+    """Role name of one token outside OpenMP pragma lines."""
     if tok.kind == "comment":
         return "comment"
+    if tok.kind == "preprocessor":
+        return "preproc_directive"
+    if tok.in_directive:
+        return "preproc_arg"
     if tok.kind == "string":
         return "char_literal" if tok.lexeme.startswith("'") else "string_literal"
     if tok.kind == "number":
@@ -197,51 +199,27 @@ def _token_role(tok: Token) -> str:
         return _KEYWORD_ROLES.get(tok.lexeme, "other_keyword")
     if tok.kind == "punctuation":
         return _PUNCT_ROLES.get(tok.lexeme, "none")
-    if tok.kind == "preprocessor":
-        return "preproc_directive"
     return "none"
 
 
 def ssa_annotate(unit: SourceUnit, vocab: TagVocabulary | None = None) -> list[int]:
     """One tag id per non-whitespace token, in token order.
 
-    OpenMP pragma lines get construct- and clause-specific roles; other
-    preprocessor lines are directive/argument; everything else is tagged by
-    its lexical role.  Unknown roles map to 0.
+    OpenMP pragma lines, as :func:`directive_line_spans` finds them, get
+    construct- and clause-specific roles; other preprocessor lines are
+    directive/argument; everything else is tagged by its lexical role.
+    Unknown roles map to 0.
     """
     if vocab is None:
         vocab = TagVocabulary.default()
-    visible = [t for t in unit.tokens if t.kind != "whitespace"]
-
+    tokens = unit.tokens
     roles: list[str] = []
-    i = 0
-    while i < len(visible):
-        tok = visible[i]
-        if tok.kind == "preprocessor":
-            line = [tok]
-            j = i + 1
-            while j < len(visible) and visible[j].in_directive:
-                line.append(visible[j])
-                j += 1
-            word = tok.lexeme.lstrip("# \t")
-            is_omp = (
-                word == "pragma"
-                and len(line) > 1
-                and line[1].lexeme == "omp"
-            )
-            if is_omp:
-                roles.extend(_pragma_line_roles(line))
-            else:
-                roles.append("preproc_directive")
-                roles.extend(
-                    "comment" if t.kind == "comment" else "preproc_arg"
-                    for t in line[1:]
-                )
-            i = j
-            continue
-        roles.append(_token_role(tok))
-        i += 1
-
+    pos = 0
+    for start, end in directive_line_spans(unit):
+        roles.extend(_token_role(t) for t in tokens[pos:start] if t.kind != "whitespace")
+        roles.extend(_pragma_line_roles(tokens[start:end]))
+        pos = end
+    roles.extend(_token_role(t) for t in tokens[pos:] if t.kind != "whitespace")
     return [vocab.id_of(r) for r in roles]
 
 

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .lexer import SourceUnit, Token, parse_source
+from .lexer import SourceUnit, Token
 from .loops import (
     LoopContext,
     _match_delim,
@@ -210,38 +210,38 @@ def _parse_clause(word: str, arg_tokens: list[Token] | None, raw: str) -> tuple[
     )
 
 
-def _parse_directive_body(tokens: list[Token]) -> tuple[tuple[str, ...], tuple[Clause, ...], bool]:
-    """Parse the tokens after `omp` into directive kinds and clauses."""
-    words = tokens
-    kinds: list[str] = []
-    clauses: list[Clause] = []
-    degraded = False
-    i = 0
+def directive_kinds(words: list[Token]) -> tuple[tuple[str, ...], bool]:
+    """The directive kinds that open ``words``, the code tokens after `omp`.
 
-    while i < len(words):
-        tok = words[i]
+    Returns (kinds, degraded).  A word extends the kinds when it may follow
+    the last one and no `(` follows it; an unknown first word is kept as the
+    only kind and marks the directive degraded.
+    """
+    kinds: list[str] = []
+    for i, tok in enumerate(words):
         if tok.kind not in ("identifier", "keyword"):
             break
         word = tok.lexeme
         if not kinds:
-            if word in DIRECTIVE_KINDS:
-                kinds.append(word)
-                i += 1
-                continue
             kinds.append(word)
-            degraded = True
-            i += 1
-            break
-        nxt = words[i + 1] if i + 1 < len(words) else None
-        followed_by_paren = nxt is not None and nxt.lexeme == "("
-        if word in _SUCCESSORS.get(kinds[-1], frozenset()) and not followed_by_paren:
-            kinds.append(word)
-            i += 1
+            if word not in DIRECTIVE_KINDS:
+                return tuple(kinds), True
             continue
-        break
+        followed_by_paren = i + 1 < len(words) and words[i + 1].lexeme == "("
+        if followed_by_paren or word not in _SUCCESSORS.get(kinds[-1], frozenset()):
+            break
+        kinds.append(word)
+    return tuple(kinds), False
+
+
+def _parse_directive_body(words: list[Token]) -> tuple[tuple[str, ...], tuple[Clause, ...], bool]:
+    """Parse the code tokens after `omp` into directive kinds and clauses."""
+    kinds, degraded = directive_kinds(words)
+    clauses: list[Clause] = []
+    i = len(kinds)
 
     # `critical(name)` carries its name as a pseudo-clause
-    if kinds == ["critical"] and i < len(words) and words[i].lexeme == "(":
+    if kinds == ("critical",) and i < len(words) and words[i].lexeme == "(":
         close = _match_delim(words, i)
         if close is not None:
             inner = words[i + 1 : close]
@@ -289,11 +289,15 @@ def _parse_directive_body(tokens: list[Token]) -> tuple[tuple[str, ...], tuple[C
         clauses.append(clause)
         i = j
 
-    return tuple(kinds), tuple(clauses), degraded
+    return kinds, tuple(clauses), degraded
 
 
-def _directive_line_spans(unit: SourceUnit, case_sensitive: bool = True) -> list[tuple[int, int]]:
-    """Token index spans [start, end) of each `#pragma omp` logical line."""
+def directive_line_spans(unit: SourceUnit) -> list[tuple[int, int]]:
+    """Token index spans [start, end) of each `#pragma omp` logical line.
+
+    The one reader of what an OpenMP pragma line is: `#pragma`, then `omp`
+    (case-sensitive) after any whitespace, splices and comments of the line.
+    """
     spans: list[tuple[int, int]] = []
     tokens = unit.tokens
     i = 0
@@ -304,10 +308,7 @@ def _directive_line_spans(unit: SourceUnit, case_sensitive: bool = True) -> list
             j = i + 1
             while j < n and tokens[j].kind in ("whitespace", "comment") and tokens[j].in_directive:
                 j += 1
-            marker = tokens[j].lexeme if j < n else ""
-            if not case_sensitive:
-                marker = marker.lower()
-            if j < n and tokens[j].in_directive and marker == "omp":
+            if j < n and tokens[j].in_directive and tokens[j].lexeme == "omp":
                 end = j
                 while end < n and tokens[end].in_directive:
                     end += 1
@@ -346,7 +347,7 @@ def collapse_validity(directive: Directive, attached_loop: LoopContext | None) -
     return COLLAPSE_INVALID
 
 
-def extract_directives(unit: SourceUnit, case_sensitive: bool = True) -> list[Directive]:
+def extract_directives(unit: SourceUnit) -> list[Directive]:
     """All OpenMP directives of ``unit`` in source order.
 
     Each directive carries its brace-nesting depth, the construct it is
@@ -357,7 +358,7 @@ def extract_directives(unit: SourceUnit, case_sensitive: bool = True) -> list[Di
     loops = loop_contexts(unit)
     loops_by_offset = {lp.byte_offset: lp for lp in loops}
     depths = _brace_depths(unit)
-    spans = _directive_line_spans(unit, case_sensitive)
+    spans = directive_line_spans(unit)
     span_starts = {s for s, _ in spans}
 
     directives: list[Directive] = []
@@ -551,11 +552,12 @@ def stripped_slice(
 
     ``pragma_lines`` are the unit's :func:`pragma_line_range` spans in
     source order.  For a span that starts and ends on token boundaries with
-    a code token first, the text equals ``strip_openmp`` of the span's own
-    text, and the tokens, cut from the unit's token stream, have the
-    lexemes and kinds of that text's tokens.  The one exception is a span opening with a ``#`` that
-    follows a comment: the unit lexes it as punctuation, the span's text
-    alone as the start of a directive; the unit's reading is kept.
+    a code token first, the text equals ``strip_openmp`` of the span's text
+    parsed alone, and the tokens, cut from the unit's token stream, have the
+    lexemes and kinds of that text's tokens.  The one exception is a span
+    opening with a ``#`` that follows a comment: the unit lexes it as
+    punctuation, the span's text alone as the start of a directive; the
+    unit's reading is kept.
     """
     kept = _kept_ranges(pragma_lines, lo, hi)
     text = "".join(unit.text[a:b] for a, b in kept)
@@ -563,18 +565,16 @@ def stripped_slice(
     return text, tokens
 
 
-def strip_openmp(unit: SourceUnit) -> SourceUnit:
-    """Remove every OpenMP pragma line; all other bytes are unchanged.
+def strip_openmp(unit: SourceUnit) -> str:
+    """The unit's text without its OpenMP pragma lines; all other bytes are
+    unchanged.
 
     Whole physical lines are removed, including backslash continuations.
-    Idempotent: stripping a stripped unit is the identity.
+    Idempotent: stripping the text of a stripped unit is the identity.
     """
-    spans = _directive_line_spans(unit)
-    if not spans:
-        return unit
-    text = unit.text
+    text, tokens = unit.text, unit.tokens
     cuts = [
-        pragma_line_range(text, unit.tokens[start].byte_offset, unit.tokens[end - 1].end_offset)
-        for start, end in spans
+        pragma_line_range(text, tokens[start].byte_offset, tokens[end - 1].end_offset)
+        for start, end in directive_line_spans(unit)
     ]
-    return parse_source("".join(text[a:b] for a, b in _kept_ranges(cuts, 0, len(text))))
+    return "".join(text[a:b] for a, b in _kept_ranges(cuts, 0, len(text)))

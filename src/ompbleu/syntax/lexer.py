@@ -79,11 +79,10 @@ class Token(NamedTuple):
 
 @dataclass(frozen=True)
 class SourceUnit:
-    """Source text plus its token stream and line index."""
+    """Source text plus its token stream."""
 
     text: str
     tokens: tuple[Token, ...]
-    line_starts: tuple[int, ...]
 
     @cached_property
     def offsets(self) -> list[int]:
@@ -94,20 +93,8 @@ class SourceUnit:
         """Index of the first token starting at or after ``byte_offset``."""
         return bisect.bisect_left(self.offsets, byte_offset)
 
-    def line_of(self, byte_offset: int) -> int:
-        """1-based line number containing ``byte_offset``."""
-        return bisect.bisect_right(self.line_starts, byte_offset)
-
-    def code_tokens(self) -> list[Token]:
-        """Tokens that carry code: no whitespace, no comments."""
-        return [t for t in self.tokens if t.kind not in ("whitespace", "comment")]
-
     def detokenize(self) -> str:
         return "".join(t.lexeme for t in self.tokens)
-
-
-def _line_starts(text: str) -> tuple[int, ...]:
-    return (0, *(m.end() for m in re.finditer("\n", text)))
 
 
 def tokenize(text: str) -> list[Token]:
@@ -167,4 +154,4 @@ def tokenize(text: str) -> list[Token]:
 
 def parse_source(text: str) -> SourceUnit:
     """Tokenize ``text`` into an immutable :class:`SourceUnit`."""
-    return SourceUnit(text=text, tokens=tuple(tokenize(text)), line_starts=_line_starts(text))
+    return SourceUnit(text=text, tokens=tuple(tokenize(text)))

@@ -20,7 +20,6 @@ _OPEN = {"(": ")", "[": "]", "{": "}"}
 class LoopContext:
     """The immediate extent of one for-loop: header plus body."""
 
-    context_text: str
     loop_index: int
     nesting_depth: int
     byte_offset: int
@@ -217,7 +216,6 @@ def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
 
     return [
         LoopContext(
-            context_text=unit.text[info["start"] : info["end"]],
             loop_index=i,
             nesting_depth=depth[i],
             byte_offset=info["start"],

@@ -1,7 +1,11 @@
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
+
+from ompbleu.syntax import lexer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -30,3 +34,66 @@ requires_compiler = pytest.mark.skipif(
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture()
+def tokenize_calls(monkeypatch):
+    """Texts passed to ``tokenize`` through any ``ompbleu`` module."""
+    original = lexer.tokenize
+    calls: list[str] = []
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ompbleu") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+SOUP_LINES = [
+    "#pragma omp parallel for private(i) reduction(+:s)",
+    "#pragma omp parallel",
+    "  #pragma omp for collapse(2)",
+    "#pragma omp single",
+    "#pragma omp atomic",
+    "#pragma omp barrier",
+    "#pragma omp critical(name)",
+    "#pragma omp parallel \\\n    for schedule(static)",
+    "#pragma omp task /* comment\n spanning lines */ untied",
+    "#pragma GCC ivdep",
+    "#define BODY { x++; }",
+    "for (int i = 0; i < n; i++) {",
+    "for (j = 0; j < m; j++)",
+    "  for (k = 0; k < 4; ++k) s += a[k] && b[k];",
+    "if (a || b) y++;",
+    "while (x) { x--; }",
+    "x += a[i] * b[j];",
+    "{",
+    "}",
+    "/* #pragma omp parallel */",
+    "// line comment",
+    '"#pragma omp for"',
+    "FOR_EACH(i, n) { t = i; }",
+    "",
+    "\t",
+]
+
+
+def pragma_soups() -> st.SearchStrategy[str]:
+    """Sources of random pragma, loop, brace and comment lines plus noise."""
+    return st.builds(
+        lambda lines, newline, trailing: newline.join(lines) + (newline if trailing else ""),
+        st.lists(
+            st.one_of(
+                st.sampled_from(SOUP_LINES),
+                st.text(alphabet="ab{}();#\\ \t\n+&|", max_size=16),
+            ),
+            max_size=24,
+        ),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )

@@ -297,8 +297,8 @@ def test_criterion_9_strip_roundtrip_protocol():
     for name in ("xs_kernel.c", "fig1_gt.c", "multiple_gt.c"):
         source = fixture_text(name)
         serial = strip_openmp(parse_source(source))
-        assert extract_directives(serial) == [], name
-        assert compile_score(serial.text, CompileConfig()).score == 1, name
+        assert extract_directives(parse_source(serial)) == [], name
+        assert compile_score(serial, CompileConfig()).score == 1, name
         assert ompbleu_score(source, source).composite == 100.0, name
     print("\nACCEPTANCE 9 PASS: strip-to-serial protocol plumbing round-trips")
 

@@ -126,7 +126,7 @@ def test_stripped_code_still_compiles_and_pragmas_readd():
     # re-added) compiles under OpenMP flags
     for name in ("single_gt.c", "multiple_gt.c", "fig1_gt.c", "xs_kernel.c"):
         source = fixture_text(name)
-        serial = strip_openmp(parse_source(source)).text
+        serial = strip_openmp(parse_source(source))
         assert extract_directives(parse_source(serial)) == []
         assert compile_score(serial, CompileConfig()).score == 1, name
         assert compile_score(source, CompileConfig()).score == 1, name

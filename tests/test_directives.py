@@ -60,7 +60,6 @@ def test_non_omp_pragmas_excluded():
 def test_omp_marker_is_case_sensitive_by_default():
     unit = parse_source("#pragma OMP parallel\n{ }\n")
     assert extract_directives(unit) == []
-    assert len(extract_directives(unit, case_sensitive=False)) == 1
 
 
 def test_critical_name_clause():
@@ -196,23 +195,23 @@ def test_collapse_validity_monotone_in_nesting(collapse_n, depth):
 def test_strip_removes_only_pragma_lines():
     unit = parse_source(fixture_text("fig1_gt.c"))
     stripped = strip_openmp(unit)
-    assert extract_directives(stripped) == []
+    assert extract_directives(parse_source(stripped)) == []
     kept = [l for l in unit.text.splitlines() if "#pragma omp" not in l]
-    assert stripped.text.splitlines() == kept
+    assert stripped.splitlines() == kept
 
 
 def test_strip_is_identity_on_serial_code():
     code = "int main(void) { return 0; }\n"
     unit = parse_source(code)
-    assert strip_openmp(unit).text == code
+    assert strip_openmp(unit) == code
 
 
 def test_strip_idempotent_on_all_fixtures():
     for path in sorted(FIXTURES.glob("*.c")):
         once = strip_openmp(parse_source(path.read_text()))
-        twice = strip_openmp(once)
-        assert extract_directives(once) == []
-        assert twice.text == once.text
+        twice = strip_openmp(parse_source(once))
+        assert extract_directives(parse_source(once)) == []
+        assert twice == once
 
 
 @given(
@@ -238,7 +237,7 @@ def test_strip_idempotent_on_all_fixtures():
 @settings(max_examples=150, deadline=None)
 def test_strip_then_extract_is_empty(lines):
     unit = parse_source("\n".join(lines) + "\n")
-    assert extract_directives(strip_openmp(unit)) == []
+    assert extract_directives(parse_source(strip_openmp(unit))) == []
 
 
 def test_malformed_clause_sets_degraded_flag():
@@ -256,7 +255,7 @@ def test_strip_removes_continuation_lines():
     )
     unit = parse_source(code)
     stripped = strip_openmp(unit)
-    assert extract_directives(stripped) == []
-    assert "private" not in stripped.text
-    assert stripped.text.startswith("int before;\n")
-    assert "for (i = 0; i < 3; i++) sum += i;\n" in stripped.text
+    assert extract_directives(parse_source(stripped)) == []
+    assert "private" not in stripped
+    assert stripped.startswith("int before;\n")
+    assert "for (i = 0; i < 3; i++) sum += i;\n" in stripped

@@ -1,4 +1,5 @@
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -408,6 +409,11 @@ def test_cli_strip(capsys):
     assert "for (i = 0; i < N; ++i)" in out
 
 
+def test_cli_strip_lexes_once(tokenize_calls, capsys):
+    assert main(["strip", str(FIXTURES / "fig1_gt.c")]) == 0
+    assert tokenize_calls == [fixture_text("fig1_gt.c")]
+
+
 def test_cli_classify(tmp_path, capsys):
     ds = tmp_path / "ds.jsonl"
     _write_jsonl(
@@ -463,10 +469,12 @@ def test_cli_compile_check(capsys):
 
 
 def test_cli_entry_point_installed():
+    # the child imports ompbleu from where this process does, e.g. `src` of a checkout
     proc = subprocess.run(
         [sys.executable, "-m", "ompbleu.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert "ompbleu" in proc.stdout

@@ -11,7 +11,6 @@ from ompbleu.syntax.lexer import (
     _RE_PREPROC,
     KEYWORDS,
     Token,
-    _line_starts,
 )
 
 from conftest import FIXTURES, fixture_text
@@ -86,8 +85,6 @@ def test_line_numbers():
     unit = parse_source("a\nbb\nccc\n")
     by_lex = {t.lexeme: t.line for t in unit.tokens if t.kind == "identifier"}
     assert by_lex == {"a": 1, "bb": 2, "ccc": 3}
-    assert unit.line_of(0) == 1
-    assert unit.line_of(2) == 2
 
 
 @given(st.text(alphabet=string.printable, max_size=300))
@@ -120,14 +117,6 @@ _RE_NUMBER = re.compile(
     r"|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)[uUlLfF]*"
 )
 _RE_WORD = re.compile(r"[A-Za-z_]\w*")
-
-
-def oracle_line_starts(text: str) -> tuple[int, ...]:
-    starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(i + 1)
-    return tuple(starts)
 
 
 def oracle_tokenize(text: str) -> list[tuple[str, str, int, int, bool]]:
@@ -219,7 +208,6 @@ def oracle_tokenize(text: str) -> list[tuple[str, str, int, int, bool]]:
 def assert_matches_oracle(text: str) -> None:
     fields = [(t.lexeme, t.kind, t.byte_offset, t.line, t.in_directive) for t in tokenize(text)]
     assert fields == oracle_tokenize(text)
-    assert _line_starts(text) == oracle_line_starts(text)
 
 
 C_FRAGMENTS = (

@@ -84,8 +84,9 @@ def test_loop_keyword_in_pragma_is_not_a_loop():
 
 
 def test_context_text_covers_header_and_body():
-    loops = _loops("void f(void){ for (int i=0;i<3;i++) { x += i; } }\n")
-    assert loops[0].context_text == "for (int i=0;i<3;i++) { x += i; }"
+    code = "void f(void){ for (int i=0;i<3;i++) { x += i; } }\n"
+    loop = _loops(code)[0]
+    assert code[loop.byte_offset : loop.end_offset] == "for (int i=0;i<3;i++) { x += i; }"
 
 
 # -- regions ----------------------------------------------------------------

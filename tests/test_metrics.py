@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from ompbleu.config import EvalConfig
 from ompbleu.metrics import (
@@ -20,7 +21,7 @@ from ompbleu.metrics import (
 )
 from ompbleu.similarity import BagOfTokensBackend
 
-from conftest import MULTIPLE_CASES, SINGLE_CASES, fixture_text, requires_compiler
+from conftest import MULTIPLE_CASES, SINGLE_CASES, fixture_text, pragma_soups, requires_compiler
 
 # (gt, case) -> exact WC, VU, OR, RC, CC, PL cells of the metric-evaluation
 # study; these are crisp rationals reproduced exactly.
@@ -170,6 +171,42 @@ def test_pl_two_position_drift_zeroes_contribution():
 def test_pl_vacuous_when_no_pragmas():
     plain = analyze("int main(void){return 0;}\n")
     assert pragma_location_score(plain, plain, BACKEND) == 1.0
+
+
+# a worksharing loop over a macro loop: the pragma attaches to no `for`
+MACRO_LOOP = (
+    "void f(int n) {\n"
+    "  int t;\n"
+    "  #pragma omp parallel for private(t)\n"
+    "  FOR_EACH(i, n) { t = i; }\n"
+    "}\n"
+)
+
+
+def test_pl_unattached_on_both_sides_compares_constructs():
+    b = ompbleu_score(MACRO_LOOP, MACRO_LOOP, EvalConfig(compile_enabled=False))
+    assert b.scores["pl"] == 1.0
+    assert b.composite == 100.0
+    assert "pl" not in b.diagnostics
+
+
+def test_pl_unattached_on_one_side_scores_zero_and_says_which():
+    attached = MACRO_LOOP.replace("FOR_EACH(i, n)", "for (int i = 0; i < n; i++)")
+    cfg = EvalConfig(compile_enabled=False)
+    for gt, gen, side in ((MACRO_LOOP, attached, "reference"), (attached, MACRO_LOOP, "generated")):
+        b = ompbleu_score(gt, gen, cfg)
+        assert b.scores["pl"] == 0.0
+        assert b.diagnostics["pl"] == [f"loop pragma not attached to a for loop on {side} side"]
+
+
+@given(pragma_soups(), pragma_soups())
+@settings(max_examples=200, deadline=None)
+def test_identity_and_range_on_pragma_soups(a, b):
+    cfg = EvalConfig(compile_enabled=False)
+    assert ompbleu_score(a, a, cfg).composite == 100.0
+    pair = ompbleu_score(a, b, cfg)
+    assert all(0.0 <= s <= 1.0 for s in pair.scores.values()), pair.scores
+    assert 0.0 <= pair.composite <= 100.0
 
 
 def test_is_blend_arithmetic():

@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ompbleu.pretrain import (
+    _CLAUSE_STRUCTURAL,
+    _KEYWORD_ROLES,
+    _OMP_CLAUSE_ROLES,
+    _OMP_DIRECTIVE_ROLES,
+    _PUNCT_ROLES,
+    _STORAGE_KEYWORDS,
+    _TYPE_KEYWORDS,
     LossComputationError,
     LossInputs,
     NoiseSchedule,
@@ -13,9 +22,10 @@ from ompbleu.pretrain import (
     ssa_annotate,
     weighted_token_cross_entropy,
 )
-from ompbleu.syntax import parse_source
+from ompbleu.syntax import extract_directives, parse_source
+from ompbleu.syntax.directives import _SUCCESSORS, DIRECTIVE_KINDS
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, SOUP_LINES, fixture_text
 
 SAMPLE = (
     "#pragma omp parallel for reduction(+:sum)\n"
@@ -83,6 +93,254 @@ def test_ssa_non_omp_preprocessor_roles():
     tags = ssa_annotate(unit, vocab)
     assert tags[0] == vocab.id_of("preproc_directive")
     assert all(t == vocab.id_of("preproc_arg") for t in tags[1:])
+
+
+# Oracle: the tagger before it shared the directive parser's pragma-line
+# spans and kinds.  It grouped a preprocessor line from a whitespace-free
+# token list and ran its own kind state machine, sharing only the role
+# tables with ``ssa_annotate``.
+
+
+def _oracle_pragma_line_roles(tokens):
+    roles = ["omp_pragma"]
+    words = tokens[1:]
+    roles_rest = []
+    state = "marker"
+    kinds = []
+    current_clause_role = None
+    paren_depth = 0
+    for tok in words:
+        lex = tok.lexeme
+        if state == "marker":
+            roles_rest.append("omp_marker")
+            state = "kinds"
+            continue
+        if state == "kinds":
+            if tok.kind in ("identifier", "keyword") and (
+                (not kinds and lex in DIRECTIVE_KINDS)
+                or (kinds and lex in _SUCCESSORS.get(kinds[-1], frozenset()))
+            ):
+                kinds.append(lex)
+                roles_rest.append(_OMP_DIRECTIVE_ROLES.get(lex, "omp_directive_other"))
+                continue
+            state = "clauses"
+        if tok.kind in ("identifier", "keyword") and paren_depth == 0:
+            current_clause_role = _OMP_CLAUSE_ROLES.get(lex, "omp_clause_other")
+            roles_rest.append(current_clause_role)
+        elif lex in _CLAUSE_STRUCTURAL:
+            if lex == "(":
+                paren_depth += 1
+            elif lex == ")":
+                paren_depth = max(0, paren_depth - 1)
+                if paren_depth == 0:
+                    current_clause_role = None
+            roles_rest.append(_PUNCT_ROLES.get(lex, "none"))
+        elif current_clause_role is not None and paren_depth > 0:
+            roles_rest.append(current_clause_role)
+        else:
+            roles_rest.append("none")
+    return roles + roles_rest
+
+
+def _oracle_token_role(tok):
+    if tok.kind == "comment":
+        return "comment"
+    if tok.kind == "string":
+        return "char_literal" if tok.lexeme.startswith("'") else "string_literal"
+    if tok.kind == "number":
+        return "number_literal"
+    if tok.kind == "identifier":
+        return "identifier"
+    if tok.kind == "keyword":
+        if tok.lexeme in _TYPE_KEYWORDS:
+            return "type_keyword"
+        if tok.lexeme in _STORAGE_KEYWORDS:
+            return "storage_keyword"
+        return _KEYWORD_ROLES.get(tok.lexeme, "other_keyword")
+    if tok.kind == "punctuation":
+        return _PUNCT_ROLES.get(tok.lexeme, "none")
+    if tok.kind == "preprocessor":
+        return "preproc_directive"
+    return "none"
+
+
+def oracle_ssa_annotate(unit, vocab):
+    visible = [t for t in unit.tokens if t.kind != "whitespace"]
+    roles = []
+    i = 0
+    while i < len(visible):
+        tok = visible[i]
+        if tok.kind == "preprocessor":
+            line = [tok]
+            j = i + 1
+            while j < len(visible) and visible[j].in_directive:
+                line.append(visible[j])
+                j += 1
+            word = tok.lexeme.lstrip("# \t")
+            if word == "pragma" and len(line) > 1 and line[1].lexeme == "omp":
+                roles.extend(_oracle_pragma_line_roles(line))
+            else:
+                roles.append("preproc_directive")
+                roles.extend("comment" if t.kind == "comment" else "preproc_arg" for t in line[1:])
+            i = j
+            continue
+        roles.append(_oracle_token_role(tok))
+        i += 1
+    return [vocab.id_of(r) for r in roles]
+
+
+VOCAB = TagVocabulary.default()
+_NAMES = {i: name for name, i in VOCAB.tags.items()}
+
+
+def _tagged(source, annotate=ssa_annotate):
+    """(lexeme, tag name) of every non-whitespace token."""
+    unit = parse_source(source)
+    visible = [t.lexeme for t in unit.tokens if t.kind != "whitespace"]
+    tags = annotate(unit, VOCAB)
+    assert len(tags) == len(visible)
+    return [(lex, _NAMES[tag]) for lex, tag in zip(visible, tags)]
+
+
+def test_tags_equal_the_oracle_on_fixtures():
+    for path in sorted(FIXTURES.glob("*.c")):
+        source = path.read_text()
+        new, old = _tagged(source), _tagged(source, oracle_ssa_annotate)
+        changed = [(n, o) for n, o in zip(new, old) if n != o]
+        # xs_kernel.c opens with two `#include` lines, and the oracle read
+        # the second as an argument of the first
+        if path.name == "xs_kernel.c":
+            assert changed == [(("#include", "preproc_directive"), ("#include", "preproc_arg"))]
+        else:
+            assert changed == [], path.name
+
+
+# Pragma lines on which the oracle and the directive parser agree: no
+# comment, a known first kind, and `(` only after the first kind or after a
+# clause name that extends no directive kind.
+_FIRST_KINDS = sorted(DIRECTIVE_KINDS)
+_BARE_WORDS = sorted({w for ws in _SUCCESSORS.values() for w in ws} | {"nowait", "untied", "x"})
+_CALL_CLAUSES = ["private", "shared", "firstprivate", "schedule", "collapse", "num_threads", "if"]
+_CLAUSE_ARGS = ["i", "j, k", "+:s", "static, 4", "2", "a[0:n]", "(x)", ""]
+
+
+@st.composite
+def _agreeing_pragma_lines(draw):
+    parts = ["#pragma omp", draw(st.sampled_from(_FIRST_KINDS))]
+    if draw(st.booleans()):
+        parts[-1] += f"({draw(st.sampled_from(_CLAUSE_ARGS))})"
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            parts.append(draw(st.sampled_from(_BARE_WORDS)))
+        else:
+            name, arg = draw(st.sampled_from(_CALL_CLAUSES)), draw(st.sampled_from(_CLAUSE_ARGS))
+            parts.append(f"{name}({arg})")
+    seps = draw(st.lists(st.sampled_from([" ", ", ", " \\\n    "]), min_size=len(parts), max_size=len(parts)))
+    return draw(st.sampled_from(["", "  "])) + "".join(p + s for p, s in zip(parts, seps)).rstrip(" \\\n,")
+
+
+_OTHER_PREPROCESSOR_LINES = [
+    "#include <stdio.h>",
+    "#define BODY { x++; }",
+    "#pragma GCC ivdep",
+    "#pragma OMP parallel",
+    "#pragma once",
+    " # if X // why",
+]
+# each has a token that ends the preprocessor line before it
+_CODE_LINES = [line for line in SOUP_LINES if line.strip() and not line.lstrip().startswith("#")] + [
+    "int x = 'c' + 42;",
+    "return 0;",
+]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.sampled_from(_OTHER_PREPROCESSOR_LINES), _agreeing_pragma_lines()),
+            st.one_of(
+                st.sampled_from(_CODE_LINES),
+                st.text(alphabet="ab{}();+&|\"' \t", max_size=16).filter(str.strip),
+            ),
+        ),
+        max_size=16,
+    ),
+    st.sampled_from(["\n", "\r\n"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_tags_equal_the_oracle_on_soups_without_stacked_preprocessor_lines(pairs, newline):
+    source = newline.join(line for pair in pairs for line in pair if line is not None) + newline
+    assert _tagged(source) == _tagged(source, oracle_ssa_annotate)
+
+
+def test_stacked_preprocessor_lines_are_tagged_apart():
+    source = "#include <omp.h>\n#pragma omp parallel\n#pragma omp for reduction(+:s)\n#include <b.h>\n"
+    assert _tagged(source) == [
+        ("#include", "preproc_directive"),
+        ("<", "preproc_arg"),
+        ("omp", "preproc_arg"),
+        (".", "preproc_arg"),
+        ("h", "preproc_arg"),
+        (">", "preproc_arg"),
+        ("#pragma", "omp_pragma"),
+        ("omp", "omp_marker"),
+        ("parallel", "omp_parallel"),
+        ("#pragma", "omp_pragma"),
+        ("omp", "omp_marker"),
+        ("for", "omp_for"),
+        ("reduction", "omp_clause_reduction"),
+        ("(", "open_paren"),
+        ("+", "omp_clause_reduction"),
+        (":", "omp_clause_reduction"),
+        ("s", "omp_clause_reduction"),
+        (")", "close_paren"),
+        ("#include", "preproc_directive"),
+        ("<", "preproc_arg"),
+        ("b", "preproc_arg"),
+        (".", "preproc_arg"),
+        ("h", "preproc_arg"),
+        (">", "preproc_arg"),
+    ]
+
+
+def test_comment_in_a_pragma_line_is_tagged_comment():
+    source = "#pragma /* a */ omp parallel /* b */ for private(i) // c\n"
+    assert _tagged(source) == [
+        ("#pragma", "omp_pragma"),
+        ("/* a */", "comment"),
+        ("omp", "omp_marker"),
+        ("parallel", "omp_parallel"),
+        ("/* b */", "comment"),
+        ("for", "omp_for"),
+        ("private", "omp_clause_private"),
+        ("(", "open_paren"),
+        ("i", "omp_clause_private"),
+        (")", "close_paren"),
+        ("// c", "comment"),
+    ]
+    assert extract_directives(parse_source(source))[0].kinds == ("parallel", "for")
+
+
+def test_unknown_first_word_is_a_degraded_directive_kind():
+    source = "#pragma omp frobnicate nowait\n"
+    assert _tagged(source) == [
+        ("#pragma", "omp_pragma"),
+        ("omp", "omp_marker"),
+        ("frobnicate", "omp_directive_other"),
+        ("nowait", "omp_clause_other"),
+    ]
+    (directive,) = extract_directives(parse_source(source))
+    assert directive.kinds == ("frobnicate",) and directive.degraded
+
+
+def test_successor_word_before_a_paren_is_a_clause():
+    source = "#pragma omp declare reduction(merge : int : omp_out += omp_in)\n"
+    assert _tagged(source)[2:5] == [
+        ("declare", "omp_directive_other"),
+        ("reduction", "omp_clause_reduction"),
+        ("(", "open_paren"),
+    ]
+    assert extract_directives(parse_source(source))[0].kinds == ("declare",)
 
 
 # -- corruption -------------------------------------------------------------

@@ -5,40 +5,18 @@ whole unit) from the token stream of the unit it analysed.  The oracle below
 is the path that re-lexed the pragma-stripped text of each span instead.
 """
 
-import sys
-
-import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ompbleu.config import EvalConfig
 from ompbleu.metrics import analyze, ompbleu_score
 from ompbleu.report import DatasetRecord, evaluate_dataset
 from ompbleu.similarity import SparseTokenVector
-from ompbleu.syntax import lexer, parse_source, strip_openmp
+from ompbleu.syntax import parse_source, strip_openmp
 from ompbleu.syntax.directives import attached_construct_span
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, pragma_soups
 
 NO_COMPILE_CFG = EvalConfig(compile_enabled=False)
-
-
-@pytest.fixture()
-def tokenize_calls(monkeypatch):
-    """Texts passed to ``tokenize`` through any ``ompbleu`` module."""
-    original = lexer.tokenize
-    calls: list[str] = []
-
-    def counting(text):
-        calls.append(text)
-        return original(text)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ompbleu") and module is not None:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-    return calls
 
 
 def test_one_pair_tokenizes_each_side_once(tokenize_calls):
@@ -64,7 +42,7 @@ def test_dataset_record_tokenizes_each_source_once(tokenize_calls, monkeypatch):
 
 
 def _stripped(text: str) -> str:
-    return strip_openmp(parse_source(text)).text
+    return strip_openmp(parse_source(text))
 
 
 def _assert_slices_match_relexing(source: str) -> None:
@@ -90,49 +68,9 @@ def test_slices_match_relexing_on_every_fixture():
         _assert_slices_match_relexing(path.read_text())
 
 
-_SOUP_LINES = [
-    "#pragma omp parallel for private(i) reduction(+:s)",
-    "#pragma omp parallel",
-    "  #pragma omp for collapse(2)",
-    "#pragma omp single",
-    "#pragma omp atomic",
-    "#pragma omp barrier",
-    "#pragma omp critical(name)",
-    "#pragma omp parallel \\\n    for schedule(static)",
-    "#pragma omp task /* comment\n spanning lines */ untied",
-    "#pragma GCC ivdep",
-    "#define BODY { x++; }",
-    "for (int i = 0; i < n; i++) {",
-    "for (j = 0; j < m; j++)",
-    "  for (k = 0; k < 4; ++k) s += a[k] && b[k];",
-    "if (a || b) y++;",
-    "while (x) { x--; }",
-    "x += a[i] * b[j];",
-    "{",
-    "}",
-    "/* #pragma omp parallel */",
-    "// line comment",
-    '"#pragma omp for"',
-    "FOR_EACH(i, n) { t = i; }",
-    "",
-    "\t",
-]
-
-
-@given(
-    st.lists(
-        st.one_of(
-            st.sampled_from(_SOUP_LINES),
-            st.text(alphabet="ab{}();#\\ \t\n+&|", max_size=16),
-        ),
-        max_size=24,
-    ),
-    st.sampled_from(["\n", "\r\n"]),
-    st.booleans(),
-)
+@given(pragma_soups())
 @settings(max_examples=300, deadline=None)
-def test_slices_match_relexing_on_pragma_soups(lines, newline, trailing_newline):
-    source = newline.join(lines) + (newline if trailing_newline else "")
+def test_slices_match_relexing_on_pragma_soups(source):
     _assert_slices_match_relexing(source)
 
 
