@@ -12,9 +12,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .compile_check import CompileError, compile_score
+from .compile_check import CompileError, compile_score, language_of_path
 from .config import ConfigError, EvalConfig, load_config
-from .metrics import ompbleu_score
+from .metrics import analyze, ompbleu_score
 from .pretrain import NoiseSchedule, TagVocabulary, corrupt, render_tokens, ssa_annotate
 from .report import (
     DatasetError,
@@ -102,8 +102,11 @@ def _source_files(path: Path) -> list[Path]:
 
 
 def _cmd_score(args: argparse.Namespace, config: EvalConfig) -> int:
-    reference = Path(args.reference).read_text()
-    generated = Path(args.generated).read_text()
+    # like a dataset record, the pair compiles in the language of the
+    # reference's suffix
+    language = language_of_path(args.reference)
+    reference = analyze(Path(args.reference).read_text(), language)
+    generated = analyze(Path(args.generated).read_text(), language)
     breakdown = ompbleu_score(reference, generated, config)
     _write_out(args, json.dumps(breakdown.as_dict(), sort_keys=True, indent=2) + "\n")
     return 0
@@ -114,6 +117,7 @@ def _cmd_rank(args: argparse.Namespace, config: EvalConfig) -> int:
         id=args.reference,
         reference=Path(args.reference).read_text(),
         candidates=tuple(Path(g).read_text() for g in args.generated),
+        language=language_of_path(args.reference),
     )
     ranked = rank_candidates(record, config)
     payload = {
@@ -183,9 +187,13 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile_check(args: argparse.Namespace, config: EvalConfig) -> int:
-    result = compile_score(Path(args.path).read_text(), config.compile)
+    result = compile_score(
+        Path(args.path).read_text(), config.compile, language_of_path(args.path)
+    )
     payload = {
         "score": result.score,
+        "language": result.language,
+        "language_defaulted": result.language_defaulted,
         "cached": result.cached,
         "duration": result.duration,
         "command": list(result.command),

@@ -1,12 +1,16 @@
 """Binary compilation score via an external toolchain subprocess.
 
-Results are cached by (source hash, config hash) so re-scoring a corpus
-never recompiles unchanged code.  A missing compiler or a timeout raises
-instead of silently scoring 0; callers may opt into mapping timeouts to 0.
+Each unit compiles in one language, C or C++, resolved from the config, a
+hint of the unit's own (a dataset record's ``language`` field or a file
+suffix) and a default.  Results are cached by (source hash, config hash,
+language) so re-scoring a corpus never recompiles unchanged code.  A
+missing compiler or a timeout raises instead of silently scoring 0;
+callers may opt into mapping timeouts to 0.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -22,6 +26,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 ENV_COMPILER_OVERRIDE = "OMPBLEU_CC"
+
+# Every accepted spelling of a language, as a config value, a record's
+# "language" field or a file suffix (without its dot), and the language it
+# names.
+LANGUAGE_SPELLINGS = {
+    "c": "c",
+    "c++": "c++",
+    "cpp": "c++",
+    "cc": "c++",
+    "cxx": "c++",
+    "hpp": "c++",
+}
+# The language of a unit that names none, and the config value that asks
+# for each unit's own.
+DEFAULT_LANGUAGE = "c++"
+AUTO_LANGUAGE = "auto"
 
 # Prepended when a snippet has no function definition of its own.  Declares
 # the common OpenMP runtime entry points instead of including omp.h, which
@@ -46,6 +66,35 @@ double omp_get_wtime(void);
 _FUNCTION_DEF_RE = re.compile(r"[\w:\*&>\]]\s+[\w:]+\s*\([^;{}]*\)\s*(?:const\s*)?{")
 
 
+def canonical_language(spelling: str) -> str:
+    """The language a spelling names; ``ValueError`` for any other value."""
+    try:
+        return LANGUAGE_SPELLINGS[spelling]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"unknown language {spelling!r}: expected one of {sorted(LANGUAGE_SPELLINGS)}"
+        ) from None
+
+
+def language_of_path(path: str | os.PathLike) -> str | None:
+    """The language a file suffix names, or None (``.h``, ``.txt``, none)."""
+    return LANGUAGE_SPELLINGS.get(Path(path).suffix[1:])
+
+
+def resolve_language(setting: str, hint: str | None) -> tuple[str, bool]:
+    """The language to compile a unit in, and whether it was defaulted.
+
+    An explicit ``setting`` (a :attr:`CompileConfig.language`) wins; under
+    ``"auto"`` the unit's own ``hint`` decides, and without one the unit
+    compiles as :data:`DEFAULT_LANGUAGE`.
+    """
+    if setting != AUTO_LANGUAGE:
+        return setting, False
+    if hint is not None:
+        return canonical_language(hint), False
+    return DEFAULT_LANGUAGE, True
+
+
 class CompileError(RuntimeError):
     """Toolchain could not be invoked at all (distinct from a failing build)."""
 
@@ -65,9 +114,11 @@ class CompileConfig:
     wrap_snippets: bool = True
     cache_dir: str | None = None
     timeout_as_failure: bool = False
-    language: str = "c++"
+    language: str = AUTO_LANGUAGE  # or a key of LANGUAGE_SPELLINGS, which always wins
 
     def __post_init__(self) -> None:
+        if self.language != AUTO_LANGUAGE:
+            object.__setattr__(self, "language", canonical_language(self.language))
         if self.timeout <= 0:
             raise ValueError("compile timeout must be > 0")
         if self.mode not in ("syntax_only", "full"):
@@ -82,6 +133,8 @@ class CompileResult:
     diagnostics: str
     duration: float
     cached: bool
+    language: str  # the language the unit was compiled in
+    language_defaulted: bool  # no config value or hint named it
     command: tuple[str, ...] = ()
 
 
@@ -99,10 +152,21 @@ def resolve_compiler(config: CompileConfig) -> tuple[str, ...]:
         return tuple(shlex.split(override))
     if config.compiler_command is not None:
         return tuple(config.compiler_command)
+    found = _compiler_on_path(os.environ.get("PATH", os.defpath))
+    if found is None:
+        raise CompileError("no C/C++ compiler found (tried clang, gcc, cc)")
+    return (found,)
+
+
+@functools.lru_cache(maxsize=4)
+def _compiler_on_path(path: str) -> str | None:
+    """The first of clang, gcc and cc on ``path``.  Looked up once per PATH
+    value: each lookup stats every directory on it, which cost a cached
+    compile more than its cache read."""
     for candidate in ("clang", "gcc", "cc"):
-        if shutil.which(candidate):
-            return (candidate,)
-    raise CompileError("no C/C++ compiler found (tried clang, gcc, cc)")
+        if shutil.which(candidate, path=path):
+            return candidate
+    return None
 
 
 def _wrap_source(source: str) -> tuple[str, bool]:
@@ -118,7 +182,9 @@ def _wrap_source(source: str) -> tuple[str, bool]:
     return wrapped, True
 
 
-def _cache_key(source: str, config: CompileConfig, argv: tuple[str, ...]) -> str:
+def _cache_key(
+    source: str, config: CompileConfig, argv: tuple[str, ...], language: str
+) -> str:
     payload = json.dumps(
         {
             "source": source,
@@ -126,7 +192,7 @@ def _cache_key(source: str, config: CompileConfig, argv: tuple[str, ...]) -> str
             "flags": list(config.extra_flags),
             "mode": config.mode,
             "wrap": config.wrap_snippets,
-            "language": config.language,
+            "language": language,
         },
         sort_keys=True,
     )
@@ -169,11 +235,18 @@ def _cache_store(config: CompileConfig, key: str, entry: dict) -> None:
             _memory_cache.popitem(last=False)
 
 
-def compile_score(source: str, config: CompileConfig | None = None) -> CompileResult:
-    """1 if the source compiles under the configured toolchain, else 0."""
+def compile_score(
+    source: str, config: CompileConfig | None = None, language: str | None = None
+) -> CompileResult:
+    """1 if the source compiles under the configured toolchain, else 0.
+
+    ``language`` is the unit's own hint, a spelling from
+    :data:`LANGUAGE_SPELLINGS`; see :func:`resolve_language`.
+    """
     cfg = config if config is not None else CompileConfig()
+    lang, defaulted = resolve_language(cfg.language, language)
     argv = resolve_compiler(cfg)
-    key = _cache_key(source, cfg, argv)
+    key = _cache_key(source, cfg, argv, lang)
     entry = _cache_load(cfg, key)
     if entry is not None:
         return CompileResult(
@@ -181,6 +254,8 @@ def compile_score(source: str, config: CompileConfig | None = None) -> CompileRe
             diagnostics=entry["diagnostics"],
             duration=entry["duration"],
             cached=True,
+            language=lang,
+            language_defaulted=defaulted,
             command=tuple(entry["command"]),
         )
 
@@ -189,7 +264,7 @@ def compile_score(source: str, config: CompileConfig | None = None) -> CompileRe
     if cfg.wrap_snippets:
         text, wrapped = _wrap_source(source)
 
-    suffix = ".cpp" if cfg.language == "c++" else ".c"
+    suffix = ".cpp" if lang == "c++" else ".c"
     with tempfile.TemporaryDirectory(prefix="ompbleu-cc-") as workdir:
         # relative names, run in workdir: the compiler's messages then name
         # `unit.c`/`unit.cpp`, not this call's temporary directory
@@ -227,7 +302,9 @@ def compile_score(source: str, config: CompileConfig | None = None) -> CompileRe
                 "command": cmd,
             }
             _cache_store(cfg, key, entry)
-            return CompileResult(0, entry["diagnostics"], duration, False, tuple(cmd))
+            return CompileResult(
+                0, entry["diagnostics"], duration, False, lang, defaulted, tuple(cmd)
+            )
         duration = time.monotonic() - start
 
     score = 1 if proc.returncode == 0 else 0
@@ -241,4 +318,4 @@ def compile_score(source: str, config: CompileConfig | None = None) -> CompileRe
         "command": cmd,
     }
     _cache_store(cfg, key, entry)
-    return CompileResult(score, diagnostics, duration, False, tuple(cmd))
+    return CompileResult(score, diagnostics, duration, False, lang, defaulted, tuple(cmd))

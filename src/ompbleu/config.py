@@ -11,7 +11,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .compile_check import CompileConfig
+from .compile_check import AUTO_LANGUAGE, CompileConfig
 from .metrics import SUBSCORE_WEIGHTS, ClauseWeightTable, MetricWeights
 from .similarity import (
     BagOfTokensBackend,
@@ -78,6 +78,7 @@ class EvalConfig:
                 "command": list(self.compile.compiler_command or []),
                 "extra_flags": list(self.compile.extra_flags),
                 "mode": self.compile.mode,
+                "language": self.compile.language,
                 "enabled": self.compile_enabled,
             },
         }
@@ -155,7 +156,7 @@ def _build_compile(raw: object) -> CompileConfig:
             timeout_as_failure=_flag(
                 raw.get("timeout_as_failure", False), "compile.timeout_as_failure"
             ),
-            language=raw.get("language", "c++"),
+            language=raw.get("language", AUTO_LANGUAGE),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import TYPE_CHECKING
 
-from .compile_check import compile_score
+from .compile_check import CompileConfig, CompileResult, compile_score
 from .similarity import (
     BagOfTokensBackend,
     CodeText,
@@ -140,7 +140,12 @@ class SideAnalysis:
     regions: tuple[RegionBlock, ...]
     region_diagnostics: tuple[str, ...]
     pragma_lines: tuple[tuple[int, int], ...]
+    # the unit's own language hint (a record's field or a file suffix)
+    language: str | None = None
     _stripped: dict[tuple[int, int], CodeText] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _compiled: dict[CompileConfig, CompileResult] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -157,9 +162,21 @@ class SideAnalysis:
             code = self._stripped[span] = CodeText(text, SparseTokenVector.from_tokens(tokens))
         return code
 
+    def compiled(self, config: CompileConfig) -> CompileResult:
+        """The unit compiled in its language, once per analysis and config:
+        a reference shared by several candidates compiles once."""
+        result = self._compiled.get(config)
+        if result is None:
+            result = self._compiled[config] = compile_score(self.unit.text, config, self.language)
+        return result
 
-def analyze(source: str) -> SideAnalysis:
-    """Parse one source into the artifacts the sub-scores consume."""
+
+def analyze(source: str, language: str | None = None) -> SideAnalysis:
+    """Parse one source into the artifacts the sub-scores consume.
+
+    ``language`` is the unit's own language hint for the compile check, a
+    spelling from :data:`~ompbleu.compile_check.LANGUAGE_SPELLINGS`.
+    """
     unit = parse_source(source)
     directives = extract_directives(unit)
     normalized = []
@@ -181,6 +198,7 @@ def analyze(source: str) -> SideAnalysis:
             pragma_line_range(unit.text, d.byte_offset, d.byte_offset + len(d.raw_text))
             for d in directives
         ),
+        language=language,
     )
 
 
@@ -484,13 +502,28 @@ def compose(scores: dict[str, float], weights: MetricWeights) -> float:
     return 100.0 * math.fsum(w * scores[k] for k, w in weights.composite.items())
 
 
-def _compile_subscore(gen: SideAnalysis, cfg: "EvalConfig", diagnostics: list[str]) -> float:
+def _compile_subscore(
+    gt: SideAnalysis, gen: SideAnalysis, cfg: "EvalConfig", diagnostics: list[str]
+) -> float:
+    """The candidate's own verdict; the reference is compiled too, so that a
+    0 from a harness the reference fails in says so."""
     if not cfg.compile_enabled:
         diagnostics.append("compile check disabled by configuration")
         return 1.0
-    result = compile_score(gen.unit.text, cfg.compile)
+    result = gen.compiled(cfg.compile)
+    if result.language_defaulted:
+        diagnostics.append(
+            f"language defaulted to {result.language}: no configured language, "
+            "record language or file suffix names one"
+        )
     if result.diagnostics and result.score == 0:
         diagnostics.append(result.diagnostics.strip())
+    reference = gt.compiled(cfg.compile)
+    if reference.score == 0:
+        diagnostics.append(
+            f"reference does not compile as {reference.language}: "
+            "compile = 0 then says nothing about the candidate"
+        )
     return float(result.score)
 
 
@@ -525,7 +558,7 @@ def ompbleu_score(
         "rc": redundancy_coverage_score(gt.normalized, gen.normalized, diags["rc"]),
         "cc": cyclomatic_ratio(gt.regions, gen.regions, diags["cc"]),
         "pl": pragma_location_score(gt, gen, backend, diags["pl"]),
-        "compile": _compile_subscore(gen, cfg, diags["compile"]),
+        "compile": _compile_subscore(gt, gen, cfg, diags["compile"]),
     }
     diags["cc"].extend(gt.region_diagnostics)
     diags["cc"].extend(gen.region_diagnostics)

@@ -23,6 +23,7 @@ from .classify import (
     classification_report,
     clause_confusion,
 )
+from .compile_check import canonical_language, language_of_path, resolve_language
 from .config import EvalConfig
 from .metrics import SUBSCORE_WEIGHTS, ScoreBreakdown, SideAnalysis, analyze, ompbleu_score
 from .similarity import SimilarityBackend
@@ -32,11 +33,14 @@ SUBSCORE_KEYS = tuple(SUBSCORE_WEIGHTS)
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    """One reference with one or more candidate parallelizations."""
+    """One reference with one or more candidate parallelizations, all in one
+    language: ``language`` is their hint for the compile check (canonical,
+    or None when the record names none)."""
 
     id: str
     reference: str
     candidates: tuple[str, ...]
+    language: str | None = None
 
     def __post_init__(self) -> None:
         if not self.candidates:
@@ -66,7 +70,8 @@ class DatasetError(ValueError):
 
 
 def load_jsonl(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
-    """Records from JSONL lines of {id, reference, candidates:[...]}."""
+    """Records from JSONL lines of {id, reference, candidates:[...]} and an
+    optional "language" spelled as in ``LANGUAGE_SPELLINGS``."""
     records: list[DatasetRecord] = []
     errors: list[str] = []
     seen: set[str] = set()
@@ -86,10 +91,12 @@ def load_jsonl(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
                 raise TypeError("reference must be a string, candidates a list")
             if rec_id in seen:
                 raise ValueError(f"duplicate record id {rec_id!r}")
+            language = raw.get("language")
             record = DatasetRecord(
                 id=rec_id,
                 reference=reference,
                 candidates=tuple(str(c) for c in candidates),
+                language=None if language is None else canonical_language(language),
             )
         except (KeyError, TypeError, ValueError) as exc:
             errors.append(f"line {lineno}: skipped malformed record ({exc})")
@@ -100,7 +107,8 @@ def load_jsonl(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
 
 
 def load_paired_dirs(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
-    """Records from ref/ and gen/ subdirectories matched by filename."""
+    """Records from ref/ and gen/ subdirectories matched by filename; the
+    file suffix names the record's language."""
     root = Path(path)
     ref_dir, gen_dir = root / "ref", root / "gen"
     if not ref_dir.is_dir() or not gen_dir.is_dir():
@@ -119,6 +127,7 @@ def load_paired_dirs(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
                 id=ref_file.name,
                 reference=ref_file.read_text(),
                 candidates=(gen_file.read_text(),),
+                language=language_of_path(ref_file),
             )
         )
     return records, errors
@@ -151,8 +160,8 @@ def rank_candidates(
             # inside the try: a reference that cannot be analysed fails
             # each candidate with its error, not the whole run
             if reference is None:
-                reference = analyze(record.reference)
-            analysis = analyze(candidate)
+                reference = analyze(record.reference, record.language)
+            analysis = analyze(candidate, record.language)
             breakdown = ompbleu_score(reference, analysis, config, backend)
             scored.append(
                 RankedCandidate(
@@ -266,10 +275,13 @@ def _score_record(
 ) -> dict:
     ranked = rank_candidates(record, config, backend)
     best = ranked[0]
+    language, defaulted = resolve_language(config.compile.language, record.language)
     row: dict = {
         "id": record.id,
         "candidates": [rc.as_dict() for rc in ranked],
         "best_candidate": best.candidate_index,
+        "language": language,
+        "language_defaulted": defaulted,
     }
     if best.breakdown is None:
         row["error"] = best.error or "all candidates failed"

@@ -1,9 +1,14 @@
+import json
 import os
 from collections import OrderedDict
 
 import pytest
 
-from ompbleu import compile_check
+from ompbleu import compile_check, metrics
+from ompbleu.cli import main
+from ompbleu.config import EvalConfig
+from ompbleu.metrics import analyze, ompbleu_score
+from ompbleu.report import DatasetRecord, evaluate_dataset, load_paired_dirs, rank_candidates
 from ompbleu.compile_check import (
     CompileConfig,
     CompileError,
@@ -96,6 +101,16 @@ def test_missing_compiler_is_an_error(monkeypatch):
         compile_score("int main(void){return 0;}", cfg)
 
 
+def test_compiler_lookup_follows_path(monkeypatch, tmp_path):
+    monkeypatch.delenv("OMPBLEU_CC", raising=False)
+    found = resolve_compiler(CompileConfig())
+    monkeypatch.setenv("PATH", str(tmp_path))  # no compiler there
+    with pytest.raises(CompileError, match="no C/C\\+\\+ compiler found"):
+        resolve_compiler(CompileConfig())
+    monkeypatch.undo()
+    assert resolve_compiler(CompileConfig()) == found
+
+
 def test_timeout_raises_or_maps(monkeypatch, tmp_path):
     # a "compiler" that sleeps forever
     slow = tmp_path / "slowcc"
@@ -133,9 +148,6 @@ def test_stripped_code_still_compiles_and_pragmas_readd():
 
 
 def test_failing_candidate_report_identical_across_cold_caches(tmp_path):
-    from ompbleu.config import EvalConfig
-    from ompbleu.report import DatasetRecord, evaluate_dataset
-
     record = DatasetRecord(
         id="r",
         reference=fixture_text("single_gt.c"),
@@ -149,3 +161,155 @@ def test_failing_candidate_report_identical_across_cold_caches(tmp_path):
     ]
     assert '"compile": 0.0' in reports[0]
     assert reports[0] == reports[1]
+
+
+# -- the language of a unit ---------------------------------------------------
+
+# valid C, but C++ refuses to convert malloc's void * without a cast
+UNCAST_MALLOC = """\
+#include <stdlib.h>
+
+int main(void) {
+    int n = 100;
+    double *b = malloc(sizeof(double) * n);
+    #pragma omp parallel for
+    for (int i = 0; i < n; i++)
+        b[i] = 0.5 * i;
+    free(b);
+    return 0;
+}
+"""
+CAST_MALLOC = UNCAST_MALLOC.replace("= malloc", "= (double *)malloc")
+
+
+def test_language_spellings_and_validation():
+    assert CompileConfig().language == "auto"
+    assert CompileConfig(language="cpp").language == "c++"
+    assert CompileConfig(language="c").language == "c"
+    for bad in ("C", "fortran", "", "c++17"):
+        with pytest.raises(ValueError, match="unknown language"):
+            CompileConfig(language=bad)
+    assert compile_check.resolve_language("auto", None) == ("c++", True)
+    assert compile_check.resolve_language("auto", "cxx") == ("c++", False)
+    assert compile_check.resolve_language("c", "cpp") == ("c", False)
+    assert [compile_check.language_of_path(f"u.{s}") for s in ("c", "cc", "hpp", "h")] == [
+        "c", "c++", "c++", None,
+    ]
+
+
+def test_unit_compiles_in_its_own_language(tmp_path):
+    cfg = CompileConfig(cache_dir=str(tmp_path))
+    as_c = compile_score(UNCAST_MALLOC, cfg, "c")
+    as_cpp = compile_score(UNCAST_MALLOC, cfg, "cpp")
+    unhinted = compile_score(UNCAST_MALLOC, cfg)
+    assert (as_c.score, as_c.language, as_c.language_defaulted) == (1, "c", False)
+    assert (as_cpp.score, as_cpp.language, as_cpp.language_defaulted) == (0, "c++", False)
+    assert "unit.cpp" in as_cpp.diagnostics
+    # the default shares the C++ cache entry, but says it was defaulted
+    assert (unhinted.score, unhinted.cached, unhinted.language_defaulted) == (0, True, True)
+    # an explicit config language wins over the unit's hint
+    forced = compile_score(UNCAST_MALLOC, CompileConfig(language="c++"), "c")
+    assert (forced.score, forced.language) == (0, "c++")
+
+
+def _dataset_rows(tmp_path, records, *argv):
+    ds = tmp_path / "ds.jsonl"
+    ds.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out), "dataset", str(ds)]) == 0
+    return {row["id"]: row for row in json.loads(out.read_text())["records"]}
+
+
+def test_dataset_record_language(tmp_path):
+    rows = _dataset_rows(
+        tmp_path,
+        [
+            {"id": lang or "none", "reference": CAST_MALLOC, "candidates": [UNCAST_MALLOC],
+             **({"language": lang} if lang else {})}
+            for lang in ("c", "cpp", None)
+        ],
+    )
+    compiled = {
+        k: (r["breakdown"]["compile"], r["language"], r["language_defaulted"])
+        for k, r in rows.items()
+    }
+    assert compiled == {"c": (1.0, "c", False), "cpp": (0.0, "c++", False), "none": (0.0, "c++", True)}
+    assert "compile" not in rows["c"]["breakdown"]["diagnostics"]
+    assert rows["none"]["breakdown"]["diagnostics"]["compile"][0].startswith(
+        "language defaulted to c++"
+    )
+    assert not any(
+        d.startswith("language defaulted") for d in rows["cpp"]["breakdown"]["diagnostics"]["compile"]
+    )
+
+
+@pytest.mark.parametrize("suffix, language, score", [(".c", "c", 1), (".cpp", "c++", 0)])
+def test_score_and_compile_check_take_the_path_suffix(tmp_path, capsys, suffix, language, score):
+    ref = tmp_path / f"ref{suffix}"
+    gen = tmp_path / f"gen{suffix}"
+    ref.write_text(CAST_MALLOC)
+    gen.write_text(UNCAST_MALLOC)
+    assert main(["score", str(ref), str(gen)]) == 0
+    assert json.loads(capsys.readouterr().out)["compile"] == score
+    assert main(["rank", str(ref), str(gen)]) == 0
+    assert json.loads(capsys.readouterr().out)["candidates"][0]["breakdown"]["compile"] == score
+    assert main(["compile-check", str(gen)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["score"], payload["language"]) == (score, language)
+
+
+@pytest.mark.parametrize("suffix, score", [(".c", 1.0), (".cpp", 0.0)])
+def test_paired_dirs_take_the_file_suffix(tmp_path, suffix, score):
+    for side, text in (("ref", CAST_MALLOC), ("gen", UNCAST_MALLOC)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / f"unit{suffix}").write_text(text)
+    records, errors = load_paired_dirs(tmp_path)
+    assert errors == []
+    row = evaluate_dataset(records, EvalConfig()).records[0]
+    assert row["breakdown"]["compile"] == score
+
+
+def test_reference_that_does_not_compile_is_reported():
+    # as C++, the uncast reference fails; the candidate's own verdict stands
+    b = ompbleu_score(
+        analyze(UNCAST_MALLOC, "cpp"), analyze(CAST_MALLOC, "cpp"), EvalConfig()
+    )
+    assert b.scores["compile"] == 1.0
+    assert b.diagnostics["compile"] == [
+        "reference does not compile as c++: "
+        "compile = 0 then says nothing about the candidate"
+    ]
+    fine = ompbleu_score(analyze(UNCAST_MALLOC, "c"), analyze(CAST_MALLOC, "c"), EvalConfig())
+    assert fine.scores["compile"] == 1.0 and "compile" not in fine.diagnostics
+
+
+def test_reference_compiles_once_per_record(monkeypatch):
+    compiled = []
+    original = compile_check.compile_score
+
+    def counting(source, config=None, language=None):
+        compiled.append(source)
+        return original(source, config, language)
+
+    monkeypatch.setattr(metrics, "compile_score", counting)
+    record = DatasetRecord(
+        id="r", reference=CAST_MALLOC, candidates=(UNCAST_MALLOC, CAST_MALLOC, UNCAST_MALLOC),
+        language="c",
+    )
+    ranked = rank_candidates(record, EvalConfig())
+    assert [rc.breakdown.scores["compile"] for rc in ranked] == [1.0, 1.0, 1.0]
+    assert compiled.count(CAST_MALLOC) == 2  # the reference once, candidate 1 once
+
+
+def test_mixed_language_report_identical_across_jobs_and_caches(tmp_path):
+    records = [
+        DatasetRecord(id=f"{lang}-{k}", reference=CAST_MALLOC, candidates=(UNCAST_MALLOC, CAST_MALLOC),
+                      language=lang)
+        for k, lang in enumerate(("c", "c++", None, "c"))
+    ]
+    cfg = EvalConfig(compile=CompileConfig(cache_dir=str(tmp_path / "cache")))
+    cold = evaluate_dataset(records, cfg, jobs=1).to_json()
+    warm = evaluate_dataset(records, cfg, jobs=1).to_json()
+    fresh = EvalConfig(compile=CompileConfig(cache_dir=str(tmp_path / "fresh")))
+    pooled = evaluate_dataset(records, fresh, jobs=3).to_json()
+    assert cold == warm == pooled

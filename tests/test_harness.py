@@ -65,12 +65,31 @@ def test_load_jsonl_skips_malformed(tmp_path):
                 json.dumps({"id": "nocands", "reference": "x", "candidates": []}),
                 json.dumps({"reference": "x", "candidates": ["y"]}),
                 json.dumps({"id": "ok", "reference": "dup", "candidates": ["z"]}),
+                json.dumps({**good, "id": "fortran", "language": "fortran"}),
+                json.dumps({**good, "id": "number", "language": 3}),
             ]
         )
     )
     records, errors = load_jsonl(path)
     assert [r.id for r in records] == ["ok"]
-    assert len(errors) == 4
+    assert len(errors) == 6
+    assert "line 6" in errors[4] and "unknown language 'fortran'" in errors[4]
+
+
+def test_load_jsonl_reads_language(tmp_path):
+    path = tmp_path / "langs.jsonl"
+    spellings = {"c": "c", "cpp": "c++", "c++": "c++", "hpp": "c++", None: None}
+    _write_jsonl(
+        path,
+        [
+            {"id": str(k), "reference": "x", "candidates": ["x"],
+             **({} if spelling is None else {"language": spelling})}
+            for k, spelling in enumerate(spellings)
+        ],
+    )
+    records, errors = load_jsonl(path)
+    assert errors == []
+    assert [r.language for r in records] == list(spellings.values())
 
 
 def test_load_paired_dirs(tmp_path):
@@ -81,6 +100,7 @@ def test_load_paired_dirs(tmp_path):
     (tmp_path / "ref" / "orphan.c").write_text("int o;")
     records, errors = load_paired_dirs(tmp_path)
     assert [r.id for r in records] == ["a.c"]
+    assert records[0].language == "c"
     assert errors and "orphan.c" in errors[0]
 
 
@@ -190,6 +210,10 @@ def test_report_contains_classification_and_config(small_dataset):
     payload = json.loads(report.to_json())
     assert payload["classification"]["tp"] >= 1
     assert payload["config"]["weights"]["wc"] == 0.3
+    assert payload["config"]["compile"]["language"] == "auto"
+    assert {(r["language"], r["language_defaulted"]) for r in payload["records"]} == {
+        ("c++", True)
+    }
     assert payload["version"]
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0].startswith("id,")
@@ -243,6 +267,18 @@ def test_load_config_overrides(tmp_path):
     assert cfg.weights.is_blend_alpha == 0.5
     assert cfg.clause_weights.weight_of("collapse(2)") == 2.0
     assert cfg.compile_enabled is False
+    assert cfg.compile.language == "auto"
+
+
+@pytest.mark.parametrize(
+    "spelling, language", [("c", "c"), ("c++", "c++"), ("cpp", "c++"), ("cxx", "c++")]
+)
+def test_load_config_stores_canonical_language(tmp_path, spelling, language):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"compile": {"language": spelling}}))
+    cfg = load_config(path)
+    assert cfg.compile.language == language
+    assert cfg.echo()["compile"]["language"] == language
 
 
 def test_load_config_rejects_bad_weight_sum(tmp_path):
@@ -374,6 +410,8 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         {"compile_enabled": "false"},
         {"compile": {"wrap_snippets": "no"}},
         {"compile": {"timeout_as_failure": 1}},
+        {"compile": {"language": "cpp17"}},
+        {"compile": {"language": None}},
     ],
     ids=[
         "root-not-object",
@@ -390,6 +428,8 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         "compile-enabled-not-boolean",
         "wrap-snippets-not-boolean",
         "timeout-as-failure-not-boolean",
+        "compile-unknown-language",
+        "compile-language-null",
     ],
 )
 def test_cli_malformed_config_section_exit_2(tmp_path, capsys, raw):
@@ -465,6 +505,7 @@ def test_cli_compile_check(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["score"] == 1
+    assert (payload["language"], payload["language_defaulted"]) == ("c", False)
 
 
 def test_cli_entry_point_installed():
