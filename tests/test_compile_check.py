@@ -212,11 +212,11 @@ def test_unit_compiles_in_its_own_language(tmp_path):
     assert (forced.score, forced.language) == (0, "c++")
 
 
-def _dataset_rows(tmp_path, records, *argv):
+def _dataset_rows(tmp_path, records):
     ds = tmp_path / "ds.jsonl"
     ds.write_text("".join(json.dumps(r) + "\n" for r in records))
     out = tmp_path / "report.json"
-    assert main([*argv, "--out", str(out), "dataset", str(ds)]) == 0
+    assert main(["--out", str(out), "dataset", str(ds)]) == 0
     return {row["id"]: row for row in json.loads(out.read_text())["records"]}
 
 
