@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .config import read_vocabulary
 from .syntax import Directive
 
 UNKNOWN_BUCKET = "unknown"
@@ -44,13 +45,7 @@ class ClauseVocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "ClauseVocabulary":
-        kinds = []
-        for line in Path(path).read_text().splitlines():
-            entry = line.strip()
-            if not entry or entry.startswith("#"):
-                continue
-            kinds.append(entry)
-        return cls(kinds=tuple(kinds))
+        return cls(kinds=tuple(read_vocabulary(path)))
 
     @classmethod
     def default(cls) -> "ClauseVocabulary":

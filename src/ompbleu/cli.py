@@ -23,6 +23,7 @@ from .report import (
     evaluate_dataset,
     load_dataset,
     rank_candidates,
+    read_source,
 )
 from .syntax import parse_source, strip_openmp
 
@@ -105,8 +106,8 @@ def _cmd_score(args: argparse.Namespace, config: EvalConfig) -> int:
     # like a dataset record, the pair compiles in the language of the
     # reference's suffix
     language = language_of_path(args.reference)
-    reference = analyze(Path(args.reference).read_text(), language)
-    generated = analyze(Path(args.generated).read_text(), language)
+    reference = analyze(read_source(args.reference), language)
+    generated = analyze(read_source(args.generated), language)
     breakdown = ompbleu_score(reference, generated, config)
     _write_out(args, json.dumps(breakdown.as_dict(), sort_keys=True, indent=2) + "\n")
     return 0
@@ -115,8 +116,8 @@ def _cmd_score(args: argparse.Namespace, config: EvalConfig) -> int:
 def _cmd_rank(args: argparse.Namespace, config: EvalConfig) -> int:
     record = DatasetRecord(
         id=args.reference,
-        reference=Path(args.reference).read_text(),
-        candidates=tuple(Path(g).read_text() for g in args.generated),
+        reference=read_source(args.reference),
+        candidates=tuple(read_source(g) for g in args.generated),
         language=language_of_path(args.reference),
     )
     ranked = rank_candidates(record, config)
@@ -153,7 +154,7 @@ def _cmd_classify(args: argparse.Namespace, config: EvalConfig) -> int:
 
 
 def _cmd_strip(args: argparse.Namespace) -> int:
-    _write_out(args, strip_openmp(parse_source(Path(args.path).read_text())))
+    _write_out(args, strip_openmp(parse_source(read_source(args.path))))
     return 0
 
 
@@ -165,7 +166,7 @@ def _cmd_annotate(args: argparse.Namespace, config: EvalConfig) -> int:
     )
     lines = []
     for path in _source_files(Path(args.path)):
-        unit = parse_source(path.read_text())
+        unit = parse_source(read_source(path))
         tags = ssa_annotate(unit, vocab)
         lines.append(", ".join(str(t) for t in tags))
     _write_out(args, "\n".join(lines) + "\n")
@@ -180,16 +181,14 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    unit = parse_source(Path(args.path).read_text())
+    unit = parse_source(read_source(args.path))
     corrupted = corrupt(list(unit.tokens), schedule, step=args.step, seed=args.seed)
     _write_out(args, render_tokens(corrupted))
     return 0
 
 
 def _cmd_compile_check(args: argparse.Namespace, config: EvalConfig) -> int:
-    result = compile_score(
-        Path(args.path).read_text(), config.compile, language_of_path(args.path)
-    )
+    result = compile_score(read_source(args.path), config.compile, language_of_path(args.path))
     payload = {
         "score": result.score,
         "language": result.language,
@@ -206,6 +205,8 @@ def _cmd_compile_check(args: argparse.Namespace, config: EvalConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:
         config = load_config(args.config)
     except ConfigError as exc:

@@ -162,6 +162,21 @@ def _build_compile(raw: object) -> CompileConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def read_vocabulary(path: str | Path) -> list[str]:
+    """The entries of a vocabulary file, one per line, blank lines and `#`
+    comments skipped.  A file that cannot be read as text or that repeats an
+    entry is a configuration error."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read vocabulary {path}: {exc}") from exc
+    entries = [e for e in map(str.strip, lines) if e and not e.startswith("#")]
+    dupes = sorted({e for e in entries if entries.count(e) > 1})
+    if dupes:
+        raise ConfigError(f"duplicate entries in vocabulary {path}: {dupes}")
+    return entries
+
+
 def load_config(path: str | Path | None) -> EvalConfig:
     """Load and validate a JSON config; None yields the defaults.
 

@@ -152,7 +152,7 @@ class SideAnalysis:
     @cached_property
     def code(self) -> CodeText:
         """The whole source, pragmas included."""
-        return CodeText(self.unit.text, SparseTokenVector.from_tokens(self.unit.tokens))
+        return CodeText(self.unit.text, SparseTokenVector.from_tokens(self.unit.code))
 
     def stripped(self, span: tuple[int, int]) -> CodeText:
         """A byte span of the source with its OpenMP pragma lines removed."""

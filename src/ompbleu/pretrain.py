@@ -15,6 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .config import read_vocabulary
 from .syntax import SourceUnit, Token
 from .syntax.directives import directive_kinds, directive_line_spans
 
@@ -110,8 +111,6 @@ class TagVocabulary:
         ids = sorted(self.tags.values())
         if ids != list(range(len(ids))):
             raise ValueError("tag ids must be dense from 0")
-        if len(set(self.tags)) != len(self.tags):
-            raise ValueError("tag names must be unique")
 
     @property
     def size(self) -> int:
@@ -122,13 +121,7 @@ class TagVocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "TagVocabulary":
-        names = []
-        for line in Path(path).read_text().splitlines():
-            entry = line.strip()
-            if not entry or entry.startswith("#"):
-                continue
-            names.append(entry)
-        return cls(tags={name: i for i, name in enumerate(names)})
+        return cls(tags={name: i for i, name in enumerate(read_vocabulary(path))})
 
     @classmethod
     def default(cls) -> "TagVocabulary":

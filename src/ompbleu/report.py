@@ -69,6 +69,14 @@ class DatasetError(ValueError):
     """The dataset itself is unusable (empty or unreadable)."""
 
 
+def read_source(path: str | Path) -> str:
+    """The text of an input file; :class:`DatasetError` if it is not UTF-8."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_jsonl(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
     """Records from JSONL lines of {id, reference, candidates:[...]} and an
     optional "language" spelled as in ``LANGUAGE_SPELLINGS``."""
@@ -76,7 +84,7 @@ def load_jsonl(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
     errors: list[str] = []
     seen: set[str] = set()
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = read_source(path).splitlines()
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
@@ -122,11 +130,16 @@ def load_paired_dirs(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
         if not gen_file.is_file():
             errors.append(f"{ref_file.name}: no matching file under gen/")
             continue
+        try:
+            reference, candidate = read_source(ref_file), read_source(gen_file)
+        except DatasetError as exc:
+            errors.append(f"{ref_file.name}: skipped ({exc})")
+            continue
         records.append(
             DatasetRecord(
                 id=ref_file.name,
-                reference=ref_file.read_text(),
-                candidates=(gen_file.read_text(),),
+                reference=reference,
+                candidates=(candidate,),
                 language=language_of_path(ref_file),
             )
         )

@@ -15,7 +15,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
-from .syntax import Token, tokenize
+from .syntax import Token, parse_source
 
 
 class SimilarityError(RuntimeError):
@@ -100,17 +100,13 @@ class SparseTokenVector:
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[Token]) -> "SparseTokenVector":
-        """Counts of the code lexemes among ``tokens`` (comments and
-        whitespace excluded)."""
-        return cls(
-            counts=dict(
-                Counter(t.lexeme for t in tokens if t.kind not in ("whitespace", "comment"))
-            )
-        )
+        """Counts of the lexemes of ``tokens``, code tokens as in
+        :attr:`~ompbleu.syntax.SourceUnit.code`."""
+        return cls(counts=dict(Counter(t.lexeme for t in tokens)))
 
     @classmethod
     def from_code(cls, text: str) -> "SparseTokenVector":
-        return cls.from_tokens(tokenize(text))
+        return cls.from_tokens(parse_source(text).code)
 
     def cosine(self, other: "SparseTokenVector") -> float:
         if self.counts == other.counts:

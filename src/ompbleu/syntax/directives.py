@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -133,11 +134,11 @@ class NormalizedDirective:
         return " ".join(parts)
 
 
-def _text_of(tokens: list[Token]) -> str:
+def _text_of(tokens: Sequence[Token]) -> str:
     return " ".join(t.lexeme for t in tokens)
 
 
-def _idents_of(tokens: list[Token]) -> list[str]:
+def _idents_of(tokens: Sequence[Token]) -> list[str]:
     """Base identifiers of a variable list, ignoring array sections."""
     names: list[str] = []
     depth = 0
@@ -158,7 +159,7 @@ def _idents_of(tokens: list[Token]) -> list[str]:
     return names
 
 
-def _parse_clause(word: str, arg_tokens: list[Token] | None, raw: str) -> tuple[Clause, bool]:
+def _parse_clause(word: str, arg_tokens: Sequence[Token] | None, raw: str) -> tuple[Clause, bool]:
     """Build one clause; returns (clause, degraded)."""
     degraded = False
     kind = word if word in KNOWN_CLAUSE_KINDS else "unknown"
@@ -210,7 +211,7 @@ def _parse_clause(word: str, arg_tokens: list[Token] | None, raw: str) -> tuple[
     )
 
 
-def directive_kinds(words: list[Token]) -> tuple[tuple[str, ...], bool]:
+def directive_kinds(words: Sequence[Token]) -> tuple[tuple[str, ...], bool]:
     """The directive kinds that open ``words``, the code tokens after `omp`.
 
     Returns (kinds, degraded).  A word extends the kinds when it may follow
@@ -234,7 +235,7 @@ def directive_kinds(words: list[Token]) -> tuple[tuple[str, ...], bool]:
     return tuple(kinds), False
 
 
-def _parse_directive_body(words: list[Token]) -> tuple[tuple[str, ...], tuple[Clause, ...], bool]:
+def _parse_directive_body(words: Sequence[Token]) -> tuple[tuple[str, ...], tuple[Clause, ...], bool]:
     """Parse the code tokens after `omp` into directive kinds and clauses."""
     kinds, degraded = directive_kinds(words)
     clauses: list[Clause] = []
@@ -269,20 +270,15 @@ def _parse_directive_body(words: list[Token]) -> tuple[tuple[str, ...], tuple[Cl
             i += 1
             continue
         word = tok.lexeme
-        arg_tokens: list[Token] | None = None
+        arg_tokens: Sequence[Token] | None = None
         j = i + 1
-        raw_end = tok.end_offset
         if j < len(words) and words[j].lexeme == "(":
             close = _match_delim(words, j)
             if close is None:
                 degraded = True
-                arg_tokens = [t for t in words[j + 1 :] if t.kind != "whitespace"]
-                j = len(words)
-            else:
-                arg_tokens = [
-                    t for t in words[j + 1 : close] if t.kind != "whitespace"
-                ]
-                j = close + 1
+                close = len(words)
+            arg_tokens = words[j + 1 : close]
+            j = close + 1
         raw = word if arg_tokens is None else f"{word}({_text_of(arg_tokens)})"
         clause, bad = _parse_clause(word, arg_tokens, raw)
         degraded = degraded or bad
@@ -320,10 +316,10 @@ def directive_line_spans(unit: SourceUnit) -> list[tuple[int, int]]:
 
 
 def _brace_depths(unit: SourceUnit) -> list[int]:
-    """Brace nesting depth at each token position (before the token)."""
+    """Brace nesting depth at each code token (before the token)."""
     depths = []
     depth = 0
-    for tok in unit.tokens:
+    for tok in unit.code:
         depths.append(depth)
         if tok.kind == "punctuation" and not tok.in_directive:
             if tok.lexeme == "{":
@@ -354,39 +350,29 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
     attached to, and a collapse validity tag.  Malformed clause syntax is
     parsed best-effort and flagged on the directive rather than raised.
     """
-    tokens = unit.tokens
+    tokens = unit.code
     loops = loop_contexts(unit)
     loops_by_offset = {lp.byte_offset: lp for lp in loops}
     depths = _brace_depths(unit)
-    spans = directive_line_spans(unit)
-    span_starts = {s for s, _ in spans}
+    # each pragma line's byte extent and its code tokens [start, end)
+    lines = []
+    for start, end in directive_line_spans(unit):
+        lo, hi = unit.tokens[start].byte_offset, unit.tokens[end - 1].end_offset
+        lines.append((lo, hi, unit.token_index(lo), unit.token_index(hi)))
+    line_ends = {start: end for _, _, start, end in lines}
 
     directives: list[Directive] = []
-    for start, end in spans:
-        pragma_tok = tokens[start]
-        body = [
-            t
-            for t in tokens[start + 1 : end]
-            if t.kind not in ("whitespace", "comment")
-        ]
-        # body[0] is the `omp` marker
-        kinds, clauses, degraded = _parse_directive_body(body[1:])
+    for lo, hi, start, end in lines:
+        # tokens[start + 1] is the `omp` marker
+        kinds, clauses, degraded = _parse_directive_body(tokens[start + 2 : end])
         if not kinds:
             kinds = ("unknown",)
             degraded = True
 
         # attachment: next code token after this (and any stacked) pragma line
         k = end
-        while k < len(tokens):
-            tok = tokens[k]
-            if tok.kind in ("whitespace", "comment"):
-                k += 1
-                continue
-            if tok.kind == "preprocessor" and k in span_starts:
-                while k < len(tokens) and tokens[k].in_directive:
-                    k += 1
-                continue
-            break
+        while k in line_ends:
+            k = line_ends[k]
         if k >= len(tokens):
             attached_kind = ATTACHED_NONE
             attached_loop = None
@@ -407,17 +393,16 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
                 attached_kind = ATTACHED_STATEMENT
                 attached_loop = None
 
-        raw_text = unit.text[pragma_tok.byte_offset : tokens[end - 1].end_offset]
         d = Directive(
             kinds=kinds,
             clauses=clauses,
-            byte_offset=pragma_tok.byte_offset,
-            line=pragma_tok.line,
+            byte_offset=lo,
+            line=tokens[start].line,
             ast_depth=depths[start],
             attached_kind=attached_kind,
             attached_loop=attached_loop,
             collapse_tag=COLLAPSE_NOT_APPLICABLE,
-            raw_text=raw_text,
+            raw_text=unit.text[lo:hi],
             degraded=degraded,
         )
         d = dataclasses.replace(d, collapse_tag=collapse_validity(d, attached_loop))
@@ -505,7 +490,7 @@ def attached_construct_span(
         return (directive.attached_loop.byte_offset, directive.attached_loop.end_offset)
     problem = "no construct follows pragma"
     if directive.attached_kind in (ATTACHED_BLOCK, ATTACHED_STATEMENT):
-        tokens = unit.tokens
+        tokens = unit.code
         idx = _skip_to_code(tokens, unit.token_index(directive.byte_offset + len(directive.raw_text)))
         if idx < len(tokens) and tokens[idx].kind == "punctuation" and tokens[idx].lexeme == "{":
             close = _match_delim(tokens, idx)
@@ -548,20 +533,21 @@ def _kept_ranges(
 def stripped_slice(
     unit: SourceUnit, pragma_lines: tuple[tuple[int, int], ...], lo: int, hi: int
 ) -> tuple[str, list[Token]]:
-    """``unit.text[lo:hi]`` without its OpenMP pragma lines, and its tokens.
+    """``unit.text[lo:hi]`` without its OpenMP pragma lines, and its code
+    tokens.
 
     ``pragma_lines`` are the unit's :func:`pragma_line_range` spans in
     source order.  For a span that starts and ends on token boundaries with
     a code token first, the text equals ``strip_openmp`` of the span's text
-    parsed alone, and the tokens, cut from the unit's token stream, have the
-    lexemes and kinds of that text's tokens.  The one exception is a span
+    parsed alone, and the tokens, cut from the unit's code tokens, have the
+    lexemes and kinds of that text's code tokens.  The one exception is a span
     opening with a ``#`` that follows a comment: the unit lexes it as
     punctuation, the span's text alone as the start of a directive; the
     unit's reading is kept.
     """
     kept = _kept_ranges(pragma_lines, lo, hi)
     text = "".join(unit.text[a:b] for a, b in kept)
-    tokens = [t for a, b in kept for t in unit.tokens[unit.token_index(a) : unit.token_index(b)]]
+    tokens = [t for a, b in kept for t in unit.code[unit.token_index(a) : unit.token_index(b)]]
     return text, tokens
 
 

@@ -85,12 +85,19 @@ class SourceUnit:
     tokens: tuple[Token, ...]
 
     @cached_property
+    def code(self) -> tuple[Token, ...]:
+        """The tokens that are neither whitespace nor comments, in order:
+        the view every structural reader walks."""
+        return tuple(t for t in self.tokens if t.kind not in ("whitespace", "comment"))
+
+    @cached_property
     def offsets(self) -> list[int]:
-        """Byte offset of every token, in order."""
-        return [t.byte_offset for t in self.tokens]
+        """Byte offset of every token of :attr:`code`, in order."""
+        return [t.byte_offset for t in self.code]
 
     def token_index(self, byte_offset: int) -> int:
-        """Index of the first token starting at or after ``byte_offset``."""
+        """Index into :attr:`code` of the first code token starting at or
+        after ``byte_offset``."""
         return bisect.bisect_left(self.offsets, byte_offset)
 
     def detokenize(self) -> str:

@@ -1,14 +1,15 @@
 """For-loop discovery: contexts, ordinals, perfect-nest depth, counters.
 
-Loops are found by scanning the token stream for `for` keywords outside
-preprocessor lines, comments, and strings.  Each loop records the ordinal
-of its `for` keyword among all loops in the unit (source order, nested
-loops included) and the number of perfectly nested loops rooted at it.
+Loops are found by scanning the unit's code tokens for `for` keywords
+outside preprocessor lines.  Each loop records the ordinal of its `for`
+keyword among all loops in the unit (source order, nested loops included)
+and the number of perfectly nested loops rooted at it.
 """
 
 from __future__ import annotations
 
 import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .lexer import SourceUnit, Token
@@ -68,7 +69,7 @@ def _statement_end(tokens: tuple[Token, ...] | list[Token], start: int) -> int |
     return None
 
 
-def _split_top_level(tokens: list[Token], sep: str) -> list[list[Token]]:
+def _split_top_level(tokens: Sequence[Token], sep: str) -> list[list[Token]]:
     """``tokens`` cut at each ``sep`` punctuation outside any brackets."""
     groups: list[list[Token]] = [[]]
     depth = 0
@@ -85,18 +86,16 @@ def _split_top_level(tokens: list[Token], sep: str) -> list[list[Token]]:
     return groups
 
 
-def _skip_to_code(tokens: tuple[Token, ...] | list[Token], start: int) -> int:
-    """Index of the first token at or after ``start`` that is code outside
-    any preprocessor line; ``len(tokens)`` if there is none."""
+def _skip_to_code(tokens: tuple[Token, ...], start: int) -> int:
+    """Index of the first of the code ``tokens`` at or after ``start`` that
+    lies outside any preprocessor line; ``len(tokens)`` if there is none."""
     i = start
-    while i < len(tokens) and (
-        tokens[i].kind in ("whitespace", "comment") or tokens[i].in_directive
-    ):
+    while i < len(tokens) and tokens[i].in_directive:
         i += 1
     return i
 
 
-def _induction_vars(header_tokens: list[Token]) -> frozenset[str]:
+def _induction_vars(header_tokens: Sequence[Token]) -> frozenset[str]:
     """Counters declared or assigned in a for-loop init clause.
 
     Handles `int i = 0`, `i = 0`, multi-declarations, and range-for
@@ -152,43 +151,41 @@ def _is_declaration_of(tokens: list[Token], names: frozenset[str]) -> bool:
 
 def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
     """All for-loops in source order, indexed from 0."""
-    tokens = unit.tokens
+    tokens = unit.code
+    # An unterminated body runs to the end of the text.  For the nest check
+    # an unterminated brace body ends before the text's last token, as if
+    # that token were its closing brace: only a text that ends in code loses
+    # a code token from the body.
+    last = len(tokens) - (1 if tokens and unit.tokens[-1] is tokens[-1] else 0)
     raw: list[dict] = []
 
     for idx, tok in enumerate(tokens):
         if tok.kind != "keyword" or tok.lexeme != "for" or tok.in_directive:
             continue
         j = idx + 1
-        while j < len(tokens) and tokens[j].kind in ("whitespace", "comment"):
-            j += 1
         if j >= len(tokens) or tokens[j].lexeme != "(":
             continue
         close = _match_delim(tokens, j)
         if close is None:
             continue
-        header = [
-            t for t in tokens[j + 1 : close] if t.kind not in ("whitespace", "comment")
-        ]
         k = _skip_to_code(tokens, close + 1)
+        stop: int | None = close  # the loop's last token
         if k >= len(tokens):
-            end_tok = close
             body_span = (close + 1, close + 1)
         elif tokens[k].kind == "punctuation" and tokens[k].lexeme == "{":
-            end = _match_delim(tokens, k)
-            end_tok = end if end is not None else len(tokens) - 1
-            body_span = (k + 1, end_tok)
+            stop = _match_delim(tokens, k)
+            body_span = (k + 1, last if stop is None else stop)
         else:
-            end = _statement_end(tokens, k)
-            end_tok = end if end is not None else len(tokens) - 1
-            body_span = (k, end_tok + 1)
+            stop = _statement_end(tokens, k)
+            body_span = (k, len(tokens) if stop is None else stop + 1)
         raw.append(
             {
                 "for_index": idx,
                 "start": tok.byte_offset,
-                "end": tokens[end_tok].end_offset,
-                "end_index": end_tok,
+                "end": len(unit.text) if stop is None else tokens[stop].end_offset,
+                "after": len(tokens) if stop is None else stop + 1,
                 "body_span": body_span,
-                "induction": _induction_vars(header),
+                "induction": _induction_vars(tokens[j + 1 : close]),
             }
         )
 
@@ -203,13 +200,9 @@ def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
         child = bisect.bisect_left(for_indices, body_start)
         if child == n or for_indices[child] >= body_end:
             continue
-        if _skip_to_code(tokens, raw[child]["end_index"] + 1) < body_end:
+        if _skip_to_code(tokens, raw[child]["after"]) < body_end:
             continue
-        pre = [
-            t
-            for t in tokens[body_start : for_indices[child]]
-            if t.kind not in ("whitespace", "comment") and not t.in_directive
-        ]
+        pre = [t for t in tokens[body_start : for_indices[child]] if not t.in_directive]
         if _is_declaration_of(pre, raw[child]["induction"]):
             depth[i] = 1 + depth[child]
             nest_vars[i] = nest_vars[i] | nest_vars[child]

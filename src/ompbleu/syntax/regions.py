@@ -30,7 +30,7 @@ def count_decisions(unit: SourceUnit, start_offset: int, end_offset: int) -> int
     Comments, strings, and pragma lines never contribute.
     """
     count = 0
-    for tok in unit.tokens[unit.token_index(start_offset) : unit.token_index(end_offset)]:
+    for tok in unit.code[unit.token_index(start_offset) : unit.token_index(end_offset)]:
         if tok.in_directive:
             continue
         if tok.kind == "keyword" and tok.lexeme in DECISION_KEYWORDS:

@@ -499,6 +499,93 @@ def test_cli_corrupt_rejects_bad_modes(tmp_path, capsys):
     assert rc == 2
 
 
+NOT_UTF8 = b"int x;\xff\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "{ok}", "{bad}"],
+        ["rank", "{ok}", "{ok}", "{bad}"],
+        ["strip", "{bad}"],
+        ["annotate", "{bad}"],
+        ["corrupt", "{bad}", "--seed", "1"],
+        ["compile-check", "{bad}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_single_file_not_utf8_exit_1(tmp_path, capsys, argv):
+    bad, ok = tmp_path / "bad.c", tmp_path / "ok.c"
+    bad.write_bytes(NOT_UTF8)
+    ok.write_text("int x;\n")
+    cfg = _no_compile_cfg_file(tmp_path)
+    rc = main(["--config", cfg, *(a.format(ok=ok, bad=bad) for a in argv)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad} is not UTF-8 text (invalid start byte at byte 6)\n"
+
+
+def test_cli_jsonl_dataset_not_utf8_exit_1(tmp_path, capsys):
+    ds = tmp_path / "ds.jsonl"
+    record = json.dumps({"id": "a", "reference": "x", "candidates": ["x"]})
+    ds.write_bytes(record.encode() + b"\n" + NOT_UTF8)
+    rc = main(["--config", _no_compile_cfg_file(tmp_path), "dataset", str(ds)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {ds} is not UTF-8 text")
+
+
+def test_cli_dirs_dataset_skips_a_pair_that_is_not_utf8(tmp_path):
+    for side in ("ref", "gen"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "a.c").write_text("int a;\n")
+    (tmp_path / "ref" / "b.c").write_text("int b;\n")
+    (tmp_path / "gen" / "b.c").write_bytes(NOT_UTF8)
+    out = tmp_path / "report.json"
+    rc = main(["--config", _no_compile_cfg_file(tmp_path), "--out", str(out),
+               "dataset", "--format", "dirs", str(tmp_path)])
+    assert rc == 1
+    report = json.loads(out.read_text())
+    assert [r["id"] for r in report["records"]] == ["a.c"]
+    assert report["records"][0]["breakdown"]["composite"] == 100.0
+    [error] = report["errors"]
+    assert error.startswith("b.c: skipped (") and "gen/b.c is not UTF-8 text" in error
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--jobs", jobs, "dataset", str(tmp_path / "ds.jsonl")])
+    assert exit_info.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (
+            b"none\nparallel\nprivate\n# comment\nparallel\n",
+            "duplicate entries in vocabulary {}: ['parallel']",
+        ),
+        (b"none\n\xff\n", "cannot read vocabulary {}: 'utf-8' codec can't decode"),
+        (None, "cannot read vocabulary {}: [Errno 2]"),
+    ],
+    ids=["duplicates", "not-utf8", "missing"],
+)
+@pytest.mark.parametrize(
+    "key, command", [("clause_vocabulary", "dataset"), ("tag_vocabulary", "annotate")]
+)
+def test_cli_bad_vocabulary_exit_2(tmp_path, small_dataset, capsys, key, command, content, message):
+    vocab = tmp_path / "vocab.txt"
+    if content is not None:
+        vocab.write_bytes(content)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"compile_enabled": False, key: str(vocab)}))
+    target = small_dataset if command == "dataset" else FIXTURES / "fig1_gt.c"
+    rc = main(["--config", str(cfg), command, str(target)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error: " + message.format(vocab))
+
+
 @requires_compiler
 def test_cli_compile_check(capsys):
     rc = main(["compile-check", str(FIXTURES / "single_gt.c")])

@@ -1,3 +1,4 @@
+import bisect
 import re
 import string
 
@@ -90,8 +91,15 @@ def test_line_numbers():
 @given(st.text(alphabet=string.printable, max_size=300))
 @settings(max_examples=300, deadline=None)
 def test_round_trip_property(text):
-    assert "".join(t.lexeme for t in tokenize(text)) == text
+    tokens = tokenize(text)
+    assert "".join(t.lexeme for t in tokens) == text
     assert_matches_oracle(text)
+    # the code view is the stream without layout, and token_index indexes it
+    unit = parse_source(text)
+    assert unit.code == tuple(t for t in tokens if t.kind not in ("whitespace", "comment"))
+    code_offsets = [t.byte_offset for t in unit.code]
+    for offset in range(len(text) + 1):
+        assert unit.token_index(offset) == bisect.bisect_left(code_offsets, offset)
 
 
 @given(st.text(max_size=120))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ompbleu.config import ConfigError
 from ompbleu.pretrain import (
     _CLAUSE_STRUCTURAL,
     _KEYWORD_ROLES,
@@ -44,6 +45,13 @@ def test_default_vocab_has_seventy_dense_ids():
 def test_vocab_rejects_sparse_ids():
     with pytest.raises(ValueError):
         TagVocabulary(tags={"none": 0, "x": 2})
+
+
+def test_vocab_file_with_duplicates_is_a_config_error(tmp_path):
+    path = tmp_path / "tags.txt"
+    path.write_text("none\ncomment\nidentifier\ncomment\nnone\n")
+    with pytest.raises(ConfigError, match=r"\['comment', 'none'\]"):
+        TagVocabulary.load(path)
 
 
 def test_ssa_length_matches_nonwhitespace_tokens():
