@@ -8,10 +8,12 @@ model or gradient code lives here.
 
 from __future__ import annotations
 
+import bisect
 import random
 from collections import deque
 from dataclasses import dataclass
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -99,6 +101,7 @@ _OMP_CLAUSE_ROLES = {
     "schedule": "omp_clause_schedule",
 }
 _CLAUSE_STRUCTURAL = {"(", ")", ","}
+_OFFSET = itemgetter(2)  # a Token's byte_offset
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,9 @@ def ssa_annotate(unit: SourceUnit, vocab: TagVocabulary | None = None) -> list[i
     tokens = unit.tokens
     roles: list[str] = []
     pos = 0
-    for start, end in directive_line_spans(unit):
+    for lo, hi in directive_line_spans(unit):
+        start = bisect.bisect_left(tokens, lo, pos, key=_OFFSET)
+        end = bisect.bisect_left(tokens, hi, start, key=_OFFSET)
         roles.extend(_token_role(t) for t in tokens[pos:start] if t.kind != "whitespace")
         roles.extend(_pragma_line_roles(tokens[start:end]))
         pos = end

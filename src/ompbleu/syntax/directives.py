@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .lexer import SourceUnit, Token
+from .lexer import SourceUnit, Token, first_newline
 from .loops import (
     LoopContext,
     _match_delim,
@@ -289,29 +289,36 @@ def _parse_directive_body(words: Sequence[Token]) -> tuple[tuple[str, ...], tupl
 
 
 def directive_line_spans(unit: SourceUnit) -> list[tuple[int, int]]:
-    """Token index spans [start, end) of each `#pragma omp` logical line.
+    """Byte extent [lo, hi) of each `#pragma omp` logical line: from the `#`
+    to the newline that ends the line (or the end of the text), through
+    trailing blanks, comments and splices.
 
     The one reader of what an OpenMP pragma line is: `#pragma`, then `omp`
-    (case-sensitive) after any whitespace, splices and comments of the line.
+    (case-sensitive) as the line's next code token.
     """
     spans: list[tuple[int, int]] = []
-    tokens = unit.tokens
-    i = 0
+    text, tokens = unit.text, unit.code
     n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok.kind == "preprocessor" and re.sub(r"[#\s]", "", tok.lexeme) == "pragma":
-            j = i + 1
-            while j < n and tokens[j].kind in ("whitespace", "comment") and tokens[j].in_directive:
-                j += 1
-            if j < n and tokens[j].in_directive and tokens[j].lexeme == "omp":
-                end = j
-                while end < n and tokens[end].in_directive:
-                    end += 1
-                spans.append((i, end))
-                i = end
-                continue
-        i += 1
+    pos = text.find("#")
+    while pos >= 0:
+        i = unit.token_index(pos)
+        if (
+            i + 1 < n
+            and tokens[i].byte_offset == pos
+            and tokens[i].kind == "preprocessor"
+            and re.sub(r"[#\s]", "", tokens[i].lexeme) == "pragma"
+            and tokens[i + 1].in_directive
+            and tokens[i + 1].lexeme == "omp"
+        ):
+            end = i + 2  # the next directive line starts at its own `#`
+            while end < n and tokens[end].in_directive and tokens[end].kind != "preprocessor":
+                end += 1
+            hi = tokens[end].byte_offset if end < n else len(text)
+            nl = first_newline(text, tokens[end - 1].end_offset, hi)
+            spans.append((pos, hi if nl < 0 else nl))
+            pos = text.find("#", hi)
+        else:
+            pos = text.find("#", pos + 1)
     return spans
 
 
@@ -355,10 +362,9 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
     loops_by_offset = {lp.byte_offset: lp for lp in loops}
     depths = _brace_depths(unit)
     # each pragma line's byte extent and its code tokens [start, end)
-    lines = []
-    for start, end in directive_line_spans(unit):
-        lo, hi = unit.tokens[start].byte_offset, unit.tokens[end - 1].end_offset
-        lines.append((lo, hi, unit.token_index(lo), unit.token_index(hi)))
+    lines = [
+        (lo, hi, unit.token_index(lo), unit.token_index(hi)) for lo, hi in directive_line_spans(unit)
+    ]
     line_ends = {start: end for _, _, start, end in lines}
 
     directives: list[Directive] = []
@@ -558,9 +564,6 @@ def strip_openmp(unit: SourceUnit) -> str:
     Whole physical lines are removed, including backslash continuations.
     Idempotent: stripping the text of a stripped unit is the identity.
     """
-    text, tokens = unit.text, unit.tokens
-    cuts = [
-        pragma_line_range(text, tokens[start].byte_offset, tokens[end - 1].end_offset)
-        for start, end in directive_line_spans(unit)
-    ]
+    text = unit.text
+    cuts = [pragma_line_range(text, lo, hi) for lo, hi in directive_line_spans(unit)]
     return "".join(text[a:b] for a, b in _kept_ranges(cuts, 0, len(text)))

@@ -156,7 +156,7 @@ def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
     # an unterminated brace body ends before the text's last token, as if
     # that token were its closing brace: only a text that ends in code loses
     # a code token from the body.
-    last = len(tokens) - (1 if tokens and unit.tokens[-1] is tokens[-1] else 0)
+    last = len(tokens) - (1 if tokens and tokens[-1].end_offset == len(unit.text) else 0)
     raw: list[dict] = []
 
     for idx, tok in enumerate(tokens):

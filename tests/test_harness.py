@@ -453,6 +453,19 @@ def test_cli_strip_lexes_once(tokenize_calls, capsys):
     assert tokenize_calls == [fixture_text("fig1_gt.c")]
 
 
+def test_cli_annotate_lexes_each_file_once(tokenize_calls, tmp_path, capsys):
+    names = ["fig1_gt.c", "single_gt.c"]
+    for name in names:
+        (tmp_path / name).write_text(fixture_text(name))
+    assert main(["annotate", str(tmp_path)]) == 0
+    assert sorted(tokenize_calls) == sorted(fixture_text(name) for name in names)
+
+
+def test_cli_corrupt_lexes_once(tokenize_calls, capsys):
+    assert main(["corrupt", str(FIXTURES / "single_gt.c"), "--seed", "1"]) == 0
+    assert tokenize_calls == [fixture_text("single_gt.c")]
+
+
 def test_cli_classify(tmp_path, capsys):
     ds = tmp_path / "ds.jsonl"
     _write_jsonl(

@@ -1,12 +1,15 @@
 import bisect
 import re
 import string
+from itertools import takewhile
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ompbleu.syntax import parse_source, tokenize
+from ompbleu.syntax.directives import directive_line_spans
 from ompbleu.syntax.lexer import (
     _MULTI_CHAR_OPERATORS,
     _RE_PREPROC,
@@ -17,12 +20,18 @@ from ompbleu.syntax.lexer import (
 from conftest import FIXTURES, fixture_text
 
 
+def stream(text: str) -> list[Token]:
+    """The full token stream of ``text``, layout included."""
+    return list(parse_source(text).tokens)
+
+
 def test_empty_input_yields_no_tokens():
     assert tokenize("") == []
+    assert stream("") == []
 
 
 def test_pragma_line_tokenization():
-    toks = [t for t in tokenize("#pragma omp parallel for") if t.kind != "whitespace"]
+    toks = [t for t in stream("#pragma omp parallel for") if t.kind != "whitespace"]
     assert len(toks) == 4
     assert toks[0].kind == "preprocessor"
     assert toks[0].lexeme == "#pragma"
@@ -31,7 +40,7 @@ def test_pragma_line_tokenization():
 
 
 def test_hand_lexed_statement():
-    toks = [t for t in tokenize("sum+=i;") if t.kind != "whitespace"]
+    toks = [t for t in stream("sum+=i;") if t.kind != "whitespace"]
     assert [t.lexeme for t in toks] == ["sum", "+=", "i", ";"]
     assert [t.kind for t in toks] == ["identifier", "punctuation", "identifier", "punctuation"]
 
@@ -52,7 +61,7 @@ def test_offsets_strictly_increasing():
 
 def test_comments_and_strings_classified():
     code = '// line\n/* block */ "str" \'c\' 42 0x1f 3.5e2\n'
-    kinds = {t.lexeme: t.kind for t in tokenize(code) if t.kind != "whitespace"}
+    kinds = {t.lexeme: t.kind for t in stream(code) if t.kind != "whitespace"}
     assert kinds["// line"] == "comment"
     assert kinds["/* block */"] == "comment"
     assert kinds['"str"'] == "string"
@@ -63,19 +72,19 @@ def test_comments_and_strings_classified():
 
 
 def test_pragma_not_recognized_mid_line():
-    toks = tokenize("int x; #pragma omp parallel\n")
+    toks = stream("int x; #pragma omp parallel\n")
     assert all(t.kind != "preprocessor" for t in toks)
 
 
 def test_pragma_inside_comment_or_string_ignored():
     code = '/* #pragma omp x */ const char *s = "#pragma omp y";\n'
-    toks = tokenize(code)
+    toks = stream(code)
     assert all(t.kind != "preprocessor" for t in toks)
 
 
 def test_line_continuation_stays_in_directive():
     code = "#pragma omp parallel \\\n    private(i)\nint x;\n"
-    toks = tokenize(code)
+    toks = stream(code)
     priv = next(t for t in toks if t.lexeme == "private")
     assert priv.in_directive
     declared = next(t for t in toks if t.lexeme == "int")
@@ -91,7 +100,7 @@ def test_line_numbers():
 @given(st.text(alphabet=string.printable, max_size=300))
 @settings(max_examples=300, deadline=None)
 def test_round_trip_property(text):
-    tokens = tokenize(text)
+    tokens = stream(text)
     assert "".join(t.lexeme for t in tokens) == text
     assert_matches_oracle(text)
     # the code view is the stream without layout, and token_index indexes it
@@ -105,13 +114,13 @@ def test_round_trip_property(text):
 @given(st.text(max_size=120))
 @settings(max_examples=150, deadline=None)
 def test_round_trip_arbitrary_unicode(text):
-    assert "".join(t.lexeme for t in tokenize(text)) == text
+    assert "".join(t.lexeme for t in stream(text)) == text
     assert_matches_oracle(text)
 
 
 # Oracle: the rule-by-rule scanner that tries each regex in turn at each
 # position, sharing only the keyword, operator and directive tables with the
-# lexer.  ``tokenize`` must give the same token stream field for field.
+# lexer.  A unit's full stream must be the oracle's field for field.
 
 _RE_LINE_SPLICE = re.compile(r"\\\r?\n")
 _RE_HORIZONTAL_WS = re.compile(r"[ \t\r\f\v]+")
@@ -214,7 +223,7 @@ def oracle_tokenize(text: str) -> list[tuple[str, str, int, int, bool]]:
 
 
 def assert_matches_oracle(text: str) -> None:
-    fields = [(t.lexeme, t.kind, t.byte_offset, t.line, t.in_directive) for t in tokenize(text)]
+    fields = [(t.lexeme, t.kind, t.byte_offset, t.line, t.in_directive) for t in stream(text)]
     assert fields == oracle_tokenize(text)
 
 
@@ -223,14 +232,35 @@ C_FRAGMENTS = (
     "\r", "\n", "\n\n", " ", "\t", "\f", "/*", "*/", "/* c */", "//", "/", "*",
     '"', "'", '\\"', "\\'", "...", ".", ".5", "3.", "1e-3", "0x1F", "0b101", "42uL",
     "<<=", "->*", "->", ".*", "::", "=", "<", ">", "-", "+", "(", ")", "{", "}",
-    ";", ",", "int", "for", "x", "_y1", "parallel", "²", "٣", "é",
+    ";", ",", "int", "for", "x", "_y1", "parallel", "²", "٣", "é", "omp", "# pragma",
 )
+
+
+def oracle_pragma_lines(text: str) -> list[tuple[int, int]]:
+    """Byte extent of each `#pragma omp` line in the oracle's stream: from
+    the `#` through the last token before the newline that ends the line."""
+    tokens = oracle_tokenize(text)
+    spans = []
+    for i, (lexeme, kind, offset, _, _) in enumerate(tokens):
+        if kind != "preprocessor" or re.sub(r"[#\s]", "", lexeme) != "pragma":
+            continue
+        rest = list(takewhile(itemgetter(4), tokens[i + 1 :]))  # up to the newline
+        code = [t for t in rest if t[1] not in ("whitespace", "comment")]
+        if code and code[0][0] == "omp":
+            spans.append((offset, rest[-1][2] + len(rest[-1][0])))
+    return spans
 
 
 @given(st.lists(st.sampled_from(C_FRAGMENTS), max_size=60).map("".join))
 @settings(max_examples=400, deadline=None)
 def test_tokenize_matches_oracle_on_c_fragments(text):
     assert_matches_oracle(text)
+    # the one lexing pass gives the oracle's code tokens, and the pragma
+    # lines read from them have the oracle's byte extents
+    unit = parse_source(text)
+    code = [(t.lexeme, t.kind, t.byte_offset, t.line, t.in_directive) for t in tokenize(text)]
+    assert code == [t for t in oracle_tokenize(text) if t[1] not in ("whitespace", "comment")]
+    assert directive_line_spans(unit) == oracle_pragma_lines(text)
 
 
 def test_token_is_immutable():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ompbleu.config import EvalConfig
 from ompbleu.metrics import ompbleu_score
-from ompbleu.syntax import parse_source, tokenize
+from ompbleu.syntax import parse_source
 
 from conftest import MULTIPLE_CASES, SINGLE_CASES, fixture_text, pragma_soups
 
@@ -35,7 +35,7 @@ def with_layout(draw, source: str) -> str:
     ROADMAP item 2).  Never after a string, which an unterminated literal
     would extend, nor after `/`, which a comment would turn into `//`.
     """
-    tokens = tokenize(source)
+    tokens = parse_source(source).tokens
     boundaries = [
         i
         for i, tok in enumerate(tokens)
