@@ -152,11 +152,6 @@ def _is_declaration_of(tokens: list[Token], names: frozenset[str]) -> bool:
 def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
     """All for-loops in source order, indexed from 0."""
     tokens = unit.code
-    # An unterminated body runs to the end of the text.  For the nest check
-    # an unterminated brace body ends before the text's last token, as if
-    # that token were its closing brace: only a text that ends in code loses
-    # a code token from the body.
-    last = len(tokens) - (1 if tokens and tokens[-1].end_offset == len(unit.text) else 0)
     raw: list[dict] = []
 
     for idx, tok in enumerate(tokens):
@@ -174,7 +169,7 @@ def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
             body_span = (close + 1, close + 1)
         elif tokens[k].kind == "punctuation" and tokens[k].lexeme == "{":
             stop = _match_delim(tokens, k)
-            body_span = (k + 1, last if stop is None else stop)
+            body_span = (k + 1, len(tokens) if stop is None else stop)
         else:
             stop = _statement_end(tokens, k)
             body_span = (k, len(tokens) if stop is None else stop + 1)

@@ -62,6 +62,14 @@ def test_inner_index_declaration_allowed_in_perfect_nest():
     assert loops[0].nesting_depth == 2
 
 
+def test_unterminated_body_runs_to_the_end_of_the_text():
+    # the statement after the inner loop breaks the perfect nest whether or
+    # not layout follows it
+    code = "for (i=0;i<n;i++) {\n for (j=0;j<m;j++) x++;\n y"
+    assert [lp.nesting_depth for lp in _loops(code)] == [1, 1]
+    assert [lp.nesting_depth for lp in _loops(code + "\n")] == [1, 1]
+
+
 def test_unbraced_nest_counts():
     loops = _loops("void f(void){ for (int i=0;i<3;i++) for (int j=0;j<3;j++) x++; }\n")
     assert loops[0].nesting_depth == 2
