@@ -546,10 +546,7 @@ def stripped_slice(
     source order.  For a span that starts and ends on token boundaries with
     a code token first, the text equals ``strip_openmp`` of the span's text
     parsed alone, and the tokens, cut from the unit's code tokens, have the
-    lexemes and kinds of that text's code tokens.  The one exception is a span
-    opening with a ``#`` that follows a comment: the unit lexes it as
-    punctuation, the span's text alone as the start of a directive; the
-    unit's reading is kept.
+    lexemes and kinds of that text's code tokens.
     """
     kept = _kept_ranges(pragma_lines, lo, hi)
     text = "".join(unit.text[a:b] for a, b in kept)

@@ -171,20 +171,6 @@ def first_newline(text: str, lo: int, hi: int) -> int:
     return -1
 
 
-def _starts_line(text: str, lo: int, hi: int, at_start: bool) -> bool:
-    """Whether a `#` after the layout ``text[lo:hi]`` is at line start: a
-    newline token comes before it and no comment after that newline (or in
-    the whole layout, at the start of the text)."""
-    if text.find("/", lo, hi) < 0 and text.find("\\", lo, hi) < 0:
-        return at_start or text.find("\n", lo, hi) >= 0
-    for lexeme in _RE_LAYOUT.findall(text, lo, hi):
-        if lexeme == "\n":
-            at_start = True
-        elif lexeme[0] == "/":
-            at_start = False
-    return at_start
-
-
 def _starts(parts: list[tuple[str, str]]) -> list[int]:
     """Byte offset of each code token from the (layout, lexeme) pairs."""
     return list(accumulate(map(len, chain.from_iterable(parts))))[::2]
@@ -202,9 +188,9 @@ def tokenize(text: str) -> list[Token]:
     nor a comment, in order.
 
     Preprocessor directives are recognized only at the start of a line
-    (after nothing but whitespace); the ``#`` plus directive word form a
-    single ``preprocessor`` token and the rest of the logical line, across
-    backslash continuations, is flagged ``in_directive``.
+    (after nothing but whitespace and comments); the ``#`` plus directive
+    word form a single ``preprocessor`` token and the rest of the logical
+    line, across backslash continuations, is flagged ``in_directive``.
     """
     parts = _RE_CODE.findall(text)
     while parts and not parts[-1][1]:  # the end-of-text matches
@@ -223,7 +209,9 @@ def tokenize(text: str) -> list[Token]:
         i = bisect.bisect_left(starts, pos)
         if i < n and starts[i] == pos and i > consumed:
             gap, lexeme = parts[i]
-            if _starts_line(text, pos - len(gap), pos, i == 0):
+            # at line start: no code token before it on its logical line
+            # (a comment stands for a space, C11 5.1.1.2 phase 3)
+            if i == 0 or first_newline(text, pos - len(gap), pos) >= 0:
                 directives.append(pos)
             elif text.startswith("##", pos):
                 consumed = i + 1

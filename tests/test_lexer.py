@@ -174,8 +174,9 @@ def oracle_tokenize(text: str) -> list[tuple[str, str, int, int, bool]]:
             m = _RE_LINE_COMMENT.match(text, pos) or _RE_BLOCK_COMMENT.match(
                 text, pos
             ) or _RE_UNTERMINATED_BLOCK_COMMENT.match(text, pos)
+            # a comment stands for a space (C11 5.1.1.2 phase 3): it keeps
+            # the line start
             emit(m.group(), "comment", in_directive)
-            at_line_start = False
             continue
 
         if ch == "#" and at_line_start and not in_directive:

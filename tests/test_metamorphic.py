@@ -30,16 +30,15 @@ FIXTURE_PAIRS = [
 def with_layout(draw, source: str) -> str:
     """``source`` with layout inserted before some of its tokens.
 
-    Never before a whitespace token, and never before a `preprocessor`
-    token: a comment there hides the directive (the lexer's known defect,
-    ROADMAP item 2).  Never after a string, which an unterminated literal
-    would extend, nor after `/`, which a comment would turn into `//`.
+    Never before a whitespace token, never after a string, which an
+    unterminated literal would extend, nor after `/`, which a comment would
+    turn into `//`.
     """
     tokens = parse_source(source).tokens
     boundaries = [
         i
         for i, tok in enumerate(tokens)
-        if tok.kind not in ("whitespace", "preprocessor")
+        if tok.kind != "whitespace"
         and (i == 0 or (tokens[i - 1].kind != "string" and tokens[i - 1].lexeme != "/"))
     ]
     if not boundaries:
@@ -75,3 +74,18 @@ def test_layout_keeps_fixture_scores(case):
 def test_layout_keeps_pragma_soup_scores(case):
     (reference, candidate), moved = case
     _assert_layout_invariant(reference, candidate, moved)
+
+
+def test_comment_before_a_pragma_keeps_the_directive():
+    # a comment stands for a space (C11 5.1.1.2 phase 3), so the `#` after
+    # it still opens the directive
+    reference = (
+        "void scale(int n, double *a) {\n"
+        "  int i;\n"
+        "#pragma omp parallel for\n"
+        "  for (i = 0; i < n; i++)\n"
+        "    a[i] = 2 * a[i];\n"
+        "}\n"
+    )
+    candidate = reference.replace("#pragma", "/* x */ #pragma")
+    assert ompbleu_score(reference, candidate, NO_COMPILE_CFG).composite == 100.0

@@ -75,12 +75,14 @@ def test_slices_match_relexing_on_pragma_soups(source):
 
 
 def test_construct_keeps_the_units_lexing_of_a_leading_hash():
-    # After a comment, `#` is punctuation in the unit.  Lexed on its own,
-    # the construct text would start a directive; the slice keeps the unit's
-    # reading, which the whole-unit scores use too.
+    # A comment keeps the line start, so after one `#` opens a directive in
+    # the unit just as in the text alone, and the pragma before that
+    # directive line governs no construct.
     side = analyze("#pragma omp single\n/* c */ # x;\n")
-    span = attached_construct_span(side.unit, side.directives[0])
-    assert side.unit.text[span[0] : span[1]] == "# x;"
-    assert side.stripped(span).vector.counts == {"#": 1, "x": 1, ";": 1}
+    assert attached_construct_span(side.unit, side.directives[0]) is None
+    assert [(t.lexeme, t.kind) for t in side.unit.code[-2:]] == [
+        ("# x", "preprocessor"),
+        (";", "punctuation"),
+    ]
+    assert SparseTokenVector.from_code("/* c */ # x;").counts == {"# x": 1, ";": 1}
     assert SparseTokenVector.from_code("# x;").counts == {"# x": 1, ";": 1}
-
