@@ -125,9 +125,11 @@ class SourceUnit:
         pos = 0
         line = 1
         in_directive = False
-        for tok in (*self.code, None):
-            hi = len(text) if tok is None else tok.byte_offset
-            if pos < hi:
+        for tok in (*self.code, Token("", "whitespace", len(text), line)):
+            hi = tok.byte_offset
+            if pos + 1 == hi and text[pos] != "\n":  # one blank: the commonest gap
+                append(new(Token, (text[pos], "whitespace", pos, line, in_directive)))
+            elif pos < hi:
                 for lexeme in findall(text, pos, hi):
                     if lexeme == "\n":
                         append(new(Token, (lexeme, "whitespace", pos, line, False)))
@@ -138,9 +140,11 @@ class SourceUnit:
                         append(new(Token, (lexeme, kind, pos, line, in_directive)))
                         line += lexeme.count("\n")
                     pos += len(lexeme)
-            if tok is not None:
-                append(tok)
-                pos, line, in_directive = tok.end_offset, tok.line, tok.in_directive
+            append(tok)
+            pos = hi + len(tok.lexeme)
+            line = tok.line
+            in_directive = tok.in_directive
+        out.pop()  # the end-of-text marker
         return tuple(out)
 
     @cached_property
