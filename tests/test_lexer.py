@@ -5,7 +5,7 @@ from itertools import takewhile
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ompbleu.syntax import parse_source, tokenize
@@ -253,13 +253,15 @@ def oracle_pragma_lines(text: str) -> list[tuple[int, int]]:
 
 
 @given(st.lists(st.sampled_from(C_FRAGMENTS), max_size=60).map("".join))
+@example("/* c */ #pragma omp for /* c */ \\\n x\n y /**/ # z\n")  # a comment keeps the line start
+@example("#define S(a) #a ## b ### c\n#\t if\n")  # `#` and `##` inside a directive
 @settings(max_examples=400, deadline=None)
 def test_tokenize_matches_oracle_on_c_fragments(text):
     assert_matches_oracle(text)
     # the one lexing pass gives the oracle's code tokens, and the pragma
     # lines read from them have the oracle's byte extents
     unit = parse_source(text)
-    code = [(t.lexeme, t.kind, t.byte_offset, t.line, t.in_directive) for t in tokenize(text)]
+    code = [(t.lexeme, t.kind, t.byte_offset, t.line, t.in_directive) for t in unit.code]
     assert code == [t for t in oracle_tokenize(text) if t[1] not in ("whitespace", "comment")]
     assert directive_line_spans(unit) == oracle_pragma_lines(text)
 
