@@ -195,7 +195,7 @@ def analyze(source: str, language: str | None = None) -> SideAnalysis:
         regions=tuple(regions),
         region_diagnostics=tuple(region_diags),
         pragma_lines=tuple(
-            pragma_line_range(unit.text, d.byte_offset, d.byte_offset + len(d.raw_text))
+            pragma_line_range(unit, d.byte_offset, d.byte_offset + len(d.raw_text))
             for d in directives
         ),
         language=language,

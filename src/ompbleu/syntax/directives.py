@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .lexer import SourceUnit, Token, first_newline
+from .lexer import SourceUnit, Token, first_newline, last_newline
 from .loops import (
     LoopContext,
     _match_delim,
@@ -513,12 +513,20 @@ def attached_construct_span(
     return None
 
 
-def pragma_line_range(text: str, start: int, end: int) -> tuple[int, int]:
-    """Byte range of the physical lines holding ``text[start:end]``, through
-    the newline that ends the last one: what stripping a pragma removes."""
-    line_start = text.rfind("\n", 0, start) + 1
+def pragma_line_range(unit: SourceUnit, start: int, end: int) -> tuple[int, int]:
+    """Byte range of the logical line holding the pragma
+    ``unit.text[start:end]``, through the newline that ends it: what
+    stripping the pragma removes.
+
+    The range opens after the newline that starts the line, so it takes any
+    comments before the `#`, also one that spans lines, whole.
+    """
+    text = unit.text
+    i = unit.token_index(start)
+    prev = unit.code[i - 1].end_offset if i else 0
+    nl = last_newline(text, prev, start)
     line_end = text.find("\n", end)
-    return line_start, len(text) if line_end == -1 else line_end + 1
+    return prev if nl < 0 else nl + 1, len(text) if line_end == -1 else line_end + 1
 
 
 def _kept_ranges(
@@ -558,9 +566,10 @@ def strip_openmp(unit: SourceUnit) -> str:
     """The unit's text without its OpenMP pragma lines; all other bytes are
     unchanged.
 
-    Whole physical lines are removed, including backslash continuations.
+    Each pragma's whole logical line is removed: its backslash continuations
+    and any comments before its `#`.
     Idempotent: stripping the text of a stripped unit is the identity.
     """
     text = unit.text
-    cuts = [pragma_line_range(text, lo, hi) for lo, hi in directive_line_spans(unit)]
+    cuts = [pragma_line_range(unit, lo, hi) for lo, hi in directive_line_spans(unit)]
     return "".join(text[a:b] for a, b in _kept_ranges(cuts, 0, len(text)))

@@ -175,6 +175,21 @@ def first_newline(text: str, lo: int, hi: int) -> int:
     return -1
 
 
+def last_newline(text: str, lo: int, hi: int) -> int:
+    """Offset of the last newline token in the layout ``text[lo:hi]``, or
+    -1, with the newlines read as :func:`first_newline` reads them."""
+    nl = text.rfind("\n", lo, hi)
+    if nl < 0 or (text.find("/", lo, hi) < 0 and text.find("\\", lo, hi) < 0):
+        return nl
+    last = -1
+    pos = lo
+    for lexeme in _RE_LAYOUT.findall(text, lo, hi):
+        if lexeme == "\n":
+            last = pos
+        pos += len(lexeme)
+    return last
+
+
 def _starts(parts: list[tuple[str, str]]) -> list[int]:
     """Byte offset of each code token from the (layout, lexeme) pairs."""
     return list(accumulate(map(len, chain.from_iterable(parts))))[::2]

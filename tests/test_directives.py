@@ -245,6 +245,15 @@ def test_malformed_clause_sets_degraded_flag():
     assert dirs[0].degraded
 
 
+def test_strip_removes_a_comment_spanning_lines_before_the_pragma():
+    # the comment is part of the pragma's logical line, so it goes whole and
+    # leaves no unterminated comment behind
+    code = "int x;\n/* a\n b */ #pragma omp parallel\nint y;\n"
+    stripped = strip_openmp(parse_source(code))
+    assert stripped == "int x;\nint y;\n"
+    assert [t.lexeme for t in parse_source(stripped).code] == ["int", "x", ";", "int", "y", ";"]
+
+
 def test_strip_removes_continuation_lines():
     code = (
         "int before;\n"

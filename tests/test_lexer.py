@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ompbleu.syntax import parse_source, tokenize
+from ompbleu.syntax import parse_source, strip_openmp, tokenize
 from ompbleu.syntax.directives import directive_line_spans
 from ompbleu.syntax.lexer import (
     _MULTI_CHAR_OPERATORS,
@@ -255,6 +255,7 @@ def oracle_pragma_lines(text: str) -> list[tuple[int, int]]:
 @given(st.lists(st.sampled_from(C_FRAGMENTS), max_size=60).map("".join))
 @example("/* c */ #pragma omp for /* c */ \\\n x\n y /**/ # z\n")  # a comment keeps the line start
 @example("#define S(a) #a ## b ### c\n#\t if\n")  # `#` and `##` inside a directive
+@example("int x;\n/* a\n b */ #pragma omp parallel\nint y;\n")  # a comment spanning lines
 @settings(max_examples=400, deadline=None)
 def test_tokenize_matches_oracle_on_c_fragments(text):
     assert_matches_oracle(text)
@@ -264,6 +265,15 @@ def test_tokenize_matches_oracle_on_c_fragments(text):
     code = [(t.lexeme, t.kind, t.byte_offset, t.line, t.in_directive) for t in unit.code]
     assert code == [t for t in oracle_tokenize(text) if t[1] not in ("whitespace", "comment")]
     assert directive_line_spans(unit) == oracle_pragma_lines(text)
+    # stripping removes the pragma lines' code tokens and lexes the rest as before
+    spans = directive_line_spans(unit)
+    kept = [
+        (t.lexeme, t.kind, t.in_directive)
+        for t in unit.code
+        if not any(lo <= t.byte_offset < hi for lo, hi in spans)
+    ]
+    stripped = parse_source(strip_openmp(unit)).code
+    assert [(t.lexeme, t.kind, t.in_directive) for t in stripped] == kept
 
 
 def test_token_is_immutable():

@@ -6,6 +6,7 @@ the diagnostics must stay equal (metamorphic testing, Chen et al., ACM CSUR
 51(1), 2018).  The compile check is off: it judges the whole text.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,7 +77,8 @@ def test_layout_keeps_pragma_soup_scores(case):
     _assert_layout_invariant(reference, candidate, moved)
 
 
-def test_comment_before_a_pragma_keeps_the_directive():
+@pytest.mark.parametrize("comment", ["/* x */ ", "/* x\n   y */ "])
+def test_comment_before_a_pragma_keeps_the_directive(comment):
     # a comment stands for a space (C11 5.1.1.2 phase 3), so the `#` after
     # it still opens the directive
     reference = (
@@ -87,5 +89,5 @@ def test_comment_before_a_pragma_keeps_the_directive():
         "    a[i] = 2 * a[i];\n"
         "}\n"
     )
-    candidate = reference.replace("#pragma", "/* x */ #pragma")
+    candidate = reference.replace("#pragma", comment + "#pragma")
     assert ompbleu_score(reference, candidate, NO_COMPILE_CFG).composite == 100.0

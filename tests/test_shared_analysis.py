@@ -68,6 +68,22 @@ def test_slices_match_relexing_on_every_fixture():
         _assert_slices_match_relexing(path.read_text())
 
 
+def test_slices_match_relexing_after_a_comment_spanning_lines():
+    source = (
+        "void f(int n, double *a) {\n"
+        "#pragma omp parallel\n"
+        "  {\n"
+        "    /* a\n"
+        "       b */ #pragma omp for\n"
+        "    for (int i = 0; i < n; i++)\n"
+        "      a[i] = 0;\n"
+        "  }\n"
+        "}\n"
+    )
+    _assert_slices_match_relexing(source)
+    assert analyze(source).stripped((0, len(source))).text == _stripped(source)
+
+
 @given(pragma_soups())
 @settings(max_examples=300, deadline=None)
 def test_slices_match_relexing_on_pragma_soups(source):
