@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .lexer import SourceUnit, Token, first_newline, last_newline
+from .lexer import SourceUnit, Token, newline_tokens
 from .loops import (
     LoopContext,
     _match_delim,
@@ -314,8 +314,8 @@ def directive_line_spans(unit: SourceUnit) -> list[tuple[int, int]]:
             while end < n and tokens[end].in_directive and tokens[end].kind != "preprocessor":
                 end += 1
             hi = tokens[end].byte_offset if end < n else len(text)
-            nl = first_newline(text, tokens[end - 1].end_offset, hi)
-            spans.append((pos, hi if nl < 0 else nl))
+            newlines = newline_tokens(text, tokens[end - 1].end_offset, hi)
+            spans.append((pos, newlines[0] if newlines else hi))
             pos = text.find("#", hi)
         else:
             pos = text.find("#", pos + 1)
@@ -524,9 +524,9 @@ def pragma_line_range(unit: SourceUnit, start: int, end: int) -> tuple[int, int]
     text = unit.text
     i = unit.token_index(start)
     prev = unit.code[i - 1].end_offset if i else 0
-    nl = last_newline(text, prev, start)
+    newlines = newline_tokens(text, prev, start)
     line_end = text.find("\n", end)
-    return prev if nl < 0 else nl + 1, len(text) if line_end == -1 else line_end + 1
+    return newlines[-1] + 1 if newlines else prev, len(text) if line_end == -1 else line_end + 1
 
 
 def _kept_ranges(

@@ -8,6 +8,12 @@ positions, pragma lines, and brace nesting without a full parser.
 Lexing is one pass that yields the code tokens, the ones that are neither
 whitespace nor comments; the layout between them is lexed again, from the
 text, only where the full stream is asked for.
+
+A `#` opens a preprocessor directive when nothing but layout comes before
+it on its logical line (C11 5.1.1.2, phases 3-4: a comment counts as a
+space and a line splice joins two lines).  The one match that lexes each
+code token decides this, from whether the layout before the token holds a
+newline token.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ import bisect
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
-from operator import itemgetter
+from itertools import accumulate, compress, repeat
+from operator import add, itemgetter
 from typing import NamedTuple
 
 TOKEN_KINDS = (
@@ -54,21 +60,26 @@ _MULTI_CHAR_OPERATORS = (
 )
 
 # Layout: a newline, a splice or blanks (whitespace), or a comment.
-_LAYOUT = r"\n|\\\r?\n|[ \t\r\f\v]+|//[^\n]*|(?s:/\*.*?\*/|/\*.*)"
-_RE_LAYOUT = re.compile(_LAYOUT)
+_INLINE_LAYOUT = r"\\\r?\n|[ \t\r\f\v]+|//[^\n]*|(?s:/\*.*?\*/|/\*.*)"
+_RE_LAYOUT = re.compile(r"\n|" + _INLINE_LAYOUT)
 _RE_PREPROC = re.compile(r"#[ \t]*[A-Za-z_]\w*|#")
 
-# One match per code token: the layout before it, then the token, whose
-# alternatives are in priority order.  A `#` takes the directive word after
-# it (the preprocessor token); ``tokenize`` splits it off again where the
-# `#` does not start a line.  The token group always matches, ``\Z`` taking
-# the trailing layout, so the greedy layout run never backtracks.
+# One match per code token: the layout before it, then the token.  Group 2
+# is set when that layout holds a newline token (a capture in a repetition
+# keeps its last match), that is, when the token starts its logical line.
+# A `#` takes the directive word after it as one preprocessor token only
+# there; elsewhere it is `#` or `##`.  The token alternatives are in
+# priority order, except that a word comes first because it is the commonest
+# and no other alternative starts with a letter or `_`.  The token group
+# always matches, ``\Z`` taking the trailing layout, so the greedy layout run
+# never backtracks.
 _RE_CODE = re.compile(
-    rf"((?:{_LAYOUT})*)({_RE_PREPROC.pattern}"
+    rf"((?:(\n)|{_INLINE_LAYOUT})*)("
+    r"[A-Za-z_]\w*"
+    rf"|(?=#)(?(2)(?:{_RE_PREPROC.pattern})|(?!))"
     r'|"(?:\\.|[^"\\\n])*"?' r"|'(?:\\.|[^'\\\n])*'?"
     r"|(?:0[xX][0-9a-fA-F]+|0[bB][01]+|\d+\.\d*(?:[eE][+-]?\d+)?"
     r"|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)[uUlLfF]*"
-    r"|[A-Za-z_]\w*"
     r"|" + "|".join(map(re.escape, _MULTI_CHAR_OPERATORS)) + r"|(?s:.)|\Z)"
 )
 
@@ -161,45 +172,16 @@ class SourceUnit:
         return "".join(t.lexeme for t in self.tokens)
 
 
-def first_newline(text: str, lo: int, hi: int) -> int:
-    """Offset of the first newline token in the layout ``text[lo:hi]``, or
-    -1: a newline inside a comment or a splice ends no line."""
-    nl = text.find("\n", lo, hi)
-    if nl < 0 or (text.find("/", lo, nl) < 0 and text.find("\\", lo, nl) < 0):
-        return nl
+def newline_tokens(text: str, lo: int, hi: int) -> list[int]:
+    """Offsets of the newline tokens in the layout ``text[lo:hi]``: a
+    newline inside a comment or a splice ends no line."""
+    offsets = []
     pos = lo
     for lexeme in _RE_LAYOUT.findall(text, lo, hi):
         if lexeme == "\n":
-            return pos
+            offsets.append(pos)
         pos += len(lexeme)
-    return -1
-
-
-def last_newline(text: str, lo: int, hi: int) -> int:
-    """Offset of the last newline token in the layout ``text[lo:hi]``, or
-    -1, with the newlines read as :func:`first_newline` reads them."""
-    nl = text.rfind("\n", lo, hi)
-    if nl < 0 or (text.find("/", lo, hi) < 0 and text.find("\\", lo, hi) < 0):
-        return nl
-    last = -1
-    pos = lo
-    for lexeme in _RE_LAYOUT.findall(text, lo, hi):
-        if lexeme == "\n":
-            last = pos
-        pos += len(lexeme)
-    return last
-
-
-def _starts(parts: list[tuple[str, str]]) -> list[int]:
-    """Byte offset of each code token from the (layout, lexeme) pairs."""
-    return list(accumulate(map(len, chain.from_iterable(parts))))[::2]
-
-
-def _hash_parts(gap: str, head: str, rest: str) -> list[tuple[str, str]]:
-    """(layout, lexeme) pairs of a `#` or `##` that opens no directive,
-    then of the blanks and word that ``rest`` holds after it, if any."""
-    word = rest.lstrip(" \t")
-    return [(gap, head), (rest[: len(rest) - len(word)], word)] if word else [(gap, head)]
+    return offsets
 
 
 def tokenize(text: str) -> list[Token]:
@@ -211,62 +193,31 @@ def tokenize(text: str) -> list[Token]:
     word form a single ``preprocessor`` token and the rest of the logical
     line, across backslash continuations, is flagged ``in_directive``.
     """
-    parts = _RE_CODE.findall(text)
-    while parts and not parts[-1][1]:  # the end-of-text matches
+    # the newline put first makes the first code token start a line
+    parts = _RE_CODE.findall("\n" + text)
+    while parts and not parts[-1][2]:  # the end-of-text matches
         parts.pop()
-    starts = _starts(parts)
-    n = len(parts)
-
-    # Settle each `#`: at line start it opens a directive with the word
-    # matched after it; elsewhere it is `#` or `##`, and a word after it is
-    # its own token.  Edits are (start, stop, replacement pairs).
-    directives: list[int] = []  # offsets of the preprocessor tokens
-    edits: list[tuple[int, int, list[tuple[str, str]]]] = []
-    consumed = -1  # the second `#` of a `##`
-    pos = text.find("#")
-    while pos >= 0:
-        i = bisect.bisect_left(starts, pos)
-        if i < n and starts[i] == pos and i > consumed:
-            gap, lexeme = parts[i]
-            # at line start: no code token before it on its logical line
-            # (a comment stands for a space, C11 5.1.1.2 phase 3)
-            if i == 0 or first_newline(text, pos - len(gap), pos) >= 0:
-                directives.append(pos)
-            elif text.startswith("##", pos):
-                consumed = i + 1
-                edits.append((i, i + 2, _hash_parts(gap, "##", parts[i + 1][1][1:])))
-            elif lexeme != "#":
-                edits.append((i, i + 1, _hash_parts(gap, "#", lexeme[1:])))
-        pos = text.find("#", pos + 1)
-    if edits:
-        for i, j, replacement in reversed(edits):
-            parts[i:j] = replacement
-        starts = _starts(parts)
-        n = len(parts)
-
-    gaps, lexemes = zip(*parts) if parts else ((), ())
+    gaps, newlines, lexemes = zip(*parts) if parts else ((), (), ())
+    n = len(lexemes)
+    # a token starts after the end of the one before it (or of the newline
+    # put first) and its layout
+    gap_lens = list(map(len, gaps))
+    ends = accumulate(map(add, gap_lens, map(len, lexemes)), initial=-1)
+    starts = list(map(add, ends, gap_lens))
+    # code tokens hold no newline, so a token's line counts the newlines of
+    # the layout before it
+    lines = accumulate(map(str.count, gaps, repeat("\n")))
     # a lexeme's kind is in the table or else given by its first character
     first = map(_KIND_OF_FIRST.__getitem__, map(itemgetter(0), lexemes))
     kinds = list(map(_KIND_OF.get, lexemes, first))
-    # code tokens hold no newline, so a token's line counts the newlines of
-    # the layout before it
-    lines = accumulate(map(str.count, gaps, repeat("\n")), initial=1)
-    next(lines)
     flags = [False] * n
-    for pos in directives:
-        i = bisect.bisect_left(starts, pos)
-        kinds[i] = "preprocessor"
-        # the directive runs to the first code token after a newline token
-        end = i + 1
-        while end < n:
-            nl = text.find("\n", starts[end - 1])
-            end = n if nl < 0 else bisect.bisect_left(starts, nl, end)
-            if end == n:
-                break
-            if first_newline(text, starts[end - 1] + len(lexemes[end - 1]), starts[end]) >= 0:
-                break
-            end += 1
-        flags[i:end] = repeat(True, end - i)
+    # a line head that is a `#` token opens a directive, which runs to the
+    # next line head
+    heads = [*compress(range(n), newlines), n]
+    for head, end in zip(heads, heads[1:]):
+        if lexemes[head][0] == "#":
+            kinds[head] = "preprocessor"
+            flags[head:end] = repeat(True, end - head)
 
     new = tuple.__new__  # builds a Token without its Python-level __new__
     return list(map(new, repeat(Token), zip(lexemes, kinds, starts, lines, flags)))
