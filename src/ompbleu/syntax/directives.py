@@ -365,7 +365,6 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
     lines = [
         (lo, hi, unit.token_index(lo), unit.token_index(hi)) for lo, hi in directive_line_spans(unit)
     ]
-    line_ends = {start: end for _, _, start, end in lines}
 
     directives: list[Directive] = []
     for lo, hi, start, end in lines:
@@ -375,10 +374,8 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
             kinds = ("unknown",)
             degraded = True
 
-        # attachment: next code token after this (and any stacked) pragma line
-        k = end
-        while k in line_ends:
-            k = line_ends[k]
+        # attachment: next code token after this and any other preprocessor line
+        k = _skip_to_code(tokens, end)
         if k >= len(tokens):
             attached_kind = ATTACHED_NONE
             attached_loop = None

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,6 +172,16 @@ def test_collapse_not_applicable_without_clause():
 def test_collapse_on_non_loop_is_invalid():
     _, dirs = _parse("#pragma omp parallel for collapse(2)\nx = 1;\n")
     assert dirs[0].collapse_tag == COLLAPSE_INVALID
+
+
+@pytest.mark.parametrize("between", ["", "#ifdef X\n#endif\n", "#pragma omp simd\n#define N 4\n"])
+def test_pragma_attaches_across_preprocessor_lines(between):
+    code = f"#pragma omp parallel for collapse(1)\n{between}for (int i=0;i<n;i++) a[i]=0;\n"
+    unit, dirs = _parse(code)
+    assert dirs[0].attached_kind == "for_loop"
+    assert dirs[0].collapse_tag == COLLAPSE_VALID
+    loop = dirs[0].attached_loop
+    assert unit.text[loop.byte_offset : loop.end_offset] == "for (int i=0;i<n;i++) a[i]=0;"
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
