@@ -107,31 +107,24 @@ def clause_confusion(
         vocab = ClauseVocabulary.default()
     gt_present = presence_set(gt)
     gen_present = presence_set(gen)
-    vocab_set = set(vocab.kinds)
 
-    counts: dict[str, ConfusionCounts] = {}
-    for kind in vocab.kinds:
+    def presence(kind: str) -> ConfusionCounts:
         in_gt = kind in gt_present
         in_gen = kind in gen_present
-        counts[kind] = ConfusionCounts(
+        return ConfusionCounts(
             tp=int(in_gt and in_gen),
             fp=int(in_gen and not in_gt),
             fn=int(in_gt and not in_gen),
             tn=int(not in_gt and not in_gen),
         )
 
-    outside = (gt_present | gen_present) - vocab_set
+    counts = {kind: presence(kind) for kind in vocab.kinds}
+    # a kind outside the vocabulary is present on a side, so its tn is 0
+    outside = sorted((gt_present | gen_present) - set(vocab.kinds))
     if outside:
-        bucket = ConfusionCounts()
-        for kind in sorted(outside):
-            in_gt = kind in gt_present
-            in_gen = kind in gen_present
-            bucket.tp += int(in_gt and in_gen)
-            bucket.fp += int(in_gen and not in_gt)
-            bucket.fn += int(in_gt and not in_gen)
-            if diagnostics is not None:
-                diagnostics.append(f"kind outside vocabulary: {kind!r}")
-        counts[UNKNOWN_BUCKET] = bucket
+        counts[UNKNOWN_BUCKET] = sum(map(presence, outside), ConfusionCounts())
+        if diagnostics is not None:
+            diagnostics.extend(f"kind outside vocabulary: {kind!r}" for kind in outside)
     return counts
 
 

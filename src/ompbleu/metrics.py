@@ -9,6 +9,7 @@ is penalized by the coverage term only.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import zip_longest
@@ -34,6 +35,7 @@ from .syntax import (
 )
 from .syntax.directives import (
     attached_construct_span,
+    canonical_clause,
     extract_directives,
     pragma_line_range,
     stripped_slice,
@@ -347,7 +349,7 @@ def _forgiven_components(
         for clause in nd.directive.clauses:
             if clause.kind != "private":
                 continue
-            comp = f"private({','.join(sorted(clause.variables))})"
+            comp = canonical_clause(clause)
             if comp not in nd.implicit_private or comp in gen_components:
                 continue
             if clause.variables and clause.variables <= gen_loop_counters:
@@ -431,15 +433,22 @@ def pragma_location_score(
     gt_other = [nd for nd in gt.normalized if not _is_loop_related(nd)]
     gen_other = [nd for nd in gen.normalized if not _is_loop_related(nd)]
 
-    def loop_term(a: NormalizedDirective | None, b: NormalizedDirective | None) -> float:
-        if a is None or b is None:
-            if diagnostics is not None:
-                missing = "generated" if b is None else "reference"
-                present = a or b
-                diagnostics.append(
-                    f"loop pragma '{' '.join(present.kinds)}' unmatched on {missing} side"
-                )
-            return 0.0
+    def paired(
+        term: Callable[[NormalizedDirective, NormalizedDirective], float],
+        label: str,
+        a: NormalizedDirective | None,
+        b: NormalizedDirective | None,
+    ) -> float:
+        """``term`` of a pair, or 0 for a pragma unmatched on one side."""
+        if a is not None and b is not None:
+            return term(a, b)
+        if diagnostics is not None:
+            missing = "generated" if b is None else "reference"
+            present = a or b
+            diagnostics.append(f"{label} '{' '.join(present.kinds)}' unmatched on {missing} side")
+        return 0.0
+
+    def loop_term(a: NormalizedDirective, b: NormalizedDirective) -> float:
         la, lb = a.directive.attached_loop, b.directive.attached_loop
         if la is None and lb is None:
             return other_term(a, b)
@@ -463,15 +472,7 @@ def pragma_location_score(
             )
         return cos * penalty
 
-    def other_term(a: NormalizedDirective | None, b: NormalizedDirective | None) -> float:
-        if a is None or b is None:
-            if diagnostics is not None:
-                missing = "generated" if b is None else "reference"
-                present = a or b
-                diagnostics.append(
-                    f"pragma '{' '.join(present.kinds)}' unmatched on {missing} side"
-                )
-            return 0.0
+    def other_term(a: NormalizedDirective, b: NormalizedDirective) -> float:
         ctx_a = _construct_code(gt, a)
         ctx_b = _construct_code(gen, b)
         if ctx_a is None and ctx_b is None:
@@ -480,8 +481,10 @@ def pragma_location_score(
             return 0.0
         return backend.similarity(ctx_a, ctx_b)
 
-    loop_terms = [loop_term(a, b) for a, b in zip_longest(gt_loop, gen_loop)]
-    other_terms = [other_term(a, b) for a, b in zip_longest(gt_other, gen_other)]
+    loop_terms = [
+        paired(loop_term, "loop pragma", a, b) for a, b in zip_longest(gt_loop, gen_loop)
+    ]
+    other_terms = [paired(other_term, "pragma", a, b) for a, b in zip_longest(gt_other, gen_other)]
 
     if not loop_terms and not other_terms:
         return 1.0
