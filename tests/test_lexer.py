@@ -256,6 +256,9 @@ def oracle_pragma_lines(text: str) -> list[tuple[int, int]]:
 @example("/* c */ #pragma omp for /* c */ \\\n x\n y /**/ # z\n")  # a comment keeps the line start
 @example("#define S(a) #a ## b ### c\n#\t if\n")  # `#` and `##` inside a directive
 @example("int x;\n/* a\n b */ #pragma omp parallel\nint y;\n")  # a comment spanning lines
+@example(" /* c */ #define X")  # the first code token, after inline layout
+@example("x \\\n#y")  # a `#` after only a splice is mid-line
+@example("x;\r\n#pragma omp for\r\n")  # a `\r\n` line end
 @settings(max_examples=400, deadline=None)
 def test_tokenize_matches_oracle_on_c_fragments(text):
     assert_matches_oracle(text)
