@@ -13,6 +13,7 @@ import math
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Protocol, Sequence
 
 from .syntax import Token, parse_source
@@ -102,7 +103,8 @@ class SparseTokenVector:
     def from_tokens(cls, tokens: Iterable[Token]) -> "SparseTokenVector":
         """Counts of the lexemes of ``tokens``, code tokens as in
         :attr:`~ompbleu.syntax.SourceUnit.code`."""
-        return cls(counts=dict(Counter(t.lexeme for t in tokens)))
+        # a Token's first field is its lexeme
+        return cls(counts=dict(Counter(map(itemgetter(0), tokens))))
 
     @classmethod
     def from_code(cls, text: str) -> "SparseTokenVector":

@@ -92,8 +92,11 @@ class _KindOfFirst(dict):
         return "number" if ch.isdecimal() else "punctuation"
 
 
+# Every ASCII character is listed, so only a non-ASCII first character
+# reaches __missing__.
 _KIND_OF_FIRST = _KindOfFirst(
     {
+        **dict.fromkeys(map(chr, range(128)), "punctuation"),
         **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "identifier"),
         **dict.fromkeys("0123456789.", "number"),
         **dict.fromkeys("\"'", "string"),
@@ -193,12 +196,15 @@ def tokenize(text: str) -> list[Token]:
     word form a single ``preprocessor`` token and the rest of the logical
     line, across backslash continuations, is flagged ``in_directive``.
     """
-    # the newline put first makes the first code token start a line
-    parts = _RE_CODE.findall("\n" + text)
-    while parts and not parts[-1][2]:  # the end-of-text matches
-        parts.pop()
-    gaps, newlines, lexemes = zip(*parts) if parts else ((), (), ())
-    n = len(lexemes)
+    # the newline put first makes the first code token start a line.  The
+    # split gives four items per match: the text between matches, always
+    # empty because the token group matches any character, and the groups.
+    parts = _RE_CODE.split("\n" + text)
+    lexemes = parts[3::4]
+    n = lexemes.index("")  # the end-of-text matches come last
+    del lexemes[n:]
+    gaps = parts[1 : 4 * n : 4]
+    newlines = parts[2 : 4 * n : 4]
     # a token starts after the end of the one before it (or of the newline
     # put first) and its layout
     gap_lens = list(map(len, gaps))

@@ -1,3 +1,4 @@
+import gc
 import json
 import statistics
 import subprocess
@@ -438,6 +439,32 @@ def test_cli_malformed_config_section_exit_2(tmp_path, capsys, raw):
     rc = main(["--config", str(bad), "strip", str(FIXTURES / "fig1_gt.c")])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_restores_the_gc_threshold_on_every_exit(tmp_path, capsys):
+    # main raises the collector's generation-0 threshold while it runs; the
+    # threshold is process-wide, so every way out must put the caller's back
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\"weights\": {\"wc\": 0.999}}")
+    source = str(FIXTURES / "fig1_gt.c")
+    exits = [
+        (["strip", source], 0),
+        (["--jobs", "0", "strip", source], 2),  # a usage error
+        (["--version"], 0),
+        (["--config", str(bad), "strip", source], 2),
+        (["strip", str(tmp_path / "missing.c")], 1),
+    ]
+    saved = gc.get_threshold()
+    try:
+        gc.set_threshold(555, 7, 9)
+        for argv, code in exits:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            assert (rc, gc.get_threshold()) == (code, (555, 7, 9)), argv
+    finally:
+        gc.set_threshold(*saved)
 
 
 def test_cli_strip(capsys):

@@ -97,7 +97,19 @@ def test_line_numbers():
     assert by_lex == {"a": 1, "bb": 2, "ccc": 3}
 
 
+# Edge cases at the ends of the text: nothing, only layout, and a text that
+# ends in an unterminated comment, a splice, a `\r` or a lone `#`.
+EDGE_TEXTS = ("", " \t\n\f\v\n", "x /* c\n", "x; //", "x \\", "x \\\n", "x;\r", "x;\n#", "#")
+
+
+def edge_examples(test):
+    for text in EDGE_TEXTS:
+        test = example(text)(test)
+    return test
+
+
 @given(st.text(alphabet=string.printable, max_size=300))
+@edge_examples
 @settings(max_examples=300, deadline=None)
 def test_round_trip_property(text):
     tokens = stream(text)
@@ -259,6 +271,7 @@ def oracle_pragma_lines(text: str) -> list[tuple[int, int]]:
 @example(" /* c */ #define X")  # the first code token, after inline layout
 @example("x \\\n#y")  # a `#` after only a splice is mid-line
 @example("x;\r\n#pragma omp for\r\n")  # a `\r\n` line end
+@edge_examples
 @settings(max_examples=400, deadline=None)
 def test_tokenize_matches_oracle_on_c_fragments(text):
     assert_matches_oracle(text)
