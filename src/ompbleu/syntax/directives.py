@@ -77,6 +77,10 @@ ATTACHED_BLOCK = "block"
 ATTACHED_STATEMENT = "statement"
 ATTACHED_NONE = "none"
 
+# A preprocessor token ends in its directive word; blanks, comments and line
+# splices may stand between the `#` and the word.
+_RE_DIRECTIVE_WORD = re.compile(r"\w*\Z")
+
 
 @dataclass(frozen=True)
 class Clause:
@@ -306,7 +310,7 @@ def directive_line_spans(unit: SourceUnit) -> list[tuple[int, int]]:
             i + 1 < n
             and tokens[i].byte_offset == pos
             and tokens[i].kind == "preprocessor"
-            and re.sub(r"[#\s]", "", tokens[i].lexeme) == "pragma"
+            and _RE_DIRECTIVE_WORD.search(tokens[i].lexeme)[0] == "pragma"
             and tokens[i + 1].in_directive
             and tokens[i + 1].lexeme == "omp"
         ):

@@ -62,7 +62,10 @@ _MULTI_CHAR_OPERATORS = (
 # Layout: a newline, a splice or blanks (whitespace), or a comment.
 _INLINE_LAYOUT = r"\\\r?\n|[ \t\r\f\v]+|//[^\n]*|(?s:/\*.*?\*/|/\*.*)"
 _RE_LAYOUT = re.compile(r"\n|" + _INLINE_LAYOUT)
-_RE_PREPROC = re.compile(r"#[ \t]*[A-Za-z_]\w*|#")
+# A `#` and its directive word.  Blanks, block comments and splices may stand
+# between them, as in C (5.1.1.2 phases 2-3, 6.10p5); a comment ends at its
+# first `*/`.
+_RE_PREPROC = re.compile(r"#(?:[ \t]|\\\r?\n|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*[A-Za-z_]\w*|#")
 
 # One match per code token: the layout before it, then the token.  Group 2
 # is set when that layout holds a newline token (a capture in a repetition
@@ -157,6 +160,8 @@ class SourceUnit:
             append(tok)
             pos = hi + len(tok.lexeme)
             line = tok.line
+            if tok.kind == "preprocessor":  # a splice or a comment may come before its word
+                line += tok.lexeme.count("\n")
             in_directive = tok.in_directive
         out.pop()  # the end-of-text marker
         return tuple(out)
@@ -193,8 +198,9 @@ def tokenize(text: str) -> list[Token]:
 
     Preprocessor directives are recognized only at the start of a line
     (after nothing but whitespace and comments); the ``#`` plus directive
-    word form a single ``preprocessor`` token and the rest of the logical
-    line, across backslash continuations, is flagged ``in_directive``.
+    word, with any blanks, comments and splices between them, form a single
+    ``preprocessor`` token and the rest of the logical line, across
+    backslash continuations, is flagged ``in_directive``.
     """
     # the newline put first makes the first code token start a line.  The
     # split gives four items per match: the text between matches, always
@@ -210,9 +216,9 @@ def tokenize(text: str) -> list[Token]:
     gap_lens = list(map(len, gaps))
     ends = accumulate(map(add, gap_lens, map(len, lexemes)), initial=-1)
     starts = list(map(add, ends, gap_lens))
-    # code tokens hold no newline, so a token's line counts the newlines of
-    # the layout before it
-    lines = accumulate(map(str.count, gaps, repeat("\n")))
+    # a token's line counts the newlines before it: those of the layout and
+    # those of the preprocessor tokens, the only code tokens that can hold one
+    newline_counts = list(map(str.count, gaps, repeat("\n")))
     # a lexeme's kind is in the table or else given by its first character
     first = map(_KIND_OF_FIRST.__getitem__, map(itemgetter(0), lexemes))
     kinds = list(map(_KIND_OF.get, lexemes, first))
@@ -221,9 +227,13 @@ def tokenize(text: str) -> list[Token]:
     # next line head
     heads = [*compress(range(n), newlines), n]
     for head, end in zip(heads, heads[1:]):
-        if lexemes[head][0] == "#":
+        lexeme = lexemes[head]
+        if lexeme[0] == "#":
             kinds[head] = "preprocessor"
             flags[head:end] = repeat(True, end - head)
+            if head + 1 < n:
+                newline_counts[head + 1] += lexeme.count("\n")
+    lines = accumulate(newline_counts)
 
     new = tuple.__new__  # builds a Token without its Python-level __new__
     return list(map(new, repeat(Token), zip(lexemes, kinds, starts, lines, flags)))

@@ -184,6 +184,22 @@ def test_pragma_attaches_across_preprocessor_lines(between):
     assert unit.text[loop.byte_offset : loop.end_offset] == "for (int i=0;i<n;i++) a[i]=0;"
 
 
+@pytest.mark.parametrize("spelling", ["#/* c */pragma", "#\\\npragma", "# /* a\n   b */ pragma"])
+def test_layout_between_the_hash_and_the_word_keeps_the_pragma(spelling):
+    # blanks, comments and splices before the directive word are layout, as
+    # in C (C11 5.1.1.2 phases 2-3)
+    code = "#pragma omp parallel for private(j)\nfor (i=0;i<n;i++) a[i]=0;\n#pragma omp barrier\nx;\n"
+    moved = code.replace("#pragma", spelling)
+    _, dirs = _parse(code)
+    unit, moved_dirs = _parse(moved)
+    assert [(d.kinds, d.clauses, d.attached_kind) for d in moved_dirs] == [
+        (d.kinds, d.clauses, d.attached_kind) for d in dirs
+    ]
+    # the newlines inside the first `#` token count in the second one's line
+    assert [d.line for d in moved_dirs] == [1, 3 + spelling.count("\n")]
+    assert strip_openmp(unit) == strip_openmp(parse_source(code))
+
+
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_collapse_validity_monotone_in_nesting(collapse_n, depth):

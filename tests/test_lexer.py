@@ -255,7 +255,8 @@ def oracle_pragma_lines(text: str) -> list[tuple[int, int]]:
     tokens = oracle_tokenize(text)
     spans = []
     for i, (lexeme, kind, offset, _, _) in enumerate(tokens):
-        if kind != "preprocessor" or re.sub(r"[#\s]", "", lexeme) != "pragma":
+        word = re.sub(r"(?s:/\*.*?\*/)|\\\r?\n|[#\s]", "", lexeme)
+        if kind != "preprocessor" or word != "pragma":
             continue
         rest = list(takewhile(itemgetter(4), tokens[i + 1 :]))  # up to the newline
         code = [t for t in rest if t[1] not in ("whitespace", "comment")]
@@ -271,6 +272,7 @@ def oracle_pragma_lines(text: str) -> list[tuple[int, int]]:
 @example(" /* c */ #define X")  # the first code token, after inline layout
 @example("x \\\n#y")  # a `#` after only a splice is mid-line
 @example("x;\r\n#pragma omp for\r\n")  # a `\r\n` line end
+@example("#/* a\n b */pragma omp for\n# \\\npragma omp x /**/\n#/* c */ 1\n")  # layout before the word
 @edge_examples
 @settings(max_examples=400, deadline=None)
 def test_tokenize_matches_oracle_on_c_fragments(text):

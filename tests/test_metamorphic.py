@@ -23,6 +23,15 @@ from conftest import MULTIPLE_CASES, SINGLE_CASES, fixture_text, pragma_soups
 NO_COMPILE_CFG = EvalConfig(compile_enabled=False)
 LAYOUT = (" ", "\t", "/* c */", "/**/", "\\\n")
 
+SCALE = (
+    "void scale(int n, double *a) {\n"
+    "  int i;\n"
+    "#pragma omp parallel for\n"
+    "  for (i = 0; i < n; i++)\n"
+    "    a[i] = 2 * a[i];\n"
+    "}\n"
+)
+
 FIXTURE_PAIRS = [
     *(("single_gt.c", name) for name in ["single_gt.c", *SINGLE_CASES]),
     *(("multiple_gt.c", name) for name in ["multiple_gt.c", *MULTIPLE_CASES]),
@@ -89,13 +98,13 @@ def test_layout_keeps_pragma_soup_scores(case):
 def test_comment_before_a_pragma_keeps_the_directive(comment):
     # a comment stands for a space (C11 5.1.1.2 phase 3), so the `#` after
     # it still opens the directive
-    reference = (
-        "void scale(int n, double *a) {\n"
-        "  int i;\n"
-        "#pragma omp parallel for\n"
-        "  for (i = 0; i < n; i++)\n"
-        "    a[i] = 2 * a[i];\n"
-        "}\n"
-    )
-    candidate = reference.replace("#pragma", comment + "#pragma")
-    assert ompbleu_score(reference, candidate, NO_COMPILE_CFG).composite == 100.0
+    candidate = SCALE.replace("#pragma", comment + "#pragma")
+    assert ompbleu_score(SCALE, candidate, NO_COMPILE_CFG).composite == 100.0
+
+
+@pytest.mark.parametrize("spelling", ["#/* c */pragma", "#\\\npragma"])
+def test_layout_before_the_directive_word_keeps_the_directive(spelling):
+    scores = ompbleu_score(SCALE, SCALE.replace("#pragma", spelling), NO_COMPILE_CFG).as_dict()
+    # `is` also compares bags of lexemes, and the `#` token's lexeme keeps
+    # its layout, as `#  pragma` does
+    assert [scores[k] for k in ("wc", "vu", "or", "rc", "cc", "pl")] == [1.0] * 6

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ def oracle_ssa_annotate(unit, vocab):
             while j < len(visible) and visible[j].in_directive:
                 line.append(visible[j])
                 j += 1
-            word = tok.lexeme.lstrip("# \t")
+            word = re.sub(r"(?s:/\*.*?\*/)|\\\r?\n|[#\s]", "", tok.lexeme)
             if word == "pragma" and len(line) > 1 and line[1].lexeme == "omp":
                 roles.extend(_oracle_pragma_line_roles(line))
             else:
