@@ -5,7 +5,8 @@ backslash continuations) and then clause-parsed with a hand-written grammar
 covering the common OpenMP 5.x inventory, with an ``unknown`` fallback for
 anything else.  Nesting depth is the brace depth of the pragma among code
 tokens, which stands in for the depth of the pragma node in a concrete
-syntax tree.
+syntax tree.  Depths, clause parentheses and construct ends are looked up
+in the unit's bracket table (:class:`~.lexer.Brackets`).
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .lexer import SourceUnit, Token, newline_tokens
-from .loops import (
-    LoopContext,
-    _match_delim,
-    _skip_to_code,
-    _split_top_level,
-    _statement_end,
-    loop_contexts,
-)
+from .loops import LoopContext, _skip_to_code, _split_top_level, loop_contexts
 
 # Directive keywords and the combinations they may extend.
 DIRECTIVE_KINDS = frozenset(
@@ -239,17 +233,22 @@ def directive_kinds(words: Sequence[Token]) -> tuple[tuple[str, ...], bool]:
     return tuple(kinds), False
 
 
-def _parse_directive_body(words: Sequence[Token]) -> tuple[tuple[str, ...], tuple[Clause, ...], bool]:
-    """Parse the code tokens after `omp` into directive kinds and clauses."""
-    kinds, degraded = directive_kinds(words)
+def _parse_directive_body(
+    unit: SourceUnit, start: int, end: int
+) -> tuple[tuple[str, ...], tuple[Clause, ...], bool]:
+    """Parse ``unit.code[start:end]``, the code tokens after `omp` on a
+    pragma line, into directive kinds and clauses.  A bracket closed only
+    after the line is unclosed on it."""
+    tokens, closers = unit.code, unit.brackets.closers
+    kinds, degraded = directive_kinds(tokens[start:end])
     clauses: list[Clause] = []
-    i = len(kinds)
+    i = start + len(kinds)
 
     # `critical(name)` carries its name as a pseudo-clause
-    if kinds == ("critical",) and i < len(words) and words[i].lexeme == "(":
-        close = _match_delim(words, i)
-        if close is not None:
-            inner = words[i + 1 : close]
+    if kinds == ("critical",) and i < end and tokens[i].lexeme == "(":
+        close = closers.get(i, end)
+        if close < end:
+            inner = tokens[i + 1 : close]
             name = _text_of(inner).replace(" ", "")
             clauses.append(
                 Clause(
@@ -262,10 +261,10 @@ def _parse_directive_body(words: Sequence[Token]) -> tuple[tuple[str, ...], tupl
             i = close + 1
         else:
             degraded = True
-            i = len(words)
+            i = end
 
-    while i < len(words):
-        tok = words[i]
+    while i < end:
+        tok = tokens[i]
         if tok.kind == "punctuation" and tok.lexeme == ",":
             i += 1
             continue
@@ -276,12 +275,12 @@ def _parse_directive_body(words: Sequence[Token]) -> tuple[tuple[str, ...], tupl
         word = tok.lexeme
         arg_tokens: Sequence[Token] | None = None
         j = i + 1
-        if j < len(words) and words[j].lexeme == "(":
-            close = _match_delim(words, j)
-            if close is None:
+        if j < end and tokens[j].lexeme == "(":
+            close = closers.get(j, end)
+            if close >= end:
                 degraded = True
-                close = len(words)
-            arg_tokens = words[j + 1 : close]
+                close = end
+            arg_tokens = tokens[j + 1 : close]
             j = close + 1
         raw = word if arg_tokens is None else f"{word}({_text_of(arg_tokens)})"
         clause, bad = _parse_clause(word, arg_tokens, raw)
@@ -326,20 +325,6 @@ def directive_line_spans(unit: SourceUnit) -> list[tuple[int, int]]:
     return spans
 
 
-def _brace_depths(unit: SourceUnit) -> list[int]:
-    """Brace nesting depth at each code token (before the token)."""
-    depths = []
-    depth = 0
-    for tok in unit.code:
-        depths.append(depth)
-        if tok.kind == "punctuation" and not tok.in_directive:
-            if tok.lexeme == "{":
-                depth += 1
-            elif tok.lexeme == "}":
-                depth = max(0, depth - 1)
-    return depths
-
-
 def collapse_validity(directive: Directive, attached_loop: LoopContext | None) -> str:
     """Classify a directive's collapse clause against the real loop nest."""
     clause = directive.clause_of("collapse")
@@ -364,7 +349,6 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
     tokens = unit.code
     loops = loop_contexts(unit)
     loops_by_offset = {lp.byte_offset: lp for lp in loops}
-    depths = _brace_depths(unit)
     # each pragma line's byte extent and its code tokens [start, end)
     lines = [
         (lo, hi, unit.token_index(lo), unit.token_index(hi)) for lo, hi in directive_line_spans(unit)
@@ -373,39 +357,30 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
     directives: list[Directive] = []
     for lo, hi, start, end in lines:
         # tokens[start + 1] is the `omp` marker
-        kinds, clauses, degraded = _parse_directive_body(tokens[start + 2 : end])
+        kinds, clauses, degraded = _parse_directive_body(unit, start + 2, end)
         if not kinds:
             kinds = ("unknown",)
             degraded = True
 
         # attachment: next code token after this and any other preprocessor line
         k = _skip_to_code(tokens, end)
-        if k >= len(tokens):
+        lexeme = tokens[k].lexeme if k < len(tokens) else None
+        attached_loop = loops_by_offset.get(tokens[k].byte_offset) if lexeme == "for" else None
+        if attached_loop is not None:
+            attached_kind = ATTACHED_FOR_LOOP
+        elif lexeme is None or lexeme == "}":
             attached_kind = ATTACHED_NONE
-            attached_loop = None
+        elif lexeme == "{":
+            attached_kind = ATTACHED_BLOCK
         else:
-            tok = tokens[k]
-            if tok.kind == "keyword" and tok.lexeme == "for":
-                attached_kind = ATTACHED_FOR_LOOP
-                attached_loop = loops_by_offset.get(tok.byte_offset)
-                if attached_loop is None:
-                    attached_kind = ATTACHED_STATEMENT
-            elif tok.kind == "punctuation" and tok.lexeme == "{":
-                attached_kind = ATTACHED_BLOCK
-                attached_loop = None
-            elif tok.kind == "punctuation" and tok.lexeme == "}":
-                attached_kind = ATTACHED_NONE
-                attached_loop = None
-            else:
-                attached_kind = ATTACHED_STATEMENT
-                attached_loop = None
+            attached_kind = ATTACHED_STATEMENT
 
         d = Directive(
             kinds=kinds,
             clauses=clauses,
             byte_offset=lo,
             line=tokens[start].line,
-            ast_depth=depths[start],
+            ast_depth=unit.brackets.brace_depth(start),
             attached_kind=attached_kind,
             attached_loop=attached_loop,
             collapse_tag=COLLAPSE_NOT_APPLICABLE,
@@ -499,16 +474,12 @@ def attached_construct_span(
     if directive.attached_kind in (ATTACHED_BLOCK, ATTACHED_STATEMENT):
         tokens = unit.code
         idx = _skip_to_code(tokens, unit.token_index(directive.byte_offset + len(directive.raw_text)))
-        if idx < len(tokens) and tokens[idx].kind == "punctuation" and tokens[idx].lexeme == "{":
-            close = _match_delim(tokens, idx)
-            if close is not None:
-                return (tokens[idx].byte_offset, tokens[close].end_offset)
-            problem = "unbalanced block after pragma"
-        elif idx < len(tokens):
-            end = _statement_end(tokens, idx)
+        if idx < len(tokens):
+            block = tokens[idx].lexeme == "{"
+            end = unit.brackets.closers.get(idx) if block else unit.brackets.statement_end(idx)
             if end is not None:
                 return (tokens[idx].byte_offset, tokens[end].end_offset)
-            problem = "unterminated statement after pragma"
+            problem = "unbalanced block after pragma" if block else "unterminated statement after pragma"
     if diagnostics is not None:
         diagnostics.append(f"line {directive.line}: {problem}")
     return None

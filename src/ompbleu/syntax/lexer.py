@@ -3,7 +3,9 @@
 The tokenizer never fails: any byte sequence is split into a token stream
 whose concatenated lexemes reproduce the input exactly.  This round-trip
 property is what the rest of the toolkit relies on to reason about source
-positions, pragma lines, and brace nesting without a full parser.
+positions, pragma lines, and brace nesting without a full parser.  Bracket
+structure comes from one table per unit (:class:`Brackets`), built on first
+use in one stack pass over the bracket and `;` tokens.
 
 Lexing is one pass that yields the code tokens, the ones that are neither
 whitespace nor comments; the layout between them is lexed again, from the
@@ -87,6 +89,13 @@ _RE_CODE = re.compile(
 )
 
 
+# The decision points that cyclomatic complexity counts.
+DECISION_LEXEMES = frozenset({"if", "for", "while", "case", "&&", "||"})
+
+_BRACKETS = frozenset("()[]{};")
+_OPENER_OF = {")": "(", "]": "[", "}": "{"}
+
+
 class _KindOfFirst(dict):
     """Kind of a code token by its first character; a character not listed
     starts a number if it is a decimal digit and punctuation otherwise."""
@@ -121,6 +130,62 @@ class Token(NamedTuple):
     @property
     def end_offset(self) -> int:
         return self.byte_offset + len(self.lexeme)
+
+
+class Brackets:
+    """The bracket structure of a unit's code tokens, from one stack pass
+    over its brackets and `;` tokens; every index is a code-token index.
+
+    ``closers`` maps each closed opener to its closer, matching brackets of
+    the opener's type over all code tokens, pragma lines included.
+    """
+
+    def __init__(self, code: tuple[Token, ...]) -> None:
+        at = list(compress(range(len(code)), map(_BRACKETS.__contains__, map(itemgetter(0), code))))
+        closers: dict[int, int] = {}
+        open_by_type: dict[str, list[int]] = {"(": [], "[": [], "{": []}  # code indices
+        open_any: list[int] = []  # indices into ``at``
+        any_closers: dict[int, int] = {}
+        ends: list[int | None] = [None] * (len(at) + 1)  # statement ends
+        depths = [0]  # brace depth after each bracket token
+        depth = 0
+        for j, i in enumerate(at):
+            lexeme, _, _, _, in_directive = code[i]
+            if lexeme in open_by_type:
+                open_by_type[lexeme].append(i)
+                open_any.append(j)
+                if lexeme == "{" and not in_directive:
+                    depth += 1
+            else:
+                ends[j] = i
+                if lexeme != ";":
+                    stack = open_by_type[_OPENER_OF[lexeme]]
+                    if stack:
+                        closers[stack.pop()] = i
+                    if open_any:
+                        any_closers[open_any.pop()] = j
+                    if lexeme == "}" and depth and not in_directive:
+                        depth -= 1
+            depths.append(depth)
+        # from an opener, a statement runs over its group to the end of the
+        # statement after it; an unclosed group leaves it unterminated
+        for j in range(len(at) - 1, -1, -1):
+            if j in any_closers:
+                ends[j] = ends[any_closers[j] + 1]
+        self.closers = closers
+        self._at = at
+        self._ends = ends
+        self._depths = depths
+
+    def statement_end(self, i: int) -> int | None:
+        """The `;` ending the single statement at ``i``, or the unbalanced
+        closer that cuts it short; brackets of any type match."""
+        return self._ends[bisect.bisect_left(self._at, i)]
+
+    def brace_depth(self, i: int) -> int:
+        """Braces open before ``i``, counting only those outside
+        preprocessor lines; a surplus `}` leaves the depth at 0."""
+        return self._depths[bisect.bisect_left(self._at, i)]
 
 
 @dataclass(frozen=True)
@@ -165,6 +230,18 @@ class SourceUnit:
             in_directive = tok.in_directive
         out.pop()  # the end-of-text marker
         return tuple(out)
+
+    @cached_property
+    def brackets(self) -> Brackets:
+        return Brackets(self.code)
+
+    @cached_property
+    def decisions(self) -> list[int]:
+        """Indices of the decision points outside preprocessor lines among
+        :attr:`code`, in order."""
+        code = self.code
+        named = compress(range(len(code)), map(DECISION_LEXEMES.__contains__, map(itemgetter(0), code)))
+        return [i for i in named if not code[i].in_directive]
 
     @cached_property
     def offsets(self) -> list[int]:

@@ -1,9 +1,10 @@
 """For-loop discovery: contexts, ordinals, perfect-nest depth, counters.
 
-Loops are found by scanning the unit's code tokens for `for` keywords
-outside preprocessor lines.  Each loop records the ordinal of its `for`
-keyword among all loops in the unit (source order, nested loops included)
-and the number of perfectly nested loops rooted at it.
+Loops are the `for` keywords outside preprocessor lines among the unit's
+code tokens; each header and body ends where the unit's bracket table
+(:class:`~.lexer.Brackets`) says.  Each loop records the ordinal of its
+`for` keyword among all loops in the unit (source order, nested loops
+included) and the number of perfectly nested loops rooted at it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .lexer import SourceUnit, Token
-
-_OPEN = {"(": ")", "[": "]", "{": "}"}
 
 
 @dataclass(frozen=True)
@@ -27,46 +26,6 @@ class LoopContext:
     end_offset: int
     induction_vars: frozenset[str]
     nest_induction_vars: frozenset[str]
-
-
-def _match_delim(tokens: tuple[Token, ...] | list[Token], start: int) -> int | None:
-    """Index of the token closing the delimiter opened at ``start``."""
-    opener = tokens[start].lexeme
-    closer = _OPEN[opener]
-    depth = 0
-    for i in range(start, len(tokens)):
-        tok = tokens[i]
-        if tok.kind != "punctuation":
-            continue
-        if tok.lexeme == opener:
-            depth += 1
-        elif tok.lexeme == closer:
-            depth -= 1
-            if depth == 0:
-                return i
-    return None
-
-
-def _statement_end(tokens: tuple[Token, ...] | list[Token], start: int) -> int | None:
-    """Index of the token terminating the single statement at ``start``.
-
-    Returns the index of the closing `;`, or of an unbalanced `}` when the
-    statement is cut short by the enclosing block.
-    """
-    depth = 0
-    for i in range(start, len(tokens)):
-        tok = tokens[i]
-        if tok.kind != "punctuation":
-            continue
-        if tok.lexeme in "([{":
-            depth += 1
-        elif tok.lexeme in ")]}":
-            if depth == 0:
-                return i
-            depth -= 1
-        elif tok.lexeme == ";" and depth == 0:
-            return i
-    return None
 
 
 def _split_top_level(tokens: Sequence[Token], sep: str) -> list[list[Token]]:
@@ -152,6 +111,7 @@ def _is_declaration_of(tokens: list[Token], names: frozenset[str]) -> bool:
 def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
     """All for-loops in source order, indexed from 0."""
     tokens = unit.code
+    closers = unit.brackets.closers
     raw: list[dict] = []
 
     for idx, tok in enumerate(tokens):
@@ -160,7 +120,7 @@ def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
         j = idx + 1
         if j >= len(tokens) or tokens[j].lexeme != "(":
             continue
-        close = _match_delim(tokens, j)
+        close = closers.get(j)
         if close is None:
             continue
         k = _skip_to_code(tokens, close + 1)
@@ -168,10 +128,10 @@ def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
         if k >= len(tokens):
             body_span = (close + 1, close + 1)
         elif tokens[k].kind == "punctuation" and tokens[k].lexeme == "{":
-            stop = _match_delim(tokens, k)
+            stop = closers.get(k)
             body_span = (k + 1, len(tokens) if stop is None else stop)
         else:
-            stop = _statement_end(tokens, k)
+            stop = unit.brackets.statement_end(k)
             body_span = (k, len(tokens) if stop is None else stop + 1)
         raw.append(
             {

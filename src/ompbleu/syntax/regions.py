@@ -2,22 +2,20 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .directives import ATTACHED_FOR_LOOP, Directive, attached_construct_span
 from .lexer import SourceUnit
-
-DECISION_KEYWORDS = frozenset({"if", "for", "while", "case"})
-DECISION_OPERATORS = frozenset({"&&", "||"})
 
 
 @dataclass(frozen=True)
 class RegionBlock:
     """The code block governed by a parallel-family directive."""
 
-    block_text: str
     decision_count: int
     byte_offset: int
+    end_offset: int
 
     @property
     def complexity(self) -> int:
@@ -29,15 +27,8 @@ def count_decisions(unit: SourceUnit, start_offset: int, end_offset: int) -> int
 
     Comments, strings, and pragma lines never contribute.
     """
-    count = 0
-    for tok in unit.code[unit.token_index(start_offset) : unit.token_index(end_offset)]:
-        if tok.in_directive:
-            continue
-        if tok.kind == "keyword" and tok.lexeme in DECISION_KEYWORDS:
-            count += 1
-        elif tok.kind == "punctuation" and tok.lexeme in DECISION_OPERATORS:
-            count += 1
-    return count
+    start, end = unit.token_index(start_offset), unit.token_index(end_offset)
+    return bisect_left(unit.decisions, end) - bisect_left(unit.decisions, start)
 
 
 def parallel_region_blocks(
@@ -66,9 +57,9 @@ def parallel_region_blocks(
         if span is not None:
             blocks.append(
                 RegionBlock(
-                    block_text=unit.text[span[0] : span[1]],
                     decision_count=count_decisions(unit, span[0], span[1]),
                     byte_offset=span[0],
+                    end_offset=span[1],
                 )
             )
     return blocks, diagnostics

@@ -1,11 +1,30 @@
 import re
+import time
+from collections.abc import Sequence
+from unittest import mock
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ompbleu.config import EvalConfig
+from ompbleu.metrics import ompbleu_score
 from ompbleu.syntax import (
+    count_decisions,
+    directives,
     extract_directives,
     loop_contexts,
     parallel_region_blocks,
     parse_source,
+    regions,
 )
+from ompbleu.syntax.directives import (
+    Clause,
+    _idents_of,
+    _parse_clause,
+    _text_of,
+    directive_kinds,
+)
+from ompbleu.syntax.lexer import SourceUnit, Token
 
 from conftest import fixture_text
 
@@ -165,6 +184,258 @@ def test_decision_count_matches_brute_force_on_fixtures():
     from conftest import FIXTURES
 
     for path in sorted(FIXTURES.glob("*.c")):
-        blocks, _ = _regions(path.read_text())
+        text = path.read_text()
+        blocks, _ = _regions(text)
         for block in blocks:
-            assert block.decision_count == brute_force_decisions(block.block_text), path.name
+            block_text = text[block.byte_offset : block.end_offset]
+            assert block.decision_count == brute_force_decisions(block_text), path.name
+
+
+# -- the bracket table against the scanners it replaced ---------------------
+#
+# The scanners below are the ones analysis ran before the bracket table, one
+# scan per loop, construct and clause; they stay here as the table's oracle.
+
+_OPEN = {"(": ")", "[": "]", "{": "}"}
+DECISION_KEYWORDS = frozenset({"if", "for", "while", "case"})
+DECISION_OPERATORS = frozenset({"&&", "||"})
+
+
+def _match_delim(tokens: tuple[Token, ...] | list[Token], start: int) -> int | None:
+    """Index of the token closing the delimiter opened at ``start``."""
+    opener = tokens[start].lexeme
+    closer = _OPEN[opener]
+    depth = 0
+    for i in range(start, len(tokens)):
+        tok = tokens[i]
+        if tok.kind != "punctuation":
+            continue
+        if tok.lexeme == opener:
+            depth += 1
+        elif tok.lexeme == closer:
+            depth -= 1
+            if depth == 0:
+                return i
+    return None
+
+
+def _statement_end(tokens: tuple[Token, ...] | list[Token], start: int) -> int | None:
+    """Index of the token terminating the single statement at ``start``.
+
+    Returns the index of the closing `;`, or of an unbalanced `}` when the
+    statement is cut short by the enclosing block.
+    """
+    depth = 0
+    for i in range(start, len(tokens)):
+        tok = tokens[i]
+        if tok.kind != "punctuation":
+            continue
+        if tok.lexeme in "([{":
+            depth += 1
+        elif tok.lexeme in ")]}":
+            if depth == 0:
+                return i
+            depth -= 1
+        elif tok.lexeme == ";" and depth == 0:
+            return i
+    return None
+
+
+def _brace_depths(unit: SourceUnit) -> list[int]:
+    """Brace nesting depth at each code token (before the token)."""
+    depths = []
+    depth = 0
+    for tok in unit.code:
+        depths.append(depth)
+        if tok.kind == "punctuation" and not tok.in_directive:
+            if tok.lexeme == "{":
+                depth += 1
+            elif tok.lexeme == "}":
+                depth = max(0, depth - 1)
+    return depths
+
+
+def _count_decisions(unit: SourceUnit, start_offset: int, end_offset: int) -> int:
+    """Decision keywords and short-circuit operators in a byte range.
+
+    Comments, strings, and pragma lines never contribute.
+    """
+    count = 0
+    for tok in unit.code[unit.token_index(start_offset) : unit.token_index(end_offset)]:
+        if tok.in_directive:
+            continue
+        if tok.kind == "keyword" and tok.lexeme in DECISION_KEYWORDS:
+            count += 1
+        elif tok.kind == "punctuation" and tok.lexeme in DECISION_OPERATORS:
+            count += 1
+    return count
+
+
+class _ScanningClosers:
+    def __init__(self, tokens: tuple[Token, ...]) -> None:
+        self.tokens = tokens
+
+    def get(self, i: int, default: int | None = None) -> int | None:
+        close = _match_delim(self.tokens, i)
+        return default if close is None else close
+
+
+class ScanningBrackets:
+    """The bracket table's lookups answered by the scanners, one scan each."""
+
+    def __init__(self, unit: SourceUnit) -> None:
+        self.closers = _ScanningClosers(unit.code)
+        self.tokens = unit.code
+        self.depths = _brace_depths(unit)
+
+    def statement_end(self, i: int) -> int | None:
+        return _statement_end(self.tokens, i)
+
+    def brace_depth(self, i: int) -> int:
+        return self.depths[i]
+
+
+# Brackets left open, closed by the wrong type, and on `#pragma omp` and
+# `#define` lines, whose closers may lie on a later line.
+BRACKET_FRAGMENTS = [
+    "(", ")", "[", "]", "{", "}", ";", " ", "\n", "\\\n", "x", "a[i]", "f(x)",
+    "for (i = 0; i < n; i++)", "for (;;)", "for (int j = 0; j < m; j++) {",
+    "if", "while", "case", "&&", "||", "'('", '"{"', "/* } */", "// ;\n",
+    "\n#pragma omp parallel\n", "\n#pragma omp parallel for private(",
+    "\n#pragma omp for reduction(+:s) collapse(2", "\n#pragma omp critical(",
+    "\n#pragma omp task depend(in: a[", "\n#pragma omp single\n",
+    "\n#define M(a) { a; ", "\n#pragma GCC ivdep\n",
+]
+
+bracket_soups = st.lists(st.sampled_from(BRACKET_FRAGMENTS), max_size=60).map("".join)
+
+
+@given(bracket_soups)
+@settings(max_examples=300, deadline=None)
+def test_bracket_table_matches_the_scanners(text):
+    unit = parse_source(text)
+    code, brackets = unit.code, unit.brackets
+    for i, tok in enumerate(code):
+        if tok.lexeme in _OPEN:
+            assert brackets.closers.get(i) == _match_delim(code, i)
+    assert [brackets.statement_end(i) for i in range(len(code) + 1)] == [
+        _statement_end(code, i) for i in range(len(code) + 1)
+    ]
+    assert [brackets.brace_depth(i) for i in range(len(code))] == _brace_depths(unit)
+
+
+@given(bracket_soups, st.lists(st.integers(0, 10**6), min_size=2, max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_decision_counts_match_the_scan(text, ends):
+    unit = parse_source(text)
+    lo, hi = sorted(e % (len(text) + 1) for e in ends)
+    assert count_decisions(unit, lo, hi) == _count_decisions(unit, lo, hi)
+
+
+# The clause parser as it ran before the table: its scanner sees only the
+# code tokens after `omp` on the pragma line.
+def _parse_words(words: Sequence[Token]) -> tuple[tuple[str, ...], tuple[Clause, ...], bool]:
+    """Parse the code tokens after `omp` into directive kinds and clauses."""
+    kinds, degraded = directive_kinds(words)
+    clauses: list[Clause] = []
+    i = len(kinds)
+
+    # `critical(name)` carries its name as a pseudo-clause
+    if kinds == ("critical",) and i < len(words) and words[i].lexeme == "(":
+        close = _match_delim(words, i)
+        if close is not None:
+            inner = words[i + 1 : close]
+            name = _text_of(inner).replace(" ", "")
+            clauses.append(
+                Clause(
+                    kind="critical-name",
+                    raw_text=f"critical({name})",
+                    args_ordered=(name,),
+                    variables=frozenset(_idents_of(inner)),
+                )
+            )
+            i = close + 1
+        else:
+            degraded = True
+            i = len(words)
+
+    while i < len(words):
+        tok = words[i]
+        if tok.kind == "punctuation" and tok.lexeme == ",":
+            i += 1
+            continue
+        if tok.kind not in ("identifier", "keyword"):
+            degraded = True
+            i += 1
+            continue
+        word = tok.lexeme
+        arg_tokens: Sequence[Token] | None = None
+        j = i + 1
+        if j < len(words) and words[j].lexeme == "(":
+            close = _match_delim(words, j)
+            if close is None:
+                degraded = True
+                close = len(words)
+            arg_tokens = words[j + 1 : close]
+            j = close + 1
+        raw = word if arg_tokens is None else f"{word}({_text_of(arg_tokens)})"
+        clause, bad = _parse_clause(word, arg_tokens, raw)
+        degraded = degraded or bad
+        clauses.append(clause)
+        i = j
+
+    return kinds, tuple(clauses), degraded
+
+
+def _parse_words_alone(unit: SourceUnit, start: int, end: int):
+    return _parse_words(unit.code[start:end])
+
+
+def _extracted(unit: SourceUnit):
+    found = extract_directives(unit)
+    return loop_contexts(unit), found, parallel_region_blocks(unit, found)
+
+
+@given(bracket_soups)
+# a pragma's bracket closed by the first token after its line, or later
+@example("#pragma omp critical(\n)")
+@example("#pragma omp for private(\n)")
+@example("#pragma omp for private(\nx)")
+@settings(max_examples=300, deadline=None)
+def test_extraction_matches_the_scanners_end_to_end(text):
+    scanned = parse_source(text)
+    scanned.__dict__["brackets"] = ScanningBrackets(scanned)
+    with (
+        mock.patch.object(regions, "count_decisions", _count_decisions),
+        mock.patch.object(directives, "_parse_directive_body", _parse_words_alone),
+    ):
+        expected = _extracted(scanned)
+    assert _extracted(parse_source(text)) == expected
+
+
+# -- time against nesting ----------------------------------------------------
+
+NO_COMPILE_CFG = EvalConfig(compile_enabled=False)
+
+
+def _self_scores_in_time(text: str, budget_s: float) -> None:
+    started = time.perf_counter()
+    assert ompbleu_score(text, text, NO_COMPILE_CFG).composite == 100.0
+    assert time.perf_counter() - started < budget_s
+
+
+def test_unclosed_loops_self_score_in_linear_time():
+    # 20,000 lines, 176 KB: each loop's body runs to the end of the text
+    _self_scores_in_time("#pragma omp parallel\n" + "for(;;){\n" * 20_000, 15.0)
+
+
+def test_deep_loop_nest_self_scores_in_time():
+    depth = 400
+    text = (
+        "void f(int n) {\n"
+        + "".join(f"#pragma omp parallel for\nfor (int i{k} = 0; i{k} < n; i{k}++) {{\n" for k in range(depth))
+        + "x++;\n"
+        + "}\n" * depth
+        + "}\n"
+    )
+    _self_scores_in_time(text, 15.0)
