@@ -431,9 +431,10 @@ def test_unclosed_loops_self_score_in_linear_time():
 
 def test_deep_loop_nest_self_scores_in_time():
     depth = 400
+    loop = "#pragma omp parallel for\nfor (int i{0} = 0; i{0} < n; i{0}++) {{\n"
     text = (
         "void f(int n) {\n"
-        + "".join(f"#pragma omp parallel for\nfor (int i{k} = 0; i{k} < n; i{k}++) {{\n" for k in range(depth))
+        + "".join(map(loop.format, range(depth)))
         + "x++;\n"
         + "}\n" * depth
         + "}\n"
