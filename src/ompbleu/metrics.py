@@ -25,7 +25,6 @@ from .similarity import (
     lev_similarity,
 )
 from .syntax import (
-    ATTACHED_FOR_LOOP,
     Directive,
     NormalizedDirective,
     RegionBlock,
@@ -34,11 +33,10 @@ from .syntax import (
     parse_source,
 )
 from .syntax.directives import (
+    StrippedView,
     attached_construct_span,
     canonical_clause,
     extract_directives,
-    pragma_line_range,
-    stripped_slice,
 )
 from .syntax.regions import parallel_region_blocks
 
@@ -141,7 +139,6 @@ class SideAnalysis:
     normalized: tuple[NormalizedDirective, ...]
     regions: tuple[RegionBlock, ...]
     region_diagnostics: tuple[str, ...]
-    pragma_lines: tuple[tuple[int, int], ...]
     # the unit's own language hint (a record's field or a file suffix)
     language: str | None = None
     _stripped: dict[tuple[int, int], CodeText] = field(
@@ -156,11 +153,17 @@ class SideAnalysis:
         """The whole source, pragmas included."""
         return CodeText(self.unit.text, SparseTokenVector.from_tokens(self.unit.code))
 
+    @cached_property
+    def stripped_view(self) -> StrippedView:
+        """The source without its OpenMP pragma lines."""
+        lines = ((d.byte_offset, d.byte_offset + len(d.raw_text)) for d in self.directives)
+        return StrippedView(self.unit, lines)
+
     def stripped(self, span: tuple[int, int]) -> CodeText:
         """A byte span of the source with its OpenMP pragma lines removed."""
         code = self._stripped.get(span)
         if code is None:
-            text, tokens = stripped_slice(self.unit, self.pragma_lines, *span)
+            text, tokens = self.stripped_view.slice(*span)
             code = self._stripped[span] = CodeText(text, SparseTokenVector.from_tokens(tokens))
         return code
 
@@ -183,11 +186,7 @@ def analyze(source: str, language: str | None = None) -> SideAnalysis:
     directives = extract_directives(unit)
     normalized = []
     for d in directives:
-        ivs = (
-            d.attached_loop.nest_induction_vars
-            if d.attached_kind == ATTACHED_FOR_LOOP and d.attached_loop is not None
-            else frozenset()
-        )
+        ivs = d.attached_loop.nest_induction_vars if d.attached_loop is not None else frozenset()
         normalized.append(normalize_directive(d, induction_vars=ivs))
     regions, region_diags = parallel_region_blocks(unit, directives)
     return SideAnalysis(
@@ -196,10 +195,6 @@ def analyze(source: str, language: str | None = None) -> SideAnalysis:
         normalized=tuple(normalized),
         regions=tuple(regions),
         region_diagnostics=tuple(region_diags),
-        pragma_lines=tuple(
-            pragma_line_range(unit, d.byte_offset, d.byte_offset + len(d.raw_text))
-            for d in directives
-        ),
         language=language,
     )
 
@@ -408,7 +403,7 @@ def _is_loop_related(nd: NormalizedDirective) -> bool:
 
 
 def _construct_code(side: SideAnalysis, nd: NormalizedDirective) -> CodeText | None:
-    span = attached_construct_span(side.unit, nd.directive)
+    span = attached_construct_span(nd.directive)
     return None if span is None else side.stripped(span)
 
 
@@ -460,10 +455,7 @@ def pragma_location_score(
                     + " side"
                 )
             return 0.0
-        cos = backend.similarity(
-            gt.stripped((la.byte_offset, la.end_offset)),
-            gen.stripped((lb.byte_offset, lb.end_offset)),
-        )
+        cos = backend.similarity(_construct_code(gt, a), _construct_code(gen, b))
         penalty = max(0.0, 1.0 - abs(la.loop_index - lb.loop_index) / 2.0)
         if penalty < 1.0 and diagnostics is not None:
             diagnostics.append(

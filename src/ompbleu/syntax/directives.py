@@ -12,14 +12,13 @@ in the unit's bracket table (:class:`~.lexer.Brackets`).
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import accumulate
 
-from .lexer import SourceUnit, Token, newline_tokens
-from .loops import LoopContext, _skip_to_code, _split_top_level, loop_contexts
+from .lexer import BYTE_OFFSET, SourceUnit, Token, newline_tokens
+from .loops import LoopContext, _split_top_level, loop_contexts
 
 # Directive keywords and the combinations they may extend.
 DIRECTIVE_KINDS = frozenset(
@@ -100,6 +99,7 @@ class Directive:
     ast_depth: int
     attached_kind: str
     attached_loop: LoopContext | None
+    construct_span: tuple[int, int] | None  # byte span of the governed construct
     collapse_tag: str
     raw_text: str
     degraded: bool = False
@@ -325,14 +325,13 @@ def directive_line_spans(unit: SourceUnit) -> list[tuple[int, int]]:
     return spans
 
 
-def collapse_validity(directive: Directive, attached_loop: LoopContext | None) -> str:
-    """Classify a directive's collapse clause against the real loop nest."""
-    clause = directive.clause_of("collapse")
+def collapse_validity(clauses: Sequence[Clause], attached_loop: LoopContext | None) -> str:
+    """Classify the collapse clause among ``clauses`` against the loop nest
+    a directive is attached to, if any."""
+    clause = next((c for c in clauses if c.kind == "collapse"), None)
     if clause is None:
         return COLLAPSE_NOT_APPLICABLE
-    if attached_loop is None or directive.attached_kind != ATTACHED_FOR_LOOP:
-        return COLLAPSE_INVALID
-    if clause.collapse_n is None:
+    if attached_loop is None or clause.collapse_n is None:
         return COLLAPSE_INVALID
     if clause.collapse_n <= attached_loop.nesting_depth:
         return COLLAPSE_VALID
@@ -343,52 +342,64 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
     """All OpenMP directives of ``unit`` in source order.
 
     Each directive carries its brace-nesting depth, the construct it is
-    attached to, and a collapse validity tag.  Malformed clause syntax is
-    parsed best-effort and flagged on the directive rather than raised.
+    attached to and that construct's span, and a collapse validity tag.
+    Malformed clause syntax is parsed best-effort and flagged on the
+    directive rather than raised.
     """
-    tokens = unit.code
-    loops = loop_contexts(unit)
-    loops_by_offset = {lp.byte_offset: lp for lp in loops}
-    # each pragma line's byte extent and its code tokens [start, end)
-    lines = [
-        (lo, hi, unit.token_index(lo), unit.token_index(hi)) for lo, hi in directive_line_spans(unit)
-    ]
+    tokens, brackets = unit.code, unit.brackets
+    loops_by_offset = {lp.byte_offset: lp for lp in loop_contexts(unit)}
 
     directives: list[Directive] = []
-    for lo, hi, start, end in lines:
+    # A pragma attaches to the next code token after its line and any other
+    # preprocessor lines.  The lines are read in reverse, so a walk that
+    # reaches the next pragma line takes that line's attachment instead of
+    # stepping over it.
+    k = next_start = len(tokens)
+    for lo, hi in reversed(directive_line_spans(unit)):
+        start, end = unit.token_index(lo), unit.token_index(hi)
         # tokens[start + 1] is the `omp` marker
         kinds, clauses, degraded = _parse_directive_body(unit, start + 2, end)
         if not kinds:
             kinds = ("unknown",)
             degraded = True
 
-        # attachment: next code token after this and any other preprocessor line
-        k = _skip_to_code(tokens, end)
+        i = end
+        while i < next_start and tokens[i].in_directive:
+            i += 1
+        if i < next_start:
+            k = i
+        next_start = start
         lexeme = tokens[k].lexeme if k < len(tokens) else None
         attached_loop = loops_by_offset.get(tokens[k].byte_offset) if lexeme == "for" else None
+        span = None
         if attached_loop is not None:
             attached_kind = ATTACHED_FOR_LOOP
+            span = (attached_loop.byte_offset, attached_loop.end_offset)
         elif lexeme is None or lexeme == "}":
             attached_kind = ATTACHED_NONE
-        elif lexeme == "{":
-            attached_kind = ATTACHED_BLOCK
         else:
-            attached_kind = ATTACHED_STATEMENT
+            block = lexeme == "{"
+            attached_kind = ATTACHED_BLOCK if block else ATTACHED_STATEMENT
+            close = brackets.closers.get(k) if block else brackets.statement_end(k)
+            if close is not None:
+                span = (tokens[k].byte_offset, tokens[close].end_offset)
 
-        d = Directive(
-            kinds=kinds,
-            clauses=clauses,
-            byte_offset=lo,
-            line=tokens[start].line,
-            ast_depth=unit.brackets.brace_depth(start),
-            attached_kind=attached_kind,
-            attached_loop=attached_loop,
-            collapse_tag=COLLAPSE_NOT_APPLICABLE,
-            raw_text=unit.text[lo:hi],
-            degraded=degraded,
+        directives.append(
+            Directive(
+                kinds=kinds,
+                clauses=clauses,
+                byte_offset=lo,
+                line=tokens[start].line,
+                ast_depth=brackets.brace_depth(start),
+                attached_kind=attached_kind,
+                attached_loop=attached_loop,
+                construct_span=span,
+                collapse_tag=collapse_validity(clauses, attached_loop),
+                raw_text=unit.text[lo:hi],
+                degraded=degraded,
+            )
         )
-        d = dataclasses.replace(d, collapse_tag=collapse_validity(d, attached_loop))
-        directives.append(d)
+    directives.reverse()
     return directives
 
 
@@ -462,33 +473,26 @@ def normalize_directive(
 
 
 def attached_construct_span(
-    unit: SourceUnit, directive: Directive, diagnostics: list[str] | None = None
+    directive: Directive, diagnostics: list[str] | None = None
 ) -> tuple[int, int] | None:
     """Byte span of the construct a directive governs, if parsable.
 
     When there is none, the reason is appended to ``diagnostics``.
     """
-    if directive.attached_kind == ATTACHED_FOR_LOOP and directive.attached_loop is not None:
-        return (directive.attached_loop.byte_offset, directive.attached_loop.end_offset)
-    problem = "no construct follows pragma"
-    if directive.attached_kind in (ATTACHED_BLOCK, ATTACHED_STATEMENT):
-        tokens = unit.code
-        idx = _skip_to_code(tokens, unit.token_index(directive.byte_offset + len(directive.raw_text)))
-        if idx < len(tokens):
-            block = tokens[idx].lexeme == "{"
-            end = unit.brackets.closers.get(idx) if block else unit.brackets.statement_end(idx)
-            if end is not None:
-                return (tokens[idx].byte_offset, tokens[end].end_offset)
-            problem = "unbalanced block after pragma" if block else "unterminated statement after pragma"
-    if diagnostics is not None:
+    span = directive.construct_span
+    if span is None and diagnostics is not None:
+        problem = {
+            ATTACHED_BLOCK: "unbalanced block after pragma",
+            ATTACHED_STATEMENT: "unterminated statement after pragma",
+        }.get(directive.attached_kind, "no construct follows pragma")
         diagnostics.append(f"line {directive.line}: {problem}")
-    return None
+    return span
 
 
 def pragma_line_range(unit: SourceUnit, start: int, end: int) -> tuple[int, int]:
     """Byte range of the logical line holding the pragma
-    ``unit.text[start:end]``, through the newline that ends it: what
-    stripping the pragma removes.
+    ``unit.text[start:end]``, a span of :func:`directive_line_spans`,
+    through the newline at ``end``: what stripping the pragma removes.
 
     The range opens after the newline that starts the line, so it takes any
     comments before the `#`, also one that spans lines, whole.
@@ -497,41 +501,50 @@ def pragma_line_range(unit: SourceUnit, start: int, end: int) -> tuple[int, int]
     i = unit.token_index(start)
     prev = unit.code[i - 1].end_offset if i else 0
     newlines = newline_tokens(text, prev, start)
-    line_end = text.find("\n", end)
-    return newlines[-1] + 1 if newlines else prev, len(text) if line_end == -1 else line_end + 1
+    return newlines[-1] + 1 if newlines else prev, min(end + 1, len(text))
 
 
-def _kept_ranges(
-    cuts: list[tuple[int, int]] | tuple[tuple[int, int], ...], lo: int, hi: int
-) -> list[tuple[int, int]]:
-    """The parts of [lo, hi) outside the sorted ``cuts`` that start in it."""
-    kept: list[tuple[int, int]] = []
-    pos = lo
-    for cut_lo, cut_hi in cuts[bisect.bisect_left(cuts, lo, key=itemgetter(0)) :]:
-        if cut_lo >= hi:
-            break
-        kept.append((pos, cut_lo))
-        pos = min(max(pos, cut_hi), hi)
-    kept.append((pos, hi))
-    return kept
+class StrippedView:
+    """A unit's text without the given pragma lines, and its code tokens.
 
-
-def stripped_slice(
-    unit: SourceUnit, pragma_lines: tuple[tuple[int, int], ...], lo: int, hi: int
-) -> tuple[str, list[Token]]:
-    """``unit.text[lo:hi]`` without its OpenMP pragma lines, and its code
-    tokens.
-
-    ``pragma_lines`` are the unit's :func:`pragma_line_range` spans in
-    source order.  For a span that starts and ends on token boundaries with
-    a code token first, the text equals ``strip_openmp`` of the span's text
-    parsed alone, and the tokens, cut from the unit's code tokens, have the
-    lexemes and kinds of that text's code tokens.
+    Built once from the byte extents of the pragma lines, in source order:
+    each line's :func:`pragma_line_range` is cut.  A span of the unit is
+    then cut from the stripped text and the kept tokens by bisection.
     """
-    kept = _kept_ranges(pragma_lines, lo, hi)
-    text = "".join(unit.text[a:b] for a, b in kept)
-    tokens = [t for a, b in kept for t in unit.code[unit.token_index(a) : unit.token_index(b)]]
-    return text, tokens
+
+    def __init__(self, unit: SourceUnit, lines: Iterable[tuple[int, int]]) -> None:
+        text, code = unit.text, unit.code
+        cuts = [pragma_line_range(unit, lo, hi) for lo, hi in lines]
+        self._cut_ends = [hi for _, hi in cuts]
+        # the end of the text closes the last kept range
+        self._cut_starts = [lo for lo, _ in cuts] + [len(text)]
+        # bytes removed before each cut
+        self._removed = list(accumulate((hi - lo for lo, hi in cuts), initial=0))
+        kept = list(zip([0, *self._cut_ends], self._cut_starts))
+        self.text = "".join(text[a:b] for a, b in kept)
+        self.tokens: list[Token] = []
+        for a, b in kept:
+            self.tokens += code[unit.token_index(a) : unit.token_index(b)]
+
+    def _stripped_offset(self, offset: int) -> int:
+        """Where ``offset`` of the unit lies in the stripped text; an offset
+        inside a cut lies at the cut's start."""
+        i = bisect.bisect_right(self._cut_ends, offset)
+        return min(offset, self._cut_starts[i]) - self._removed[i]
+
+    def slice(self, lo: int, hi: int) -> tuple[str, list[Token]]:
+        """``unit.text[lo:hi]`` without the cut lines, and its code tokens.
+
+        ``lo`` lies outside the cuts.  Brackets match across pragma lines,
+        so ``hi`` may lie inside a cut; the span then ends where the cut
+        starts.  For a span that starts and ends on token boundaries with a
+        code token first, the text equals ``strip_openmp`` of the span's
+        text parsed alone, and the tokens have the lexemes and kinds of
+        that text's code tokens.
+        """
+        text = self.text[self._stripped_offset(lo) : self._stripped_offset(hi)]
+        first, stop = (bisect.bisect_left(self.tokens, x, key=BYTE_OFFSET) for x in (lo, hi))
+        return text, self.tokens[first:stop]
 
 
 def strip_openmp(unit: SourceUnit) -> str:
@@ -542,6 +555,4 @@ def strip_openmp(unit: SourceUnit) -> str:
     and any comments before its `#`.
     Idempotent: stripping the text of a stripped unit is the identity.
     """
-    text = unit.text
-    cuts = [pragma_line_range(unit, lo, hi) for lo, hi in directive_line_spans(unit)]
-    return "".join(text[a:b] for a, b in _kept_ranges(cuts, 0, len(text)))
+    return StrippedView(unit, directive_line_spans(unit)).text

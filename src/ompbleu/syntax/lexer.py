@@ -132,6 +132,9 @@ class Token(NamedTuple):
         return self.byte_offset + len(self.lexeme)
 
 
+BYTE_OFFSET = itemgetter(2)  # a Token's byte offset, a key for bisecting tokens
+
+
 class Brackets:
     """The bracket structure of a unit's code tokens, from one stack pass
     over its brackets and `;` tokens; every index is a code-token index.
@@ -243,15 +246,10 @@ class SourceUnit:
         named = compress(range(len(code)), map(DECISION_LEXEMES.__contains__, map(itemgetter(0), code)))
         return [i for i in named if not code[i].in_directive]
 
-    @cached_property
-    def offsets(self) -> list[int]:
-        """Byte offset of every token of :attr:`code`, in order."""
-        return [t.byte_offset for t in self.code]
-
     def token_index(self, byte_offset: int) -> int:
         """Index into :attr:`code` of the first code token starting at or
         after ``byte_offset``."""
-        return bisect.bisect_left(self.offsets, byte_offset)
+        return bisect.bisect_left(self.code, byte_offset, key=BYTE_OFFSET)
 
     def detokenize(self) -> str:
         return "".join(t.lexeme for t in self.tokens)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .directives import ATTACHED_FOR_LOOP, Directive, attached_construct_span
+from .directives import Directive, attached_construct_span
 from .lexer import SourceUnit
 
 
@@ -45,15 +45,13 @@ def parallel_region_blocks(
     for d in directives:
         if "parallel" not in d.kinds:
             continue
-        if ("for" in d.kinds or "loop" in d.kinds) and not (
-            d.attached_kind == ATTACHED_FOR_LOOP and d.attached_loop is not None
-        ):
+        if ("for" in d.kinds or "loop" in d.kinds) and d.attached_loop is None:
             diagnostics.append(
                 f"line {d.line}: worksharing-loop pragma not followed by a for loop; "
                 "region omitted"
             )
             continue
-        span = attached_construct_span(unit, d, diagnostics)
+        span = attached_construct_span(d, diagnostics)
         if span is not None:
             blocks.append(
                 RegionBlock(

@@ -97,3 +97,18 @@ def pragma_soups() -> st.SearchStrategy[str]:
         st.sampled_from(["\n", "\r\n"]),
         st.booleans(),
     )
+
+
+# Brackets left open, closed by the wrong type, and on `#pragma omp` and
+# `#define` lines, whose closers may lie on a later line.
+BRACKET_FRAGMENTS = [
+    "(", ")", "[", "]", "{", "}", ";", " ", "\n", "\\\n", "x", "a[i]", "f(x)",
+    "for (i = 0; i < n; i++)", "for (;;)", "for (int j = 0; j < m; j++) {",
+    "if", "while", "case", "&&", "||", "'('", '"{"', "/* } */", "// ;\n",
+    "\n#pragma omp parallel\n", "\n#pragma omp parallel for private(",
+    "\n#pragma omp for reduction(+:s) collapse(2", "\n#pragma omp critical(",
+    "\n#pragma omp task depend(in: a[", "\n#pragma omp single\n",
+    "\n#define M(a) { a; ", "\n#pragma GCC ivdep\n",
+]
+
+bracket_soups = st.lists(st.sampled_from(BRACKET_FRAGMENTS), max_size=60).map("".join)

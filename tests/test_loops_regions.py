@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ompbleu.config import EvalConfig
-from ompbleu.metrics import ompbleu_score
+from ompbleu.metrics import analyze, ompbleu_score
 from ompbleu.syntax import (
     count_decisions,
     directives,
@@ -26,7 +26,7 @@ from ompbleu.syntax.directives import (
 )
 from ompbleu.syntax.lexer import SourceUnit, Token
 
-from conftest import fixture_text
+from conftest import bracket_soups, fixture_text
 
 
 def _loops(code):
@@ -295,21 +295,6 @@ class ScanningBrackets:
         return self.depths[i]
 
 
-# Brackets left open, closed by the wrong type, and on `#pragma omp` and
-# `#define` lines, whose closers may lie on a later line.
-BRACKET_FRAGMENTS = [
-    "(", ")", "[", "]", "{", "}", ";", " ", "\n", "\\\n", "x", "a[i]", "f(x)",
-    "for (i = 0; i < n; i++)", "for (;;)", "for (int j = 0; j < m; j++) {",
-    "if", "while", "case", "&&", "||", "'('", '"{"', "/* } */", "// ;\n",
-    "\n#pragma omp parallel\n", "\n#pragma omp parallel for private(",
-    "\n#pragma omp for reduction(+:s) collapse(2", "\n#pragma omp critical(",
-    "\n#pragma omp task depend(in: a[", "\n#pragma omp single\n",
-    "\n#define M(a) { a; ", "\n#pragma GCC ivdep\n",
-]
-
-bracket_soups = st.lists(st.sampled_from(BRACKET_FRAGMENTS), max_size=60).map("".join)
-
-
 @given(bracket_soups)
 @settings(max_examples=300, deadline=None)
 def test_bracket_table_matches_the_scanners(text):
@@ -440,3 +425,12 @@ def test_deep_loop_nest_self_scores_in_time():
         + "}\n"
     )
     _self_scores_in_time(text, 15.0)
+
+
+def test_a_run_of_pragma_lines_analyses_in_time():
+    # each pragma attaches past the rest of the run, to the closing brace
+    text = "void f(void) {\n" + "#pragma omp barrier\n" * 16_000 + "}\n"
+    started = time.perf_counter()
+    side = analyze(text)
+    assert time.perf_counter() - started < 15.0
+    assert len(side.directives) == 16_000

@@ -5,16 +5,34 @@ whole unit) from the token stream of the unit it analysed.  The oracle below
 is the path that re-lexed the pragma-stripped text of each span instead.
 """
 
-from hypothesis import given, settings
+import bisect
+from operator import itemgetter
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ompbleu.config import EvalConfig
 from ompbleu.metrics import analyze, ompbleu_score
 from ompbleu.report import DatasetRecord, evaluate_dataset
 from ompbleu.similarity import SparseTokenVector
-from ompbleu.syntax import parse_source, strip_openmp
-from ompbleu.syntax.directives import attached_construct_span
+from ompbleu.syntax import (
+    ATTACHED_BLOCK,
+    ATTACHED_FOR_LOOP,
+    ATTACHED_NONE,
+    ATTACHED_STATEMENT,
+    Directive,
+    loop_contexts,
+    parse_source,
+    strip_openmp,
+)
+from ompbleu.syntax.directives import (
+    attached_construct_span,
+    directive_line_spans,
+    pragma_line_range,
+)
+from ompbleu.syntax.lexer import SourceUnit, Token
 
-from conftest import FIXTURES, fixture_text, pragma_soups
+from conftest import FIXTURES, bracket_soups, fixture_text, pragma_soups
 
 NO_COMPILE_CFG = EvalConfig(compile_enabled=False)
 
@@ -53,7 +71,7 @@ def _assert_slices_match_relexing(source: str) -> None:
     for d in side.directives:
         if d.attached_loop is not None:
             spans.append((d.attached_loop.byte_offset, d.attached_loop.end_offset))
-        span = attached_construct_span(side.unit, d)
+        span = attached_construct_span(d)
         if span is not None:
             spans.append(span)
     for lo, hi in spans:
@@ -95,10 +113,166 @@ def test_construct_keeps_the_units_lexing_of_a_leading_hash():
     # the unit just as in the text alone, and the pragma before that
     # directive line governs no construct.
     side = analyze("#pragma omp single\n/* c */ # x;\n")
-    assert attached_construct_span(side.unit, side.directives[0]) is None
+    assert attached_construct_span(side.directives[0]) is None
     assert [(t.lexeme, t.kind) for t in side.unit.code[-2:]] == [
         ("# x", "preprocessor"),
         (";", "punctuation"),
     ]
     assert SparseTokenVector.from_code("/* c */ # x;").counts == {"# x": 1, ";": 1}
     assert SparseTokenVector.from_code("# x;").counts == {"# x": 1, ";": 1}
+
+
+# -- oracles: each pragma line cut and attached per span ----------------------
+#
+# The code below is what analysis ran before the stripped view and the
+# construct spans found at extraction: every span walked the cuts inside
+# it, and every construct was found again from the end of its pragma line,
+# stepping over any run of pragma lines one token at a time.
+
+
+def _kept_ranges(
+    cuts: list[tuple[int, int]] | tuple[tuple[int, int], ...], lo: int, hi: int
+) -> list[tuple[int, int]]:
+    """The parts of [lo, hi) outside the sorted ``cuts`` that start in it."""
+    kept: list[tuple[int, int]] = []
+    pos = lo
+    for cut_lo, cut_hi in cuts[bisect.bisect_left(cuts, lo, key=itemgetter(0)) :]:
+        if cut_lo >= hi:
+            break
+        kept.append((pos, cut_lo))
+        pos = min(max(pos, cut_hi), hi)
+    kept.append((pos, hi))
+    return kept
+
+
+def stripped_slice(
+    unit: SourceUnit, pragma_lines: tuple[tuple[int, int], ...], lo: int, hi: int
+) -> tuple[str, list[Token]]:
+    """``unit.text[lo:hi]`` without its OpenMP pragma lines, and its code
+    tokens.
+
+    ``pragma_lines`` are the unit's :func:`pragma_line_range` spans in
+    source order.  For a span that starts and ends on token boundaries with
+    a code token first, the text equals ``strip_openmp`` of the span's text
+    parsed alone, and the tokens, cut from the unit's code tokens, have the
+    lexemes and kinds of that text's code tokens.
+    """
+    kept = _kept_ranges(pragma_lines, lo, hi)
+    text = "".join(unit.text[a:b] for a, b in kept)
+    tokens = [t for a, b in kept for t in unit.code[unit.token_index(a) : unit.token_index(b)]]
+    return text, tokens
+
+
+def _strip_openmp(unit: SourceUnit) -> str:
+    text = unit.text
+    cuts = [pragma_line_range(unit, lo, hi) for lo, hi in directive_line_spans(unit)]
+    return "".join(text[a:b] for a, b in _kept_ranges(cuts, 0, len(text)))
+
+
+def _skip_to_code(tokens: tuple[Token, ...], start: int) -> int:
+    """Index of the first of the code ``tokens`` at or after ``start`` that
+    lies outside any preprocessor line; ``len(tokens)`` if there is none."""
+    i = start
+    while i < len(tokens) and tokens[i].in_directive:
+        i += 1
+    return i
+
+
+def _attachment(unit: SourceUnit, end: int):
+    """(attached_kind, attached_loop) of the pragma line whose code tokens
+    end before ``end``."""
+    tokens = unit.code
+    loops_by_offset = {lp.byte_offset: lp for lp in loop_contexts(unit)}
+    # attachment: next code token after this and any other preprocessor line
+    k = _skip_to_code(tokens, end)
+    lexeme = tokens[k].lexeme if k < len(tokens) else None
+    attached_loop = loops_by_offset.get(tokens[k].byte_offset) if lexeme == "for" else None
+    if attached_loop is not None:
+        attached_kind = ATTACHED_FOR_LOOP
+    elif lexeme is None or lexeme == "}":
+        attached_kind = ATTACHED_NONE
+    elif lexeme == "{":
+        attached_kind = ATTACHED_BLOCK
+    else:
+        attached_kind = ATTACHED_STATEMENT
+    return attached_kind, attached_loop
+
+
+def _attached_construct_span(
+    unit: SourceUnit, directive: Directive, diagnostics: list[str] | None = None
+) -> tuple[int, int] | None:
+    """Byte span of the construct a directive governs, if parsable.
+
+    When there is none, the reason is appended to ``diagnostics``.
+    """
+    if directive.attached_kind == ATTACHED_FOR_LOOP and directive.attached_loop is not None:
+        return (directive.attached_loop.byte_offset, directive.attached_loop.end_offset)
+    problem = "no construct follows pragma"
+    if directive.attached_kind in (ATTACHED_BLOCK, ATTACHED_STATEMENT):
+        tokens = unit.code
+        idx = _skip_to_code(tokens, unit.token_index(directive.byte_offset + len(directive.raw_text)))
+        if idx < len(tokens):
+            block = tokens[idx].lexeme == "{"
+            end = unit.brackets.closers.get(idx) if block else unit.brackets.statement_end(idx)
+            if end is not None:
+                return (tokens[idx].byte_offset, tokens[end].end_offset)
+            problem = "unbalanced block after pragma" if block else "unterminated statement after pragma"
+    if diagnostics is not None:
+        diagnostics.append(f"line {directive.line}: {problem}")
+    return None
+
+
+# Runs of pragma lines with other preprocessor lines between them, and
+# closers on pragma lines that match brackets opened before them.
+PRAGMA_RUN_LINES = [
+    "#pragma omp barrier", "#pragma omp parallel", "#pragma omp single }",
+    "#pragma omp critical(x) ;", "#pragma omp for private(i) )", "#pragma omp task ]",
+    "/* c */ #pragma omp for", "#pragma omp parallel for \\\n  collapse(2) }",
+    "#define M(a) { a; }", "#define N \\\n  (x", "#ifdef X", "#endif",
+    "for (i = 0; i < n; i++)", "for (;;) {", "{", "}", "x;", "f(a[i]);", "",
+]
+
+pragma_runs = st.lists(st.sampled_from(PRAGMA_RUN_LINES), max_size=30).map("\n".join)
+
+
+@given(
+    st.one_of(pragma_soups(), bracket_soups, pragma_runs),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=5),
+)
+# a construct closed on a pragma line; other preprocessor lines in a run
+@example("{\n#pragma omp single\n{ x;\n#pragma omp barrier }\ny; }\n", [])
+@example("#pragma omp single\n#define M }\n#pragma omp for\n#ifdef X\nx; }\n", [])
+@example("f(\n#pragma omp parallel\n#pragma omp barrier )\ny;", [])
+@settings(max_examples=500, deadline=None)
+def test_cuts_and_attachments_match_the_oracles(text, draws):
+    side = analyze(text)
+    unit, view = side.unit, side.stripped_view
+    assert strip_openmp(unit) == _strip_openmp(unit)
+    pragma_lines = tuple(
+        pragma_line_range(unit, d.byte_offset, d.byte_offset + len(d.raw_text))
+        for d in side.directives
+    )
+
+    spans = []
+    for d in side.directives:
+        end = unit.token_index(d.byte_offset + len(d.raw_text))
+        assert (d.attached_kind, d.attached_loop) == _attachment(unit, end)
+        found: list[str] = []
+        expected: list[str] = []
+        span = attached_construct_span(d, found)
+        assert span == _attached_construct_span(unit, d, expected)
+        assert found == expected
+        spans += [span] if span else []
+        if d.attached_loop is not None:
+            spans.append((d.attached_loop.byte_offset, d.attached_loop.end_offset))
+
+    # any span that starts outside the cuts, ending anywhere on a token boundary
+    bounds = sorted({0, len(text), *(t.byte_offset for t in unit.code), *(t.end_offset for t in unit.code)})
+    starts = [x for x in bounds if not any(lo < x < hi for lo, hi in pragma_lines)]
+    for i, j in draws:
+        lo = starts[i % len(starts)]
+        ends = [x for x in bounds if x >= lo]
+        spans.append((lo, ends[j % len(ends)]))
+
+    for lo, hi in spans:
+        assert view.slice(lo, hi) == stripped_slice(unit, pragma_lines, lo, hi), (lo, hi)
