@@ -20,7 +20,6 @@ from .similarity import (
     BagOfTokensBackend,
     CodeText,
     SimilarityBackend,
-    SparseTokenVector,
     lcs_ratio,
     lev_similarity,
 )
@@ -151,7 +150,7 @@ class SideAnalysis:
     @cached_property
     def code(self) -> CodeText:
         """The whole source, pragmas included."""
-        return CodeText(self.unit.text, SparseTokenVector.from_tokens(self.unit.code))
+        return CodeText(self.unit.text, self.unit.code)
 
     @cached_property
     def stripped_view(self) -> StrippedView:
@@ -163,8 +162,8 @@ class SideAnalysis:
         """A byte span of the source with its OpenMP pragma lines removed."""
         code = self._stripped.get(span)
         if code is None:
-            text, tokens = self.stripped_view.slice(*span)
-            code = self._stripped[span] = CodeText(text, SparseTokenVector.from_tokens(tokens))
+            text, first, stop = self.stripped_view.slice(*span)
+            code = self._stripped[span] = CodeText(text, self.stripped_view.tokens, first, stop)
         return code
 
     def compiled(self, config: CompileConfig) -> CompileResult:

@@ -13,7 +13,9 @@ import math
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import cached_property
+from itertools import compress, count
+from operator import itemgetter, ne
 from typing import Iterable, Protocol, Sequence
 
 from .syntax import Token, parse_source
@@ -23,26 +25,39 @@ class SimilarityError(RuntimeError):
     """A similarity backend failed; the caller decides on fallback."""
 
 
+def _trimmed_pattern(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence, int, dict]:
+    """The set-up of the bit-parallel kernels: cut the common prefix, then
+    the common suffix, of ``a`` and ``b`` (exact for both LCS and edit
+    distance; both searches run in C), and return the longer rest (the
+    pattern), the shorter rest, the number of elements cut from each, and
+    the masks where bit ``i`` of ``masks[x]`` is set if ``pattern[i] == x``."""
+    n = min(len(a), len(b))
+    lo = next(compress(count(), map(ne, a, b)), n)
+    a, b = a[lo:], b[lo:]
+    hi = next(compress(count(), map(ne, reversed(a), reversed(b))), n - lo)
+    a, b = a[: len(a) - hi], b[: len(b) - hi]
+    if len(a) < len(b):
+        a, b = b, a
+    masks: dict = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | (1 << i)
+    return a, b, lo + hi, masks
+
+
 def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance by the bit-parallel algorithm of Myers (J. ACM
     46(3), 1999) in Hyyrö's (2001) form for global edit distance.
 
-    The longer string is the pattern: bit ``i`` of each vector describes
-    row ``i`` of the dynamic-programming table, held in one Python int, and
-    the loop runs once per character of the shorter string.  ``pv``/``mv``
-    mark where a column steps up/down by one; ``score`` follows the last
-    row.  The result equals the O(|a|*|b|) table exactly.
+    Past the common prefix and suffix, the longer string is the pattern:
+    bit ``i`` of each vector describes row ``i`` of the dynamic-programming
+    table, held in one Python int, and the loop runs once per character of
+    the shorter string.  ``pv``/``mv`` mark where a column steps up/down by
+    one; ``score`` follows the last row.  The result equals the table.
     """
-    if len(a) < len(b):
-        a, b = b, a
+    a, b, _, peq = _trimmed_pattern(a, b)
     m = len(a)
-    if not b:
-        return m
-    peq: dict[str, int] = {}
-    for i, ch in enumerate(a):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
     mask = (1 << m) - 1
-    high = 1 << (m - 1)
+    high = (mask + 1) >> 1  # the last row's bit; 0 when both strings are empty
     pv, mv, score = mask, 0, m
     for ch in b:
         eq = peq.get(ch, 0)
@@ -66,30 +81,26 @@ def lev_similarity(a: str, b: str) -> float:
     """1 - normalized Levenshtein distance; 1.0 for identical strings."""
     if a == b:
         return 1.0
-    if not a or not b:
-        return 0.0
     return 1.0 - edit_distance(a, b) / max(len(a), len(b))
 
 
 def lcs_length(a: Sequence, b: Sequence) -> int:
-    """Length of the longest common subsequence of two sequences."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, 1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[len(b)]
+    """Length of the longest common subsequence of two sequences of hashable
+    elements, bit-parallel (Allison & Dix, IPL 23(5), 1986; Hyyrö 2004):
+    past the common prefix and suffix, the longer sequence is the pattern,
+    and a clear bit ``i`` of ``v`` marks a step at row ``i`` of the table."""
+    a, b, common, peq = _trimmed_pattern(a, b)
+    v = mask = (1 << len(a)) - 1
+    for y in b:
+        u = v & peq.get(y, 0)
+        v = ((v + u) | (v - u)) & mask
+    return common + len(a) - v.bit_count()
 
 
 def lcs_ratio(a: Sequence, b: Sequence) -> float:
     """2 * |longest common subsequence| / (|a| + |b|); empty vs empty is 1."""
     if not a and not b:
         return 1.0
-    if not a or not b:
-        return 0.0
     return 2.0 * lcs_length(a, b) / (len(a) + len(b))
 
 
@@ -123,14 +134,18 @@ class SparseTokenVector:
 
 @dataclass(frozen=True)
 class CodeText:
-    """A code text together with its bag of code tokens.
-
-    The scorer cuts both from the token stream of the unit the text comes
-    from, so the bag costs no second lexing of ``text``.
-    """
+    """A code text and its code tokens, ``tokens[first:stop]`` of the token
+    list it is cut from, so no token is copied or lexed again.  The bag of
+    code tokens is built on first use; comparing equal texts builds none."""
 
     text: str
-    vector: SparseTokenVector
+    tokens: Sequence[Token]
+    first: int = 0
+    stop: int | None = None
+
+    @cached_property
+    def vector(self) -> SparseTokenVector:
+        return SparseTokenVector.from_tokens(self.tokens[self.first : self.stop])
 
 
 class SimilarityBackend(Protocol):
@@ -151,6 +166,8 @@ class BagOfTokensBackend:
         return SparseTokenVector.from_code(code)
 
     def similarity(self, a: str | CodeText, b: str | CodeText) -> float:
+        if _text(a) == _text(b):
+            return 1.0  # equal texts have equal bags
         return _clamp01(self._vector(a).cosine(self._vector(b)))
 
 

@@ -532,19 +532,19 @@ class StrippedView:
         i = bisect.bisect_right(self._cut_ends, offset)
         return min(offset, self._cut_starts[i]) - self._removed[i]
 
-    def slice(self, lo: int, hi: int) -> tuple[str, list[Token]]:
-        """``unit.text[lo:hi]`` without the cut lines, and its code tokens.
+    def slice(self, lo: int, hi: int) -> tuple[str, int, int]:
+        """``unit.text[lo:hi]`` without the cut lines, and the bounds
+        ``[first, stop)`` of its code tokens in :attr:`tokens`.
 
-        ``lo`` lies outside the cuts.  Brackets match across pragma lines,
-        so ``hi`` may lie inside a cut; the span then ends where the cut
-        starts.  For a span that starts and ends on token boundaries with a
-        code token first, the text equals ``strip_openmp`` of the span's
-        text parsed alone, and the tokens have the lexemes and kinds of
-        that text's code tokens.
+        ``lo`` lies outside the cuts.  Brackets match across pragma lines, so
+        ``hi`` may lie inside a cut; the span then ends where the cut starts.
+        For a span that starts and ends on token boundaries with a code token
+        first, the text equals ``strip_openmp`` of the span's text parsed
+        alone, and the tokens have the lexemes and kinds of its code tokens.
         """
         text = self.text[self._stripped_offset(lo) : self._stripped_offset(hi)]
         first, stop = (bisect.bisect_left(self.tokens, x, key=BYTE_OFFSET) for x in (lo, hi))
-        return text, self.tokens[first:stop]
+        return text, first, stop
 
 
 def strip_openmp(unit: SourceUnit) -> str:

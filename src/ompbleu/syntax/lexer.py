@@ -172,9 +172,8 @@ class Brackets:
             depths.append(depth)
         # from an opener, a statement runs over its group to the end of the
         # statement after it; an unclosed group leaves it unterminated
-        for j in range(len(at) - 1, -1, -1):
-            if j in any_closers:
-                ends[j] = ends[any_closers[j] + 1]
+        for j in sorted(any_closers, reverse=True):
+            ends[j] = ends[any_closers[j] + 1]
         self.closers = closers
         self._at = at
         self._ends = ends

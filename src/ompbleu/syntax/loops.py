@@ -114,8 +114,8 @@ def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
     closers = unit.brackets.closers
     raw: list[dict] = []
 
-    for idx, tok in enumerate(tokens):
-        if tok.kind != "keyword" or tok.lexeme != "for" or tok.in_directive:
+    for idx in unit.decisions:  # the decision points outside preprocessor lines
+        if tokens[idx].lexeme != "for":
             continue
         j = idx + 1
         if j >= len(tokens) or tokens[j].lexeme != "(":
@@ -136,7 +136,7 @@ def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
         raw.append(
             {
                 "for_index": idx,
-                "start": tok.byte_offset,
+                "start": tokens[idx].byte_offset,
                 "end": len(unit.text) if stop is None else tokens[stop].end_offset,
                 "after": len(tokens) if stop is None else stop + 1,
                 "body_span": body_span,

@@ -427,6 +427,20 @@ def test_deep_loop_nest_self_scores_in_time():
     _self_scores_in_time(text, 15.0)
 
 
+def test_deep_parallel_nest_scores_in_time():
+    # the `or` sub-score's LCS and the `pl` bags of 4,000 nested constructs
+    depth = 4_000
+    block = "#pragma omp parallel\n{\n"
+    text = block * depth + "x++;\n" + "}\n" * depth
+    _self_scores_in_time(text, 5.0)
+    # one clause added halfway down: every other construct keeps its text
+    cut = len(block) * (depth // 2)
+    edited = text[:cut] + "#pragma omp parallel private(x)\n" + text[cut + len(block) - 2 :]
+    started = time.perf_counter()
+    assert ompbleu_score(text, edited, NO_COMPILE_CFG).composite < 100.0
+    assert time.perf_counter() - started < 5.0
+
+
 def test_a_run_of_pragma_lines_analyses_in_time():
     # each pragma attaches past the rest of the run, to the closing brace
     text = "void f(void) {\n" + "#pragma omp barrier\n" * 16_000 + "}\n"

@@ -275,4 +275,6 @@ def test_cuts_and_attachments_match_the_oracles(text, draws):
         spans.append((lo, ends[j % len(ends)]))
 
     for lo, hi in spans:
-        assert view.slice(lo, hi) == stripped_slice(unit, pragma_lines, lo, hi), (lo, hi)
+        text, first, stop = view.slice(lo, hi)
+        expected = stripped_slice(unit, pragma_lines, lo, hi)
+        assert (text, view.tokens[first:stop]) == expected, (lo, hi)

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 
 from ompbleu.similarity import (
     BagOfTokensBackend,
+    CodeText,
     RemoteEmbeddingBackend,
     SimilarityError,
     SparseTokenVector,
+    edit_distance,
+    lcs_length,
     lcs_ratio,
     lev_similarity,
 )
@@ -43,6 +46,42 @@ def brute_force_lcs(a, b) -> int:
             if all(x in it for x in iter(sub)):
                 best = max(best, r)
     return best
+
+
+def dp_lcs_length(a, b) -> int:
+    """The O(|a|*|b|) dynamic program ``lcs_length`` replaced."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, 1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[len(b)]
+
+
+def _affixed_pairs(rng: random.Random, alphabet, other, trials: int, max_len: int):
+    """Pairs of lists up to ``max_len`` long, in turn: random ones, ones
+    that share a long prefix and suffix around short random middles, equal
+    ones, and ones whose second list is drawn from the ``other`` alphabet,
+    disjoint from ``alphabet``."""
+
+    def draw(hi: int, letters=alphabet) -> list:
+        return [rng.choice(letters) for _ in range(rng.randint(0, hi))]
+
+    for trial in range(trials):
+        kind = trial % 4
+        if kind == 0:
+            yield draw(max_len), draw(max_len)
+        elif kind == 1:
+            prefix, suffix = draw(max_len // 3), draw(max_len // 3)
+            yield prefix + draw(max_len // 6) + suffix, prefix + draw(max_len // 6) + suffix
+        elif kind == 2:
+            a = draw(max_len)
+            yield a, list(a)
+        else:
+            yield draw(max_len), draw(max_len, other)
 
 
 def _oracle_lev(a: str, b: str) -> float:
@@ -165,6 +204,33 @@ def test_lcs_matches_oracle_sampled_up_to_length_6():
         assert lcs_ratio(a, b) == pytest.approx(expected, abs=1e-12)
 
 
+def test_lcs_matches_the_dynamic_program_up_to_length_300():
+    rng = random.Random(20261019)
+    # tuples like the `or` elements: (signature, depth, collapse tag, construct)
+    alphabets = [
+        [("parallel", 0, None, "block"), ("for", 1, "collapse_valid", "for_loop")],
+        [(s, d, None, "block") for s in ("parallel", "for", "barrier") for d in range(2)],
+        [(k,) for k in range(8)],
+    ]
+    other = [("single", 0, None, "block"), ("task", 2, None, "statement")]
+    for trial in range(30):
+        alphabet = alphabets[trial % len(alphabets)]
+        for a, b in _affixed_pairs(rng, alphabet, other, 4, 300):
+            expected = dp_lcs_length(a, b)
+            assert lcs_length(a, b) == expected == lcs_length(b, a), (a, b)
+            if a or b:
+                assert lcs_ratio(a, b) == 2.0 * expected / (len(a) + len(b)) == lcs_ratio(b, a)
+
+
+def test_edit_distance_with_shared_prefix_and_suffix_matches_brute_force():
+    rng = random.Random(20261020)
+    for alphabet in ("ab", "acgt", "for(i=0;<n+)"):
+        for a, b in _affixed_pairs(rng, alphabet, "XYZ", 40, 90):
+            a, b = "".join(a), "".join(b)
+            expected = brute_force_edit_distance(a, b)
+            assert edit_distance(a, b) == expected == edit_distance(b, a), (a, b)
+
+
 @given(
     st.lists(st.integers(0, 3), max_size=8),
     st.lists(st.integers(0, 3), max_size=8),
@@ -204,6 +270,26 @@ def test_sparse_vector_self_cosine():
     assert v.cosine(v) == pytest.approx(1.0)
 
 
+class _Untouchable:
+    """A token source that fails if the bag is built from it."""
+
+    def __getitem__(self, index):
+        raise AssertionError("a bag was built")
+
+    def __iter__(self):
+        raise AssertionError("a bag was built")
+
+
+def test_equal_texts_score_one_without_building_a_bag():
+    backend = BagOfTokensBackend()
+    text = "for (i = 0; i < n; i++) a[i] = 0;"
+    code = CodeText(text, _Untouchable())
+    assert backend.similarity(code, CodeText(text, _Untouchable(), 3, 9)) == 1.0
+    assert backend.similarity(code, text) == 1.0
+    with pytest.raises(AssertionError, match="a bag was built"):
+        backend.similarity(code, CodeText(text + " ", _Untouchable()))
+
+
 def test_comments_and_whitespace_excluded_from_bags():
     context_cosine = BagOfTokensBackend().similarity
     assert context_cosine("x + y // same", "x + y /* different */") == 1.0
@@ -213,7 +299,7 @@ def test_comments_and_whitespace_excluded_from_bags():
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):
-    vectors = {"alpha": [1.0, 0.0], "beta": [0.0, 1.0], "both": [1.0, 1.0]}
+    vectors = {"alpha": [1.0, 0.0], "beta": [0.0, 1.0], "both": [1.0, 1.0], "zero": [0.0, 0.0]}
     fail_mode = None
 
     def do_POST(self):
@@ -257,6 +343,13 @@ def test_remote_backend_cosine(embed_server):
     assert backend.similarity("alpha", "beta") == 0.0
     assert backend.similarity("alpha", "both") == pytest.approx(1 / 2**0.5)
     assert backend.similarity("alpha", "alpha") == pytest.approx(1.0)
+
+
+def test_remote_backend_rejects_a_zero_vector_even_for_equal_texts(embed_server):
+    # only the bag backend may skip its work for equal texts
+    backend = RemoteEmbeddingBackend(embed_server, "test-model", timeout=5)
+    with pytest.raises(SimilarityError, match="zero vector"):
+        backend.similarity(CodeText("zero", ()), CodeText("zero", ()))
 
 
 def test_remote_backend_http_error(embed_server):
