@@ -129,8 +129,9 @@ class SideAnalysis:
     """Everything the sub-scores need from one side of a pair.
 
     Built from one tokenization of the source.  The code texts the cosine
-    backends compare are cut from that token stream and kept here, so a
-    reference shared by several candidates builds each of them once.
+    backends compare are bounds into the source, or into its stripped view,
+    and into their code tokens; they are kept here, with any bag built from
+    them, so a reference shared by several candidates builds each once.
     """
 
     unit: SourceUnit
@@ -150,7 +151,7 @@ class SideAnalysis:
     @cached_property
     def code(self) -> CodeText:
         """The whole source, pragmas included."""
-        return CodeText(self.unit.text, self.unit.code)
+        return CodeText(self.unit.text, self.unit.lexemes)
 
     @cached_property
     def stripped_view(self) -> StrippedView:
@@ -162,8 +163,9 @@ class SideAnalysis:
         """A byte span of the source with its OpenMP pragma lines removed."""
         code = self._stripped.get(span)
         if code is None:
-            text, first, stop = self.stripped_view.slice(*span)
-            code = self._stripped[span] = CodeText(text, self.stripped_view.tokens, first, stop)
+            view = self.stripped_view
+            lo, hi, first, stop = view.slice(*span)
+            code = self._stripped[span] = CodeText(view.text, view.lexemes, first, stop, lo, hi)
         return code
 
     def compiled(self, config: CompileConfig) -> CompileResult:

@@ -140,7 +140,7 @@ def _pragma_line_roles(tokens: tuple[Token, ...]) -> list[str]:
     lends its role to the tokens inside its parentheses.
     """
     code = [t for t in tokens if t.kind not in ("whitespace", "comment")]
-    kinds, _ = directive_kinds(code[2:])  # code[:2] is `#pragma omp`
+    kinds, _ = directive_kinds([t.lexeme for t in code[2:]])  # code[:2] is `#pragma omp`
     head = deque(
         ["omp_pragma", "omp_marker", *(_OMP_DIRECTIVE_ROLES.get(k, "omp_directive_other") for k in kinds)]
     )

@@ -160,7 +160,8 @@ def rank_candidates(
     """Score every candidate and rank by composite, best first.
 
     The reference is analysed once and, with one similarity backend, shared
-    by every candidate.  Ties break toward the earlier candidate; a
+    by every candidate; a candidate equal to it shares its analysis too.
+    Ties break toward the earlier candidate; a
     candidate that fails hard is ranked after every scored one with the
     error recorded, never dropped.
     """
@@ -174,7 +175,10 @@ def rank_candidates(
             # each candidate with its error, not the whole run
             if reference is None:
                 reference = analyze(record.reference, record.language)
-            analysis = analyze(candidate, record.language)
+            if candidate == record.reference:
+                analysis = reference
+            else:
+                analysis = analyze(candidate, record.language)
             breakdown = ompbleu_score(reference, analysis, config, backend)
             scored.append(
                 RankedCandidate(

@@ -15,10 +15,10 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
-from operator import itemgetter, ne
+from operator import ne
 from typing import Iterable, Protocol, Sequence
 
-from .syntax import Token, parse_source
+from .syntax import tokenize
 
 
 class SimilarityError(RuntimeError):
@@ -111,15 +111,14 @@ class SparseTokenVector:
     counts: dict[str, int]
 
     @classmethod
-    def from_tokens(cls, tokens: Iterable[Token]) -> "SparseTokenVector":
-        """Counts of the lexemes of ``tokens``, code tokens as in
-        :attr:`~ompbleu.syntax.SourceUnit.code`."""
-        # a Token's first field is its lexeme
-        return cls(counts=dict(Counter(map(itemgetter(0), tokens))))
+    def from_lexemes(cls, lexemes: Iterable[str]) -> "SparseTokenVector":
+        """Counts of ``lexemes``, those of code tokens as in
+        :attr:`~ompbleu.syntax.SourceUnit.lexemes`."""
+        return cls(counts=dict(Counter(lexemes)))
 
     @classmethod
     def from_code(cls, text: str) -> "SparseTokenVector":
-        return cls.from_tokens(parse_source(text).code)
+        return cls.from_lexemes(tokenize(text).lexemes)
 
     def cosine(self, other: "SparseTokenVector") -> float:
         if self.counts == other.counts:
@@ -134,18 +133,26 @@ class SparseTokenVector:
 
 @dataclass(frozen=True)
 class CodeText:
-    """A code text and its code tokens, ``tokens[first:stop]`` of the token
-    list it is cut from, so no token is copied or lexed again.  The bag of
-    code tokens is built on first use; comparing equal texts builds none."""
+    """A code text, ``source[lo:hi]``, and the lexemes of its code tokens,
+    ``lexemes[first:stop]``, cut from the text and the lexemes of a whole
+    unit: holding one copies neither, and nothing is lexed again.  The text
+    is cut each time it is read, and the bag of code tokens is built on
+    first use; comparing equal texts builds none."""
 
-    text: str
-    tokens: Sequence[Token]
+    source: str
+    lexemes: Sequence[str]
     first: int = 0
     stop: int | None = None
+    lo: int = 0
+    hi: int | None = None
+
+    @property
+    def text(self) -> str:
+        return self.source[self.lo : self.hi]
 
     @cached_property
     def vector(self) -> SparseTokenVector:
-        return SparseTokenVector.from_tokens(self.tokens[self.first : self.stop])
+        return SparseTokenVector.from_lexemes(self.lexemes[self.first : self.stop])
 
 
 class SimilarityBackend(Protocol):

@@ -17,7 +17,7 @@ from .directives import (
     normalize_directive,
     strip_openmp,
 )
-from .lexer import SourceUnit, Token, parse_source, tokenize
+from .lexer import CodeTokens, SourceUnit, Token, parse_source, tokenize
 from .loops import LoopContext, loop_contexts
 from .regions import RegionBlock, count_decisions, parallel_region_blocks
 
@@ -30,6 +30,7 @@ __all__ = [
     "COLLAPSE_NOT_APPLICABLE",
     "COLLAPSE_VALID",
     "Clause",
+    "CodeTokens",
     "Directive",
     "LoopContext",
     "NormalizedDirective",

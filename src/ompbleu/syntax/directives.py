@@ -17,8 +17,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .lexer import BYTE_OFFSET, SourceUnit, Token, newline_tokens
-from .loops import LoopContext, _split_top_level, loop_contexts
+from .lexer import SourceUnit, lexeme_kind, newline_tokens
+from .loops import _CLOSERS, _OPENERS, LoopContext, _split_top_level, loop_contexts
 
 # Directive keywords and the combinations they may extend.
 DIRECTIVE_KINDS = frozenset(
@@ -132,32 +132,28 @@ class NormalizedDirective:
         return " ".join(parts)
 
 
-def _text_of(tokens: Sequence[Token]) -> str:
-    return " ".join(t.lexeme for t in tokens)
+def _text_of(lexemes: Sequence[str]) -> str:
+    return " ".join(lexemes)
 
 
-def _idents_of(tokens: Sequence[Token]) -> list[str]:
+def _idents_of(lexemes: Sequence[str]) -> list[str]:
     """Base identifiers of a variable list, ignoring array sections."""
     names: list[str] = []
     depth = 0
     prev_was_name = False
-    for tok in tokens:
-        if tok.kind == "punctuation":
-            if tok.lexeme in "([{":
-                depth += 1
-            elif tok.lexeme in ")]}":
-                depth -= 1
-            prev_was_name = False
-            continue
-        if depth == 0 and tok.kind in ("identifier", "keyword") and not prev_was_name:
-            names.append(tok.lexeme)
-            prev_was_name = True
-        else:
-            prev_was_name = tok.kind in ("identifier", "keyword")
+    for lexeme in lexemes:
+        if lexeme in _OPENERS:
+            depth += 1
+        elif lexeme in _CLOSERS:
+            depth -= 1
+        is_name = lexeme_kind(lexeme) in ("identifier", "keyword")
+        if is_name and depth == 0 and not prev_was_name:
+            names.append(lexeme)
+        prev_was_name = is_name
     return names
 
 
-def _parse_clause(word: str, arg_tokens: Sequence[Token] | None, raw: str) -> tuple[Clause, bool]:
+def _parse_clause(word: str, arg_tokens: Sequence[str] | None, raw: str) -> tuple[Clause, bool]:
     """Build one clause; returns (clause, degraded)."""
     degraded = False
     kind = word if word in KNOWN_CLAUSE_KINDS else "unknown"
@@ -175,7 +171,7 @@ def _parse_clause(word: str, arg_tokens: Sequence[Token] | None, raw: str) -> tu
         halves = _split_top_level(arg_tokens, ":")
         if len(halves) >= 2:
             reduction_op = _text_of(halves[0]).replace(" ", "")
-            var_tokens = [t for h in halves[1:] for t in h]
+            var_tokens = [lexeme for h in halves[1:] for lexeme in h]
             names = _idents_of(var_tokens)
             variables = frozenset(names)
             args = (reduction_op, *names)
@@ -209,24 +205,24 @@ def _parse_clause(word: str, arg_tokens: Sequence[Token] | None, raw: str) -> tu
     )
 
 
-def directive_kinds(words: Sequence[Token]) -> tuple[tuple[str, ...], bool]:
-    """The directive kinds that open ``words``, the code tokens after `omp`.
+def directive_kinds(words: Sequence[str]) -> tuple[tuple[str, ...], bool]:
+    """The directive kinds that open ``words``, the lexemes of the code
+    tokens after `omp`.
 
     Returns (kinds, degraded).  A word extends the kinds when it may follow
     the last one and no `(` follows it; an unknown first word is kept as the
     only kind and marks the directive degraded.
     """
     kinds: list[str] = []
-    for i, tok in enumerate(words):
-        if tok.kind not in ("identifier", "keyword"):
+    for i, word in enumerate(words):
+        if lexeme_kind(word) not in ("identifier", "keyword"):
             break
-        word = tok.lexeme
         if not kinds:
             kinds.append(word)
             if word not in DIRECTIVE_KINDS:
                 return tuple(kinds), True
             continue
-        followed_by_paren = i + 1 < len(words) and words[i + 1].lexeme == "("
+        followed_by_paren = i + 1 < len(words) and words[i + 1] == "("
         if followed_by_paren or word not in _SUCCESSORS.get(kinds[-1], frozenset()):
             break
         kinds.append(word)
@@ -236,16 +232,16 @@ def directive_kinds(words: Sequence[Token]) -> tuple[tuple[str, ...], bool]:
 def _parse_directive_body(
     unit: SourceUnit, start: int, end: int
 ) -> tuple[tuple[str, ...], tuple[Clause, ...], bool]:
-    """Parse ``unit.code[start:end]``, the code tokens after `omp` on a
+    """Parse code tokens ``start`` to ``end``, those after `omp` on a
     pragma line, into directive kinds and clauses.  A bracket closed only
     after the line is unclosed on it."""
-    tokens, closers = unit.code, unit.brackets.closers
+    tokens, closers = unit.lexemes, unit.brackets.closers
     kinds, degraded = directive_kinds(tokens[start:end])
     clauses: list[Clause] = []
     i = start + len(kinds)
 
     # `critical(name)` carries its name as a pseudo-clause
-    if kinds == ("critical",) and i < end and tokens[i].lexeme == "(":
+    if kinds == ("critical",) and i < end and tokens[i] == "(":
         close = closers.get(i, end)
         if close < end:
             inner = tokens[i + 1 : close]
@@ -264,18 +260,17 @@ def _parse_directive_body(
             i = end
 
     while i < end:
-        tok = tokens[i]
-        if tok.kind == "punctuation" and tok.lexeme == ",":
+        word = tokens[i]
+        if word == ",":
             i += 1
             continue
-        if tok.kind not in ("identifier", "keyword"):
+        if lexeme_kind(word) not in ("identifier", "keyword"):
             degraded = True
             i += 1
             continue
-        word = tok.lexeme
-        arg_tokens: Sequence[Token] | None = None
+        arg_tokens: Sequence[str] | None = None
         j = i + 1
-        if j < end and tokens[j].lexeme == "(":
+        if j < end and tokens[j] == "(":
             close = closers.get(j, end)
             if close >= end:
                 degraded = True
@@ -300,24 +295,24 @@ def directive_line_spans(unit: SourceUnit) -> list[tuple[int, int]]:
     (case-sensitive) as the line's next code token.
     """
     spans: list[tuple[int, int]] = []
-    text, tokens = unit.text, unit.code
-    n = len(tokens)
+    text, lexemes, starts, flags = unit.text, unit.lexemes, unit.starts, unit.in_directive
+    n = len(lexemes)
     pos = text.find("#")
     while pos >= 0:
         i = unit.token_index(pos)
+        # only the `#` that opens a directive line takes a word after it
         if (
             i + 1 < n
-            and tokens[i].byte_offset == pos
-            and tokens[i].kind == "preprocessor"
-            and _RE_DIRECTIVE_WORD.search(tokens[i].lexeme)[0] == "pragma"
-            and tokens[i + 1].in_directive
-            and tokens[i + 1].lexeme == "omp"
+            and starts[i] == pos
+            and _RE_DIRECTIVE_WORD.search(lexemes[i])[0] == "pragma"
+            and flags[i + 1]
+            and lexemes[i + 1] == "omp"
         ):
             end = i + 2  # the next directive line starts at its own `#`
-            while end < n and tokens[end].in_directive and tokens[end].kind != "preprocessor":
+            while end < n and flags[end] and not unit.opens_directive(end):
                 end += 1
-            hi = tokens[end].byte_offset if end < n else len(text)
-            newlines = newline_tokens(text, tokens[end - 1].end_offset, hi)
+            hi = starts[end] if end < n else len(text)
+            newlines = newline_tokens(text, unit.token_end(end - 1), hi)
             spans.append((pos, newlines[0] if newlines else hi))
             pos = text.find("#", hi)
         else:
@@ -346,7 +341,7 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
     Malformed clause syntax is parsed best-effort and flagged on the
     directive rather than raised.
     """
-    tokens, brackets = unit.code, unit.brackets
+    lexemes, starts, flags, brackets = unit.lexemes, unit.starts, unit.in_directive, unit.brackets
     loops_by_offset = {lp.byte_offset: lp for lp in loop_contexts(unit)}
 
     directives: list[Directive] = []
@@ -354,23 +349,23 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
     # preprocessor lines.  The lines are read in reverse, so a walk that
     # reaches the next pragma line takes that line's attachment instead of
     # stepping over it.
-    k = next_start = len(tokens)
+    k = next_start = len(lexemes)
     for lo, hi in reversed(directive_line_spans(unit)):
         start, end = unit.token_index(lo), unit.token_index(hi)
-        # tokens[start + 1] is the `omp` marker
+        # code token start + 1 is the `omp` marker
         kinds, clauses, degraded = _parse_directive_body(unit, start + 2, end)
         if not kinds:
             kinds = ("unknown",)
             degraded = True
 
         i = end
-        while i < next_start and tokens[i].in_directive:
+        while i < next_start and flags[i]:
             i += 1
         if i < next_start:
             k = i
         next_start = start
-        lexeme = tokens[k].lexeme if k < len(tokens) else None
-        attached_loop = loops_by_offset.get(tokens[k].byte_offset) if lexeme == "for" else None
+        lexeme = lexemes[k] if k < len(lexemes) else None
+        attached_loop = loops_by_offset.get(starts[k]) if lexeme == "for" else None
         span = None
         if attached_loop is not None:
             attached_kind = ATTACHED_FOR_LOOP
@@ -382,14 +377,14 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
             attached_kind = ATTACHED_BLOCK if block else ATTACHED_STATEMENT
             close = brackets.closers.get(k) if block else brackets.statement_end(k)
             if close is not None:
-                span = (tokens[k].byte_offset, tokens[close].end_offset)
+                span = (starts[k], unit.token_end(close))
 
         directives.append(
             Directive(
                 kinds=kinds,
                 clauses=clauses,
                 byte_offset=lo,
-                line=tokens[start].line,
+                line=unit.line(lo),
                 ast_depth=brackets.brace_depth(start),
                 attached_kind=attached_kind,
                 attached_loop=attached_loop,
@@ -499,7 +494,7 @@ def pragma_line_range(unit: SourceUnit, start: int, end: int) -> tuple[int, int]
     """
     text = unit.text
     i = unit.token_index(start)
-    prev = unit.code[i - 1].end_offset if i else 0
+    prev = unit.token_end(i - 1) if i else 0
     newlines = newline_tokens(text, prev, start)
     return newlines[-1] + 1 if newlines else prev, min(end + 1, len(text))
 
@@ -513,7 +508,7 @@ class StrippedView:
     """
 
     def __init__(self, unit: SourceUnit, lines: Iterable[tuple[int, int]]) -> None:
-        text, code = unit.text, unit.code
+        text = unit.text
         cuts = [pragma_line_range(unit, lo, hi) for lo, hi in lines]
         self._cut_ends = [hi for _, hi in cuts]
         # the end of the text closes the last kept range
@@ -522,9 +517,13 @@ class StrippedView:
         self._removed = list(accumulate((hi - lo for lo, hi in cuts), initial=0))
         kept = list(zip([0, *self._cut_ends], self._cut_starts))
         self.text = "".join(text[a:b] for a, b in kept)
-        self.tokens: list[Token] = []
+        # the kept code tokens: their lexemes, and their offsets in the unit
+        self.lexemes: list[str] = []
+        self.starts: list[int] = []
         for a, b in kept:
-            self.tokens += code[unit.token_index(a) : unit.token_index(b)]
+            first, stop = unit.token_index(a), unit.token_index(b)
+            self.lexemes += unit.lexemes[first:stop]
+            self.starts += unit.starts[first:stop]
 
     def _stripped_offset(self, offset: int) -> int:
         """Where ``offset`` of the unit lies in the stripped text; an offset
@@ -532,19 +531,24 @@ class StrippedView:
         i = bisect.bisect_right(self._cut_ends, offset)
         return min(offset, self._cut_starts[i]) - self._removed[i]
 
-    def slice(self, lo: int, hi: int) -> tuple[str, int, int]:
-        """``unit.text[lo:hi]`` without the cut lines, and the bounds
-        ``[first, stop)`` of its code tokens in :attr:`tokens`.
+    def slice(self, lo: int, hi: int) -> tuple[int, int, int, int]:
+        """The bounds ``[a, b)`` of ``unit.text[lo:hi]`` without the cut
+        lines in :attr:`text`, and ``[first, stop)`` of its code tokens in
+        :attr:`lexemes`.
 
         ``lo`` lies outside the cuts.  Brackets match across pragma lines, so
         ``hi`` may lie inside a cut; the span then ends where the cut starts.
         For a span that starts and ends on token boundaries with a code token
         first, the text equals ``strip_openmp`` of the span's text parsed
-        alone, and the tokens have the lexemes and kinds of its code tokens.
+        alone, and the tokens have the lexemes of its code tokens.
         """
-        text = self.text[self._stripped_offset(lo) : self._stripped_offset(hi)]
-        first, stop = (bisect.bisect_left(self.tokens, x, key=BYTE_OFFSET) for x in (lo, hi))
-        return text, first, stop
+        starts = self.starts
+        return (
+            self._stripped_offset(lo),
+            self._stripped_offset(hi),
+            bisect.bisect_left(starts, lo),
+            bisect.bisect_left(starts, hi),
+        )
 
 
 def strip_openmp(unit: SourceUnit) -> str:

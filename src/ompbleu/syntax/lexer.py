@@ -8,8 +8,11 @@ structure comes from one table per unit (:class:`Brackets`), built on first
 use in one stack pass over the bracket and `;` tokens.
 
 Lexing is one pass that yields the code tokens, the ones that are neither
-whitespace nor comments; the layout between them is lexed again, from the
-text, only where the full stream is asked for.
+whitespace nor comments, as three parallel columns: lexemes, start offsets
+and directive flags.  A token's kind and line follow from the columns and
+the text, and are derived only where :class:`Token` tuples are asked for;
+the layout between the code tokens is lexed again, from the text, only
+where the full stream is asked for.
 
 A `#` opens a preprocessor directive when nothing but layout comes before
 it on its logical line (C11 5.1.1.2, phases 3-4: a comment counts as a
@@ -25,7 +28,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, repeat
-from operator import add, itemgetter
+from operator import add, and_, itemgetter, not_
 from typing import NamedTuple
 
 TOKEN_KINDS = (
@@ -118,6 +121,12 @@ _KIND_OF_FIRST = _KindOfFirst(
 _KIND_OF = {**dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys((".", "...", ".*"), "punctuation")}
 
 
+def lexeme_kind(lexeme: str) -> str:
+    """The kind of a code token that does not open a preprocessor line: it
+    is in the table or else given by the lexeme's first character."""
+    return _KIND_OF.get(lexeme) or _KIND_OF_FIRST[lexeme[0]]
+
+
 class Token(NamedTuple):
     """One lexeme with its classification and source position."""
 
@@ -132,7 +141,12 @@ class Token(NamedTuple):
         return self.byte_offset + len(self.lexeme)
 
 
-BYTE_OFFSET = itemgetter(2)  # a Token's byte offset, a key for bisecting tokens
+class CodeTokens(NamedTuple):
+    """The code tokens of a text as three parallel columns."""
+
+    lexemes: list[str]
+    starts: list[int]  # each token's offset in the text
+    in_directive: list[bool]  # True for tokens on a preprocessor logical line
 
 
 class Brackets:
@@ -143,8 +157,8 @@ class Brackets:
     the opener's type over all code tokens, pragma lines included.
     """
 
-    def __init__(self, code: tuple[Token, ...]) -> None:
-        at = list(compress(range(len(code)), map(_BRACKETS.__contains__, map(itemgetter(0), code))))
+    def __init__(self, lexemes: list[str], in_directive: list[bool]) -> None:
+        at = list(compress(range(len(lexemes)), map(_BRACKETS.__contains__, lexemes)))
         closers: dict[int, int] = {}
         open_by_type: dict[str, list[int]] = {"(": [], "[": [], "{": []}  # code indices
         open_any: list[int] = []  # indices into ``at``
@@ -153,11 +167,11 @@ class Brackets:
         depths = [0]  # brace depth after each bracket token
         depth = 0
         for j, i in enumerate(at):
-            lexeme, _, _, _, in_directive = code[i]
+            lexeme = lexemes[i]
             if lexeme in open_by_type:
                 open_by_type[lexeme].append(i)
                 open_any.append(j)
-                if lexeme == "{" and not in_directive:
+                if lexeme == "{" and not in_directive[i]:
                     depth += 1
             else:
                 ends[j] = i
@@ -167,7 +181,7 @@ class Brackets:
                         closers[stack.pop()] = i
                     if open_any:
                         any_closers[open_any.pop()] = j
-                    if lexeme == "}" and depth and not in_directive:
+                    if lexeme == "}" and depth and not in_directive[i]:
                         depth -= 1
             depths.append(depth)
         # from an opener, a statement runs over its group to the end of the
@@ -192,15 +206,25 @@ class Brackets:
 
 @dataclass(frozen=True)
 class SourceUnit:
-    """Source text plus its code tokens."""
+    """Source text plus its code tokens, the ones that are neither
+    whitespace nor comments, as the parallel columns of :class:`CodeTokens`."""
 
     text: str
-    code: tuple[Token, ...]  # the tokens that are neither whitespace nor comments
+    lexemes: list[str]
+    starts: list[int]
+    in_directive: list[bool]
+
+    @cached_property
+    def code(self) -> tuple[Token, ...]:
+        """The code tokens as :class:`Token` tuples: :attr:`tokens` without
+        the layout."""
+        return tuple(t for t in self.tokens if t.kind not in ("whitespace", "comment"))
 
     @cached_property
     def tokens(self) -> tuple[Token, ...]:
         """Every token in order, layout included: the layout between the
-        code tokens is lexed again from the text."""
+        code tokens is lexed again from the text, and each code token's kind
+        and line are found on the way."""
         text = self.text
         out: list[Token] = []
         append = out.append
@@ -208,47 +232,76 @@ class SourceUnit:
         findall = _RE_LAYOUT.findall
         pos = 0
         line = 1
+        head = True  # no code token since the last newline token
         in_directive = False
-        for tok in (*self.code, Token("", "whitespace", len(text), line)):
-            hi = tok.byte_offset
+        # an end-of-text marker closes the trailing layout
+        marked = zip([*self.lexemes, "\0"], [*self.starts, len(text)], [*self.in_directive, False])
+        for lexeme, hi, flag in marked:
             if pos + 1 == hi and text[pos] != "\n":  # one blank: the commonest gap
                 append(new(Token, (text[pos], "whitespace", pos, line, in_directive)))
             elif pos < hi:
-                for lexeme in findall(text, pos, hi):
-                    if lexeme == "\n":
-                        append(new(Token, (lexeme, "whitespace", pos, line, False)))
+                for layout in findall(text, pos, hi):
+                    if layout == "\n":
+                        append(new(Token, (layout, "whitespace", pos, line, False)))
                         line += 1
+                        head = True
                         in_directive = False
                     else:
-                        kind = "comment" if lexeme[0] == "/" else "whitespace"
-                        append(new(Token, (lexeme, kind, pos, line, in_directive)))
-                        line += lexeme.count("\n")
-                    pos += len(lexeme)
-            append(tok)
-            pos = hi + len(tok.lexeme)
-            line = tok.line
-            if tok.kind == "preprocessor":  # a splice or a comment may come before its word
-                line += tok.lexeme.count("\n")
-            in_directive = tok.in_directive
+                        kind = "comment" if layout[0] == "/" else "whitespace"
+                        append(new(Token, (layout, kind, pos, line, in_directive)))
+                        line += layout.count("\n")
+                    pos += len(layout)
+            if head and lexeme[0] == "#":  # it opens a directive line
+                append(new(Token, (lexeme, "preprocessor", hi, line, flag)))
+                line += lexeme.count("\n")  # a splice or a comment may come before its word
+            else:
+                kind = _KIND_OF.get(lexeme) or _KIND_OF_FIRST[lexeme[0]]  # lexeme_kind, inlined
+                append(new(Token, (lexeme, kind, hi, line, flag)))
+            pos = hi + len(lexeme)
+            head = False
+            in_directive = flag
         out.pop()  # the end-of-text marker
         return tuple(out)
 
     @cached_property
     def brackets(self) -> Brackets:
-        return Brackets(self.code)
+        return Brackets(self.lexemes, self.in_directive)
 
     @cached_property
     def decisions(self) -> list[int]:
         """Indices of the decision points outside preprocessor lines among
-        :attr:`code`, in order."""
-        code = self.code
-        named = compress(range(len(code)), map(DECISION_LEXEMES.__contains__, map(itemgetter(0), code)))
-        return [i for i in named if not code[i].in_directive]
+        the code tokens, in order."""
+        flags = self.in_directive
+        outside = map(and_, map(DECISION_LEXEMES.__contains__, self.lexemes), map(not_, flags))
+        return list(compress(range(len(flags)), outside))
+
+    @cached_property
+    def _newlines(self) -> list[int]:
+        return [m.start() for m in re.finditer("\n", self.text)]
+
+    def line(self, offset: int) -> int:
+        """The line holding ``offset``: one more than the newlines before it."""
+        return 1 + bisect.bisect_left(self._newlines, offset)
+
+    def opens_directive(self, i: int) -> bool:
+        """Whether code token ``i`` is the `#` that opens a preprocessor line,
+        the one code token whose kind its lexeme does not give: a `#` token
+        on a directive line that starts it or follows a newline token."""
+        lexemes, flags = self.lexemes, self.in_directive
+        if lexemes[i][0] != "#" or not flags[i]:
+            return False
+        if i == 0 or not flags[i - 1]:
+            return True
+        return bool(newline_tokens(self.text, self.token_end(i - 1), self.starts[i]))
+
+    def token_end(self, i: int) -> int:
+        """The offset just after code token ``i``."""
+        return self.starts[i] + len(self.lexemes[i])
 
     def token_index(self, byte_offset: int) -> int:
-        """Index into :attr:`code` of the first code token starting at or
-        after ``byte_offset``."""
-        return bisect.bisect_left(self.code, byte_offset, key=BYTE_OFFSET)
+        """Index of the first code token starting at or after
+        ``byte_offset``."""
+        return bisect.bisect_left(self.starts, byte_offset)
 
     def detokenize(self) -> str:
         return "".join(t.lexeme for t in self.tokens)
@@ -266,15 +319,15 @@ def newline_tokens(text: str, lo: int, hi: int) -> list[int]:
     return offsets
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> CodeTokens:
     """The code tokens of ``text``: every lexeme that is neither whitespace
-    nor a comment, in order.
+    nor a comment, in order, with its offset and directive flag.
 
     Preprocessor directives are recognized only at the start of a line
     (after nothing but whitespace and comments); the ``#`` plus directive
     word, with any blanks, comments and splices between them, form a single
-    ``preprocessor`` token and the rest of the logical line, across
-    backslash continuations, is flagged ``in_directive``.
+    token and the rest of the logical line, across backslash continuations,
+    is flagged ``in_directive``.
     """
     # the newline put first makes the first code token start a line.  The
     # split gives four items per match: the text between matches, always
@@ -283,36 +336,21 @@ def tokenize(text: str) -> list[Token]:
     lexemes = parts[3::4]
     n = lexemes.index("")  # the end-of-text matches come last
     del lexemes[n:]
-    gaps = parts[1 : 4 * n : 4]
-    newlines = parts[2 : 4 * n : 4]
     # a token starts after the end of the one before it (or of the newline
     # put first) and its layout
-    gap_lens = list(map(len, gaps))
+    gap_lens = list(map(len, parts[1 : 4 * n : 4]))
     ends = accumulate(map(add, gap_lens, map(len, lexemes)), initial=-1)
     starts = list(map(add, ends, gap_lens))
-    # a token's line counts the newlines before it: those of the layout and
-    # those of the preprocessor tokens, the only code tokens that can hold one
-    newline_counts = list(map(str.count, gaps, repeat("\n")))
-    # a lexeme's kind is in the table or else given by its first character
-    first = map(_KIND_OF_FIRST.__getitem__, map(itemgetter(0), lexemes))
-    kinds = list(map(_KIND_OF.get, lexemes, first))
-    flags = [False] * n
     # a line head that is a `#` token opens a directive, which runs to the
     # next line head
-    heads = [*compress(range(n), newlines), n]
+    flags = [False] * n
+    heads = [*compress(range(n), parts[2 : 4 * n : 4]), n]
     for head, end in zip(heads, heads[1:]):
-        lexeme = lexemes[head]
-        if lexeme[0] == "#":
-            kinds[head] = "preprocessor"
+        if lexemes[head][0] == "#":
             flags[head:end] = repeat(True, end - head)
-            if head + 1 < n:
-                newline_counts[head + 1] += lexeme.count("\n")
-    lines = accumulate(newline_counts)
-
-    new = tuple.__new__  # builds a Token without its Python-level __new__
-    return list(map(new, repeat(Token), zip(lexemes, kinds, starts, lines, flags)))
+    return CodeTokens(lexemes, starts, flags)
 
 
 def parse_source(text: str) -> SourceUnit:
     """Lex ``text`` into an immutable :class:`SourceUnit`."""
-    return SourceUnit(text=text, code=tuple(tokenize(text)))
+    return SourceUnit(text, *tokenize(text))

@@ -12,8 +12,13 @@ from __future__ import annotations
 import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 
-from .lexer import SourceUnit, Token
+from .lexer import SourceUnit, lexeme_kind
+
+_OPENERS = frozenset("([{")
+_CLOSERS = frozenset(")]}")
 
 
 @dataclass(frozen=True)
@@ -28,76 +33,76 @@ class LoopContext:
     nest_induction_vars: frozenset[str]
 
 
-def _split_top_level(tokens: Sequence[Token], sep: str) -> list[list[Token]]:
-    """``tokens`` cut at each ``sep`` punctuation outside any brackets."""
-    groups: list[list[Token]] = [[]]
+def _split_top_level(lexemes: Sequence[str], sep: str) -> list[list[str]]:
+    """``lexemes`` cut at each ``sep`` punctuation outside any brackets."""
+    groups: list[list[str]] = [[]]
     depth = 0
-    for tok in tokens:
-        if tok.kind == "punctuation":
-            if tok.lexeme in "([{":
-                depth += 1
-            elif tok.lexeme in ")]}":
-                depth -= 1
-            elif tok.lexeme == sep and depth == 0:
-                groups.append([])
-                continue
-        groups[-1].append(tok)
+    for lexeme in lexemes:
+        if lexeme in _OPENERS:
+            depth += 1
+        elif lexeme in _CLOSERS:
+            depth -= 1
+        elif lexeme == sep and depth == 0:
+            groups.append([])
+            continue
+        groups[-1].append(lexeme)
     return groups
 
 
-def _skip_to_code(tokens: tuple[Token, ...], start: int) -> int:
-    """Index of the first of the code ``tokens`` at or after ``start`` that
-    lies outside any preprocessor line; ``len(tokens)`` if there is none."""
+def _skip_to_code(in_directive: list[bool], start: int) -> int:
+    """Index of the first code token at or after ``start`` that lies outside
+    any preprocessor line; the token count if there is none."""
     i = start
-    while i < len(tokens) and tokens[i].in_directive:
+    while i < len(in_directive) and in_directive[i]:
         i += 1
     return i
 
 
-def _induction_vars(header_tokens: Sequence[Token]) -> frozenset[str]:
-    """Counters declared or assigned in a for-loop init clause.
+def _induction_vars(header: Sequence[str]) -> frozenset[str]:
+    """Counters declared or assigned in a for-loop init clause, from the
+    lexemes of its header.
 
     Handles `int i = 0`, `i = 0`, multi-declarations, and range-for
     (`auto x : v`).  Best effort: unparseable headers yield an empty set.
     """
-    clauses = _split_top_level(header_tokens, ";")
+    clauses = _split_top_level(header, ";")
     if len(clauses) == 1:
         # range-based for: `for (decl : range)` declares one name
-        decl: list[Token] = []
-        for tok in header_tokens:
-            if tok.kind == "punctuation" and tok.lexeme == ":":
+        decl: list[str] = []
+        for lexeme in header:
+            if lexeme == ":":
                 break
-            decl.append(tok)
-        names = [t.lexeme for t in decl if t.kind == "identifier"]
+            decl.append(lexeme)
+        names = [lexeme for lexeme in decl if lexeme_kind(lexeme) == "identifier"]
         return frozenset(names[-1:])
 
     groups = _split_top_level(clauses[0], ",")
     found: set[str] = set()
     for group in groups:
         target: str | None = None
-        for j, tok in enumerate(group):
-            if tok.kind == "punctuation" and tok.lexeme == "=":
+        for j, lexeme in enumerate(group):
+            if lexeme == "=":
                 for back in range(j - 1, -1, -1):
-                    if group[back].kind == "identifier":
-                        target = group[back].lexeme
+                    if lexeme_kind(group[back]) == "identifier":
+                        target = group[back]
                         break
                 break
         if target is None:
-            idents = [t.lexeme for t in group if t.kind == "identifier"]
+            idents = [lexeme for lexeme in group if lexeme_kind(lexeme) == "identifier"]
             target = idents[-1] if idents else None
         if target:
             found.add(target)
     return frozenset(found)
 
 
-def _is_declaration_of(tokens: list[Token], names: frozenset[str]) -> bool:
-    """True if ``tokens`` form declaration statements of only ``names``."""
-    if not tokens:
+def _is_declaration_of(lexemes: list[str], names: frozenset[str]) -> bool:
+    """True if ``lexemes`` form declaration statements of only ``names``."""
+    if not lexemes:
         return True
-    stmts: list[list[Token]] = [[]]
-    for tok in tokens:
-        stmts[-1].append(tok)
-        if tok.kind == "punctuation" and tok.lexeme == ";":
+    stmts: list[list[str]] = [[]]
+    for lexeme in lexemes:
+        stmts[-1].append(lexeme)
+        if lexeme == ";":
             stmts.append([])
     if stmts[-1]:
         return False
@@ -110,54 +115,56 @@ def _is_declaration_of(tokens: list[Token], names: frozenset[str]) -> bool:
 
 def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
     """All for-loops in source order, indexed from 0."""
-    tokens = unit.code
+    lexemes, flags = unit.lexemes, unit.in_directive
+    n = len(lexemes)
     closers = unit.brackets.closers
     raw: list[dict] = []
 
     for idx in unit.decisions:  # the decision points outside preprocessor lines
-        if tokens[idx].lexeme != "for":
+        if lexemes[idx] != "for":
             continue
         j = idx + 1
-        if j >= len(tokens) or tokens[j].lexeme != "(":
+        if j >= n or lexemes[j] != "(":
             continue
         close = closers.get(j)
         if close is None:
             continue
-        k = _skip_to_code(tokens, close + 1)
+        k = _skip_to_code(flags, close + 1)
         stop: int | None = close  # the loop's last token
-        if k >= len(tokens):
+        if k >= n:
             body_span = (close + 1, close + 1)
-        elif tokens[k].kind == "punctuation" and tokens[k].lexeme == "{":
+        elif lexemes[k] == "{":
             stop = closers.get(k)
-            body_span = (k + 1, len(tokens) if stop is None else stop)
+            body_span = (k + 1, n if stop is None else stop)
         else:
             stop = unit.brackets.statement_end(k)
-            body_span = (k, len(tokens) if stop is None else stop + 1)
+            body_span = (k, n if stop is None else stop + 1)
         raw.append(
             {
                 "for_index": idx,
-                "start": tokens[idx].byte_offset,
-                "end": len(unit.text) if stop is None else tokens[stop].end_offset,
-                "after": len(tokens) if stop is None else stop + 1,
+                "start": unit.starts[idx],
+                "end": len(unit.text) if stop is None else unit.token_end(stop),
+                "after": n if stop is None else stop + 1,
                 "body_span": body_span,
-                "induction": _induction_vars(tokens[j + 1 : close]),
+                "induction": _induction_vars(lexemes[j + 1 : close]),
             }
         )
 
     # Perfect nesting: the child is the first loop in the body, preceded only
     # by declarations of its own counters and followed by nothing else.
-    n = len(raw)
-    depth = [1] * n
+    count = len(raw)
+    depth = [1] * count
     nest_vars: list[frozenset[str]] = [info["induction"] for info in raw]
     for_indices = [info["for_index"] for info in raw]
-    for i in range(n - 1, -1, -1):
+    for i in range(count - 1, -1, -1):
         body_start, body_end = raw[i]["body_span"]
         child = bisect.bisect_left(for_indices, body_start)
-        if child == n or for_indices[child] >= body_end:
+        if child == count or for_indices[child] >= body_end:
             continue
-        if _skip_to_code(tokens, raw[child]["after"]) < body_end:
+        if _skip_to_code(flags, raw[child]["after"]) < body_end:
             continue
-        pre = [t for t in tokens[body_start : for_indices[child]] if not t.in_directive]
+        outside = map(not_, flags[body_start : for_indices[child]])
+        pre = list(compress(lexemes[body_start : for_indices[child]], outside))
         if _is_declaration_of(pre, raw[child]["induction"]):
             depth[i] = 1 + depth[child]
             nest_vars[i] = nest_vars[i] | nest_vars[child]

@@ -349,6 +349,34 @@ def test_cli_rank(tmp_path, capsys):
     assert payload["candidates"][0]["breakdown"]["composite"] == 100.0
 
 
+def test_a_candidate_equal_to_its_reference_shares_its_analysis(tmp_path, capsys, monkeypatch):
+    from ompbleu import cli, metrics, report
+
+    calls = []
+
+    def counting(source, language=None):
+        calls.append(source)
+        return metrics.analyze(source, language)
+
+    gt = fixture_text("multiple_gt.c")
+    expected = metrics.ompbleu_score(gt, gt, NO_COMPILE_CFG).as_dict()
+    monkeypatch.setattr(cli, "analyze", counting)
+    monkeypatch.setattr(report, "analyze", counting)
+    path = str(FIXTURES / "multiple_gt.c")
+    assert main(["--config", _no_compile_cfg_file(tmp_path), "score", path, path]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
+    assert calls == [gt]
+
+    calls.clear()
+    case = fixture_text("multiple_case1.c")
+    record = DatasetRecord(id="r", reference=gt, candidates=(case, gt, case))
+    ranked = rank_candidates(record, NO_COMPILE_CFG)
+    assert calls == [gt, case, case]
+    assert ranked[0].candidate_index == 1
+    assert ranked[0].breakdown.as_dict() == expected
+    assert ranked[0].analyses[0] is ranked[0].analyses[1]
+
+
 def test_cli_dataset_and_determinism(tmp_path):
     ds = tmp_path / "ds.jsonl"
     gt = fixture_text("single_gt.c")

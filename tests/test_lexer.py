@@ -1,8 +1,9 @@
 import bisect
+import random
 import re
 import string
-from itertools import takewhile
-from operator import itemgetter
+from itertools import accumulate, compress, repeat, takewhile
+from operator import add, itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +12,13 @@ from hypothesis import strategies as st
 from ompbleu.syntax import parse_source, strip_openmp, tokenize
 from ompbleu.syntax.directives import directive_line_spans
 from ompbleu.syntax.lexer import (
+    _KIND_OF,
+    _KIND_OF_FIRST,
     _MULTI_CHAR_OPERATORS,
+    _RE_CODE,
     _RE_PREPROC,
     KEYWORDS,
+    CodeTokens,
     Token,
 )
 
@@ -26,7 +31,7 @@ def stream(text: str) -> list[Token]:
 
 
 def test_empty_input_yields_no_tokens():
-    assert tokenize("") == []
+    assert tokenize("") == CodeTokens([], [], [])
     assert stream("") == []
 
 
@@ -292,6 +297,74 @@ def test_tokenize_matches_oracle_on_c_fragments(text):
     ]
     stripped = parse_source(strip_openmp(unit)).code
     assert [(t.lexeme, t.kind, t.in_directive) for t in stripped] == kept
+
+
+# Oracle: the lexer as it ran when it built one Token per code token, with
+# each token's kind and line computed in bulk in the lexing pass.  The
+# columns plus the kinds and lines derived from them must equal it.
+
+
+def token_tokenize(text: str) -> list[Token]:
+    """The code tokens of ``text`` as :class:`Token` tuples."""
+    parts = _RE_CODE.split("\n" + text)
+    lexemes = parts[3::4]
+    n = lexemes.index("")
+    del lexemes[n:]
+    gaps = parts[1 : 4 * n : 4]
+    newlines = parts[2 : 4 * n : 4]
+    gap_lens = list(map(len, gaps))
+    ends = accumulate(map(add, gap_lens, map(len, lexemes)), initial=-1)
+    starts = list(map(add, ends, gap_lens))
+    newline_counts = list(map(str.count, gaps, repeat("\n")))
+    first = map(_KIND_OF_FIRST.__getitem__, map(itemgetter(0), lexemes))
+    kinds = list(map(_KIND_OF.get, lexemes, first))
+    flags = [False] * n
+    heads = [*compress(range(n), newlines), n]
+    for head, end in zip(heads, heads[1:]):
+        lexeme = lexemes[head]
+        if lexeme[0] == "#":
+            kinds[head] = "preprocessor"
+            flags[head:end] = repeat(True, end - head)
+            if head + 1 < n:
+                newline_counts[head + 1] += lexeme.count("\n")
+    lines = accumulate(newline_counts)
+    return list(map(Token, lexemes, kinds, starts, lines, flags))
+
+
+def assert_columns_match_token_lexer(text: str) -> None:
+    expected = token_tokenize(text)
+    columns = tokenize(text)
+    assert columns.lexemes == [t.lexeme for t in expected]
+    assert columns.starts == [t.byte_offset for t in expected]
+    assert columns.in_directive == [t.in_directive for t in expected]
+    unit = parse_source(text)
+    assert list(unit.code) == expected
+    assert [unit.line(t.byte_offset) for t in expected] == [t.line for t in expected]
+    assert [unit.opens_directive(i) for i in range(len(expected))] == [
+        t.kind == "preprocessor" for t in expected
+    ]
+    assert [unit.token_end(i) for i in range(len(expected))] == [t.end_offset for t in expected]
+
+
+# Splices, comments that span lines, `#` and `##` mid-line and at line
+# starts, CRLF line ends, and first characters outside ASCII.
+SOUP_FRAGMENTS = (
+    *C_FRAGMENTS, "\\\n", "\\\r\n", "/* a\n b */", "/* \\\n */", "// c \\\n d",
+    "#pragma", "# /* c\n */ pragma omp for", "#\\\npragma", "x # y", "a ## b",
+    "\r\n", "\r\n#", "\n#", "\n  #", "ß", "éx", "\u00a0", "\u2028", "٣x", "'é'", '"\\',
+)
+
+
+def test_columns_match_the_token_lexer_on_fixtures():
+    for path in sorted(FIXTURES.glob("*.c")):
+        assert_columns_match_token_lexer(path.read_text())
+
+
+def test_columns_match_the_token_lexer_on_seeded_soups():
+    rng = random.Random(14)
+    for _ in range(5_000):
+        fragments = rng.choices(SOUP_FRAGMENTS, k=rng.randrange(40))
+        assert_columns_match_token_lexer("".join(fragments))
 
 
 def test_token_is_immutable():

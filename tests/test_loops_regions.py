@@ -317,11 +317,15 @@ def test_decision_counts_match_the_scan(text, ends):
     assert count_decisions(unit, lo, hi) == _count_decisions(unit, lo, hi)
 
 
+def _lexemes(tokens: Sequence[Token]) -> list[str]:
+    return [t.lexeme for t in tokens]
+
+
 # The clause parser as it ran before the table: its scanner sees only the
 # code tokens after `omp` on the pragma line.
 def _parse_words(words: Sequence[Token]) -> tuple[tuple[str, ...], tuple[Clause, ...], bool]:
     """Parse the code tokens after `omp` into directive kinds and clauses."""
-    kinds, degraded = directive_kinds(words)
+    kinds, degraded = directive_kinds(_lexemes(words))
     clauses: list[Clause] = []
     i = len(kinds)
 
@@ -329,7 +333,7 @@ def _parse_words(words: Sequence[Token]) -> tuple[tuple[str, ...], tuple[Clause,
     if kinds == ("critical",) and i < len(words) and words[i].lexeme == "(":
         close = _match_delim(words, i)
         if close is not None:
-            inner = words[i + 1 : close]
+            inner = _lexemes(words[i + 1 : close])
             name = _text_of(inner).replace(" ", "")
             clauses.append(
                 Clause(
@@ -354,14 +358,14 @@ def _parse_words(words: Sequence[Token]) -> tuple[tuple[str, ...], tuple[Clause,
             i += 1
             continue
         word = tok.lexeme
-        arg_tokens: Sequence[Token] | None = None
+        arg_tokens: list[str] | None = None
         j = i + 1
         if j < len(words) and words[j].lexeme == "(":
             close = _match_delim(words, j)
             if close is None:
                 degraded = True
                 close = len(words)
-            arg_tokens = words[j + 1 : close]
+            arg_tokens = _lexemes(words[j + 1 : close])
             j = close + 1
         raw = word if arg_tokens is None else f"{word}({_text_of(arg_tokens)})"
         clause, bad = _parse_clause(word, arg_tokens, raw)

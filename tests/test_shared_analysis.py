@@ -6,6 +6,7 @@ is the path that re-lexed the pragma-stripped text of each span instead.
 """
 
 import bisect
+import tracemalloc
 from operator import itemgetter
 
 from hypothesis import example, given, settings
@@ -57,6 +58,35 @@ def test_dataset_record_tokenizes_each_source_once(tokenize_calls, monkeypatch):
     assert report.classification is not None
     assert len(tokenize_calls) <= 5
     assert len(built) == 1
+
+
+def test_scoring_and_strip_build_no_token_tuples():
+    # analysis reads the lexeme, offset and directive-flag columns; the
+    # Token tuples of SourceUnit.code are only a derived view
+    for ref, cand in (("multiple_gt.c", "multiple_case3.c"), ("fig1_gt.c", "fig1_gen.c")):
+        gt, gen = analyze(fixture_text(ref)), analyze(fixture_text(cand))
+        breakdown = ompbleu_score(gt, gen, NO_COMPILE_CFG)
+        assert breakdown.composite < 100.0
+        for side in (gt, gen):
+            assert "code" not in side.unit.__dict__
+            assert "tokens" not in side.unit.__dict__
+    unit = parse_source(fixture_text("multiple_gt.c"))
+    assert strip_openmp(unit) != unit.text
+    assert "code" not in unit.__dict__
+
+
+def test_a_deep_nest_self_pair_holds_no_copy_of_each_stripped_span():
+    # each of the 2,000 nested constructs is compared by its bounds; its
+    # stripped text is cut only while the backend compares it
+    depth = 2_000
+    text = "#pragma omp parallel\n{\n" * depth + "x++;\n" + "}\n" * depth
+    tracemalloc.start()
+    try:
+        assert ompbleu_score(text, text, NO_COMPILE_CFG).composite == 100.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 15_000_000
 
 
 def _stripped(text: str) -> str:
@@ -275,6 +305,8 @@ def test_cuts_and_attachments_match_the_oracles(text, draws):
         spans.append((lo, ends[j % len(ends)]))
 
     for lo, hi in spans:
-        text, first, stop = view.slice(lo, hi)
-        expected = stripped_slice(unit, pragma_lines, lo, hi)
-        assert (text, view.tokens[first:stop]) == expected, (lo, hi)
+        a, b, first, stop = view.slice(lo, hi)
+        text, tokens = stripped_slice(unit, pragma_lines, lo, hi)
+        assert view.text[a:b] == text, (lo, hi)
+        assert view.lexemes[first:stop] == [t.lexeme for t in tokens], (lo, hi)
+        assert view.starts[first:stop] == [t.byte_offset for t in tokens], (lo, hi)
