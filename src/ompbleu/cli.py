@@ -228,6 +228,11 @@ def _run(argv: list[str] | None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+    if args.command in ("score", "rank") and args.emit != "json":
+        parser.error(
+            f"argument --emit: {args.command} prints JSON only; "
+            "--emit takes csv or table for dataset, and csv for classify"
+        )
     try:
         config = load_config(args.config)
     except ConfigError as exc:

@@ -627,6 +627,19 @@ def test_cli_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert "--jobs: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("emit", ["csv", "table"])
+@pytest.mark.parametrize("command", ["score", "rank"])
+def test_cli_score_and_rank_refuse_a_report_format(capsys, command, emit):
+    pair = [str(FIXTURES / "fig1_gt.c"), str(FIXTURES / "fig1_gen.c")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--emit", emit, command, *pair])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--emit: {command} prints JSON only" in captured.err
+    assert "for dataset, and csv for classify" in captured.err
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
