@@ -235,16 +235,16 @@ def _parse_directive_body(
     """Parse code tokens ``start`` to ``end``, those after `omp` on a
     pragma line, into directive kinds and clauses.  A bracket closed only
     after the line is unclosed on it."""
-    tokens, closers = unit.lexemes, unit.brackets.closers
-    kinds, degraded = directive_kinds(tokens[start:end])
+    lexemes, closers = unit.lexemes, unit.brackets.closers
+    kinds, degraded = directive_kinds(lexemes[start:end])
     clauses: list[Clause] = []
     i = start + len(kinds)
 
     # `critical(name)` carries its name as a pseudo-clause
-    if kinds == ("critical",) and i < end and tokens[i] == "(":
+    if kinds == ("critical",) and i < end and lexemes[i] == "(":
         close = closers.get(i, end)
         if close < end:
-            inner = tokens[i + 1 : close]
+            inner = lexemes[i + 1 : close]
             name = _text_of(inner).replace(" ", "")
             clauses.append(
                 Clause(
@@ -260,7 +260,7 @@ def _parse_directive_body(
             i = end
 
     while i < end:
-        word = tokens[i]
+        word = lexemes[i]
         if word == ",":
             i += 1
             continue
@@ -270,12 +270,12 @@ def _parse_directive_body(
             continue
         arg_tokens: Sequence[str] | None = None
         j = i + 1
-        if j < end and tokens[j] == "(":
+        if j < end and lexemes[j] == "(":
             close = closers.get(j, end)
             if close >= end:
                 degraded = True
                 close = end
-            arg_tokens = tokens[j + 1 : close]
+            arg_tokens = lexemes[j + 1 : close]
             j = close + 1
         raw = word if arg_tokens is None else f"{word}({_text_of(arg_tokens)})"
         clause, bad = _parse_clause(word, arg_tokens, raw)

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, repeat
-from operator import add, and_, itemgetter, not_
+from operator import add, and_, not_
 from typing import NamedTuple
 
 TOKEN_KINDS = (

@@ -12,8 +12,6 @@ from __future__ import annotations
 import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
-from operator import not_
 
 from .lexer import SourceUnit, lexeme_kind
 
@@ -163,8 +161,8 @@ def loop_contexts(unit: SourceUnit) -> list[LoopContext]:
             continue
         if _skip_to_code(flags, raw[child]["after"]) < body_end:
             continue
-        outside = map(not_, flags[body_start : for_indices[child]])
-        pre = list(compress(lexemes[body_start : for_indices[child]], outside))
+        body = slice(body_start, for_indices[child])
+        pre = [lexeme for lexeme, flag in zip(lexemes[body], flags[body]) if not flag]
         if _is_declaration_of(pre, raw[child]["induction"]):
             depth[i] = 1 + depth[child]
             nest_vars[i] = nest_vars[i] | nest_vars[child]
