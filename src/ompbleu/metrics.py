@@ -23,14 +23,7 @@ from .similarity import (
     lcs_ratio,
     lev_similarity,
 )
-from .syntax import (
-    Directive,
-    NormalizedDirective,
-    RegionBlock,
-    SourceUnit,
-    normalize_directive,
-    parse_source,
-)
+from .syntax import Directive, RegionBlock, SourceUnit, parse_source
 from .syntax.directives import (
     StrippedView,
     attached_construct_span,
@@ -136,7 +129,6 @@ class SideAnalysis:
 
     unit: SourceUnit
     directives: tuple[Directive, ...]
-    normalized: tuple[NormalizedDirective, ...]
     regions: tuple[RegionBlock, ...]
     region_diagnostics: tuple[str, ...]
     # the unit's own language hint (a record's field or a file suffix)
@@ -185,31 +177,26 @@ def analyze(source: str, language: str | None = None) -> SideAnalysis:
     """
     unit = parse_source(source)
     directives = extract_directives(unit)
-    normalized = []
-    for d in directives:
-        ivs = d.attached_loop.nest_induction_vars if d.attached_loop is not None else frozenset()
-        normalized.append(normalize_directive(d, induction_vars=ivs))
     regions, region_diags = parallel_region_blocks(unit, directives)
     return SideAnalysis(
         unit=unit,
         directives=tuple(directives),
-        normalized=tuple(normalized),
         regions=tuple(regions),
         region_diagnostics=tuple(region_diags),
         language=language,
     )
 
 
-def _all_components(normalized: tuple[NormalizedDirective, ...]) -> frozenset[str]:
+def _all_components(directives: tuple[Directive, ...]) -> frozenset[str]:
     out: set[str] = set()
-    for nd in normalized:
-        out |= nd.components
+    for d in directives:
+        out |= d.components
     return frozenset(out)
 
 
 def weighted_clause_score(
-    gt: tuple[NormalizedDirective, ...],
-    gen: tuple[NormalizedDirective, ...],
+    gt: tuple[Directive, ...],
+    gen: tuple[Directive, ...],
     table: ClauseWeightTable,
     diagnostics: list[str] | None = None,
 ) -> float:
@@ -278,8 +265,8 @@ def variable_usage_score(
     return total / len(universe)
 
 
-def _directive_strings(normalized: tuple[NormalizedDirective, ...]) -> str:
-    return "\n".join(nd.canonical for nd in normalized)
+def _directive_strings(directives: tuple[Directive, ...]) -> str:
+    return "\n".join(d.canonical for d in directives)
 
 
 def integrated_semantic_score(
@@ -292,14 +279,14 @@ def integrated_semantic_score(
     their concatenated normalized directive strings."""
     if backend is None:
         backend = BagOfTokensBackend()
-    s_lev = lev_similarity(_directive_strings(gt.normalized), _directive_strings(gen.normalized))
+    s_lev = lev_similarity(_directive_strings(gt.directives), _directive_strings(gen.directives))
     s_emb = backend.similarity(gt.code, gen.code)
     return is_blend_alpha * s_emb + (1.0 - is_blend_alpha) * s_lev
 
 
 def ordering_score(
-    gt: tuple[NormalizedDirective, ...],
-    gen: tuple[NormalizedDirective, ...],
+    gt: tuple[Directive, ...],
+    gen: tuple[Directive, ...],
     diagnostics: list[str] | None = None,
 ) -> float:
     """Common-subsequence ratio over directive order, depth, and validity.
@@ -309,11 +296,8 @@ def ordering_score(
     clauses are invisible to the signature on both sides.
     """
 
-    def elements(side: tuple[NormalizedDirective, ...]) -> list[tuple]:
-        return [
-            (nd.ordering_signature, nd.ast_depth, nd.collapse_tag, nd.attached_kind)
-            for nd in side
-        ]
+    def elements(side: tuple[Directive, ...]) -> list[tuple]:
+        return [(d.ordering_signature, d.ast_depth, d.collapse_tag, d.attached_kind) for d in side]
 
     gt_elems = elements(gt)
     gen_elems = elements(gen)
@@ -326,8 +310,8 @@ def ordering_score(
 
 
 def _forgiven_components(
-    gt: tuple[NormalizedDirective, ...],
-    gen: tuple[NormalizedDirective, ...],
+    gt: tuple[Directive, ...],
+    gen: tuple[Directive, ...],
     gen_components: frozenset[str],
 ) -> frozenset[str]:
     """Reference private components satisfied implicitly by the candidate.
@@ -337,16 +321,16 @@ def _forgiven_components(
     directive attached to a for loop whose counters cover those variables.
     """
     gen_loop_counters: set[str] = set()
-    for nd in gen:
-        if "for" in nd.kinds and nd.directive.attached_loop is not None:
-            gen_loop_counters |= nd.directive.attached_loop.nest_induction_vars
+    for d in gen:
+        if "for" in d.kinds and d.attached_loop is not None:
+            gen_loop_counters |= d.attached_loop.nest_induction_vars
     forgiven: set[str] = set()
-    for nd in gt:
-        for clause in nd.directive.clauses:
+    for d in gt:
+        for clause in d.clauses:
             if clause.kind != "private":
                 continue
             comp = canonical_clause(clause)
-            if comp not in nd.implicit_private or comp in gen_components:
+            if comp not in d.implicit_private or comp in gen_components:
                 continue
             if clause.variables and clause.variables <= gen_loop_counters:
                 forgiven.add(comp)
@@ -354,8 +338,8 @@ def _forgiven_components(
 
 
 def redundancy_coverage_score(
-    gt: tuple[NormalizedDirective, ...],
-    gen: tuple[NormalizedDirective, ...],
+    gt: tuple[Directive, ...],
+    gen: tuple[Directive, ...],
     diagnostics: list[str] | None = None,
 ) -> float:
     """Coverage of reference components with a surplus penalty."""
@@ -399,12 +383,12 @@ def cyclomatic_ratio(
     return min(mean_gt, mean_gen) / max(mean_gt, mean_gen)
 
 
-def _is_loop_related(nd: NormalizedDirective) -> bool:
-    return "for" in nd.kinds or nd.directive.clause_of("collapse") is not None
+def _is_loop_related(d: Directive) -> bool:
+    return "for" in d.kinds or d.clause_of("collapse") is not None
 
 
-def _construct_code(side: SideAnalysis, nd: NormalizedDirective) -> CodeText | None:
-    span = attached_construct_span(nd.directive)
+def _construct_code(side: SideAnalysis, d: Directive) -> CodeText | None:
+    span = attached_construct_span(d)
     return None if span is None else side.stripped(span)
 
 
@@ -424,16 +408,16 @@ def pragma_location_score(
     if backend is None:
         backend = BagOfTokensBackend()
 
-    gt_loop = [nd for nd in gt.normalized if _is_loop_related(nd)]
-    gen_loop = [nd for nd in gen.normalized if _is_loop_related(nd)]
-    gt_other = [nd for nd in gt.normalized if not _is_loop_related(nd)]
-    gen_other = [nd for nd in gen.normalized if not _is_loop_related(nd)]
+    gt_loop = [d for d in gt.directives if _is_loop_related(d)]
+    gen_loop = [d for d in gen.directives if _is_loop_related(d)]
+    gt_other = [d for d in gt.directives if not _is_loop_related(d)]
+    gen_other = [d for d in gen.directives if not _is_loop_related(d)]
 
     def paired(
-        term: Callable[[NormalizedDirective, NormalizedDirective], float],
+        term: Callable[[Directive, Directive], float],
         label: str,
-        a: NormalizedDirective | None,
-        b: NormalizedDirective | None,
+        a: Directive | None,
+        b: Directive | None,
     ) -> float:
         """``term`` of a pair, or 0 for a pragma unmatched on one side."""
         if a is not None and b is not None:
@@ -444,8 +428,8 @@ def pragma_location_score(
             diagnostics.append(f"{label} '{' '.join(present.kinds)}' unmatched on {missing} side")
         return 0.0
 
-    def loop_term(a: NormalizedDirective, b: NormalizedDirective) -> float:
-        la, lb = a.directive.attached_loop, b.directive.attached_loop
+    def loop_term(a: Directive, b: Directive) -> float:
+        la, lb = a.attached_loop, b.attached_loop
         if la is None and lb is None:
             return other_term(a, b)
         if la is None or lb is None:
@@ -465,7 +449,7 @@ def pragma_location_score(
             )
         return cos * penalty
 
-    def other_term(a: NormalizedDirective, b: NormalizedDirective) -> float:
+    def other_term(a: Directive, b: Directive) -> float:
         ctx_a = _construct_code(gt, a)
         ctx_b = _construct_code(gen, b)
         if ctx_a is None and ctx_b is None:
@@ -546,12 +530,12 @@ def ompbleu_score(
 
     scores = {
         "wc": weighted_clause_score(
-            gt.normalized, gen.normalized, cfg.clause_weights, diags["wc"]
+            gt.directives, gen.directives, cfg.clause_weights, diags["wc"]
         ),
         "vu": variable_usage_score(gt.directives, gen.directives, diags["vu"]),
         "is": integrated_semantic_score(gt, gen, backend, cfg.weights.is_blend_alpha),
-        "or": ordering_score(gt.normalized, gen.normalized, diags["or"]),
-        "rc": redundancy_coverage_score(gt.normalized, gen.normalized, diags["rc"]),
+        "or": ordering_score(gt.directives, gen.directives, diags["or"]),
+        "rc": redundancy_coverage_score(gt.directives, gen.directives, diags["rc"]),
         "cc": cyclomatic_ratio(gt.regions, gen.regions, diags["cc"]),
         "pl": pragma_location_score(gt, gen, backend, diags["pl"]),
         "compile": _compile_subscore(gt, gen, cfg, diags["compile"]),

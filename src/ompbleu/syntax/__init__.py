@@ -10,11 +10,9 @@ from .directives import (
     COLLAPSE_VALID,
     Clause,
     Directive,
-    NormalizedDirective,
     canonical_clause,
     collapse_validity,
     extract_directives,
-    normalize_directive,
     strip_openmp,
 )
 from .lexer import CodeTokens, SourceUnit, Token, parse_source, tokenize
@@ -33,7 +31,6 @@ __all__ = [
     "CodeTokens",
     "Directive",
     "LoopContext",
-    "NormalizedDirective",
     "RegionBlock",
     "SourceUnit",
     "Token",
@@ -42,7 +39,6 @@ __all__ = [
     "count_decisions",
     "extract_directives",
     "loop_contexts",
-    "normalize_directive",
     "parallel_region_blocks",
     "parse_source",
     "strip_openmp",

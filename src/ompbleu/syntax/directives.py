@@ -90,10 +90,23 @@ class Clause:
 
 @dataclass(frozen=True)
 class Directive:
-    """One parsed `#pragma omp` line with its structural context."""
+    """One parsed `#pragma omp` line with its structural context and the
+    canonical form the scoring components compare.
+
+    ``components`` are the canonical clauses (:func:`canonical_clause`)
+    without `num_threads`.  ``implicit_private`` are the `private` ones
+    whose variables are all counters of the attached loop nest: a
+    worksharing loop makes those counters private whether or not the clause
+    is spelled out.  The mark is applied on both sides of a comparison; only
+    the coverage score's forgiveness policy is reference-side specific.
+    ``canonical`` is the kinds and the sorted components, repeats kept.
+    """
 
     kinds: tuple[str, ...]
     clauses: tuple[Clause, ...]
+    components: frozenset[str]
+    implicit_private: frozenset[str]
+    canonical: str
     byte_offset: int
     line: int
     ast_depth: int
@@ -109,21 +122,6 @@ class Directive:
             if c.kind == kind:
                 return c
         return None
-
-
-@dataclass(frozen=True)
-class NormalizedDirective:
-    """Canonical form of a directive used by the scoring components."""
-
-    kinds: tuple[str, ...]
-    canonical: str
-    components: frozenset[str]
-    implicit_private: frozenset[str]
-    ast_depth: int
-    collapse_tag: str
-    attached_kind: str
-    loop_index: int | None
-    directive: Directive
 
     @property
     def ordering_signature(self) -> str:
@@ -337,7 +335,8 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
     """All OpenMP directives of ``unit`` in source order.
 
     Each directive carries its brace-nesting depth, the construct it is
-    attached to and that construct's span, and a collapse validity tag.
+    attached to and that construct's span, a collapse validity tag, and its
+    canonical components, marked against the counters of the attached loop.
     Malformed clause syntax is parsed best-effort and flagged on the
     directive rather than raised.
     """
@@ -379,10 +378,24 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
             if close is not None:
                 span = (starts[k], unit.token_end(close))
 
+        counters = frozenset() if attached_loop is None else attached_loop.nest_induction_vars
+        components: list[str] = []
+        implicit: list[str] = []
+        for clause in clauses:
+            comp = canonical_clause(clause)
+            if comp is None:
+                continue
+            components.append(comp)
+            if clause.kind == "private" and clause.variables and clause.variables <= counters:
+                implicit.append(comp)
+
         directives.append(
             Directive(
                 kinds=kinds,
                 clauses=clauses,
+                components=frozenset(components),
+                implicit_private=frozenset(implicit),
+                canonical=" ".join([" ".join(kinds), *sorted(components)]),
                 byte_offset=lo,
                 line=unit.line(lo),
                 ast_depth=brackets.brace_depth(start),
@@ -423,48 +436,6 @@ def canonical_clause(clause: Clause) -> str | None:
     if clause.args_ordered:
         return f"{kind}({','.join(a.replace(' ', '') for a in clause.args_ordered)})"
     return kind
-
-
-def normalize_directive(
-    directive: Directive,
-    induction_vars: frozenset[str] = frozenset(),
-) -> NormalizedDirective:
-    """Canonicalize a directive for component-level comparison.
-
-    Variable lists of unordered clauses are sorted, reduction and schedule
-    argument order is preserved, and `num_threads` is dropped.  A private
-    clause whose variables are all ``induction_vars`` (the counters of the
-    attached loop nest) is marked implicitly satisfiable: a worksharing loop
-    makes those counters private whether or not the clause is spelled out.
-    The mark is applied on both sides of a comparison; only the coverage
-    score's forgiveness policy is reference-side specific.
-    """
-    components: list[str] = []
-    implicit: set[str] = set()
-    for clause in directive.clauses:
-        comp = canonical_clause(clause)
-        if comp is None:
-            continue
-        components.append(comp)
-        if (
-            clause.kind == "private"
-            and clause.variables
-            and clause.variables <= induction_vars
-        ):
-            implicit.add(comp)
-
-    canonical = " ".join([" ".join(directive.kinds)] + sorted(components))
-    return NormalizedDirective(
-        kinds=directive.kinds,
-        canonical=canonical,
-        components=frozenset(components),
-        implicit_private=frozenset(implicit),
-        ast_depth=directive.ast_depth,
-        collapse_tag=directive.collapse_tag,
-        attached_kind=directive.attached_kind,
-        loop_index=directive.attached_loop.loop_index if directive.attached_loop else None,
-        directive=directive,
-    )
 
 
 def attached_construct_span(

@@ -76,11 +76,11 @@ def _static_scores(gt_name: str, gen_name: str) -> dict:
     gt = analyze(fixture_text(gt_name))
     gen = analyze(fixture_text(gen_name))
     return {
-        "wc": weighted_clause_score(gt.normalized, gen.normalized, TABLE),
+        "wc": weighted_clause_score(gt.directives, gen.directives, TABLE),
         "vu": variable_usage_score(gt.directives, gen.directives),
         "is_": integrated_semantic_score(gt, gen, BACKEND),
-        "or_": ordering_score(gt.normalized, gen.normalized),
-        "rc": redundancy_coverage_score(gt.normalized, gen.normalized),
+        "or_": ordering_score(gt.directives, gen.directives),
+        "rc": redundancy_coverage_score(gt.directives, gen.directives),
         "cc": cyclomatic_ratio(gt.regions, gen.regions),
         "pl": pragma_location_score(gt, gen, BACKEND),
     }

@@ -6,14 +6,14 @@ from ompbleu.syntax import (
     COLLAPSE_INVALID,
     COLLAPSE_NOT_APPLICABLE,
     COLLAPSE_VALID,
+    canonical_clause,
     collapse_validity,
     extract_directives,
-    normalize_directive,
     parse_source,
     strip_openmp,
 )
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, pragma_soups
 
 
 def _parse(code):
@@ -92,9 +92,9 @@ def test_ordered_after_for_is_a_clause():
 # -- normalization ----------------------------------------------------------
 
 
-def _normalize(code, induction_vars=frozenset()):
+def _normalize(code):
     _, dirs = _parse(code)
-    return normalize_directive(dirs[0], induction_vars=induction_vars)
+    return dirs[0]
 
 
 def test_private_variable_order_does_not_matter():
@@ -117,26 +117,14 @@ def test_reduction_operator_distinguishes_components():
 
 
 def test_implicit_private_marking():
-    nd = _normalize(
-        "#pragma omp parallel for private(i)\nfor (i = 0; i < 3; i++) ;\n",
-        induction_vars=frozenset({"i"}),
-    )
+    nd = _normalize("#pragma omp parallel for private(i)\nfor (i = 0; i < 3; i++) ;\n")
+    assert nd.attached_loop.nest_induction_vars == {"i"}
     assert nd.implicit_private == {"private(i)"}
     assert "private(i)" not in nd.ordering_signature
     # not marked when the variables are not loop counters
-    nd2 = _normalize(
-        "#pragma omp parallel for private(x)\nfor (i = 0; i < 3; i++) ;\n",
-        induction_vars=frozenset({"i"}),
-    )
+    nd2 = _normalize("#pragma omp parallel for private(x)\nfor (i = 0; i < 3; i++) ;\n")
+    assert nd2.attached_loop.nest_induction_vars == {"i"}
     assert nd2.implicit_private == frozenset()
-
-
-def test_normalization_idempotent():
-    _, dirs = _parse(fixture_text("fig1_gt.c"))
-    once = normalize_directive(dirs[0])
-    twice = normalize_directive(once.directive)
-    assert once.canonical == twice.canonical
-    assert once.components == twice.components
 
 
 @given(st.permutations(["i", "j", "k", "m"]))
@@ -145,6 +133,57 @@ def test_normalization_permutation_invariant(order):
     base = _normalize("#pragma omp parallel private(i,j,k,m)\n{ }\n")
     shuffled = _normalize(f"#pragma omp parallel private({','.join(order)})\n{{ }}\n")
     assert base.components == shuffled.components
+
+
+# Oracle: normalization as it ran after extraction, as its own pass over
+# each directive with the counters of its attached loop nest.  The fields
+# extraction fills in must equal it.
+
+
+def normalize_oracle(directive):
+    """(components, implicit_private, canonical, ordering_signature)."""
+    loop = directive.attached_loop
+    induction_vars = loop.nest_induction_vars if loop is not None else frozenset()
+    components: list[str] = []
+    implicit: set[str] = set()
+    for clause in directive.clauses:
+        comp = canonical_clause(clause)
+        if comp is None:
+            continue
+        components.append(comp)
+        if clause.kind == "private" and clause.variables and clause.variables <= induction_vars:
+            implicit.add(comp)
+    kinds = " ".join(directive.kinds)
+    canonical = " ".join([kinds] + sorted(components))
+    signature = " ".join([kinds] + sorted(frozenset(components) - implicit))
+    return frozenset(components), frozenset(implicit), canonical, signature
+
+
+def assert_folded_fields_match_oracle(text):
+    for d in extract_directives(parse_source(text)):
+        folded = (d.components, d.implicit_private, d.canonical, d.ordering_signature)
+        assert folded == normalize_oracle(d)
+
+
+def test_folded_fields_match_the_oracle_on_fixtures():
+    for path in sorted(FIXTURES.glob("*.c")):
+        assert_folded_fields_match_oracle(path.read_text())
+
+
+@given(pragma_soups())
+@settings(max_examples=200, deadline=None)
+def test_folded_fields_match_the_oracle_on_soups(text):
+    assert_folded_fields_match_oracle(text)
+
+
+def test_a_repeated_clause_stays_in_canonical():
+    code = "#pragma omp parallel for private(i) reduction(+:s) private(i)\nfor (i=0;i<n;i++) ;\n"
+    assert_folded_fields_match_oracle(code)
+    d = _normalize(code)
+    assert d.components == {"private(i)", "reduction(+:s)"}
+    assert d.implicit_private == {"private(i)"}
+    assert d.canonical == "parallel for private(i) private(i) reduction(+:s)"
+    assert d.ordering_signature == "parallel for reduction(+:s)"
 
 
 # -- collapse validity ------------------------------------------------------

@@ -44,10 +44,10 @@ def _static_cells(gt_name, gen_name):
     gt = analyze(fixture_text(gt_name))
     gen = analyze(fixture_text(gen_name))
     return (
-        weighted_clause_score(gt.normalized, gen.normalized, TABLE),
+        weighted_clause_score(gt.directives, gen.directives, TABLE),
         variable_usage_score(gt.directives, gen.directives),
-        ordering_score(gt.normalized, gen.normalized),
-        redundancy_coverage_score(gt.normalized, gen.normalized),
+        ordering_score(gt.directives, gen.directives),
+        redundancy_coverage_score(gt.directives, gen.directives),
         cyclomatic_ratio(gt.regions, gen.regions),
         pragma_location_score(gt, gen, BACKEND),
     )
@@ -71,13 +71,13 @@ def test_wc_superset_scores_one():
     gen = analyze(
         "#pragma omp parallel for private(i) schedule(static)\nfor (i=0;i<3;i++) ;\n"
     )
-    assert weighted_clause_score(gt.normalized, gen.normalized, TABLE) == 1.0
+    assert weighted_clause_score(gt.directives, gen.directives, TABLE) == 1.0
 
 
 def test_wc_empty_reference_is_anchored_to_one():
     gt = analyze("#pragma omp barrier\n")
     gen = analyze("#pragma omp parallel private(x)\n{ }\n")
-    assert weighted_clause_score(gt.normalized, gen.normalized, TABLE) == 1.0
+    assert weighted_clause_score(gt.directives, gen.directives, TABLE) == 1.0
 
 
 def test_wc_monotone_in_removed_clauses():
@@ -85,11 +85,11 @@ def test_wc_monotone_in_removed_clauses():
     full = "#pragma omp parallel for collapse(2) private(i,j) reduction(+:sum) schedule(static)"
     loop = "\nfor (i = 0; i < 3; ++i) { for (j = 0; j < 3; ++j) sum += 1; }\n"
     current = weighted_clause_score(
-        gt.normalized, analyze(full + loop).normalized, TABLE
+        gt.directives, analyze(full + loop).directives, TABLE
     )
     for dropped in ("collapse(2) ", "private(i,j) ", "reduction(+:sum) ", "schedule(static)"):
         weaker = analyze(full.replace(dropped, "") + loop)
-        assert weighted_clause_score(gt.normalized, weaker.normalized, TABLE) <= current
+        assert weighted_clause_score(gt.directives, weaker.directives, TABLE) <= current
 
 
 def test_vu_variable_order_irrelevant():
@@ -113,9 +113,9 @@ def test_rc_extra_clause_penalty_monotone():
         "#pragma omp parallel for private(i) schedule(static) collapse(1)\n"
         "for (i=0;i<3;i++) ;\n"
     )
-    r0 = redundancy_coverage_score(gt.normalized, base.normalized)
-    r1 = redundancy_coverage_score(gt.normalized, extra.normalized)
-    r2 = redundancy_coverage_score(gt.normalized, more.normalized)
+    r0 = redundancy_coverage_score(gt.directives, base.directives)
+    r1 = redundancy_coverage_score(gt.directives, extra.directives)
+    r2 = redundancy_coverage_score(gt.directives, more.directives)
     assert r0 == 1.0
     assert r0 > r1 > r2
 
@@ -123,9 +123,9 @@ def test_rc_extra_clause_penalty_monotone():
 def test_rc_empty_reference_conventions():
     empty = analyze("int main(void){return 0;}\n")
     noisy = analyze("#pragma omp parallel private(x)\n{ }\n")
-    assert redundancy_coverage_score(empty.normalized, empty.normalized) == 1.0
+    assert redundancy_coverage_score(empty.directives, empty.directives) == 1.0
     diags = []
-    assert redundancy_coverage_score(empty.normalized, noisy.normalized, diags) == 0.0
+    assert redundancy_coverage_score(empty.directives, noisy.directives, diags) == 0.0
     assert diags
 
 

@@ -144,7 +144,7 @@ def test_lev_matches_oracle_on_replicated_directive_strings():
     from conftest import fixture_text
 
     def directive_string(name: str) -> str:
-        return _directive_strings(analyze(fixture_text(name) * 4).normalized)
+        return _directive_strings(analyze(fixture_text(name) * 4).directives)
 
     gt = directive_string("multiple_gt.c")
     for case in ("multiple_case1.c", "multiple_case4.c"):
