@@ -293,28 +293,16 @@ def directive_line_spans(unit: SourceUnit) -> list[tuple[int, int]]:
     (case-sensitive) as the line's next code token.
     """
     spans: list[tuple[int, int]] = []
-    text, lexemes, starts, flags = unit.text, unit.lexemes, unit.starts, unit.in_directive
-    n = len(lexemes)
-    pos = text.find("#")
-    while pos >= 0:
-        i = unit.token_index(pos)
-        # only the `#` that opens a directive line takes a word after it
+    text, lexemes, starts = unit.text, unit.lexemes, unit.starts
+    for start, end in unit.directive_lines:
         if (
-            i + 1 < n
-            and starts[i] == pos
-            and _RE_DIRECTIVE_WORD.search(lexemes[i])[0] == "pragma"
-            and flags[i + 1]
-            and lexemes[i + 1] == "omp"
+            start + 1 < end
+            and lexemes[start + 1] == "omp"
+            and _RE_DIRECTIVE_WORD.search(lexemes[start])[0] == "pragma"
         ):
-            end = i + 2  # the next directive line starts at its own `#`
-            while end < n and flags[end] and not unit.opens_directive(end):
-                end += 1
-            hi = starts[end] if end < n else len(text)
+            hi = starts[end] if end < len(lexemes) else len(text)
             newlines = newline_tokens(text, unit.token_end(end - 1), hi)
-            spans.append((pos, newlines[0] if newlines else hi))
-            pos = text.find("#", hi)
-        else:
-            pos = text.find("#", pos + 1)
+            spans.append((starts[start], newlines[0] if newlines else hi))
     return spans
 
 

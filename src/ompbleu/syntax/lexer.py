@@ -9,7 +9,8 @@ use in one stack pass over the bracket and `;` tokens.
 
 Lexing is one pass that yields the code tokens, the ones that are neither
 whitespace nor comments, as three parallel columns: lexemes, start offsets
-and directive flags.  A token's kind and line follow from the columns and
+and directive flags; the same pass keeps the token range of each
+preprocessor line.  A token's kind and line follow from the columns and
 the text, and are derived only where :class:`Token` tuples are asked for;
 the layout between the code tokens is lexed again, from the text, only
 where the full stream is asked for.
@@ -142,11 +143,13 @@ class Token(NamedTuple):
 
 
 class CodeTokens(NamedTuple):
-    """The code tokens of a text as three parallel columns."""
+    """The code tokens of a text as three parallel columns, and the token
+    range of each preprocessor logical line."""
 
     lexemes: list[str]
     starts: list[int]  # each token's offset in the text
     in_directive: list[bool]  # True for tokens on a preprocessor logical line
+    directive_lines: list[tuple[int, int]]  # [start, end): the `#` token to the next line head
 
 
 class Brackets:
@@ -207,12 +210,13 @@ class Brackets:
 @dataclass(frozen=True)
 class SourceUnit:
     """Source text plus its code tokens, the ones that are neither
-    whitespace nor comments, as the parallel columns of :class:`CodeTokens`."""
+    whitespace nor comments, as the columns of :class:`CodeTokens`."""
 
     text: str
     lexemes: list[str]
     starts: list[int]
     in_directive: list[bool]
+    directive_lines: list[tuple[int, int]]
 
     @cached_property
     def code(self) -> tuple[Token, ...]:
@@ -283,17 +287,6 @@ class SourceUnit:
         """The line holding ``offset``: one more than the newlines before it."""
         return 1 + bisect.bisect_left(self._newlines, offset)
 
-    def opens_directive(self, i: int) -> bool:
-        """Whether code token ``i`` is the `#` that opens a preprocessor line,
-        the one code token whose kind its lexeme does not give: a `#` token
-        on a directive line that starts it or follows a newline token."""
-        lexemes, flags = self.lexemes, self.in_directive
-        if lexemes[i][0] != "#" or not flags[i]:
-            return False
-        if i == 0 or not flags[i - 1]:
-            return True
-        return bool(newline_tokens(self.text, self.token_end(i - 1), self.starts[i]))
-
     def token_end(self, i: int) -> int:
         """The offset just after code token ``i``."""
         return self.starts[i] + len(self.lexemes[i])
@@ -321,7 +314,8 @@ def newline_tokens(text: str, lo: int, hi: int) -> list[int]:
 
 def tokenize(text: str) -> CodeTokens:
     """The code tokens of ``text``: every lexeme that is neither whitespace
-    nor a comment, in order, with its offset and directive flag.
+    nor a comment, in order, with its offset and directive flag, and the
+    token range of each preprocessor line.
 
     Preprocessor directives are recognized only at the start of a line
     (after nothing but whitespace and comments); the ``#`` plus directive
@@ -345,10 +339,10 @@ def tokenize(text: str) -> CodeTokens:
     # next line head
     flags = [False] * n
     heads = [*compress(range(n), parts[2 : 4 * n : 4]), n]
-    for head, end in zip(heads, heads[1:]):
-        if lexemes[head][0] == "#":
-            flags[head:end] = repeat(True, end - head)
-    return CodeTokens(lexemes, starts, flags)
+    lines = [(head, end) for head, end in zip(heads, heads[1:]) if lexemes[head][0] == "#"]
+    for head, end in lines:
+        flags[head:end] = repeat(True, end - head)
+    return CodeTokens(lexemes, starts, flags, lines)
 
 
 def parse_source(text: str) -> SourceUnit:

@@ -31,7 +31,7 @@ def stream(text: str) -> list[Token]:
 
 
 def test_empty_input_yields_no_tokens():
-    assert tokenize("") == CodeTokens([], [], [])
+    assert tokenize("") == CodeTokens([], [], [], [])
     assert stream("") == []
 
 
@@ -340,9 +340,13 @@ def assert_columns_match_token_lexer(text: str) -> None:
     unit = parse_source(text)
     assert list(unit.code) == expected
     assert [unit.line(t.byte_offset) for t in expected] == [t.line for t in expected]
-    assert [unit.opens_directive(i) for i in range(len(expected))] == [
-        t.kind == "preprocessor" for t in expected
+    assert [start for start, _ in columns.directive_lines] == [
+        i for i, t in enumerate(expected) if t.kind == "preprocessor"
     ]
+    in_lines = [False] * len(expected)
+    for start, end in columns.directive_lines:
+        in_lines[start:end] = [True] * (end - start)
+    assert in_lines == [t.in_directive for t in expected]
     assert [unit.token_end(i) for i in range(len(expected))] == [t.end_offset for t in expected]
 
 
