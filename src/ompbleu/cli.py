@@ -39,6 +39,9 @@ _SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hpp")
 # calls such as `analyze` run on several threads under `evaluate_dataset`.
 _GC_GEN0_THRESHOLD = 20_000
 
+# The `--emit` formats each command takes; any other command prints JSON only.
+_EMIT_FORMATS = {"dataset": ("json", "csv", "table"), "classify": ("json", "csv")}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -228,11 +231,10 @@ def _run(argv: list[str] | None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
-    if args.command in ("score", "rank") and args.emit != "json":
-        parser.error(
-            f"argument --emit: {args.command} prints JSON only; "
-            "--emit takes csv or table for dataset, and csv for classify"
-        )
+    formats = _EMIT_FORMATS.get(args.command, ("json",))
+    if args.emit not in formats:
+        formats = " or ".join(formats)
+        parser.error(f"argument --emit: {args.command} takes {formats}, not {args.emit}")
     try:
         config = load_config(args.config)
     except ConfigError as exc:

@@ -627,17 +627,29 @@ def test_cli_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert "--jobs: must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("emit", ["csv", "table"])
-@pytest.mark.parametrize("command", ["score", "rank"])
+@pytest.mark.parametrize(
+    "command, emit",
+    [
+        (command, emit)
+        for command in ("score", "rank", "strip", "annotate", "corrupt", "compile-check")
+        for emit in ("csv", "table")
+    ]
+    + [("classify", "table")],
+)
 def test_cli_score_and_rank_refuse_a_report_format(capsys, command, emit):
-    pair = [str(FIXTURES / "fig1_gt.c"), str(FIXTURES / "fig1_gen.c")]
+    formats = "json or csv" if command == "classify" else "json"
+    source = str(FIXTURES / "fig1_gt.c")
+    operands = {
+        "score": [source, str(FIXTURES / "fig1_gen.c")],
+        "rank": [source, str(FIXTURES / "fig1_gen.c")],
+        "corrupt": [source, "--seed", "1"],
+    }.get(command, [source])
     with pytest.raises(SystemExit) as exit_info:
-        main(["--emit", emit, command, *pair])
+        main(["--emit", emit, command, *operands])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"--emit: {command} prints JSON only" in captured.err
-    assert "for dataset, and csv for classify" in captured.err
+    assert f"argument --emit: {command} takes {formats}, not {emit}" in captured.err
 
 
 @pytest.mark.parametrize(
