@@ -113,13 +113,15 @@ def _build_weights(raw: object) -> MetricWeights:
 
 
 def _build_clause_weights(raw: object) -> ClauseWeightTable:
+    """The table the section gives; what it leaves out keeps the defaults of
+    :class:`ClauseWeightTable`."""
     raw = _section(raw, "clause_weights", ("table", "default"))
     table = _section(raw.get("table", {}), "clause_weights table", KNOWN_CLAUSE_KINDS)
     try:
-        return ClauseWeightTable(
-            weights={k: float(v) for k, v in table.items()} or {"reduction": 5.0},
-            default_weight=float(raw.get("default", 1.0)),
-        )
+        given = {"weights": {k: float(v) for k, v in table.items()}} if "table" in raw else {}
+        if "default" in raw:
+            given["default_weight"] = float(raw["default"])
+        return ClauseWeightTable(**given)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -271,6 +271,18 @@ def test_load_config_overrides(tmp_path):
     assert cfg.compile.language == "auto"
 
 
+def test_clause_weight_table_given_empty_replaces_the_default(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"clause_weights": {"table": {}}}))
+    assert load_config(path).clause_weights.weights == {}
+    assert load_config(path).clause_weights.weight_of("reduction(+:x)") == 1.0
+    # an omitted table keeps the default one
+    path.write_text(json.dumps({"clause_weights": {"default": 2}}))
+    cfg = load_config(path)
+    assert cfg.clause_weights.weights == {"reduction": 5.0}
+    assert cfg.clause_weights.default_weight == 2.0
+
+
 @pytest.mark.parametrize(
     "spelling, language", [("c", "c"), ("c++", "c++"), ("cpp", "c++"), ("cxx", "c++")]
 )
