@@ -50,7 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", metavar="FILE", help="JSON configuration file")
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool size")
+    parser.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="score records on N threads while they wait on the compiler or an embedding service",
+    )
     parser.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
     parser.add_argument(
         "--emit", choices=("json", "csv", "table"), default="json", help="report format"

@@ -328,7 +328,10 @@ def evaluate_dataset(
     )
 
     backend = config.make_backend()
-    if jobs > 1:
+    # threads overlap only waits outside the interpreter, which holds its lock
+    # through static scoring: the compiler subprocess and the embedding calls
+    waits_outside = config.compile_enabled or config.backend.kind == "remote_embedding"
+    if jobs > 1 and waits_outside:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(lambda r: _score_record(r, config, vocab, backend), records))
     else:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from ompbleu import report
 from ompbleu.syntax import lexer
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -52,6 +53,20 @@ def tokenize_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+@pytest.fixture()
+def thread_pools(monkeypatch):
+    """Sizes of the thread pools ``evaluate_dataset`` builds."""
+    original = report.ThreadPoolExecutor
+    sizes: list[int] = []
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return original(max_workers=max_workers)
+
+    monkeypatch.setattr(report, "ThreadPoolExecutor", recording)
+    return sizes
 
 
 SOUP_LINES = [

@@ -302,7 +302,7 @@ def test_reference_compiles_once_per_record(monkeypatch):
     assert compiled.count(CAST_MALLOC) == 1
 
 
-def test_mixed_language_report_identical_across_jobs_and_caches(tmp_path):
+def test_mixed_language_report_identical_across_jobs_and_caches(tmp_path, thread_pools):
     records = [
         DatasetRecord(id=f"{lang}-{k}", reference=CAST_MALLOC, candidates=(UNCAST_MALLOC, CAST_MALLOC),
                       language=lang)
@@ -314,3 +314,4 @@ def test_mixed_language_report_identical_across_jobs_and_caches(tmp_path):
     fresh = EvalConfig(compile=CompileConfig(cache_dir=str(tmp_path / "fresh")))
     pooled = evaluate_dataset(records, fresh, jobs=3).to_json()
     assert cold == warm == pooled
+    assert thread_pools == [3]  # the compiles overlap on threads

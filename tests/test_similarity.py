@@ -409,10 +409,11 @@ def test_remote_cache_stays_bounded_under_threads(embed_server):
     assert len(backend._cache) <= 4
 
 
-def test_scoring_through_remote_backend(embed_server):
+def test_scoring_through_remote_backend(embed_server, thread_pools):
     # full pipeline with the mocked embedding service configured
     from ompbleu.config import BackendSpec, EvalConfig
     from ompbleu.metrics import ompbleu_score
+    from ompbleu.report import DatasetRecord, evaluate_dataset
 
     cfg = EvalConfig(
         backend=BackendSpec(
@@ -422,6 +423,14 @@ def test_scoring_through_remote_backend(embed_server):
     )
     code = "int main(void){ return 0; }\n"
     assert ompbleu_score(code, code, cfg).composite == 100.0
+    # a dataset run overlaps the embedding calls on threads, with the same report
+    records = [
+        DatasetRecord(id=f"r{k}", reference=code, candidates=(f"int x{k};\n", code))
+        for k in range(4)
+    ]
+    one = evaluate_dataset(records, cfg, jobs=1).to_json()
+    assert evaluate_dataset(records, cfg, jobs=2).to_json() == one
+    assert thread_pools == [2]
 
 
 def test_scoring_surfaces_backend_failure(embed_server):
