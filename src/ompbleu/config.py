@@ -13,12 +13,7 @@ from pathlib import Path
 
 from .compile_check import AUTO_LANGUAGE, CompileConfig
 from .metrics import SUBSCORE_WEIGHTS, ClauseWeightTable, MetricWeights
-from .similarity import (
-    BagOfTokensBackend,
-    FallbackBackend,
-    RemoteEmbeddingBackend,
-    SimilarityBackend,
-)
+from .similarity import BagOfTokensBackend, RemoteEmbeddingBackend, SimilarityBackend
 from .syntax.directives import KNOWN_CLAUSE_KINDS
 
 
@@ -32,15 +27,12 @@ class BackendSpec:
     endpoint: str | None = None
     model_id: str | None = None
     timeout: float = 30.0
-    fallback: str | None = None  # "bag_of_tokens" to tolerate remote failures
 
     def __post_init__(self) -> None:
         if self.kind not in ("bag_of_tokens", "remote_embedding"):
             raise ConfigError(f"unknown similarity backend: {self.kind!r}")
         if self.kind == "remote_embedding" and not (self.endpoint and self.model_id):
             raise ConfigError("remote_embedding backend needs endpoint and model_id")
-        if self.fallback not in (None, "bag_of_tokens"):
-            raise ConfigError(f"unknown fallback backend: {self.fallback!r}")
 
 
 @dataclass(frozen=True)
@@ -55,14 +47,11 @@ class EvalConfig:
 
     def make_backend(self) -> SimilarityBackend:
         if self.backend.kind == "remote_embedding":
-            remote = RemoteEmbeddingBackend(
+            return RemoteEmbeddingBackend(
                 endpoint=self.backend.endpoint or "",
                 model_id=self.backend.model_id or "",
                 timeout=self.backend.timeout,
             )
-            if self.backend.fallback == "bag_of_tokens":
-                return FallbackBackend(remote, BagOfTokensBackend())
-            return remote
         return BagOfTokensBackend()
 
     def echo(self) -> dict:
@@ -127,14 +116,13 @@ def _build_clause_weights(raw: object) -> ClauseWeightTable:
 
 
 def _build_backend(raw: object) -> BackendSpec:
-    raw = _section(raw, "backend", ("kind", "endpoint", "model_id", "timeout", "fallback"))
+    raw = _section(raw, "backend", ("kind", "endpoint", "model_id", "timeout"))
     try:
         return BackendSpec(
             kind=raw.get("kind", "bag_of_tokens"),
             endpoint=raw.get("endpoint"),
             model_id=raw.get("model_id"),
             timeout=float(raw.get("timeout", 30.0)),
-            fallback=raw.get("fallback"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

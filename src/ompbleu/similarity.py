@@ -22,7 +22,7 @@ from .syntax import tokenize
 
 
 class SimilarityError(RuntimeError):
-    """A similarity backend failed; the caller decides on fallback."""
+    """A similarity backend failed: raised to the caller, never scored as 0."""
 
 
 def _trimmed_pattern(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence, int, dict]:
@@ -249,22 +249,6 @@ class RemoteEmbeddingBackend:
             return 1.0
         dot = sum(x * y for x, y in zip(va, vb))
         return _clamp01(dot / math.sqrt(sq_a * sq_b))
-
-
-class FallbackBackend:
-    """Delegates to a primary backend, falling back on similarity errors."""
-
-    kind = "fallback"
-
-    def __init__(self, primary: SimilarityBackend, secondary: SimilarityBackend) -> None:
-        self.primary = primary
-        self.secondary = secondary
-
-    def similarity(self, a: str | CodeText, b: str | CodeText) -> float:
-        try:
-            return self.primary.similarity(a, b)
-        except SimilarityError:
-            return self.secondary.similarity(a, b)
 
 
 def _text(code: str | CodeText) -> str:

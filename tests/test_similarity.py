@@ -448,19 +448,20 @@ def test_scoring_surfaces_backend_failure(embed_server):
         ompbleu_score("int a;\n", "int b;\n", cfg)
 
 
-def test_configured_fallback_rescues_backend_failure(embed_server):
-    from ompbleu.config import BackendSpec, EvalConfig
+def test_backend_fallback_key_is_refused_and_failures_raise(embed_server, tmp_path, capsys):
+    # no second backend rescues a failed remote call
+    from ompbleu.cli import main
+    from ompbleu.config import load_config
     from ompbleu.metrics import ompbleu_score
 
+    backend = {"kind": "remote_embedding", "endpoint": embed_server, "model_id": "test-model"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"backend": {**backend, "fallback": "bag_of_tokens"}}))
+    source = tmp_path / "a.c"
+    source.write_text("int a;\n")
+    assert main(["--config", str(cfg), "score", str(source), str(source)]) == 2
+    assert "unknown backend keys: ['fallback']" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"backend": backend, "compile_enabled": False}))
     _EmbedHandler.fail_mode = "http500"
-    cfg = EvalConfig(
-        backend=BackendSpec(
-            kind="remote_embedding",
-            endpoint=embed_server,
-            model_id="test-model",
-            fallback="bag_of_tokens",
-        ),
-        compile_enabled=False,
-    )
-    code = "int main(void){ return 0; }\n"
-    assert ompbleu_score(code, code, cfg).composite == 100.0
+    with pytest.raises(SimilarityError):
+        ompbleu_score("int a;\n", "int b;\n", load_config(cfg))
