@@ -32,17 +32,6 @@ from itertools import accumulate, compress, repeat
 from operator import add, and_, not_
 from typing import NamedTuple
 
-TOKEN_KINDS = (
-    "identifier",
-    "keyword",
-    "punctuation",
-    "number",
-    "string",
-    "comment",
-    "preprocessor",
-    "whitespace",
-)
-
 # Shared C/C++ keyword inventory.  Only lexeme classification depends on this;
 # clause parsing matches raw lexemes, so e.g. `private` being a C++ keyword is
 # harmless inside a pragma.
