@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-from ompbleu import report
 from ompbleu.cli import main
 from ompbleu.config import ConfigError, EvalConfig, load_config
 from ompbleu.report import (
@@ -201,7 +200,7 @@ def test_aggregate_mean_recomputable(small_dataset):
 
 def test_report_determinism(small_dataset, monkeypatch):
     # static scoring holds the interpreter lock, so --jobs 2 builds no pool
-    monkeypatch.setattr(report, "ThreadPoolExecutor", lambda **_: pytest.fail("pool built"))
+    monkeypatch.setattr("ompbleu.report.ThreadPoolExecutor", lambda **_: pytest.fail("pool built"))
     records, _ = load_jsonl(small_dataset)
     one = evaluate_dataset(records, NO_COMPILE_CFG, jobs=1).to_json()
     two = evaluate_dataset(records, NO_COMPILE_CFG, jobs=2).to_json()
