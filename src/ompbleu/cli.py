@@ -26,6 +26,7 @@ from .report import (
     rank_candidates,
     read_source,
 )
+from .similarity import SimilarityError
 from .syntax import parse_source, strip_openmp
 
 _SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hpp")
@@ -264,7 +265,7 @@ def _run(argv: list[str] | None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetError, CompileError, OSError) as exc:
+    except (DatasetError, CompileError, SimilarityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     parser.error(f"unknown command {args.command!r}")

@@ -465,3 +465,25 @@ def test_backend_fallback_key_is_refused_and_failures_raise(embed_server, tmp_pa
     _EmbedHandler.fail_mode = "http500"
     with pytest.raises(SimilarityError):
         ompbleu_score("int a;\n", "int b;\n", load_config(cfg))
+
+
+@pytest.mark.parametrize("endpoint", ["mocked, HTTP 500", "http://127.0.0.1:1"])
+def test_cli_score_reports_a_backend_failure_as_an_error_line(embed_server, tmp_path, capsys, endpoint):
+    # port 1 refuses at once on the loopback interface
+    from ompbleu.cli import main
+
+    if endpoint.startswith("mocked"):
+        endpoint, message = embed_server, "error: embedding service returned HTTP 500\n"
+        _EmbedHandler.fail_mode = "http500"
+    else:
+        message = "error: embedding request failed: "
+    backend = {"kind": "remote_embedding", "endpoint": endpoint, "model_id": "test-model", "timeout": 2}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"backend": backend, "compile_enabled": False}))
+    a, b = tmp_path / "a.c", tmp_path / "b.c"
+    a.write_text("int a;\n")
+    b.write_text("int b;\n")
+    assert main(["--config", str(cfg), "score", str(a), str(b)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
