@@ -16,7 +16,7 @@ from . import __version__
 from .compile_check import CompileError, compile_score, language_of_path
 from .config import ConfigError, EvalConfig, load_config
 from .metrics import analyze, ompbleu_score
-from .pretrain import NoiseSchedule, TagVocabulary, corrupt, render_tokens, ssa_annotate
+from .pretrain import NoiseSchedule, TagVocabulary, corrupt, ssa_annotate
 from .report import (
     DatasetError,
     DatasetRecord,
@@ -201,8 +201,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     unit = parse_source(read_source(args.path))
-    corrupted = corrupt(list(unit.tokens), schedule, step=args.step, seed=args.seed)
-    _write_out(args, render_tokens(corrupted))
+    _write_out(args, corrupt(unit, schedule, step=args.step, seed=args.seed))
     return 0
 
 

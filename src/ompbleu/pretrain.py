@@ -8,18 +8,17 @@ model or gradient code lives here.
 
 from __future__ import annotations
 
-import bisect
 import random
-from collections import deque
 from dataclasses import dataclass
 from importlib import resources
-from operator import itemgetter
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import read_vocabulary
-from .syntax import SourceUnit, Token
+from .syntax import SourceUnit
 from .syntax.directives import directive_kinds, directive_line_spans
+from .syntax.lexer import _RE_LAYOUT, KEYWORDS, lexeme_kind
 
 if TYPE_CHECKING:  # numpy (the `loss` extra) is imported by the two loss functions only
     import numpy as np
@@ -101,7 +100,7 @@ _OMP_CLAUSE_ROLES = {
     "schedule": "omp_clause_schedule",
 }
 _CLAUSE_STRUCTURAL = {"(", ")", ","}
-_OFFSET = itemgetter(2)  # a Token's byte_offset
+_LITERAL_ROLES = {"number": "number_literal", "identifier": "identifier"}
 
 
 @dataclass(frozen=True)
@@ -133,29 +132,18 @@ class TagVocabulary:
             return cls.load(path)
 
 
-def _pragma_line_roles(tokens: tuple[Token, ...]) -> list[str]:
-    """Role names for the non-whitespace tokens of one `#pragma omp` line.
+def _pragma_line_roles(lexemes: list[str]) -> list[str]:
+    """Role names for the code tokens of one `#pragma omp` line.
 
     The directive parser reads the kinds; a clause word at paren depth 0
     lends its role to the tokens inside its parentheses.
     """
-    code = [t for t in tokens if t.kind not in ("whitespace", "comment")]
-    kinds, _ = directive_kinds([t.lexeme for t in code[2:]])  # code[:2] is `#pragma omp`
-    head = deque(
-        ["omp_pragma", "omp_marker", *(_OMP_DIRECTIVE_ROLES.get(k, "omp_directive_other") for k in kinds)]
-    )
-    roles: list[str] = []
+    kinds, _ = directive_kinds(lexemes[2:])  # lexemes[:2] is `#pragma omp`
+    roles = ["omp_pragma", "omp_marker", *(_OMP_DIRECTIVE_ROLES.get(k, "omp_directive_other") for k in kinds)]
     clause_role: str | None = None
     paren_depth = 0
-    for tok in tokens:
-        if tok.kind == "whitespace":
-            continue
-        lex = tok.lexeme
-        if tok.kind == "comment":
-            role = "comment"
-        elif head:
-            role = head.popleft()
-        elif tok.kind in ("identifier", "keyword") and paren_depth == 0:
+    for lex in lexemes[len(roles) :]:
+        if paren_depth == 0 and lexeme_kind(lex) in ("identifier", "keyword"):
             role = clause_role = _OMP_CLAUSE_ROLES.get(lex, "omp_clause_other")
         elif lex in _CLAUSE_STRUCTURAL:
             if lex == "(":
@@ -173,29 +161,20 @@ def _pragma_line_roles(tokens: tuple[Token, ...]) -> list[str]:
     return roles
 
 
-def _token_role(tok: Token) -> str:
-    """Role name of one token outside OpenMP pragma lines."""
-    if tok.kind == "comment":
-        return "comment"
-    if tok.kind == "preprocessor":
-        return "preproc_directive"
-    if tok.in_directive:
-        return "preproc_arg"
-    if tok.kind == "string":
-        return "char_literal" if tok.lexeme.startswith("'") else "string_literal"
-    if tok.kind == "number":
-        return "number_literal"
-    if tok.kind == "identifier":
-        return "identifier"
-    if tok.kind == "keyword":
-        if tok.lexeme in _TYPE_KEYWORDS:
+def _code_role(lexeme: str) -> str:
+    """Role name of a code token outside preprocessor lines."""
+    kind = lexeme_kind(lexeme)
+    if kind == "punctuation":
+        return _PUNCT_ROLES.get(lexeme, "none")
+    if kind == "keyword":
+        if lexeme in _TYPE_KEYWORDS:
             return "type_keyword"
-        if tok.lexeme in _STORAGE_KEYWORDS:
+        if lexeme in _STORAGE_KEYWORDS:
             return "storage_keyword"
-        return _KEYWORD_ROLES.get(tok.lexeme, "other_keyword")
-    if tok.kind == "punctuation":
-        return _PUNCT_ROLES.get(tok.lexeme, "none")
-    return "none"
+        return _KEYWORD_ROLES.get(lexeme, "other_keyword")
+    if kind == "string":
+        return "char_literal" if lexeme[0] == "'" else "string_literal"
+    return _LITERAL_ROLES[kind]
 
 
 def ssa_annotate(unit: SourceUnit, vocab: TagVocabulary | None = None) -> list[int]:
@@ -203,22 +182,36 @@ def ssa_annotate(unit: SourceUnit, vocab: TagVocabulary | None = None) -> list[i
 
     OpenMP pragma lines, as :func:`directive_line_spans` finds them, get
     construct- and clause-specific roles; other preprocessor lines are
-    directive/argument; everything else is tagged by its lexical role.
-    Unknown roles map to 0.
+    directive/argument; comments are comments; everything else is tagged
+    by its lexical role.  Unknown roles map to 0.
     """
     if vocab is None:
         vocab = TagVocabulary.default()
-    tokens = unit.tokens
-    roles: list[str] = []
+    text, lexemes, starts = unit.text, unit.lexemes, unit.starts
+    role_of = {lexeme: _code_role(lexeme) for lexeme in set(lexemes)}
+    roles = list(map(role_of.__getitem__, lexemes))
+    for start, end in unit.directive_lines:
+        roles[start] = "preproc_directive"
+        roles[start + 1 : end] = repeat("preproc_arg", end - start - 1)
+    for span in directive_line_spans(unit):
+        start, end = map(unit.token_index, span)
+        roles[start:end] = _pragma_line_roles(lexemes[start:end])
+    # a comment takes no role from the code around it, so it goes in by
+    # offset; only layout that holds a `/` can hold one
+    merged: list[str] = []
     pos = 0
-    for lo, hi in directive_line_spans(unit):
-        start = bisect.bisect_left(tokens, lo, pos, key=_OFFSET)
-        end = bisect.bisect_left(tokens, hi, start, key=_OFFSET)
-        roles.extend(_token_role(t) for t in tokens[pos:start] if t.kind != "whitespace")
-        roles.extend(_pragma_line_roles(tokens[start:end]))
-        pos = end
-    roles.extend(_token_role(t) for t in tokens[pos:] if t.kind != "whitespace")
-    return [vocab.id_of(r) for r in roles]
+    slash = text.find("/")
+    while slash >= 0:
+        i = unit.token_index(slash + 1)  # the code token after the `/`
+        lo = unit.token_end(i - 1) if i else 0
+        if lo <= slash:  # the `/` lies in the layout before token i
+            hi = starts[i] if i < len(starts) else len(text)
+            merged += roles[pos:i]
+            merged += ("comment" for layout in _RE_LAYOUT.findall(text, lo, hi) if layout[0] == "/")
+            pos, lo = i, hi
+        slash = text.find("/", lo)
+    merged += roles[pos:]
+    return list(map(vocab.tags.get, merged, repeat(0)))
 
 
 @dataclass(frozen=True)
@@ -250,26 +243,20 @@ class NoiseSchedule:
         return self.r0 + (self.r1 - self.r0) * min(1.0, step / self.ramp_steps)
 
 
-def _is_maskable(tok: Token) -> bool:
-    return tok.kind not in ("whitespace", "comment")
+def corrupt(unit: SourceUnit, schedule: NoiseSchedule, step: int, seed: int) -> str:
+    """The text of ``unit`` with seeded noise applied to its code tokens;
+    deterministic per (seed, step).
 
-
-def corrupt(
-    tokens: list[Token] | tuple[Token, ...],
-    schedule: NoiseSchedule,
-    step: int,
-    seed: int,
-) -> list[Token]:
-    """Apply seeded noise to a token stream; deterministic per (seed, step).
-
-    The expected fraction of affected maskable tokens equals the schedule
-    ratio at ``step``.  With keyword_drop active, keywords are three times
-    as likely to be picked; dropping removes the token, masking replaces
-    its lexeme, shuffling permutes lexemes within a small window.
+    The expected fraction of affected code tokens equals the schedule ratio
+    at ``step``.  With keyword_drop active, keywords are three times as
+    likely to be picked; dropping removes the token, masking replaces its
+    lexeme, shuffling permutes lexemes within a small window.  Layout and
+    comments are kept as they are.
     """
     rng = random.Random(f"{seed}:{step}")
     ratio = schedule.ratio(step)
-    out = list(tokens)
+    lexemes = unit.lexemes
+    n = len(lexemes)
 
     per_token_ops: list[str] = []
     if "mask" in schedule.modes:
@@ -279,59 +266,62 @@ def corrupt(
     if "shuffle" in schedule.modes:
         per_token_ops.append("shuffle")
 
-    maskable = [i for i, t in enumerate(out) if _is_maskable(t)]
     affected: list[int] = []
-    if per_token_ops and ratio > 0.0 and maskable:
-        hits = sum(1 for _ in maskable if rng.random() < ratio)
+    if per_token_ops and ratio > 0.0 and n:
+        hits = sum(1 for _ in range(n) if rng.random() < ratio)
         if "keyword_drop" in schedule.modes:
             # weight keywords up, keeping the expected hit count unchanged
             keyed = sorted(
-                maskable,
-                key=lambda i: rng.random() ** (1.0 / (3.0 if out[i].kind == "keyword" else 1.0)),
+                range(n),
+                key=lambda i: rng.random() ** (1.0 / (3.0 if lexemes[i] in KEYWORDS else 1.0)),
                 reverse=True,
             )
             affected = sorted(keyed[:hits])
         else:
-            affected = sorted(rng.sample(maskable, hits)) if hits else []
+            affected = sorted(rng.sample(range(n), hits)) if hits else []
 
+    edits: dict[int, str] = {}  # masked and shuffled code tokens: their new lexemes
     drops: set[int] = set()
-    shuffles: list[int] = []
+    windows: dict[int, list[int]] = {}
     for i in affected:
         op = per_token_ops[rng.randrange(len(per_token_ops))] if len(per_token_ops) > 1 else per_token_ops[0]
         if op == "mask":
-            tok = out[i]
-            out[i] = Token(schedule.mask_token, tok.kind, tok.byte_offset, tok.line)
+            edits[i] = schedule.mask_token
         elif op == "drop":
             drops.add(i)
         else:
-            shuffles.append(i)
+            windows.setdefault(i // schedule.shuffle_window, []).append(i)
+    for group in windows.values():
+        shuffled = [lexemes[i] for i in group]
+        rng.shuffle(shuffled)
+        edits.update(zip(group, shuffled))
 
-    if shuffles:
-        ordinal = {tok_i: k for k, tok_i in enumerate(maskable)}
-        windows: dict[int, list[int]] = {}
-        for i in shuffles:
-            windows.setdefault(ordinal[i] // schedule.shuffle_window, []).append(i)
-        for group in windows.values():
-            lexemes = [out[i].lexeme for i in group]
-            rng.shuffle(lexemes)
-            for i, lex in zip(group, lexemes):
-                tok = out[i]
-                out[i] = Token(lex, tok.kind, tok.byte_offset, tok.line)
-
-    if drops:
-        out = [t for i, t in enumerate(out) if i not in drops]
-
+    text, starts = unit.text, unit.starts
+    pieces: list[str] = []
     if "lang_token_insert" in schedule.modes:
-        out.insert(0, Token(schedule.lang_token, "identifier", 0, 1))
-        if len(out) > 1 and out[1].kind != "whitespace":
-            out.insert(1, Token(" ", "whitespace", 0, 1))
+        pieces.append(schedule.lang_token)
+        if _opens_with_code_or_comment(unit, drops):
+            pieces.append(" ")
+    pos = 0
+    for i in affected:
+        pieces += (text[pos : starts[i]], edits.get(i, ""))
+        pos = starts[i] + len(lexemes[i])
+    pieces.append(text[pos:])
+    return "".join(pieces)
 
-    return out
 
-
-def render_tokens(tokens: list[Token]) -> str:
-    """Concatenate lexemes; whitespace tokens carry the original layout."""
-    return "".join(t.lexeme for t in tokens)
+def _opens_with_code_or_comment(unit: SourceUnit, drops: set[int]) -> bool:
+    """Whether the first token to survive the drops, layout included, is a
+    code token or a comment."""
+    text, starts = unit.text, unit.starts
+    i = lo = 0
+    while i in drops and starts[i] == lo:  # no layout before it
+        lo = unit.token_end(i)
+        i += 1
+    hi = starts[i] if i < len(starts) else len(text)
+    if lo < hi:  # layout: a comment, or a blank, a newline or a splice
+        return text[lo] == "/"
+    return i < len(starts)
 
 
 class LossComputationError(ValueError):

@@ -34,7 +34,6 @@ from ompbleu.pretrain import (
     LossInputs,
     NoiseSchedule,
     corrupt,
-    render_tokens,
     weighted_token_cross_entropy,
 )
 from ompbleu.report import DatasetRecord, evaluate_dataset
@@ -274,19 +273,17 @@ def test_criterion_7_loss_reference():
 def test_criterion_8_corruption_statistics():
     """Seeded corruption hits the schedule ratio within 2% absolute."""
     sched = NoiseSchedule(r0=0.15, r1=0.15, ramp_steps=1, modes=frozenset({"mask"}))
-    tokens = list(parse_source(fixture_text("single_gt.c")).tokens)
-    maskable = sum(1 for t in tokens if t.kind not in ("whitespace", "comment"))
+    unit = parse_source(fixture_text("single_gt.c"))
+    assert "MASK" not in unit.text  # so each MASK in the output is one masked token
+    maskable = len(unit.lexemes)
     affected = 0
     trials = 10_000
     for seed in range(trials):
-        out = corrupt(tokens, sched, step=0, seed=seed)
-        affected += sum(
-            1 for t in out if t.kind not in ("whitespace", "comment") and t.lexeme == "MASK"
-        )
+        affected += corrupt(unit, sched, step=0, seed=seed).count("MASK")
     rate = affected / (trials * maskable)
     assert abs(rate - 0.15) < 0.02, rate
-    a = render_tokens(corrupt(tokens, sched, step=0, seed=123))
-    b = render_tokens(corrupt(tokens, sched, step=0, seed=123))
+    a = corrupt(unit, sched, step=0, seed=123)
+    b = corrupt(unit, sched, step=0, seed=123)
     assert a == b
     print(f"\nACCEPTANCE 8 PASS: corruption rate {rate:.4f} vs 0.15, seeds reproduce")
 

@@ -17,6 +17,7 @@ from ompbleu.report import (
     load_paired_dirs,
     rank_candidates,
 )
+from ompbleu.syntax import SourceUnit
 
 from conftest import FIXTURES, fixture_text, requires_compiler
 
@@ -533,6 +534,27 @@ def test_cli_annotate_lexes_each_file_once(tokenize_calls, tmp_path, capsys):
 def test_cli_corrupt_lexes_once(tokenize_calls, capsys):
     assert main(["corrupt", str(FIXTURES / "single_gt.c"), "--seed", "1"]) == 0
     assert tokenize_calls == [fixture_text("single_gt.c")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["annotate"],
+        ["corrupt", "--seed", "5", "--modes", "mask,shuffle,drop,keyword_drop,lang_token_insert"],
+        ["strip"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_corpus_commands_build_no_token_stream(monkeypatch, tmp_path, capsys, argv):
+    def refuse(unit):
+        raise AssertionError("the full token stream was built")
+
+    commented = tmp_path / "commented.c"
+    commented.write_text("// lead\n" + fixture_text("xs_kernel.c").replace("\n", " /* c */\n", 4))
+    monkeypatch.setattr(SourceUnit, "tokens", property(refuse))
+    command, *options = argv
+    for path in (FIXTURES / "fig1_gt.c", commented):
+        assert main([command, str(path), *options]) == 0
 
 
 def test_cli_classify(tmp_path, capsys):

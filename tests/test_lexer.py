@@ -2,7 +2,7 @@ import bisect
 import random
 import re
 import string
-from itertools import accumulate, compress, repeat, takewhile
+from itertools import accumulate, chain, compress, repeat, takewhile
 from operator import add, itemgetter
 
 import pytest
@@ -16,13 +16,14 @@ from ompbleu.syntax.lexer import (
     _KIND_OF_FIRST,
     _MULTI_CHAR_OPERATORS,
     _RE_CODE,
+    _RE_LAYOUT,
     _RE_PREPROC,
     KEYWORDS,
     CodeTokens,
     Token,
 )
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, pragma_soups
 
 
 def stream(text: str) -> list[Token]:
@@ -133,6 +134,19 @@ def test_round_trip_property(text):
 def test_round_trip_arbitrary_unicode(text):
     assert "".join(t.lexeme for t in stream(text)) == text
     assert_matches_oracle(text)
+
+
+@given(st.one_of(pragma_soups(), st.text()))
+@edge_examples
+@settings(max_examples=300, deadline=None)
+def test_columns_and_layout_gaps_rebuild_the_text(text):
+    # annotate and corrupt cut the layout between the code tokens from the text
+    unit = parse_source(text)
+    ends = [unit.token_end(i) for i in range(len(unit.lexemes))]
+    gaps = [text[lo:hi] for lo, hi in zip([0, *ends], [*unit.starts, len(text)])]
+    assert "".join(chain.from_iterable(zip(gaps, [*unit.lexemes, ""]))) == text
+    assert [text[start:end] for start, end in zip(unit.starts, ends)] == unit.lexemes
+    assert all("".join(_RE_LAYOUT.findall(gap)) == gap for gap in gaps)  # layout alone
 
 
 # Oracle: the rule-by-rule scanner that tries each regex in turn at each

@@ -1,5 +1,11 @@
+import bisect
+import importlib.util
 import math
+import random
 import re
+import sys
+from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,14 +26,14 @@ from ompbleu.pretrain import (
     NoiseSchedule,
     TagVocabulary,
     corrupt,
-    render_tokens,
     ssa_annotate,
     weighted_token_cross_entropy,
 )
-from ompbleu.syntax import extract_directives, parse_source
-from ompbleu.syntax.directives import _SUCCESSORS, DIRECTIVE_KINDS
+from ompbleu.syntax import Token, extract_directives, parse_source, tokenize
+from ompbleu.syntax.directives import _SUCCESSORS, DIRECTIVE_KINDS, directive_kinds, directive_line_spans
+from ompbleu.syntax.lexer import lexeme_kind
 
-from conftest import FIXTURES, SOUP_LINES, fixture_text
+from conftest import FIXTURES, SOUP_LINES, fixture_text, pragma_soups
 
 SAMPLE = (
     "#pragma omp parallel for reduction(+:sum)\n"
@@ -355,8 +361,8 @@ def test_successor_word_before_a_paren_is_a_clause():
 # -- corruption -------------------------------------------------------------
 
 
-def _tokens(code=SAMPLE):
-    return list(parse_source(code).tokens)
+def _unit(code=SAMPLE):
+    return parse_source(code)
 
 
 def test_ratio_ramp():
@@ -369,54 +375,55 @@ def test_ratio_ramp():
 
 def test_zero_ratio_is_identity():
     sched = NoiseSchedule(r0=0.0, r1=0.0, ramp_steps=1, modes=frozenset({"mask"}))
-    assert render_tokens(corrupt(_tokens(), sched, step=0, seed=7)) == SAMPLE
+    assert corrupt(_unit(), sched, step=0, seed=7) == SAMPLE
 
 
 def test_full_ratio_masks_everything():
     sched = NoiseSchedule(r0=1.0, r1=1.0, ramp_steps=1, modes=frozenset({"mask"}))
-    out = corrupt(_tokens(), sched, step=0, seed=7)
-    assert all(t.lexeme == "MASK" for t in out if t.kind != "whitespace")
+    out = corrupt(_unit(), sched, step=0, seed=7)
+    # every code token became MASK, and only layout is left besides
+    assert out.count("MASK") == len(_unit().lexemes)
+    assert out.replace("MASK", "").isspace()
 
 
 def test_identical_seed_reproduces_bytes():
     sched = NoiseSchedule(r0=0.3, r1=0.6, ramp_steps=10, modes=frozenset({"mask", "drop"}))
-    a = render_tokens(corrupt(_tokens(), sched, step=4, seed=42))
-    b = render_tokens(corrupt(_tokens(), sched, step=4, seed=42))
+    a = corrupt(_unit(), sched, step=4, seed=42)
+    b = corrupt(_unit(), sched, step=4, seed=42)
     assert a == b
-    c = render_tokens(corrupt(_tokens(), sched, step=4, seed=43))
+    c = corrupt(_unit(), sched, step=4, seed=43)
     assert a != c  # overwhelmingly likely for this ratio and size
 
 
 def test_corruption_rate_statistics():
     # over many trials the affected fraction converges to the schedule ratio
     sched = NoiseSchedule(r0=0.15, r1=0.15, ramp_steps=1, modes=frozenset({"mask"}))
-    tokens = _tokens()
-    maskable = sum(1 for t in tokens if t.kind not in ("whitespace", "comment"))
+    unit = _unit()
+    assert "MASK" not in SAMPLE  # so each MASK in the output is one masked token
+    maskable = len(unit.lexemes)
     total_affected = 0
     trials = 10_000
     for seed in range(trials):
-        out = corrupt(tokens, sched, step=0, seed=seed)
-        total_affected += sum(
-            1 for t in out if t.kind not in ("whitespace", "comment") and t.lexeme == "MASK"
-        )
+        out = corrupt(unit, sched, step=0, seed=seed)
+        total_affected += out.count("MASK")
     rate = total_affected / (trials * maskable)
     assert abs(rate - 0.15) < 0.02
 
 
 def test_keyword_drop_prefers_keywords():
     code = "for while if int x y z a b c d e f g h k m n p q\n"
-    tokens = _tokens(code)
+    unit = _unit(code)
     sched = NoiseSchedule(r0=0.25, r1=0.25, ramp_steps=1, modes=frozenset({"keyword_drop"}))
-    kw_total = sum(1 for t in tokens if t.kind == "keyword")
-    other_total = sum(1 for t in tokens if t.kind not in ("whitespace", "keyword"))
+    kinds = list(map(lexeme_kind, unit.lexemes))
+    kw_total = kinds.count("keyword")
+    other_total = len(kinds) - kw_total
     kw_dropped = 0
     other_dropped = 0
     for seed in range(3000):
-        out = corrupt(tokens, sched, step=0, seed=seed)
-        kw_dropped += kw_total - sum(1 for t in out if t.kind == "keyword")
-        other_dropped += other_total - sum(
-            1 for t in out if t.kind not in ("whitespace", "keyword")
-        )
+        # one blank separates the tokens, so the survivors lex as themselves
+        out = list(map(lexeme_kind, tokenize(corrupt(unit, sched, step=0, seed=seed)).lexemes))
+        kw_dropped += kw_total - out.count("keyword")
+        other_dropped += other_total - (len(out) - out.count("keyword"))
     kw_rate = kw_dropped / (3000 * kw_total)
     other_rate = other_dropped / (3000 * other_total)
     assert kw_rate > 1.5 * other_rate
@@ -426,9 +433,9 @@ def test_lang_token_insert_prepends():
     sched = NoiseSchedule(
         r0=0.0, r1=0.0, ramp_steps=1, modes=frozenset({"lang_token_insert"})
     )
-    out = corrupt(_tokens(), sched, step=0, seed=1)
-    assert out[0].lexeme == "[cpp]"
-    assert render_tokens(out).endswith(SAMPLE)
+    out = corrupt(_unit(), sched, step=0, seed=1)
+    assert out.startswith("[cpp]")
+    assert out.endswith(SAMPLE)
 
 
 def test_shuffle_permutes_within_window():
@@ -436,9 +443,9 @@ def test_shuffle_permutes_within_window():
     sched = NoiseSchedule(
         r0=1.0, r1=1.0, ramp_steps=1, modes=frozenset({"shuffle"}), shuffle_window=3
     )
-    out = corrupt(_tokens(code), sched, step=0, seed=5)
-    original = [t.lexeme for t in _tokens(code) if t.kind != "whitespace"]
-    shuffled = [t.lexeme for t in out if t.kind != "whitespace"]
+    out = corrupt(_unit(code), sched, step=0, seed=5)
+    original = _unit(code).lexemes
+    shuffled = tokenize(out).lexemes
     assert sorted(shuffled) == sorted(original)
     for idx, lex in enumerate(shuffled):
         src = original.index(lex)
@@ -447,9 +454,205 @@ def test_shuffle_permutes_within_window():
 
 def test_drop_removes_tokens_but_keeps_layout():
     sched = NoiseSchedule(r0=1.0, r1=1.0, ramp_steps=1, modes=frozenset({"drop"}))
-    out = corrupt(_tokens("a b\n"), sched, step=0, seed=0)
-    assert [t.kind for t in out] == ["whitespace", "whitespace"]
-    assert render_tokens(out) == " \n"
+    out = corrupt(_unit("a b\n"), sched, step=0, seed=0)
+    assert tokenize(out).lexemes == []
+    assert out == " \n"
+
+
+# Oracle: ``ssa_annotate`` and ``corrupt`` as they ran on the full token
+# stream (``SourceUnit.tokens``, layout included), and ``render_tokens``,
+# which joined the corrupted stream into text.
+
+
+def _stream_pragma_line_roles(tokens):
+    code = [t for t in tokens if t.kind not in ("whitespace", "comment")]
+    kinds, _ = directive_kinds([t.lexeme for t in code[2:]])
+    head = deque(
+        ["omp_pragma", "omp_marker", *(_OMP_DIRECTIVE_ROLES.get(k, "omp_directive_other") for k in kinds)]
+    )
+    roles = []
+    clause_role = None
+    paren_depth = 0
+    for tok in tokens:
+        if tok.kind == "whitespace":
+            continue
+        lex = tok.lexeme
+        if tok.kind == "comment":
+            role = "comment"
+        elif head:
+            role = head.popleft()
+        elif tok.kind in ("identifier", "keyword") and paren_depth == 0:
+            role = clause_role = _OMP_CLAUSE_ROLES.get(lex, "omp_clause_other")
+        elif lex in _CLAUSE_STRUCTURAL:
+            if lex == "(":
+                paren_depth += 1
+            elif lex == ")":
+                paren_depth = max(0, paren_depth - 1)
+                if paren_depth == 0:
+                    clause_role = None
+            role = _PUNCT_ROLES[lex]
+        elif clause_role is not None and paren_depth > 0:
+            role = clause_role
+        else:
+            role = "none"
+        roles.append(role)
+    return roles
+
+
+def _stream_token_role(tok):
+    if tok.kind == "comment":
+        return "comment"
+    if tok.kind == "preprocessor":
+        return "preproc_directive"
+    if tok.in_directive:
+        return "preproc_arg"
+    return _oracle_token_role(tok)
+
+
+def stream_ssa_annotate(unit, vocab):
+    tokens = unit.tokens
+    offsets = [t.byte_offset for t in tokens]
+    roles = []
+    pos = 0
+    for lo, hi in directive_line_spans(unit):
+        start = bisect.bisect_left(offsets, lo, pos)
+        end = bisect.bisect_left(offsets, hi, start)
+        roles.extend(_stream_token_role(t) for t in tokens[pos:start] if t.kind != "whitespace")
+        roles.extend(_stream_pragma_line_roles(tokens[start:end]))
+        pos = end
+    roles.extend(_stream_token_role(t) for t in tokens[pos:] if t.kind != "whitespace")
+    return [vocab.id_of(r) for r in roles]
+
+
+def stream_corrupt(tokens, schedule, step, seed):
+    rng = random.Random(f"{seed}:{step}")
+    ratio = schedule.ratio(step)
+    out = list(tokens)
+    per_token_ops = []
+    if "mask" in schedule.modes:
+        per_token_ops.append("mask")
+    if "drop" in schedule.modes or "keyword_drop" in schedule.modes:
+        per_token_ops.append("drop")
+    if "shuffle" in schedule.modes:
+        per_token_ops.append("shuffle")
+    maskable = [i for i, t in enumerate(out) if t.kind not in ("whitespace", "comment")]
+    affected = []
+    if per_token_ops and ratio > 0.0 and maskable:
+        hits = sum(1 for _ in maskable if rng.random() < ratio)
+        if "keyword_drop" in schedule.modes:
+            keyed = sorted(
+                maskable,
+                key=lambda i: rng.random() ** (1.0 / (3.0 if out[i].kind == "keyword" else 1.0)),
+                reverse=True,
+            )
+            affected = sorted(keyed[:hits])
+        else:
+            affected = sorted(rng.sample(maskable, hits)) if hits else []
+    drops = set()
+    shuffles = []
+    for i in affected:
+        op = per_token_ops[rng.randrange(len(per_token_ops))] if len(per_token_ops) > 1 else per_token_ops[0]
+        if op == "mask":
+            tok = out[i]
+            out[i] = Token(schedule.mask_token, tok.kind, tok.byte_offset, tok.line)
+        elif op == "drop":
+            drops.add(i)
+        else:
+            shuffles.append(i)
+    if shuffles:
+        ordinal = {tok_i: k for k, tok_i in enumerate(maskable)}
+        windows = {}
+        for i in shuffles:
+            windows.setdefault(ordinal[i] // schedule.shuffle_window, []).append(i)
+        for group in windows.values():
+            lexemes = [out[i].lexeme for i in group]
+            rng.shuffle(lexemes)
+            for i, lex in zip(group, lexemes):
+                tok = out[i]
+                out[i] = Token(lex, tok.kind, tok.byte_offset, tok.line)
+    if drops:
+        out = [t for i, t in enumerate(out) if i not in drops]
+    if "lang_token_insert" in schedule.modes:
+        out.insert(0, Token(schedule.lang_token, "identifier", 0, 1))
+        if len(out) > 1 and out[1].kind != "whitespace":
+            out.insert(1, Token(" ", "whitespace", 0, 1))
+    return out
+
+
+def render_tokens(tokens):
+    return "".join(t.lexeme for t in tokens)
+
+
+_MODES = ["mask", "shuffle", "drop", "keyword_drop", "lang_token_insert"]
+_MODE_SETS = [frozenset({m}) for m in _MODES] + [frozenset(_MODES), frozenset({"mask", "shuffle", "drop"})]
+_SEED_STEPS = [(0, 0), (7, 2500), (3004, 4000), (123, 10_000)]
+
+
+def _assert_equal_to_the_stream(text, seed_steps=_SEED_STEPS, **schedule):
+    unit = parse_source(text)
+    assert ssa_annotate(unit, VOCAB) == stream_ssa_annotate(unit, VOCAB)
+    for modes in _MODE_SETS:
+        sched = NoiseSchedule(modes=modes, **schedule)
+        for seed, step in seed_steps:
+            expected = render_tokens(stream_corrupt(unit.tokens, sched, step, seed))
+            assert corrupt(unit, sched, step, seed) == expected, (sorted(modes), seed, step)
+
+
+def _perfbench_gen():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_annotate_and_corrupt_equal_the_stream_oracle_on_fixtures():
+    for path in sorted(FIXTURES.glob("*.c*")):
+        _assert_equal_to_the_stream(path.read_text())
+
+
+def test_annotate_and_corrupt_equal_the_stream_oracle_on_corpus_files():
+    gen = _perfbench_gen()
+    for seed, round_index in ((3, 0), (71, 1)):
+        for quarter, full in gen.corpus_files(seed, round_index, FIXTURES):
+            for text, _ in (quarter, full):
+                _assert_equal_to_the_stream(text, [(seed * 1000 + round_index, 4000)])
+
+
+@given(pragma_soups(), st.sampled_from(_SEED_STEPS))
+@settings(max_examples=400, deadline=None)
+def test_annotate_and_corrupt_equal_the_stream_oracle_on_soups(text, seed_step):
+    _assert_equal_to_the_stream(text, [seed_step], r0=0.2, r1=0.8)
+
+
+@pytest.mark.parametrize(
+    "text, kept, dropped",
+    [
+        ("", "[cpp]", "[cpp]"),
+        ("/* c */ int x;\n", "[cpp] /* c */ int x;\n", "[cpp] /* c */  \n"),
+        ("// c\nx", "[cpp] // c\nx", "[cpp] // c\n"),
+        ("\\\nint x;", "[cpp]\\\nint x;", "[cpp]\\\n "),
+        ("\nint x;", "[cpp]\nint x;", "[cpp]\n "),
+        ("int x;", "[cpp] int x;", "[cpp] "),
+        ("x+y/*c*/", "[cpp] x+y/*c*/", "[cpp] /*c*/"),
+        ("x+y", "[cpp] x+y", "[cpp]"),
+        ("\\x", "[cpp] \\x", "[cpp]"),
+    ],
+)
+def test_lang_token_insert_spaces_only_before_code_or_a_comment(text, kept, dropped):
+    unit = parse_source(text)
+    for r, expected in ((0.0, kept), (1.0, dropped)):
+        sched = NoiseSchedule(r0=r, r1=r, ramp_steps=1, modes=frozenset({"drop", "lang_token_insert"}))
+        out = corrupt(unit, sched, step=0, seed=1)
+        assert out == render_tokens(stream_corrupt(unit.tokens, sched, 0, 1)) == expected
+    # the first code token dropped and the second kept, over many seeds
+    sched = NoiseSchedule(r0=0.5, r1=0.5, ramp_steps=1, modes=frozenset({"drop", "lang_token_insert"}))
+    for seed in range(40):
+        assert corrupt(unit, sched, 0, seed) == render_tokens(stream_corrupt(unit.tokens, sched, 0, seed))
 
 
 def test_schedule_validation():

@@ -1,19 +1,24 @@
-"""The benchmark's tracer wraps program functions by name.
+"""The benchmark reaches into the program by name.
 
 ``perfbench/spans.py`` looks each listed function and method up when a
 traced run starts, so a renamed or moved one breaks ``--trace 1`` only
-there.  This reads the lists without running the tracer.
+there.  ``perfbench/workloads.py`` imports program names and checks the
+corpus outputs with ``parse_source``, ``SourceUnit.tokens`` (reading each
+``Token.kind``) and ``SourceUnit.detokenize``.  No tier-1 test needs these
+to stay, so removing one of them would break the benchmark run and nothing
+here; these tests read the names without running the benchmark.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _spans_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -28,3 +33,25 @@ def test_every_traced_name_resolves():
         owner = getattr(importlib.import_module(module), cls, None)
         # the tracer patches the method where the class itself defines it
         assert owner is not None and method in vars(owner), (module, cls, method)
+
+
+def test_every_program_name_the_benchmark_imports_resolves():
+    imported = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ompbleu"):
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    assert ("workloads.py", "ompbleu.syntax", "parse_source") in imported
+    for where, module, name in imported:
+        assert hasattr(importlib.import_module(module), name), (where, module, name)
+
+
+def test_the_corpus_checks_read_the_token_stream():
+    from ompbleu.syntax import parse_source
+
+    text = "int x; // c\n"
+    unit = parse_source(text)
+    assert unit.detokenize() == text
+    assert [t.kind for t in unit.tokens] == [
+        "keyword", "whitespace", "identifier", "punctuation", "whitespace", "comment", "whitespace",
+    ]
