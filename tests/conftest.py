@@ -1,3 +1,4 @@
+import importlib.util
 import shutil
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from ompbleu import report
 from ompbleu.syntax import lexer
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 SINGLE_CASES = ["single_case1.c", "single_case2.c", "single_case3.c", "single_case4.c"]
 MULTIPLE_CASES = [
@@ -21,6 +23,18 @@ MULTIPLE_CASES = [
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def perfbench_module(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def compiler_available() -> bool:

@@ -1,11 +1,8 @@
 import bisect
-import importlib.util
 import math
 import random
 import re
-import sys
 from collections import deque
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +30,7 @@ from ompbleu.syntax import Token, extract_directives, parse_source, tokenize
 from ompbleu.syntax.directives import _SUCCESSORS, DIRECTIVE_KINDS, directive_kinds, directive_line_spans
 from ompbleu.syntax.lexer import lexeme_kind
 
-from conftest import FIXTURES, SOUP_LINES, fixture_text, pragma_soups
+from conftest import FIXTURES, SOUP_LINES, fixture_text, perfbench_module, pragma_soups
 
 SAMPLE = (
     "#pragma omp parallel for reduction(+:sum)\n"
@@ -598,25 +595,13 @@ def _assert_equal_to_the_stream(text, seed_steps=_SEED_STEPS, **schedule):
             assert corrupt(unit, sched, step, seed) == expected, (sorted(modes), seed, step)
 
 
-def _perfbench_gen():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 def test_annotate_and_corrupt_equal_the_stream_oracle_on_fixtures():
     for path in sorted(FIXTURES.glob("*.c*")):
         _assert_equal_to_the_stream(path.read_text())
 
 
 def test_annotate_and_corrupt_equal_the_stream_oracle_on_corpus_files():
-    gen = _perfbench_gen()
+    gen = perfbench_module("gen")
     for seed, round_index in ((3, 0), (71, 1)):
         for quarter, full in gen.corpus_files(seed, round_index, FIXTURES):
             for text, _ in (quarter, full):

@@ -1,31 +1,21 @@
 """The benchmark reaches into the program by name.
 
 ``perfbench/spans.py`` looks each listed function and method up when a
-traced run starts, so a renamed or moved one breaks ``--trace 1`` only
-there.  ``perfbench/workloads.py`` imports program names and checks the
-corpus outputs with ``parse_source``, ``SourceUnit.tokens`` (reading each
-``Token.kind``) and ``SourceUnit.detokenize``.  No tier-1 test needs these
-to stay, so removing one of them would break the benchmark run and nothing
-here; these tests read the names without running the benchmark.
+traced run starts, and ``perfbench/workloads.py`` imports program names
+and checks the corpus outputs with ``parse_source``, ``SourceUnit.tokens``
+(reading each ``Token.kind``) and ``SourceUnit.detokenize``.  Removing or
+renaming one of them breaks the benchmark run, which no other tier-1 test
+runs; these tests read the names without running the benchmark.
 """
 
 import ast
 import importlib
-import importlib.util
-from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _spans_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import PERFBENCH, perfbench_module
 
 
 def test_every_traced_name_resolves():
-    spans = _spans_module()
+    spans = perfbench_module("spans")
     assert spans.FUNCTIONS and spans.METHODS
     for module, function, _ in spans.FUNCTIONS:
         assert callable(getattr(importlib.import_module(module), function, None)), (module, function)
