@@ -358,10 +358,6 @@ def test_successor_word_before_a_paren_is_a_clause():
 # -- corruption -------------------------------------------------------------
 
 
-def _unit(code=SAMPLE):
-    return parse_source(code)
-
-
 def test_ratio_ramp():
     sched = NoiseSchedule(r0=0.1, r1=0.5, ramp_steps=100)
     assert sched.ratio(0) == pytest.approx(0.1)
@@ -372,30 +368,30 @@ def test_ratio_ramp():
 
 def test_zero_ratio_is_identity():
     sched = NoiseSchedule(r0=0.0, r1=0.0, ramp_steps=1, modes=frozenset({"mask"}))
-    assert corrupt(_unit(), sched, step=0, seed=7) == SAMPLE
+    assert corrupt(parse_source(SAMPLE), sched, step=0, seed=7) == SAMPLE
 
 
 def test_full_ratio_masks_everything():
     sched = NoiseSchedule(r0=1.0, r1=1.0, ramp_steps=1, modes=frozenset({"mask"}))
-    out = corrupt(_unit(), sched, step=0, seed=7)
+    out = corrupt(parse_source(SAMPLE), sched, step=0, seed=7)
     # every code token became MASK, and only layout is left besides
-    assert out.count("MASK") == len(_unit().lexemes)
+    assert out.count("MASK") == len(parse_source(SAMPLE).lexemes)
     assert out.replace("MASK", "").isspace()
 
 
 def test_identical_seed_reproduces_bytes():
     sched = NoiseSchedule(r0=0.3, r1=0.6, ramp_steps=10, modes=frozenset({"mask", "drop"}))
-    a = corrupt(_unit(), sched, step=4, seed=42)
-    b = corrupt(_unit(), sched, step=4, seed=42)
+    a = corrupt(parse_source(SAMPLE), sched, step=4, seed=42)
+    b = corrupt(parse_source(SAMPLE), sched, step=4, seed=42)
     assert a == b
-    c = corrupt(_unit(), sched, step=4, seed=43)
+    c = corrupt(parse_source(SAMPLE), sched, step=4, seed=43)
     assert a != c  # overwhelmingly likely for this ratio and size
 
 
 def test_corruption_rate_statistics():
     # over many trials the affected fraction converges to the schedule ratio
     sched = NoiseSchedule(r0=0.15, r1=0.15, ramp_steps=1, modes=frozenset({"mask"}))
-    unit = _unit()
+    unit = parse_source(SAMPLE)
     assert "MASK" not in SAMPLE  # so each MASK in the output is one masked token
     maskable = len(unit.lexemes)
     total_affected = 0
@@ -409,7 +405,7 @@ def test_corruption_rate_statistics():
 
 def test_keyword_drop_prefers_keywords():
     code = "for while if int x y z a b c d e f g h k m n p q\n"
-    unit = _unit(code)
+    unit = parse_source(code)
     sched = NoiseSchedule(r0=0.25, r1=0.25, ramp_steps=1, modes=frozenset({"keyword_drop"}))
     kinds = list(map(lexeme_kind, unit.lexemes))
     kw_total = kinds.count("keyword")
@@ -430,7 +426,7 @@ def test_lang_token_insert_prepends():
     sched = NoiseSchedule(
         r0=0.0, r1=0.0, ramp_steps=1, modes=frozenset({"lang_token_insert"})
     )
-    out = corrupt(_unit(), sched, step=0, seed=1)
+    out = corrupt(parse_source(SAMPLE), sched, step=0, seed=1)
     assert out.startswith("[cpp]")
     assert out.endswith(SAMPLE)
 
@@ -440,8 +436,8 @@ def test_shuffle_permutes_within_window():
     sched = NoiseSchedule(
         r0=1.0, r1=1.0, ramp_steps=1, modes=frozenset({"shuffle"}), shuffle_window=3
     )
-    out = corrupt(_unit(code), sched, step=0, seed=5)
-    original = _unit(code).lexemes
+    out = corrupt(parse_source(code), sched, step=0, seed=5)
+    original = parse_source(code).lexemes
     shuffled = tokenize(out).lexemes
     assert sorted(shuffled) == sorted(original)
     for idx, lex in enumerate(shuffled):
@@ -451,7 +447,7 @@ def test_shuffle_permutes_within_window():
 
 def test_drop_removes_tokens_but_keeps_layout():
     sched = NoiseSchedule(r0=1.0, r1=1.0, ramp_steps=1, modes=frozenset({"drop"}))
-    out = corrupt(_unit("a b\n"), sched, step=0, seed=0)
+    out = corrupt(parse_source("a b\n"), sched, step=0, seed=0)
     assert tokenize(out).lexemes == []
     assert out == " \n"
 
