@@ -125,8 +125,12 @@ def _cmd_score(args: argparse.Namespace, config: EvalConfig) -> int:
     language = language_of_path(args.reference)
     reference = analyze(read_source(args.reference), language)
     text = read_source(args.generated)
-    # a candidate equal to its reference shares its analysis
-    generated = reference if text == reference.unit.text else analyze(text, language)
+    # a candidate equal to its reference shares its analysis; any other is
+    # lexed only where it differs from it
+    if text == reference.unit.text:
+        generated = reference
+    else:
+        generated = analyze(text, language, like=reference.unit)
     breakdown = ompbleu_score(reference, generated, config)
     _write_out(args, json.dumps(breakdown.as_dict(), sort_keys=True, indent=2) + "\n")
     return 0

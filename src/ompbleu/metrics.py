@@ -169,13 +169,17 @@ class SideAnalysis:
         return result
 
 
-def analyze(source: str, language: str | None = None) -> SideAnalysis:
+def analyze(
+    source: str, language: str | None = None, like: SourceUnit | None = None
+) -> SideAnalysis:
     """Parse one source into the artifacts the sub-scores consume.
 
     ``language`` is the unit's own language hint for the compile check, a
     spelling from :data:`~ompbleu.compile_check.LANGUAGE_SPELLINGS`.
+    ``like``, the unit of a similar source such as a candidate's reference,
+    is lexed around and not again (:func:`~ompbleu.syntax.parse_source`).
     """
-    unit = parse_source(source)
+    unit = parse_source(source, like=like)
     directives = extract_directives(unit)
     regions, region_diags = parallel_region_blocks(unit, directives)
     return SideAnalysis(

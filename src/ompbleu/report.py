@@ -160,7 +160,8 @@ def rank_candidates(
     """Score every candidate and rank by composite, best first.
 
     The reference is analysed once and, with one similarity backend, shared
-    by every candidate; a candidate equal to it shares its analysis too.
+    by every candidate; a candidate equal to it shares its analysis too, and
+    any other is lexed only where it differs from it.
     Ties break toward the earlier candidate; a
     candidate that fails hard is ranked after every scored one with the
     error recorded, never dropped.
@@ -178,7 +179,7 @@ def rank_candidates(
             if candidate == record.reference:
                 analysis = reference
             else:
-                analysis = analyze(candidate, record.language)
+                analysis = analyze(candidate, record.language, like=reference.unit)
             breakdown = ompbleu_score(reference, analysis, config, backend)
             scored.append(
                 RankedCandidate(

@@ -8,12 +8,16 @@ structure comes from one table per unit (:class:`Brackets`), built on first
 use in one stack pass over the bracket and `;` tokens.
 
 Lexing is one pass that yields the code tokens, the ones that are neither
-whitespace nor comments, as three parallel columns: lexemes, start offsets
-and directive flags; the same pass keeps the token range of each
-preprocessor line.  A token's kind and line follow from the columns and
-the text, and are derived only where :class:`Token` tuples are asked for;
-the layout between the code tokens is lexed again, from the text, only
-where the full stream is asked for.
+whitespace nor comments, as parallel columns: lexemes, start offsets,
+directive flags and the indices of the line heads; the same pass keeps the
+token range of each preprocessor line.  A token's kind and line follow from
+the columns and the text, and are derived only where :class:`Token` tuples
+are asked for; the layout between the code tokens is lexed again, from the
+text, only where the full stream is asked for.
+
+A text lexed against a similar one, a candidate against its reference, is
+lexed only where the two differ: the other text's tokens are reused, shifted,
+on both sides of that span (:func:`tokenize`).
 
 A `#` opens a preprocessor directive when nothing but layout comes before
 it on its logical line (C11 5.1.1.2, phases 3-4: a comment counts as a
@@ -132,13 +136,15 @@ class Token(NamedTuple):
 
 
 class CodeTokens(NamedTuple):
-    """The code tokens of a text as three parallel columns, and the token
-    range of each preprocessor logical line."""
+    """The code tokens of a text as three parallel columns (lexemes,
+    offsets, directive flags), the token range of each preprocessor logical
+    line, and the indices of the line heads."""
 
     lexemes: list[str]
     starts: list[int]  # each token's offset in the text
     in_directive: list[bool]  # True for tokens on a preprocessor logical line
     directive_lines: list[tuple[int, int]]  # [start, end): the `#` token to the next line head
+    heads: list[int]  # indices of the tokens that start a logical line
 
 
 class Brackets:
@@ -206,6 +212,7 @@ class SourceUnit:
     starts: list[int]
     in_directive: list[bool]
     directive_lines: list[tuple[int, int]]
+    heads: list[int]
 
     @cached_property
     def code(self) -> tuple[Token, ...]:
@@ -301,39 +308,143 @@ def newline_tokens(text: str, lo: int, hi: int) -> list[int]:
     return offsets
 
 
-def tokenize(text: str) -> CodeTokens:
+def tokenize(text: str, like: SourceUnit | None = None) -> CodeTokens:
     """The code tokens of ``text``: every lexeme that is neither whitespace
-    nor a comment, in order, with its offset and directive flag, and the
-    token range of each preprocessor line.
+    nor a comment, in order, with its offset and directive flag, the token
+    range of each preprocessor line, and the line heads.
 
     Preprocessor directives are recognized only at the start of a line
     (after nothing but whitespace and comments); the ``#`` plus directive
     word, with any blanks, comments and splices between them, form a single
     token and the rest of the logical line, across backslash continuations,
     is flagged ``in_directive``.
+
+    With ``like``, the unit of a similar text, only the span where the two
+    texts differ is lexed and ``like``'s tokens are reused around it; the
+    columns are the same as without it.
     """
-    # the newline put first makes the first code token start a line.  The
-    # split gives four items per match: the text between matches, always
+    if like is None:
+        # the newline put first makes the first code token start a line
+        lexemes, starts, heads = _lex("\n" + text, -1)
+    else:
+        lexemes, starts, heads = _relex(text, like)
+    return CodeTokens(lexemes, starts, *_directive_lines(lexemes, heads), heads)
+
+
+def _lex(chunk: str, base: int) -> tuple[list[str], list[int], list[int]]:
+    """The lexemes, offsets and line heads of the code tokens of ``chunk``,
+    which starts at offset ``base`` of its text."""
+    # The split gives four items per match: the text between matches, always
     # empty because the token group matches any character, and the groups.
-    parts = _RE_CODE.split("\n" + text)
+    parts = _RE_CODE.split(chunk)
     lexemes = parts[3::4]
     n = lexemes.index("")  # the end-of-text matches come last
     del lexemes[n:]
-    # a token starts after the end of the one before it (or of the newline
-    # put first) and its layout
+    # a token starts after the end of the one before it (or the chunk's
+    # start) and its layout
     gap_lens = list(map(len, parts[1 : 4 * n : 4]))
-    ends = accumulate(map(add, gap_lens, map(len, lexemes)), initial=-1)
+    ends = accumulate(map(add, gap_lens, map(len, lexemes)), initial=base)
     starts = list(map(add, ends, gap_lens))
-    # a line head that is a `#` token opens a directive, which runs to the
-    # next line head
+    return lexemes, starts, list(compress(range(n), parts[2 : 4 * n : 4]))
+
+
+def _directive_lines(
+    lexemes: list[str], heads: list[int]
+) -> tuple[list[bool], list[tuple[int, int]]]:
+    """The directive flags and the preprocessor lines: a line head that is a
+    `#` token opens a directive, which runs to the next line head."""
+    n = len(lexemes)
     flags = [False] * n
-    heads = [*compress(range(n), parts[2 : 4 * n : 4]), n]
-    lines = [(head, end) for head, end in zip(heads, heads[1:]) if lexemes[head][0] == "#"]
+    bounds = [*heads, n]
+    lines = [(head, end) for head, end in zip(bounds, bounds[1:]) if lexemes[head][0] == "#"]
     for head, end in lines:
         flags[head:end] = repeat(True, end - head)
-    return CodeTokens(lexemes, starts, flags, lines)
+    return flags, lines
 
 
-def parse_source(text: str) -> SourceUnit:
-    """Lex ``text`` into an immutable :class:`SourceUnit`."""
-    return SourceUnit(text, *tokenize(text))
+# Each match of _RE_CODE is layout plus one code token; it starts where the
+# last one ended and reads at most 3 characters past its own end, except a
+# line-head `#` that falls back to a lone `#` (its try at a directive word
+# reads block comments without bound) and an unclosed `/*` (which runs to the
+# end).  So a match that ends this far from a change is the same on both
+# sides of it.
+_MARGIN = 8
+
+
+def _relex(text: str, like: SourceUnit) -> tuple[list[str], list[int], list[int]]:
+    """:func:`_lex` of ``text``, lexing only around the span where it
+    differs from ``like.text`` and reusing ``like``'s tokens outside it."""
+    old = like.text
+    lexemes, starts = like.lexemes, like.starts
+    prefix = _common_prefix(old, text)
+    suffix = _common_prefix(old[prefix:][::-1], text[prefix:][::-1])
+    shift = len(text) - len(old)
+    # restart after the last token that ends well before the first
+    # difference and is not a lone `#`
+    keep = bisect.bisect_right(starts, prefix - _MARGIN)
+    while keep and (
+        starts[keep - 1] + len(lexemes[keep - 1]) > prefix - _MARGIN or lexemes[keep - 1] == "#"
+    ):
+        keep -= 1
+    lo = starts[keep - 1] + len(lexemes[keep - 1]) if keep else 0
+    # resync at the end of the first token well inside the common suffix:
+    # from a match boundary there, both texts go on with the same matches
+    k = bisect.bisect_left(starts, len(old) - suffix + _MARGIN)
+    resync = starts[k] + len(lexemes[k]) + shift if k < len(lexemes) else len(text)
+    stop = resync + _MARGIN
+    if stop < len(text):
+        window = _lex_from(text, lo, stop)
+        w_lexemes, w_starts, _ = window
+        j = bisect.bisect_left(w_starts, resync)
+        if j and w_starts[j - 1] + len(w_lexemes[j - 1]) == resync and "#" not in w_lexemes[:j]:
+            return _splice(like, keep, window, j, k + 1, shift)
+    window = _lex_from(text, lo, len(text))
+    return _splice(like, keep, window, len(window[0]), len(lexemes), shift)
+
+
+def _splice(
+    like: SourceUnit,
+    keep: int,
+    window: tuple[list[str], list[int], list[int]],
+    used: int,
+    resume: int,
+    shift: int,
+) -> tuple[list[str], list[int], list[int]]:
+    """``like``'s first ``keep`` tokens, the first ``used`` tokens of the
+    window lexed after them, then ``like``'s tokens from ``resume`` on,
+    shifted by ``shift`` characters."""
+    lexemes, starts, heads = like.lexemes, like.starts, like.heads
+    w_lexemes, w_starts, w_heads = window
+    return (
+        lexemes[:keep] + w_lexemes[:used] + lexemes[resume:],
+        starts[:keep] + w_starts[:used] + list(map(shift.__add__, starts[resume:])),
+        heads[: bisect.bisect_left(heads, keep)]
+        + list(map(keep.__add__, w_heads[: bisect.bisect_left(w_heads, used)]))
+        + list(map((keep + used - resume).__add__, heads[bisect.bisect_left(heads, resume) :])),
+    )
+
+
+def _lex_from(text: str, lo: int, hi: int) -> tuple[list[str], list[int], list[int]]:
+    """:func:`_lex` of ``text[lo:hi]`` as if the lexer had reached ``lo``
+    from the text's start."""
+    if lo:
+        return _lex(text[lo:hi], lo)
+    return _lex("\n" + text[:hi], -1)
+
+
+def _common_prefix(a: str, b: str) -> int:
+    """The length of the longest common prefix of ``a`` and ``b``."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:  # a[:lo] == b[:lo], and they differ in [:hi + 1] unless hi is the end
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def parse_source(text: str, like: SourceUnit | None = None) -> SourceUnit:
+    """Lex ``text`` into an immutable :class:`SourceUnit`; ``like``, the
+    unit of a similar text, is only a speed-up (see :func:`tokenize`)."""
+    return SourceUnit(text, *tokenize(text, like=like))

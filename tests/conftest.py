@@ -53,13 +53,14 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture()
 def tokenize_calls(monkeypatch):
-    """Texts passed to ``tokenize`` through any ``ompbleu`` module."""
+    """``(text, like)`` of each ``tokenize`` call through any ``ompbleu``
+    module."""
     original = lexer.tokenize
-    calls: list[str] = []
+    calls: list[tuple] = []
 
-    def counting(text):
-        calls.append(text)
-        return original(text)
+    def counting(text, like=None):
+        calls.append((text, like))
+        return original(text, like=like)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("ompbleu") and module is not None:

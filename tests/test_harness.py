@@ -369,9 +369,9 @@ def test_a_candidate_equal_to_its_reference_shares_its_analysis(tmp_path, capsys
 
     calls = []
 
-    def counting(source, language=None):
+    def counting(source, language=None, like=None):
         calls.append(source)
-        return metrics.analyze(source, language)
+        return metrics.analyze(source, language, like=like)
 
     gt = fixture_text("multiple_gt.c")
     expected = metrics.ompbleu_score(gt, gt, NO_COMPILE_CFG).as_dict()
@@ -520,7 +520,7 @@ def test_cli_strip(capsys):
 
 def test_cli_strip_lexes_once(tokenize_calls, capsys):
     assert main(["strip", str(FIXTURES / "fig1_gt.c")]) == 0
-    assert tokenize_calls == [fixture_text("fig1_gt.c")]
+    assert tokenize_calls == [(fixture_text("fig1_gt.c"), None)]
 
 
 def test_cli_annotate_lexes_each_file_once(tokenize_calls, tmp_path, capsys):
@@ -528,12 +528,12 @@ def test_cli_annotate_lexes_each_file_once(tokenize_calls, tmp_path, capsys):
     for name in names:
         (tmp_path / name).write_text(fixture_text(name))
     assert main(["annotate", str(tmp_path)]) == 0
-    assert sorted(tokenize_calls) == sorted(fixture_text(name) for name in names)
+    assert sorted(tokenize_calls) == sorted((fixture_text(name), None) for name in names)
 
 
 def test_cli_corrupt_lexes_once(tokenize_calls, capsys):
     assert main(["corrupt", str(FIXTURES / "single_gt.c"), "--seed", "1"]) == 0
-    assert tokenize_calls == [fixture_text("single_gt.c")]
+    assert tokenize_calls == [(fixture_text("single_gt.c"), None)]
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ is the path that re-lexed the pragma-stripped text of each span instead.
 """
 
 import bisect
+import json
 import tracemalloc
 from operator import itemgetter
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from ompbleu.config import EvalConfig
 from ompbleu.metrics import analyze, ompbleu_score
-from ompbleu.report import DatasetRecord, evaluate_dataset
+from ompbleu.cli import main
+from ompbleu.report import DatasetRecord, evaluate_dataset, rank_candidates
 from ompbleu.similarity import SparseTokenVector
 from ompbleu.syntax import (
     ATTACHED_BLOCK,
@@ -58,6 +60,25 @@ def test_dataset_record_tokenizes_each_source_once(tokenize_calls, monkeypatch):
     assert report.classification is not None
     assert len(tokenize_calls) <= 5
     assert len(built) == 1
+
+
+def test_each_candidate_is_lexed_against_its_reference(tokenize_calls, tmp_path, capsys):
+    gt = fixture_text("multiple_gt.c")
+    cases = [fixture_text(f"multiple_case{i}.c") for i in range(1, 5)]
+    record = DatasetRecord(id="r", reference=gt, candidates=(*cases, gt))
+    ranked = rank_candidates(record, NO_COMPILE_CFG)
+    reference = ranked[0].analyses[0].unit
+    assert [text for text, _ in tokenize_calls] == [gt, *cases]
+    assert [like is reference for _, like in tokenize_calls] == [False, True, True, True, True]
+    assert tokenize_calls[0][1] is None
+
+    tokenize_calls.clear()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"compile_enabled": False}))
+    paths = [str(FIXTURES / name) for name in ("multiple_gt.c", "multiple_case1.c")]
+    assert main(["--config", str(config), "score", *paths]) == 0
+    lexed = [(text, like and like.text) for text, like in tokenize_calls]
+    assert lexed == [(gt, None), (cases[0], gt)]
 
 
 def test_scoring_and_strip_build_no_token_tuples():
