@@ -205,7 +205,11 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     unit = parse_source(read_source(args.path))
-    _write_out(args, corrupt(unit, schedule, step=args.step, seed=args.seed))
+    try:
+        text = corrupt(unit, schedule, step=args.step, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    _write_out(args, text)
     return 0
 
 

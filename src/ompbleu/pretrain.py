@@ -251,8 +251,11 @@ def corrupt(unit: SourceUnit, schedule: NoiseSchedule, step: int, seed: int) -> 
     at ``step``.  With keyword_drop active, keywords are three times as
     likely to be picked; dropping removes the token, masking replaces its
     lexeme, shuffling permutes lexemes within a small window.  Layout and
-    comments are kept as they are.
+    comments are kept as they are.  A negative ``step``, before the ramp
+    starts, raises ``ValueError``.
     """
+    if step < 0:
+        raise ValueError(f"step must be non-negative, got {step}")
     rng = random.Random(f"{seed}:{step}")
     ratio = schedule.ratio(step)
     lexemes = unit.lexemes

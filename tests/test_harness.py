@@ -603,6 +603,14 @@ def test_cli_corrupt_rejects_bad_modes(tmp_path, capsys):
     assert rc == 2
 
 
+def test_cli_corrupt_rejects_a_negative_step(capsys):
+    rc = main(["corrupt", str(FIXTURES / "single_gt.c"), "--seed", "1", "--step", "-100000"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: step must be non-negative, got -100000\n"
+
+
 NOT_UTF8 = b"int x;\xff\n"
 
 

@@ -366,6 +366,12 @@ def test_ratio_ramp():
     assert sched.ratio(100000) == pytest.approx(0.5)
 
 
+def test_a_negative_step_is_refused():
+    # the ramp starts at step 0; below it the ratio would fall under r0
+    with pytest.raises(ValueError, match="step must be non-negative"):
+        corrupt(parse_source(SAMPLE), NoiseSchedule(), step=-1, seed=1)
+
+
 def test_zero_ratio_is_identity():
     sched = NoiseSchedule(r0=0.0, r1=0.0, ramp_steps=1, modes=frozenset({"mask"}))
     assert corrupt(parse_source(SAMPLE), sched, step=0, seed=7) == SAMPLE
