@@ -19,6 +19,7 @@ from operator import ne
 from typing import Iterable, Protocol, Sequence
 
 from .syntax import tokenize
+from .syntax.directives import _RE_DIRECTIVE_WORD
 
 
 class SimilarityError(RuntimeError):
@@ -113,8 +114,15 @@ class SparseTokenVector:
     @classmethod
     def from_lexemes(cls, lexemes: Iterable[str]) -> "SparseTokenVector":
         """Counts of ``lexemes``, those of code tokens as in
-        :attr:`~ompbleu.syntax.SourceUnit.lexemes`."""
-        return cls(counts=dict(Counter(lexemes)))
+        :attr:`~ompbleu.syntax.SourceUnit.lexemes`.  A preprocessor token
+        counts as `#` and its directive word, without the layout that may
+        stand between them: `#  pragma` and `#/* c */pragma` are `#pragma`."""
+        counts = Counter(lexemes)
+        for lexeme in [k for k in counts if k[0] == "#"]:
+            key = "#" + _RE_DIRECTIVE_WORD.search(lexeme)[0]
+            if key != lexeme and key != "#":
+                counts[key] += counts.pop(lexeme)
+        return cls(counts=dict(counts))
 
     @classmethod
     def from_code(cls, text: str) -> "SparseTokenVector":

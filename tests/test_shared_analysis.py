@@ -169,8 +169,8 @@ def test_construct_keeps_the_units_lexing_of_a_leading_hash():
         ("# x", "preprocessor"),
         (";", "punctuation"),
     ]
-    assert SparseTokenVector.from_code("/* c */ # x;").counts == {"# x": 1, ";": 1}
-    assert SparseTokenVector.from_code("# x;").counts == {"# x": 1, ";": 1}
+    assert SparseTokenVector.from_code("/* c */ # x;").counts == {"#x": 1, ";": 1}
+    assert SparseTokenVector.from_code("# x;").counts == {"#x": 1, ";": 1}
 
 
 # -- oracles: each pragma line cut and attached per span ----------------------
