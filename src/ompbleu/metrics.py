@@ -176,8 +176,9 @@ def analyze(
 
     ``language`` is the unit's own language hint for the compile check, a
     spelling from :data:`~ompbleu.compile_check.LANGUAGE_SPELLINGS`.
-    ``like``, the unit of a similar source such as a candidate's reference,
-    is lexed around and not again (:func:`~ompbleu.syntax.parse_source`).
+    With ``like``, the unit of a similar source such as a candidate's
+    reference, the source is lexed only where it differs from that unit
+    (:func:`~ompbleu.syntax.parse_source`).
     """
     unit = parse_source(source, like=like)
     directives = extract_directives(unit)
