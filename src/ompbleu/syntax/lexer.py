@@ -8,12 +8,12 @@ structure comes from one table per unit (:class:`Brackets`), built on first
 use in one stack pass over the bracket and `;` tokens.
 
 Lexing is one pass that yields the code tokens, the ones that are neither
-whitespace nor comments, as parallel columns: lexemes, start offsets,
-directive flags and the indices of the line heads; the same pass keeps the
-token range of each preprocessor line.  A token's kind and line follow from
-the columns and the text, and are derived only where :class:`Token` tuples
-are asked for; the layout between the code tokens is lexed again, from the
-text, only where the full stream is asked for.
+whitespace nor comments, as three parallel columns: lexemes, start offsets
+and directive flags; the same pass keeps the token range of each
+preprocessor line and the index of each line head.  A token's kind and
+line follow from the columns and the text, and are derived only where
+:class:`Token` tuples are asked for; the layout between the code tokens is
+lexed again, from the text, only where the full stream is asked for.
 
 A text lexed against a similar one, a candidate against its reference, is
 lexed only where the two differ: the other text's tokens are reused, shifted,
