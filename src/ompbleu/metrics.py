@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 from .compile_check import CompileConfig, CompileResult, compile_score
 from .similarity import (
-    BagOfTokensBackend,
     CodeText,
     SimilarityBackend,
     lcs_ratio,
@@ -277,13 +276,11 @@ def _directive_strings(directives: tuple[Directive, ...]) -> str:
 def integrated_semantic_score(
     gt: SideAnalysis,
     gen: SideAnalysis,
-    backend: SimilarityBackend | None = None,
+    backend: SimilarityBackend,
     is_blend_alpha: float = 0.7,
 ) -> float:
     """Blend of embedding similarity of whole codes and edit similarity of
     their concatenated normalized directive strings."""
-    if backend is None:
-        backend = BagOfTokensBackend()
     s_lev = lev_similarity(_directive_strings(gt.directives), _directive_strings(gen.directives))
     s_emb = backend.similarity(gt.code, gen.code)
     return is_blend_alpha * s_emb + (1.0 - is_blend_alpha) * s_lev
@@ -400,7 +397,7 @@ def _construct_code(side: SideAnalysis, d: Directive) -> CodeText | None:
 def pragma_location_score(
     gt: SideAnalysis,
     gen: SideAnalysis,
-    backend: SimilarityBackend | None = None,
+    backend: SimilarityBackend,
     diagnostics: list[str] | None = None,
 ) -> float:
     """Whether pragmas attach to the right constructs.
@@ -410,9 +407,6 @@ def pragma_location_score(
     pragmas attached to no for-loop on either side, compare the immediate
     construct that follows.  Unpaired pragmas contribute zero.
     """
-    if backend is None:
-        backend = BagOfTokensBackend()
-
     gt_loop = [d for d in gt.directives if _is_loop_related(d)]
     gen_loop = [d for d in gen.directives if _is_loop_related(d)]
     gt_other = [d for d in gt.directives if not _is_loop_related(d)]
