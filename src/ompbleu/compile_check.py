@@ -248,17 +248,24 @@ def compile_score(
     argv = resolve_compiler(cfg)
     key = _cache_key(source, cfg, argv, lang)
     entry = _cache_load(cfg, key)
-    if entry is not None:
-        return CompileResult(
-            score=entry["score"],
-            diagnostics=entry["diagnostics"],
-            duration=entry["duration"],
-            cached=True,
-            language=lang,
-            language_defaulted=defaulted,
-            command=tuple(entry["command"]),
-        )
+    cached = entry is not None
+    if not cached:
+        entry = _compile(source, cfg, argv, lang)
+        _cache_store(cfg, key, entry)
+    return CompileResult(
+        score=entry["score"],
+        diagnostics=entry["diagnostics"],
+        duration=entry["duration"],
+        cached=cached,
+        language=lang,
+        language_defaulted=defaulted,
+        command=tuple(entry["command"]),
+    )
 
+
+def _compile(source: str, cfg: CompileConfig, argv: tuple[str, ...], lang: str) -> dict:
+    """Run the compiler on ``source`` in a temporary directory; the cache
+    entry of the run, which a timeout under ``timeout_as_failure`` fails."""
     text = source
     wrapped = False
     if cfg.wrap_snippets:
@@ -294,28 +301,11 @@ def compile_score(
                 raise CompileTimeout(
                     f"compilation exceeded {cfg.timeout}s"
                 ) from exc
-            duration = time.monotonic() - start
-            entry = {
-                "score": 0,
-                "diagnostics": f"timeout after {cfg.timeout}s",
-                "duration": duration,
-                "command": cmd,
-            }
-            _cache_store(cfg, key, entry)
-            return CompileResult(
-                0, entry["diagnostics"], duration, False, lang, defaulted, tuple(cmd)
-            )
+            score, diagnostics = 0, f"timeout after {cfg.timeout}s"
+        else:
+            score = 1 if proc.returncode == 0 else 0
+            diagnostics = (proc.stderr or "") + (proc.stdout or "")
+            if wrapped:
+                diagnostics = "(snippet wrapped in stub translation unit)\n" + diagnostics
         duration = time.monotonic() - start
-
-    score = 1 if proc.returncode == 0 else 0
-    diagnostics = (proc.stderr or "") + (proc.stdout or "")
-    if wrapped:
-        diagnostics = "(snippet wrapped in stub translation unit)\n" + diagnostics
-    entry = {
-        "score": score,
-        "diagnostics": diagnostics,
-        "duration": duration,
-        "command": cmd,
-    }
-    _cache_store(cfg, key, entry)
-    return CompileResult(score, diagnostics, duration, False, lang, defaulted, tuple(cmd))
+    return {"score": score, "diagnostics": diagnostics, "duration": duration, "command": cmd}
