@@ -8,7 +8,7 @@ reference results this module is validated against were printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -157,17 +157,7 @@ class ClassificationReport:
     diagnostics: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "per_clause_f1": self.per_clause_f1,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 ABSENT_IN_GT = "absent_in_gt"

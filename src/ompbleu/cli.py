@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 when any evaluation error occurred,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import sys
@@ -40,8 +41,12 @@ _SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hpp")
 # calls such as `analyze` run on several threads under `evaluate_dataset`.
 _GC_GEN0_THRESHOLD = 20_000
 
-# The `--emit` formats each command takes; any other command prints JSON only.
-_EMIT_FORMATS = {"dataset": ("json", "csv", "table"), "classify": ("json", "csv")}
+# The `--emit` formats of the report commands, each with the `Report` method
+# that renders it; any other command prints JSON only.
+_RENDERERS = {
+    "dataset": {"json": Report.to_json, "csv": Report.to_csv, "table": Report.to_table},
+    "classify": {"json": Report.classification_json, "csv": Report.per_clause_csv},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,24 +69,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score one candidate against one reference")
     p.add_argument("reference")
     p.add_argument("generated")
+    p.set_defaults(run=_cmd_score)
 
     p = sub.add_parser("rank", help="rank several candidates against one reference")
     p.add_argument("reference")
     p.add_argument("generated", nargs="+")
+    p.set_defaults(run=_cmd_rank)
 
     p = sub.add_parser("dataset", help="evaluate a whole dataset")
     p.add_argument("path")
     p.add_argument("--format", choices=("jsonl", "dirs"), default="jsonl")
+    p.set_defaults(run=_cmd_report)
 
     p = sub.add_parser("classify", help="clause classification report for a dataset")
     p.add_argument("path")
     p.add_argument("--format", choices=("jsonl", "dirs"), default="jsonl")
+    p.set_defaults(run=_cmd_report)
 
     p = sub.add_parser("strip", help="remove all OpenMP pragmas from a file")
     p.add_argument("path")
+    p.set_defaults(run=_cmd_strip)
 
     p = sub.add_parser("annotate", help="emit syntax-role tag ids for source files")
     p.add_argument("path")
+    p.set_defaults(run=_cmd_annotate)
 
     p = sub.add_parser("corrupt", help="apply seeded corruption to a source file")
     p.add_argument("path")
@@ -91,9 +102,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r0", type=float, default=0.05)
     p.add_argument("--r1", type=float, default=0.3)
     p.add_argument("--ramp-steps", type=int, default=10000)
+    p.set_defaults(run=_cmd_corrupt)
 
     p = sub.add_parser("compile-check", help="compilation score for a source file")
     p.add_argument("path")
+    p.set_defaults(run=_cmd_compile_check)
     return parser
 
 
@@ -104,13 +117,8 @@ def _write_out(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_report(args: argparse.Namespace, report: Report) -> None:
-    if args.emit == "csv":
-        _write_out(args, report.to_csv())
-    elif args.emit == "table":
-        _write_out(args, report.to_table())
-    else:
-        _write_out(args, report.to_json())
+def _write_json(args: argparse.Namespace, payload: dict) -> None:
+    _write_out(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _source_files(path: Path) -> list[Path]:
@@ -132,7 +140,7 @@ def _cmd_score(args: argparse.Namespace, config: EvalConfig) -> int:
     else:
         generated = analyze(text, language, like=reference.unit)
     breakdown = ompbleu_score(reference, generated, config)
-    _write_out(args, json.dumps(breakdown.as_dict(), sort_keys=True, indent=2) + "\n")
+    _write_json(args, breakdown.as_dict())
     return 0
 
 
@@ -150,33 +158,22 @@ def _cmd_rank(args: argparse.Namespace, config: EvalConfig) -> int:
             {"path": args.generated[rc.candidate_index], **rc.as_dict()} for rc in ranked
         ],
     }
-    _write_out(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(args, payload)
     return 1 if any(rc.error for rc in ranked) else 0
 
 
-def _cmd_dataset(args: argparse.Namespace, config: EvalConfig) -> int:
+def _cmd_report(args: argparse.Namespace, config: EvalConfig) -> int:
+    """`dataset` and `classify`: one report, rendered in the `--emit` format."""
     records, load_errors = load_dataset(args.path, args.format)
     report = evaluate_dataset(records, config, jobs=args.jobs, load_errors=load_errors)
-    _emit_report(args, report)
-    return 1 if report.errors else 0
-
-
-def _cmd_classify(args: argparse.Namespace, config: EvalConfig) -> int:
-    records, load_errors = load_dataset(args.path, args.format)
-    report = evaluate_dataset(records, config, jobs=args.jobs, load_errors=load_errors)
-    if report.classification is None:
+    if args.command == "classify" and report.classification is None:
         _write_out(args, json.dumps({"error": "no scorable records"}) + "\n")
         return 1
-    if args.emit == "csv":
-        _write_out(args, report.per_clause_csv())
-    else:
-        _write_out(
-            args, json.dumps(report.classification.as_dict(), sort_keys=True, indent=2) + "\n"
-        )
+    _write_out(args, _RENDERERS[args.command][args.emit](report))
     return 1 if report.errors else 0
 
 
-def _cmd_strip(args: argparse.Namespace) -> int:
+def _cmd_strip(args: argparse.Namespace, config: EvalConfig) -> int:
     _write_out(args, strip_openmp(parse_source(read_source(args.path))))
     return 0
 
@@ -196,7 +193,7 @@ def _cmd_annotate(args: argparse.Namespace, config: EvalConfig) -> int:
     return 0
 
 
-def _cmd_corrupt(args: argparse.Namespace) -> int:
+def _cmd_corrupt(args: argparse.Namespace, config: EvalConfig) -> int:
     modes = frozenset(m.strip() for m in args.modes.split(",") if m.strip())
     try:
         schedule = NoiseSchedule(
@@ -215,16 +212,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
 def _cmd_compile_check(args: argparse.Namespace, config: EvalConfig) -> int:
     result = compile_score(read_source(args.path), config.compile, language_of_path(args.path))
-    payload = {
-        "score": result.score,
-        "language": result.language,
-        "language_defaulted": result.language_defaulted,
-        "cached": result.cached,
-        "duration": result.duration,
-        "command": list(result.command),
-        "diagnostics": result.diagnostics,
-    }
-    _write_out(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(args, dataclasses.asdict(result))
     return 0
 
 
@@ -242,7 +230,7 @@ def _run(argv: list[str] | None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
-    formats = _EMIT_FORMATS.get(args.command, ("json",))
+    formats = _RENDERERS.get(args.command, ("json",))
     if args.emit not in formats:
         formats = " or ".join(formats)
         parser.error(f"argument --emit: {args.command} takes {formats}, not {args.emit}")
@@ -253,30 +241,13 @@ def _run(argv: list[str] | None) -> int:
         return 2
 
     try:
-        if args.command == "score":
-            return _cmd_score(args, config)
-        if args.command == "rank":
-            return _cmd_rank(args, config)
-        if args.command == "dataset":
-            return _cmd_dataset(args, config)
-        if args.command == "classify":
-            return _cmd_classify(args, config)
-        if args.command == "strip":
-            return _cmd_strip(args)
-        if args.command == "annotate":
-            return _cmd_annotate(args, config)
-        if args.command == "corrupt":
-            return _cmd_corrupt(args)
-        if args.command == "compile-check":
-            return _cmd_compile_check(args, config)
+        return args.run(args, config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (DatasetError, CompileError, SimilarityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

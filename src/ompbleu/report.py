@@ -228,6 +228,10 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
 
+    def classification_json(self) -> str:
+        """The clause classification report alone, as JSON."""
+        return json.dumps(self.classification.as_dict(), sort_keys=True, indent=2) + "\n"
+
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -151,10 +151,10 @@ def test_rank_ties_break_by_candidate_index():
     assert [rc.candidate_index for rc in ranked] == [0, 1, 2]
 
 
-def test_failing_candidate_ranked_last_not_dropped(monkeypatch):
+def _fail_boom(monkeypatch):
+    """Make every candidate whose text is BOOM fail to score."""
     import ompbleu.report as report_mod
 
-    gt = fixture_text("single_gt.c")
     real = report_mod.ompbleu_score
 
     def flaky(ref, gen, *args, **kwargs):
@@ -163,6 +163,11 @@ def test_failing_candidate_ranked_last_not_dropped(monkeypatch):
         return real(ref, gen, *args, **kwargs)
 
     monkeypatch.setattr(report_mod, "ompbleu_score", flaky)
+
+
+def test_failing_candidate_ranked_last_not_dropped(monkeypatch):
+    _fail_boom(monkeypatch)
+    gt = fixture_text("single_gt.c")
     record = DatasetRecord(id="r", reference=gt, candidates=("BOOM", gt))
     ranked = rank_candidates(record, NO_COMPILE_CFG)
     assert ranked[0].candidate_index == 1
@@ -577,6 +582,60 @@ def test_cli_classify(tmp_path, capsys):
     assert payload["per_clause_f1"]["collapse"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "command, emit, render",
+    [
+        ("dataset", "csv", lambda report: report.to_csv()),
+        ("dataset", "table", lambda report: report.to_table()),
+        ("classify", "csv", lambda report: report.per_clause_csv()),
+    ],
+)
+def test_cli_prints_the_reports_rendering(tmp_path, small_dataset, capsys, command, emit, render):
+    records, errors = load_jsonl(small_dataset)
+    expected = render(evaluate_dataset(records, NO_COMPILE_CFG, load_errors=errors))
+    cfg = _no_compile_cfg_file(tmp_path)
+    assert main(["--config", cfg, "--emit", emit, command, str(small_dataset)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_dataset_reports_a_record_whose_every_candidate_fails(tmp_path, capsys, monkeypatch):
+    _fail_boom(monkeypatch)
+    gt = fixture_text("single_gt.c")
+    ds = tmp_path / "ds.jsonl"
+    _write_jsonl(
+        ds,
+        [
+            {"id": "bad", "reference": gt, "candidates": ["BOOM", "BOOM"]},
+            {"id": "ok", "reference": gt, "candidates": [gt]},
+        ],
+    )
+    records, load_errors = load_jsonl(ds)
+    report = evaluate_dataset(records, NO_COMPILE_CFG, load_errors=load_errors)
+    bad, ok = report.records
+    assert (bad["id"], bad["error"], "breakdown" in bad) == ("bad", "unreadable candidate", False)
+    assert "error" not in ok
+    assert report.errors == ["record bad: unreadable candidate"]
+    table = report.to_table().splitlines()
+    assert table[2].split() == ["bad", "error"]
+    assert table[3].split()[:2] == ["ok", "100.00"]
+
+    cfg = _no_compile_cfg_file(tmp_path)
+    assert main(["--config", cfg, "--emit", "table", "dataset", str(ds)]) == 1
+    assert capsys.readouterr().out == report.to_table()
+
+
+@pytest.mark.parametrize("emit", ["json", "csv"])
+def test_cli_classify_with_no_scorable_record(tmp_path, capsys, monkeypatch, emit):
+    _fail_boom(monkeypatch)
+    ds = tmp_path / "ds.jsonl"
+    _write_jsonl(ds, [{"id": "bad", "reference": fixture_text("single_gt.c"), "candidates": ["BOOM"]}])
+    cfg = _no_compile_cfg_file(tmp_path)
+    assert main(["--config", cfg, "--emit", emit, "classify", str(ds)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == '{"error": "no scorable records"}\n'
+    assert captured.err == ""
+
+
 def test_cli_annotate(capsys):
     rc = main(["annotate", str(FIXTURES / "fig1_gt.c")])
     assert rc == 0
@@ -669,6 +728,34 @@ def test_cli_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
         main(["--jobs", jobs, "dataset", str(tmp_path / "ds.jsonl")])
     assert exit_info.value.code == 2
     assert "--jobs: must be at least 1" in capsys.readouterr().err
+
+
+# the `--emit` formats each command takes
+EMIT_FORMATS = {"dataset": {"json", "csv", "table"}, "classify": {"json", "csv"}}
+
+
+def test_every_command_names_its_handler_and_formats(tmp_path):
+    from ompbleu import cli
+
+    [commands] = [a.choices for a in cli._build_parser()._actions if a.dest == "command"]
+    assert {command: set(renderers) for command, renderers in cli._RENDERERS.items()} == EMIT_FORMATS
+    missing = str(tmp_path / "missing.c")
+    operands = {"score": [missing, missing], "rank": [missing, missing],
+                "corrupt": [missing, "--seed", "1"]}
+    for command, subparser in commands.items():
+        assert callable(subparser.get_default("run")), command
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        taken = set()
+        for emit in ("json", "csv", "table"):
+            try:
+                # a taken format reaches the handler, which cannot read the file
+                assert main(["--emit", emit, command, *operands.get(command, [missing])]) == 1
+                taken.add(emit)
+            except SystemExit as exc:
+                assert exc.code == 2
+        assert taken == EMIT_FORMATS.get(command, {"json"}), command
 
 
 @pytest.mark.parametrize(
