@@ -311,6 +311,17 @@ def test_malformed_clause_sets_degraded_flag():
     assert dirs[0].degraded
 
 
+def test_a_bare_omp_pragma_is_an_unknown_degraded_directive():
+    _, [d] = _parse("#pragma omp\nint x;\n")
+    assert (d.kinds, d.degraded, d.canonical) == (("unknown",), True, "unknown")
+
+
+def test_commas_between_clauses_are_separators():
+    _, [d] = _parse("#pragma omp parallel private(i), shared(a)\n{ }\n")
+    assert [(c.kind, c.variables) for c in d.clauses] == [("private", {"i"}), ("shared", {"a"})]
+    assert not d.degraded
+
+
 def test_strip_removes_a_comment_spanning_lines_before_the_pragma():
     # the comment is part of the pragma's logical line, so it goes whole and
     # leaves no unterminated comment behind

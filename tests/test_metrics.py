@@ -103,6 +103,15 @@ def test_vu_identical_sides():
     assert variable_usage_score(gt.directives, gt.directives) == 1.0
 
 
+def test_vu_never_compares_num_threads():
+    loop = "for (i=0;i<3;i++) ;\n"
+    gt = analyze("#pragma omp parallel for private(i) num_threads(4)\n" + loop)
+    gen = analyze("#pragma omp parallel for private(i) num_threads(8)\n" + loop)
+    diags = []
+    assert variable_usage_score(gt.directives, gen.directives, diags) == 1.0
+    assert diags == []
+
+
 def test_rc_extra_clause_penalty_monotone():
     gt = analyze("#pragma omp parallel for private(i)\nfor (i=0;i<3;i++) ;\n")
     base = analyze("#pragma omp parallel for private(i)\nfor (i=0;i<3;i++) ;\n")
@@ -155,11 +164,14 @@ def _sibling_loops(pragma_before: int, count: int) -> str:
 
 
 def test_pl_loop_index_penalty():
-    gt = analyze(_sibling_loops(0, 2))
-    gen = analyze(_sibling_loops(1, 2))
-    score = pragma_location_score(gt, gen, BACKEND)
-    # identical context, loop index drift of 1: cosine 1 times penalty 0.5
-    assert score == pytest.approx(0.5)
+    first = analyze(_sibling_loops(0, 2))
+    second = analyze(_sibling_loops(1, 2))
+    for gt, gen, drift in ((first, second, "0 vs 1"), (second, first, "1 vs 0")):
+        diags = []
+        score = pragma_location_score(gt, gen, BACKEND, diags)
+        # identical context, loop index drift of 1: cosine 1 times penalty 0.5
+        assert score == pytest.approx(0.5)
+        assert diags == [f"loop index drift {drift} (penalty 0.50)"]
 
 
 def test_pl_two_position_drift_zeroes_contribution():
