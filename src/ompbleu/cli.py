@@ -16,18 +16,17 @@ from pathlib import Path
 from . import __version__
 from .compile_check import CompileError, compile_score, language_of_path
 from .config import ConfigError, EvalConfig, load_config
-from .metrics import analyze, ompbleu_score
 from .pretrain import NoiseSchedule, TagVocabulary, corrupt, ssa_annotate
 from .report import (
     DatasetError,
     DatasetRecord,
+    RankedCandidate,
     Report,
     evaluate_dataset,
     load_dataset,
     rank_candidates,
     read_source,
 )
-from .similarity import SimilarityError
 from .syntax import parse_source, strip_openmp
 
 _SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hpp")
@@ -127,31 +126,30 @@ def _source_files(path: Path) -> list[Path]:
     return [path]
 
 
+def _rank(reference: str, generated: list[str], config: EvalConfig) -> list[RankedCandidate]:
+    """The candidate files ranked against the reference file; like a dataset
+    record, they compile in the language of the reference's suffix."""
+    record = DatasetRecord(
+        id=reference,
+        reference=read_source(reference),
+        candidates=tuple(read_source(g) for g in generated),
+        language=language_of_path(reference),
+    )
+    return rank_candidates(record, config)
+
+
 def _cmd_score(args: argparse.Namespace, config: EvalConfig) -> int:
-    # like a dataset record, the pair compiles in the language of the
-    # reference's suffix
-    language = language_of_path(args.reference)
-    reference = analyze(read_source(args.reference), language)
-    text = read_source(args.generated)
-    # a candidate equal to its reference shares its analysis; any other is
-    # lexed only where it differs from it
-    if text == reference.unit.text:
-        generated = reference
-    else:
-        generated = analyze(text, language, like=reference.unit)
-    breakdown = ompbleu_score(reference, generated, config)
-    _write_json(args, breakdown.as_dict())
+    """`rank` of one candidate, printing its breakdown alone or its error."""
+    [scored] = _rank(args.reference, [args.generated], config)
+    if scored.breakdown is None:
+        print(f"error: {scored.error}", file=sys.stderr)
+        return 1
+    _write_json(args, scored.breakdown.as_dict())
     return 0
 
 
 def _cmd_rank(args: argparse.Namespace, config: EvalConfig) -> int:
-    record = DatasetRecord(
-        id=args.reference,
-        reference=read_source(args.reference),
-        candidates=tuple(read_source(g) for g in args.generated),
-        language=language_of_path(args.reference),
-    )
-    ranked = rank_candidates(record, config)
+    ranked = _rank(args.reference, args.generated, config)
     payload = {
         "reference": args.reference,
         "candidates": [
@@ -245,7 +243,7 @@ def _run(argv: list[str] | None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetError, CompileError, SimilarityError, OSError) as exc:
+    except (DatasetError, CompileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

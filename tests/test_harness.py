@@ -352,6 +352,16 @@ def test_cli_score(tmp_path, capsys):
     assert 47 <= payload["composite"] <= 68
 
 
+def test_cli_score_reports_any_failure_to_score_as_an_error_line(tmp_path, capsys, monkeypatch):
+    _fail_boom(monkeypatch)
+    boom = tmp_path / "boom.c"
+    boom.write_text("BOOM")
+    argv = ["--config", _no_compile_cfg_file(tmp_path), "score", str(FIXTURES / "fig1_gt.c"), str(boom)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: unreadable candidate\n")
+
+
 def test_cli_rank(tmp_path, capsys):
     cfg = _no_compile_cfg_file(tmp_path)
     rc = main(
@@ -370,7 +380,7 @@ def test_cli_rank(tmp_path, capsys):
 
 
 def test_a_candidate_equal_to_its_reference_shares_its_analysis(tmp_path, capsys, monkeypatch):
-    from ompbleu import cli, metrics, report
+    from ompbleu import metrics, report
 
     calls = []
 
@@ -380,7 +390,6 @@ def test_a_candidate_equal_to_its_reference_shares_its_analysis(tmp_path, capsys
 
     gt = fixture_text("multiple_gt.c")
     expected = metrics.ompbleu_score(gt, gt, NO_COMPILE_CFG).as_dict()
-    monkeypatch.setattr(cli, "analyze", counting)
     monkeypatch.setattr(report, "analyze", counting)
     path = str(FIXTURES / "multiple_gt.c")
     assert main(["--config", _no_compile_cfg_file(tmp_path), "score", path, path]) == 0
