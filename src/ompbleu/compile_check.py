@@ -264,8 +264,8 @@ def compile_score(
 
 
 def _compile(source: str, cfg: CompileConfig, argv: tuple[str, ...], lang: str) -> dict:
-    """Run the compiler on ``source`` in a temporary directory; the cache
-    entry of the run, which a timeout under ``timeout_as_failure`` fails."""
+    """Compile ``source`` in a temporary directory and return the run's
+    cache entry; under ``timeout_as_failure`` a timeout is a failed compile."""
     text = source
     wrapped = False
     if cfg.wrap_snippets:
