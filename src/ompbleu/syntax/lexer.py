@@ -10,10 +10,10 @@ use in one stack pass over the bracket and `;` tokens.
 Lexing is one pass that yields the code tokens, the ones that are neither
 whitespace nor comments, as three parallel columns: lexemes, start offsets
 and directive flags; the same pass keeps the token range of each
-preprocessor line and the index of each line head.  A token's kind and
-line follow from the columns and the text, and are derived only where
-:class:`Token` tuples are asked for; the layout between the code tokens is
-lexed again, from the text, only where the full stream is asked for.
+preprocessor line and the index of each line head.  The full stream of
+:class:`Token` tuples, layout included, is derived from the columns with
+the lexer's own rules only where it is asked for (:attr:`SourceUnit.tokens`);
+no command asks for it.
 
 A text lexed against a similar one, a candidate against its reference, is
 lexed only where the two differ: the other text's tokens are reused, shifted,
@@ -215,52 +215,26 @@ class SourceUnit:
     heads: list[int]
 
     @cached_property
-    def code(self) -> tuple[Token, ...]:
-        """The code tokens as :class:`Token` tuples: :attr:`tokens` without
-        the layout."""
-        return tuple(t for t in self.tokens if t.kind not in ("whitespace", "comment"))
-
-    @cached_property
     def tokens(self) -> tuple[Token, ...]:
-        """Every token in order, layout included: the layout between the
-        code tokens is lexed again from the text, and each code token's kind
-        and line are found on the way."""
-        text = self.text
+        """Every token in order, layout included, by the lexer's own rules:
+        the layout between the code tokens is lexed again, a code token that
+        opens a preprocessor line is ``preprocessor`` and any other has its
+        :func:`lexeme_kind`, and each token's line is :meth:`line` of its
+        offset."""
+        text, openers = self.text, {start for start, _ in self.directive_lines}
         out: list[Token] = []
-        append = out.append
-        new = tuple.__new__  # builds a Token without its Python-level __new__
-        findall = _RE_LAYOUT.findall
-        pos = 0
-        line = 1
-        head = True  # no code token since the last newline token
-        in_directive = False
-        # an end-of-text marker closes the trailing layout
-        marked = zip([*self.lexemes, "\0"], [*self.starts, len(text)], [*self.in_directive, False])
-        for lexeme, hi, flag in marked:
-            if pos + 1 == hi and text[pos] != "\n":  # one blank: the commonest gap
-                append(new(Token, (text[pos], "whitespace", pos, line, in_directive)))
-            elif pos < hi:
-                for layout in findall(text, pos, hi):
-                    if layout == "\n":
-                        append(new(Token, (layout, "whitespace", pos, line, False)))
-                        line += 1
-                        head = True
-                        in_directive = False
-                    else:
-                        kind = "comment" if layout[0] == "/" else "whitespace"
-                        append(new(Token, (layout, kind, pos, line, in_directive)))
-                        line += layout.count("\n")
-                    pos += len(layout)
-            if head and lexeme[0] == "#":  # it opens a directive line
-                append(new(Token, (lexeme, "preprocessor", hi, line, flag)))
-                line += lexeme.count("\n")  # a splice or a comment may come before its word
-            else:
-                kind = _KIND_OF.get(lexeme) or _KIND_OF_FIRST[lexeme[0]]  # lexeme_kind, inlined
-                append(new(Token, (lexeme, kind, hi, line, flag)))
-            pos = hi + len(lexeme)
-            head = False
-            in_directive = flag
-        out.pop()  # the end-of-text marker
+        pos, flag = 0, False  # where the layout starts, and its directive flag
+        for i, start in enumerate([*self.starts, len(text)]):
+            for lexeme in _RE_LAYOUT.findall(text, pos, start):
+                flag = flag and lexeme != "\n"  # a newline token ends the line
+                kind = "comment" if lexeme[0] == "/" else "whitespace"
+                out.append(Token(lexeme, kind, pos, self.line(pos), flag))
+                pos += len(lexeme)
+            if i < len(self.lexemes):
+                lexeme, flag = self.lexemes[i], self.in_directive[i]
+                kind = "preprocessor" if i in openers else lexeme_kind(lexeme)
+                out.append(Token(lexeme, kind, start, self.line(start), flag))
+                pos = start + len(lexeme)
         return tuple(out)
 
     @cached_property

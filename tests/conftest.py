@@ -1,6 +1,8 @@
 import importlib.util
 import shutil
 import sys
+from itertools import accumulate, compress, repeat
+from operator import add, itemgetter
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from ompbleu import report
 from ompbleu.syntax import lexer
+from ompbleu.syntax.lexer import _KIND_OF, _KIND_OF_FIRST, _RE_CODE, Token
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -44,6 +47,39 @@ def compiler_available() -> bool:
 requires_compiler = pytest.mark.skipif(
     not compiler_available(), reason="no C/C++ compiler on PATH"
 )
+
+
+# Oracle: the lexer as it ran when it built one Token per code token, with
+# each token's kind and line computed in bulk in the lexing pass.  The
+# columns plus the kinds and lines derived from them must equal it, and the
+# tests that need a unit's code tokens as Token tuples read them from it.
+
+
+def token_tokenize(text: str) -> list[Token]:
+    """The code tokens of ``text`` as :class:`Token` tuples."""
+    parts = _RE_CODE.split("\n" + text)
+    lexemes = parts[3::4]
+    n = lexemes.index("")
+    del lexemes[n:]
+    gaps = parts[1 : 4 * n : 4]
+    newlines = parts[2 : 4 * n : 4]
+    gap_lens = list(map(len, gaps))
+    ends = accumulate(map(add, gap_lens, map(len, lexemes)), initial=-1)
+    starts = list(map(add, ends, gap_lens))
+    newline_counts = list(map(str.count, gaps, repeat("\n")))
+    first = map(_KIND_OF_FIRST.__getitem__, map(itemgetter(0), lexemes))
+    kinds = list(map(_KIND_OF.get, lexemes, first))
+    flags = [False] * n
+    heads = [*compress(range(n), newlines), n]
+    for head, end in zip(heads, heads[1:]):
+        lexeme = lexemes[head]
+        if lexeme[0] == "#":
+            kinds[head] = "preprocessor"
+            flags[head:end] = repeat(True, end - head)
+            if head + 1 < n:
+                newline_counts[head + 1] += lexeme.count("\n")
+    lines = accumulate(newline_counts)
+    return list(map(Token, lexemes, kinds, starts, lines, flags))
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from ompbleu.syntax import (
     strip_openmp,
 )
 
-from conftest import FIXTURES, fixture_text, pragma_soups
+from conftest import FIXTURES, fixture_text, pragma_soups, token_tokenize
 
 
 def _parse(code):
@@ -328,7 +328,7 @@ def test_strip_removes_a_comment_spanning_lines_before_the_pragma():
     code = "int x;\n/* a\n b */ #pragma omp parallel\nint y;\n"
     stripped = strip_openmp(parse_source(code))
     assert stripped == "int x;\nint y;\n"
-    assert [t.lexeme for t in parse_source(stripped).code] == ["int", "x", ";", "int", "y", ";"]
+    assert [t.lexeme for t in token_tokenize(stripped)] == ["int", "x", ";", "int", "y", ";"]
 
 
 def test_strip_removes_continuation_lines():

@@ -2,9 +2,10 @@ import bisect
 import random
 import re
 import string
+from collections.abc import Iterable
 from types import SimpleNamespace
-from itertools import accumulate, chain, compress, repeat, takewhile
-from operator import add, itemgetter
+from itertools import chain, compress, takewhile
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,10 +15,7 @@ from ompbleu.syntax import parse_source, strip_openmp, tokenize
 from ompbleu.syntax import lexer
 from ompbleu.syntax.directives import directive_line_spans
 from ompbleu.syntax.lexer import (
-    _KIND_OF,
-    _KIND_OF_FIRST,
     _MULTI_CHAR_OPERATORS,
-    _RE_CODE,
     _RE_LAYOUT,
     _RE_PREPROC,
     KEYWORDS,
@@ -26,12 +24,17 @@ from ompbleu.syntax.lexer import (
     newline_tokens,
 )
 
-from conftest import FIXTURES, fixture_text, perfbench_module, pragma_soups
+from conftest import FIXTURES, fixture_text, perfbench_module, pragma_soups, token_tokenize
 
 
 def stream(text: str) -> list[Token]:
     """The full token stream of ``text``, layout included."""
     return list(parse_source(text).tokens)
+
+
+def code_of(tokens: Iterable[Token]) -> list[Token]:
+    """The code tokens of a stream: those that are not layout."""
+    return [t for t in tokens if t.kind not in ("whitespace", "comment")]
 
 
 def test_empty_input_yields_no_tokens():
@@ -124,10 +127,11 @@ def test_round_trip_property(text):
     tokens = stream(text)
     assert "".join(t.lexeme for t in tokens) == text
     assert_matches_oracle(text)
-    # the code view is the stream without layout, and token_index indexes it
+    # the stream's code tokens are the oracle's, and token_index indexes them
     unit = parse_source(text)
-    assert unit.code == tuple(t for t in tokens if t.kind not in ("whitespace", "comment"))
-    code_offsets = [t.byte_offset for t in unit.code]
+    code = code_of(tokens)
+    assert code == token_tokenize(text)
+    code_offsets = [t.byte_offset for t in code]
     for offset in range(len(text) + 1):
         assert unit.token_index(offset) == bisect.bisect_left(code_offsets, offset)
 
@@ -371,53 +375,22 @@ def oracle_pragma_lines(text: str) -> list[tuple[int, int]]:
 @settings(max_examples=400, deadline=None)
 def test_tokenize_matches_oracle_on_c_fragments(text):
     assert_matches_oracle(text)
-    # the one lexing pass gives the oracle's code tokens, and the pragma
-    # lines read from them have the oracle's byte extents
+    # the stream's code tokens are the oracle's, and the pragma lines read
+    # from the columns have the oracle's byte extents
     unit = parse_source(text)
-    code = [(t.lexeme, t.kind, t.byte_offset, t.line, t.in_directive) for t in unit.code]
-    assert code == [t for t in oracle_tokenize(text) if t[1] not in ("whitespace", "comment")]
+    code = code_of(unit.tokens)
+    fields = [(t.lexeme, t.kind, t.byte_offset, t.line, t.in_directive) for t in code]
+    assert fields == [t for t in oracle_tokenize(text) if t[1] not in ("whitespace", "comment")]
     assert directive_line_spans(unit) == oracle_pragma_lines(text)
     # stripping removes the pragma lines' code tokens and lexes the rest as before
     spans = directive_line_spans(unit)
     kept = [
         (t.lexeme, t.kind, t.in_directive)
-        for t in unit.code
+        for t in code
         if not any(lo <= t.byte_offset < hi for lo, hi in spans)
     ]
-    stripped = parse_source(strip_openmp(unit)).code
+    stripped = code_of(parse_source(strip_openmp(unit)).tokens)
     assert [(t.lexeme, t.kind, t.in_directive) for t in stripped] == kept
-
-
-# Oracle: the lexer as it ran when it built one Token per code token, with
-# each token's kind and line computed in bulk in the lexing pass.  The
-# columns plus the kinds and lines derived from them must equal it.
-
-
-def token_tokenize(text: str) -> list[Token]:
-    """The code tokens of ``text`` as :class:`Token` tuples."""
-    parts = _RE_CODE.split("\n" + text)
-    lexemes = parts[3::4]
-    n = lexemes.index("")
-    del lexemes[n:]
-    gaps = parts[1 : 4 * n : 4]
-    newlines = parts[2 : 4 * n : 4]
-    gap_lens = list(map(len, gaps))
-    ends = accumulate(map(add, gap_lens, map(len, lexemes)), initial=-1)
-    starts = list(map(add, ends, gap_lens))
-    newline_counts = list(map(str.count, gaps, repeat("\n")))
-    first = map(_KIND_OF_FIRST.__getitem__, map(itemgetter(0), lexemes))
-    kinds = list(map(_KIND_OF.get, lexemes, first))
-    flags = [False] * n
-    heads = [*compress(range(n), newlines), n]
-    for head, end in zip(heads, heads[1:]):
-        lexeme = lexemes[head]
-        if lexeme[0] == "#":
-            kinds[head] = "preprocessor"
-            flags[head:end] = repeat(True, end - head)
-            if head + 1 < n:
-                newline_counts[head + 1] += lexeme.count("\n")
-    lines = accumulate(newline_counts)
-    return list(map(Token, lexemes, kinds, starts, lines, flags))
 
 
 def assert_columns_match_token_lexer(text: str) -> None:
@@ -427,7 +400,7 @@ def assert_columns_match_token_lexer(text: str) -> None:
     assert columns.starts == [t.byte_offset for t in expected]
     assert columns.in_directive == [t.in_directive for t in expected]
     unit = parse_source(text)
-    assert list(unit.code) == expected
+    assert code_of(unit.tokens) == expected
     assert [unit.line(t.byte_offset) for t in expected] == [t.line for t in expected]
     assert [start for start, _ in columns.directive_lines] == [
         i for i, t in enumerate(expected) if t.kind == "preprocessor"

@@ -26,7 +26,7 @@ from ompbleu.syntax.directives import (
 )
 from ompbleu.syntax.lexer import SourceUnit, Token
 
-from conftest import bracket_soups, fixture_text
+from conftest import bracket_soups, fixture_text, token_tokenize
 
 
 def _loops(code):
@@ -245,7 +245,7 @@ def _brace_depths(unit: SourceUnit) -> list[int]:
     """Brace nesting depth at each code token (before the token)."""
     depths = []
     depth = 0
-    for tok in unit.code:
+    for tok in token_tokenize(unit.text):
         depths.append(depth)
         if tok.kind == "punctuation" and not tok.in_directive:
             if tok.lexeme == "{":
@@ -261,7 +261,7 @@ def _count_decisions(unit: SourceUnit, start_offset: int, end_offset: int) -> in
     Comments, strings, and pragma lines never contribute.
     """
     count = 0
-    for tok in unit.code[unit.token_index(start_offset) : unit.token_index(end_offset)]:
+    for tok in token_tokenize(unit.text)[unit.token_index(start_offset) : unit.token_index(end_offset)]:
         if tok.in_directive:
             continue
         if tok.kind == "keyword" and tok.lexeme in DECISION_KEYWORDS:
@@ -272,7 +272,7 @@ def _count_decisions(unit: SourceUnit, start_offset: int, end_offset: int) -> in
 
 
 class _ScanningClosers:
-    def __init__(self, tokens: tuple[Token, ...]) -> None:
+    def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
 
     def get(self, i: int, default: int | None = None) -> int | None:
@@ -284,8 +284,8 @@ class ScanningBrackets:
     """The bracket table's lookups answered by the scanners, one scan each."""
 
     def __init__(self, unit: SourceUnit) -> None:
-        self.closers = _ScanningClosers(unit.code)
-        self.tokens = unit.code
+        self.tokens = token_tokenize(unit.text)
+        self.closers = _ScanningClosers(self.tokens)
         self.depths = _brace_depths(unit)
 
     def statement_end(self, i: int) -> int | None:
@@ -299,7 +299,7 @@ class ScanningBrackets:
 @settings(max_examples=300, deadline=None)
 def test_bracket_table_matches_the_scanners(text):
     unit = parse_source(text)
-    code, brackets = unit.code, unit.brackets
+    code, brackets = token_tokenize(text), unit.brackets
     for i, tok in enumerate(code):
         if tok.lexeme in _OPEN:
             assert brackets.closers.get(i) == _match_delim(code, i)
@@ -377,7 +377,7 @@ def _parse_words(words: Sequence[Token]) -> tuple[tuple[str, ...], tuple[Clause,
 
 
 def _parse_words_alone(unit: SourceUnit, start: int, end: int):
-    return _parse_words(unit.code[start:end])
+    return _parse_words(token_tokenize(unit.text)[start:end])
 
 
 def _extracted(unit: SourceUnit):

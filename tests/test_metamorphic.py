@@ -18,7 +18,7 @@ from ompbleu.config import EvalConfig
 from ompbleu.metrics import ompbleu_score
 from ompbleu.syntax import parse_source
 
-from conftest import MULTIPLE_CASES, SINGLE_CASES, fixture_text, pragma_soups
+from conftest import MULTIPLE_CASES, SINGLE_CASES, fixture_text, pragma_soups, token_tokenize
 
 NO_COMPILE_CFG = EvalConfig(compile_enabled=False)
 LAYOUT = (" ", "\t", "/* c */", "/**/", "\\\n")
@@ -66,8 +66,8 @@ def with_layout(draw, source: str) -> str:
 
 
 def _assert_layout_invariant(reference: str, candidate: str, moved: str) -> None:
-    code = [(t.lexeme, t.kind) for t in parse_source(candidate).code]
-    assert [(t.lexeme, t.kind) for t in parse_source(moved).code] == code
+    code = [(t.lexeme, t.kind) for t in token_tokenize(candidate)]
+    assert [(t.lexeme, t.kind) for t in token_tokenize(moved)] == code
     expected = ompbleu_score(reference, candidate, NO_COMPILE_CFG).as_dict()
     got = ompbleu_score(reference, moved, NO_COMPILE_CFG).as_dict()
     if moved.count("\n") != candidate.count("\n"):  # a splice was inserted

@@ -35,7 +35,7 @@ from ompbleu.syntax.directives import (
 )
 from ompbleu.syntax.lexer import SourceUnit, Token
 
-from conftest import FIXTURES, bracket_soups, fixture_text, pragma_soups
+from conftest import FIXTURES, bracket_soups, fixture_text, pragma_soups, token_tokenize
 
 NO_COMPILE_CFG = EvalConfig(compile_enabled=False)
 
@@ -83,17 +83,16 @@ def test_each_candidate_is_lexed_against_its_reference(tokenize_calls, tmp_path,
 
 def test_scoring_and_strip_build_no_token_tuples():
     # analysis reads the lexeme, offset and directive-flag columns; the
-    # Token tuples of SourceUnit.code are only a derived view
+    # full token stream, with its Token tuples, is only a derived view
     for ref, cand in (("multiple_gt.c", "multiple_case3.c"), ("fig1_gt.c", "fig1_gen.c")):
         gt, gen = analyze(fixture_text(ref)), analyze(fixture_text(cand))
         breakdown = ompbleu_score(gt, gen, NO_COMPILE_CFG)
         assert breakdown.composite < 100.0
         for side in (gt, gen):
-            assert "code" not in side.unit.__dict__
             assert "tokens" not in side.unit.__dict__
     unit = parse_source(fixture_text("multiple_gt.c"))
     assert strip_openmp(unit) != unit.text
-    assert "code" not in unit.__dict__
+    assert "tokens" not in unit.__dict__
 
 
 def test_a_deep_nest_self_pair_holds_no_copy_of_each_stripped_span():
@@ -165,7 +164,7 @@ def test_construct_keeps_the_units_lexing_of_a_leading_hash():
     # directive line governs no construct.
     side = analyze("#pragma omp single\n/* c */ # x;\n")
     assert attached_construct_span(side.directives[0]) is None
-    assert [(t.lexeme, t.kind) for t in side.unit.code[-2:]] == [
+    assert [(t.lexeme, t.kind) for t in token_tokenize(side.unit.text)[-2:]] == [
         ("# x", "preprocessor"),
         (";", "punctuation"),
     ]
@@ -210,7 +209,7 @@ def stripped_slice(
     """
     kept = _kept_ranges(pragma_lines, lo, hi)
     text = "".join(unit.text[a:b] for a, b in kept)
-    tokens = [t for a, b in kept for t in unit.code[unit.token_index(a) : unit.token_index(b)]]
+    tokens = [t for a, b in kept for t in token_tokenize(unit.text)[unit.token_index(a) : unit.token_index(b)]]
     return text, tokens
 
 
@@ -220,7 +219,7 @@ def _strip_openmp(unit: SourceUnit) -> str:
     return "".join(text[a:b] for a, b in _kept_ranges(cuts, 0, len(text)))
 
 
-def _skip_to_code(tokens: tuple[Token, ...], start: int) -> int:
+def _skip_to_code(tokens: list[Token], start: int) -> int:
     """Index of the first of the code ``tokens`` at or after ``start`` that
     lies outside any preprocessor line; ``len(tokens)`` if there is none."""
     i = start
@@ -232,7 +231,7 @@ def _skip_to_code(tokens: tuple[Token, ...], start: int) -> int:
 def _attachment(unit: SourceUnit, end: int):
     """(attached_kind, attached_loop) of the pragma line whose code tokens
     end before ``end``."""
-    tokens = unit.code
+    tokens = token_tokenize(unit.text)
     loops_by_offset = {lp.byte_offset: lp for lp in loop_contexts(unit)}
     # attachment: next code token after this and any other preprocessor line
     k = _skip_to_code(tokens, end)
@@ -260,7 +259,7 @@ def _attached_construct_span(
         return (directive.attached_loop.byte_offset, directive.attached_loop.end_offset)
     problem = "no construct follows pragma"
     if directive.attached_kind in (ATTACHED_BLOCK, ATTACHED_STATEMENT):
-        tokens = unit.code
+        tokens = token_tokenize(unit.text)
         idx = _skip_to_code(tokens, unit.token_index(directive.byte_offset + len(directive.raw_text)))
         if idx < len(tokens):
             block = tokens[idx].lexeme == "{"
@@ -318,7 +317,8 @@ def test_cuts_and_attachments_match_the_oracles(text, draws):
             spans.append((d.attached_loop.byte_offset, d.attached_loop.end_offset))
 
     # any span that starts outside the cuts, ending anywhere on a token boundary
-    bounds = sorted({0, len(text), *(t.byte_offset for t in unit.code), *(t.end_offset for t in unit.code)})
+    code = token_tokenize(text)
+    bounds = sorted({0, len(text), *(t.byte_offset for t in code), *(t.end_offset for t in code)})
     starts = [x for x in bounds if not any(lo < x < hi for lo, hi in pragma_lines)]
     for i, j in draws:
         lo = starts[i % len(starts)]
