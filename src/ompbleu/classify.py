@@ -9,7 +9,6 @@ reference results this module is validated against were printed.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .config import read_vocabulary
@@ -44,14 +43,11 @@ class ClauseVocabulary:
         return len(self.kinds)
 
     @classmethod
-    def load(cls, path: str | Path) -> "ClauseVocabulary":
-        return cls(kinds=tuple(read_vocabulary(path)))
+    def load(cls, path: str | Path | None = None) -> "ClauseVocabulary":
+        """The vocabulary in the file at ``path``, or the packaged one."""
+        return cls(kinds=tuple(read_vocabulary(path, "clause_vocabulary.txt")))
 
-    @classmethod
-    def default(cls) -> "ClauseVocabulary":
-        ref = resources.files("ompbleu.data") / "clause_vocabulary.txt"
-        with resources.as_file(ref) as path:
-            return cls.load(path)
+    default = load  # the packaged vocabulary
 
 
 @dataclass
@@ -104,7 +100,7 @@ def clause_confusion(
     ``tp+fp+fn+tn == |vocab|`` holds per pair over in-vocabulary kinds.
     """
     if vocab is None:
-        vocab = ClauseVocabulary.default()
+        vocab = ClauseVocabulary.load()
     gt_present = presence_set(gt)
     gen_present = presence_set(gen)
 

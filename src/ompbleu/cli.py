@@ -22,6 +22,7 @@ from .report import (
     DatasetRecord,
     RankedCandidate,
     Report,
+    canonical_json,
     evaluate_dataset,
     load_dataset,
     rank_candidates,
@@ -117,7 +118,7 @@ def _write_out(args: argparse.Namespace, text: str) -> None:
 
 
 def _write_json(args: argparse.Namespace, payload: dict) -> None:
-    _write_out(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_out(args, canonical_json(payload))
 
 
 def _source_files(path: Path) -> list[Path]:
@@ -177,11 +178,7 @@ def _cmd_strip(args: argparse.Namespace, config: EvalConfig) -> int:
 
 
 def _cmd_annotate(args: argparse.Namespace, config: EvalConfig) -> int:
-    vocab = (
-        TagVocabulary.load(config.tag_vocabulary_path)
-        if config.tag_vocabulary_path
-        else TagVocabulary.default()
-    )
+    vocab = TagVocabulary.load(config.tag_vocabulary_path)
     lines = []
     for path in _source_files(Path(args.path)):
         unit = parse_source(read_source(path))

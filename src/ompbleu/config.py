@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from collections.abc import Collection
 from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
 
 from .compile_check import AUTO_LANGUAGE, CompileConfig
@@ -152,12 +153,14 @@ def _build_compile(raw: object) -> CompileConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def read_vocabulary(path: str | Path) -> list[str]:
-    """The entries of a vocabulary file, one per line, blank lines and `#`
+def read_vocabulary(path: str | Path | None, packaged: str) -> list[str]:
+    """The entries of the vocabulary file at ``path``, or without one of the
+    package's data file ``packaged``: one per line, blank lines and `#`
     comments skipped.  A file that cannot be read as text or that repeats an
     entry is a configuration error."""
+    source = Path(path) if path else resources.files("ompbleu.data") / packaged
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = source.read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read vocabulary {path}: {exc}") from exc
     entries = [e for e in map(str.strip, lines) if e and not e.startswith("#")]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from importlib import resources
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -122,14 +121,11 @@ class TagVocabulary:
         return self.tags.get(name, 0)
 
     @classmethod
-    def load(cls, path: str | Path) -> "TagVocabulary":
-        return cls(tags={name: i for i, name in enumerate(read_vocabulary(path))})
+    def load(cls, path: str | Path | None = None) -> "TagVocabulary":
+        """The vocabulary in the file at ``path``, or the packaged one."""
+        return cls(tags={name: i for i, name in enumerate(read_vocabulary(path, "ssa_tags.txt"))})
 
-    @classmethod
-    def default(cls) -> "TagVocabulary":
-        ref = resources.files("ompbleu.data") / "ssa_tags.txt"
-        with resources.as_file(ref) as path:
-            return cls.load(path)
+    default = load  # the packaged vocabulary
 
 
 def _pragma_line_roles(lexemes: list[str]) -> list[str]:
@@ -186,7 +182,7 @@ def ssa_annotate(unit: SourceUnit, vocab: TagVocabulary | None = None) -> list[i
     by its lexical role.  Unknown roles map to 0.
     """
     if vocab is None:
-        vocab = TagVocabulary.default()
+        vocab = TagVocabulary.load()
     text, lexemes, starts = unit.text, unit.lexemes, unit.starts
     role_of = {lexeme: _code_role(lexeme) for lexeme in set(lexemes)}
     roles = list(map(role_of.__getitem__, lexemes))

@@ -204,6 +204,12 @@ def rank_candidates(
     return scored
 
 
+def canonical_json(payload: dict) -> str:
+    """``payload`` as the JSON every report is written in: keys sorted,
+    indented, with a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 @dataclass
 class Report:
     """Full evaluation output; aggregates are recomputable from the rows."""
@@ -226,11 +232,11 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.as_dict())
 
     def classification_json(self) -> str:
         """The clause classification report alone, as JSON."""
-        return json.dumps(self.classification.as_dict(), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.classification.as_dict())
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -326,11 +332,7 @@ def evaluate_dataset(
     """Score every record (top-1 of its ranking) and aggregate."""
     if not records:
         raise DatasetError("no records in dataset")
-    vocab = (
-        ClauseVocabulary.load(config.clause_vocabulary_path)
-        if config.clause_vocabulary_path
-        else ClauseVocabulary.default()
-    )
+    vocab = ClauseVocabulary.load(config.clause_vocabulary_path)
 
     backend = config.make_backend()
     # threads overlap only waits outside the interpreter, which holds its lock
