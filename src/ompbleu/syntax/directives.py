@@ -85,7 +85,6 @@ class Clause:
     variables: frozenset[str] = frozenset()
     reduction_op: str | None = None
     collapse_n: int | None = None
-    schedule_kind: str | None = None
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,6 @@ def _parse_clause(word: str, arg_tokens: Sequence[str] | None, raw: str) -> tupl
     variables: frozenset[str] = frozenset()
     reduction_op = None
     collapse_n = None
-    schedule_kind = None
 
     if arg_tokens is not None:
         groups = _split_top_level(arg_tokens, ",")
@@ -183,10 +181,7 @@ def _parse_clause(word: str, arg_tokens: Sequence[str] | None, raw: str) -> tupl
             args = (text,)
         else:
             degraded = True
-    elif word == "schedule" and arg_tokens is not None:
-        if args:
-            schedule_kind = args[0].replace(" ", "")
-    elif arg_tokens is not None:
+    elif word != "schedule" and arg_tokens is not None:  # a schedule names no variables
         variables = frozenset(_idents_of(arg_tokens))
 
     return (
@@ -197,7 +192,6 @@ def _parse_clause(word: str, arg_tokens: Sequence[str] | None, raw: str) -> tupl
             variables=variables,
             reduction_op=reduction_op,
             collapse_n=collapse_n,
-            schedule_kind=schedule_kind,
         ),
         degraded,
     )

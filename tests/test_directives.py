@@ -32,7 +32,7 @@ def test_fig1_ground_truth_extraction():
     assert by_kind["private"].variables == {"i", "j"}
     assert by_kind["reduction"].reduction_op == "+"
     assert by_kind["reduction"].variables == {"sum"}
-    assert by_kind["schedule"].schedule_kind == "static"
+    assert by_kind["schedule"].args_ordered[0] == "static"
     assert d.attached_kind == "for_loop"
     assert d.collapse_tag == COLLAPSE_VALID
 
