@@ -164,7 +164,8 @@ def rank_candidates(
     any other is lexed only where it differs from it.
     Ties break toward the earlier candidate; a
     candidate that fails hard is ranked after every scored one with the
-    error recorded, never dropped.
+    error recorded, never dropped: its message, or the exception's type
+    where the message is empty.
     """
     if backend is None:
         backend = config.make_backend()
@@ -191,7 +192,9 @@ def rank_candidates(
             )
         except Exception as exc:  # noqa: BLE001 - candidate faults must not abort the run
             scored.append(
-                RankedCandidate(candidate_index=idx, rank=0, breakdown=None, error=str(exc))
+                RankedCandidate(
+                    candidate_index=idx, rank=0, breakdown=None, error=str(exc) or type(exc).__name__
+                )
             )
     scored.sort(
         key=lambda rc: (
@@ -312,7 +315,7 @@ def _score_record(
         "language_defaulted": defaulted,
     }
     if best.breakdown is None:
-        row["error"] = best.error or "all candidates failed"
+        row["error"] = best.error
         return row
     row["breakdown"] = best.breakdown.as_dict()
     gt, gen = best.analyses

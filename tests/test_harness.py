@@ -633,6 +633,28 @@ def test_cli_dataset_reports_a_record_whose_every_candidate_fails(tmp_path, caps
     assert capsys.readouterr().out == report.to_table()
 
 
+def test_a_failure_without_a_message_is_named_by_its_type(tmp_path, capsys, monkeypatch):
+    import ompbleu.report as report_mod
+
+    def failing(*args, **kwargs):
+        raise RuntimeError()
+
+    monkeypatch.setattr(report_mod, "ompbleu_score", failing)
+    gt, gen = str(FIXTURES / "fig1_gt.c"), str(FIXTURES / "fig1_gen.c")
+    assert main(["rank", gt, gen]) == 1
+    [candidate] = json.loads(capsys.readouterr().out)["candidates"]
+    assert (candidate["breakdown"], candidate["error"]) == (None, "RuntimeError")
+    assert main(["score", gt, gen]) == 1
+    assert capsys.readouterr().err == "error: RuntimeError\n"
+    ds = tmp_path / "ds.jsonl"
+    _write_jsonl(ds, [{"id": "bad", "reference": "x", "candidates": ["y"]}])
+    cfg = _no_compile_cfg_file(tmp_path)
+    assert main(["--config", cfg, "dataset", str(ds)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["records"][0]["error"] == "RuntimeError"
+    assert report["errors"] == ["record bad: RuntimeError"]
+
+
 @pytest.mark.parametrize("emit", ["json", "csv"])
 def test_cli_classify_with_no_scorable_record(tmp_path, capsys, monkeypatch, emit):
     _fail_boom(monkeypatch)
