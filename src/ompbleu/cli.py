@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .compile_check import CompileError, compile_score, language_of_path
-from .config import ConfigError, EvalConfig, load_config
+from .config import ConfigError, EvalConfig, config_checked, load_config
 from .pretrain import NoiseSchedule, TagVocabulary, corrupt, ssa_annotate
 from .report import (
     DatasetError,
@@ -178,7 +178,7 @@ def _cmd_strip(args: argparse.Namespace, config: EvalConfig) -> int:
 
 
 def _cmd_annotate(args: argparse.Namespace, config: EvalConfig) -> int:
-    vocab = TagVocabulary.load(config.tag_vocabulary_path)
+    vocab = TagVocabulary.load(config.tag_vocabulary)
     lines = []
     for path in _source_files(Path(args.path)):
         unit = parse_source(read_source(path))
@@ -190,18 +190,11 @@ def _cmd_annotate(args: argparse.Namespace, config: EvalConfig) -> int:
 
 def _cmd_corrupt(args: argparse.Namespace, config: EvalConfig) -> int:
     modes = frozenset(m.strip() for m in args.modes.split(",") if m.strip())
-    try:
-        schedule = NoiseSchedule(
-            r0=args.r0, r1=args.r1, ramp_steps=args.ramp_steps, modes=modes
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    schedule = config_checked(
+        NoiseSchedule, r0=args.r0, r1=args.r1, ramp_steps=args.ramp_steps, modes=modes
+    )
     unit = parse_source(read_source(args.path))
-    try:
-        text = corrupt(unit, schedule, step=args.step, seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _write_out(args, text)
+    _write_out(args, config_checked(corrupt, unit, schedule, step=args.step, seed=args.seed))
     return 0
 
 

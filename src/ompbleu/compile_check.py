@@ -107,7 +107,7 @@ class CompileTimeout(CompileError):
 class CompileConfig:
     """How to invoke the toolchain for the compilation score."""
 
-    compiler_command: tuple[str, ...] | None = None  # None: resolve clang, then gcc
+    command: tuple[str, ...] | None = None  # None: resolve clang, then gcc
     extra_flags: tuple[str, ...] = ()
     mode: str = "syntax_only"  # or "full"
     timeout: float = 30.0
@@ -123,7 +123,7 @@ class CompileConfig:
             raise ValueError("compile timeout must be > 0")
         if self.mode not in ("syntax_only", "full"):
             raise ValueError(f"unknown compile mode: {self.mode!r}")
-        if self.compiler_command is not None and not self.compiler_command:
+        if self.command is not None and not self.command:
             raise ValueError("compiler command must be non-empty")
 
 
@@ -150,8 +150,8 @@ def resolve_compiler(config: CompileConfig) -> tuple[str, ...]:
     override = os.environ.get(ENV_COMPILER_OVERRIDE)
     if override:
         return tuple(shlex.split(override))
-    if config.compiler_command is not None:
-        return tuple(config.compiler_command)
+    if config.command is not None:
+        return tuple(config.command)
     found = _compiler_on_path(os.environ.get("PATH", os.defpath))
     if found is None:
         raise CompileError("no C/C++ compiler found (tried clang, gcc, cc)")

@@ -7,12 +7,14 @@ empty config (or none at all) runs the hermetic pipeline end to end.
 from __future__ import annotations
 
 import json
-from collections.abc import Collection
+import math
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
-from .compile_check import AUTO_LANGUAGE, CompileConfig
+from .compile_check import CompileConfig
 from .metrics import SUBSCORE_WEIGHTS, ClauseWeightTable, MetricWeights
 from .similarity import BagOfTokensBackend, RemoteEmbeddingBackend, SimilarityBackend
 from .syntax.directives import KNOWN_CLAUSE_KINDS
@@ -43,8 +45,8 @@ class EvalConfig:
     backend: BackendSpec = field(default_factory=BackendSpec)
     compile: CompileConfig = field(default_factory=CompileConfig)
     compile_enabled: bool = True
-    clause_vocabulary_path: str | None = None
-    tag_vocabulary_path: str | None = None
+    clause_vocabulary: str | None = None  # a file's path; None: the packaged one
+    tag_vocabulary: str | None = None
 
     def make_backend(self) -> SimilarityBackend:
         if self.backend.kind == "remote_embedding":
@@ -65,7 +67,7 @@ class EvalConfig:
             },
             "backend": {"kind": self.backend.kind, "model_id": self.backend.model_id},
             "compile": {
-                "command": list(self.compile.compiler_command or []),
+                "command": list(self.compile.command or []),
                 "extra_flags": list(self.compile.extra_flags),
                 "mode": self.compile.mode,
                 "language": self.compile.language,
@@ -74,83 +76,114 @@ class EvalConfig:
         }
 
 
-def _section(raw: object, name: str, known: Collection[str] | None) -> dict:
-    """``raw`` if it is a JSON object whose keys are all in ``known``
-    (``None``: any keys)."""
+def _section(raw: object, name: str, known: Collection[str]) -> dict:
+    """``raw`` if it is a JSON object whose keys are all in ``known``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be a JSON object, got {type(raw).__name__}")
-    unknown = set() if known is None else set(raw) - set(known)
+    unknown = set(raw) - set(known)
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
     return raw
 
 
-def _flag(value: object, name: str) -> bool:
-    """``value`` if it is a JSON boolean: no other value passes for one."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return value
+# Each JSON type a config value may take, by the Python type that holds it:
+# what a check calls it, and whether a value json gives is one.  A number is
+# finite (json reads NaN and Infinity too); a list of strings is a tuple.
+_JSON_TYPES = {
+    str: ("a string", lambda v: type(v) is str),
+    float: ("a number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    bool: ("true or false", lambda v: type(v) is bool),
+    tuple: ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
+}
 
 
-def _build_weights(raw: object) -> MetricWeights:
-    raw = _section(raw, "weights", (*SUBSCORE_WEIGHTS, "is_blend_alpha"))
+def _typed(kind: type, nullable: bool = False) -> Callable[[object, str], object]:
+    """The check of a config value of the JSON type ``kind`` holds, which
+    gives the value as a ``kind``; with ``nullable``, null passes as None."""
+    expected, holds = _JSON_TYPES[kind]
+
+    def check(value: object, name: str) -> object:
+        if nullable and value is None:
+            return None
+        if not holds(value):
+            raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        return kind(value)
+
+    return check
+
+
+def _values(raw: object, name: str, table: dict, prefix: str) -> dict:
+    """The values the config section ``raw`` gives, by key: ``table`` maps
+    each key it may have to the check of its value, named ``prefix + key``."""
+    raw = _section(raw, name, table)
+    return {key: check(raw[key], prefix + key) for key, check in table.items() if key in raw}
+
+
+def config_checked(call: Callable, *args: object, **kwargs: object):
+    """``call(*args, **kwargs)``, whose ValueError, raised for a value it
+    refuses, is a configuration error."""
     try:
-        values = {key: float(value) for key, value in raw.items()}
-        alpha = values.pop("is_blend_alpha", MetricWeights.is_blend_alpha)
-        return MetricWeights({**SUBSCORE_WEIGHTS, **values}, alpha)
-    except (TypeError, ValueError) as exc:
+        return call(*args, **kwargs)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _build_clause_weights(raw: object) -> ClauseWeightTable:
+def _build(cls: type, table: dict, raw: object, name: str):
+    """The ``cls`` the config section ``raw`` holds, whose keys are fields of
+    ``cls``: a key left out keeps the default of ``cls``."""
+    return config_checked(cls, **_values(raw, name, table, f"{name}."))
+
+
+_number = _typed(float)
+
+
+def _build_weights(raw: object, name: str) -> MetricWeights:
+    table = dict.fromkeys((*SUBSCORE_WEIGHTS, "is_blend_alpha"), _number)
+    values = _values(raw, name, table, f"{name}.")
+    alpha = values.pop("is_blend_alpha", MetricWeights.is_blend_alpha)
+    return config_checked(MetricWeights, {**SUBSCORE_WEIGHTS, **values}, alpha)
+
+
+def _build_clause_weights(raw: object, name: str) -> ClauseWeightTable:
     """The table the section gives; what it leaves out keeps the defaults of
     :class:`ClauseWeightTable`."""
-    raw = _section(raw, "clause_weights", ("table", "default"))
-    table = _section(raw.get("table", {}), "clause_weights table", KNOWN_CLAUSE_KINDS)
-    try:
-        given = {"weights": {k: float(v) for k, v in table.items()}} if "table" in raw else {}
-        if "default" in raw:
-            given["default_weight"] = float(raw["default"])
-        return ClauseWeightTable(**given)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    raw = _section(raw, name, ("table", "default"))
+    table = _section(raw.get("table", {}), f"{name} table", KNOWN_CLAUSE_KINDS)
+    given = {}
+    if "table" in raw:
+        given["weights"] = {k: _number(v, f"{name}.table.{k}") for k, v in table.items()}
+    if "default" in raw:
+        given["default_weight"] = _number(raw["default"], f"{name}.default")
+    return config_checked(ClauseWeightTable, **given)
 
 
-def _build_backend(raw: object) -> BackendSpec:
-    raw = _section(raw, "backend", ("kind", "endpoint", "model_id", "timeout"))
-    try:
-        return BackendSpec(
-            kind=raw.get("kind", "bag_of_tokens"),
-            endpoint=raw.get("endpoint"),
-            model_id=raw.get("model_id"),
-            timeout=float(raw.get("timeout", 30.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_compile(raw: object) -> CompileConfig:
-    known = (
-        "command", "extra_flags", "mode", "timeout", "wrap_snippets", "cache_dir",
-        "timeout_as_failure", "language",
-    )
-    raw = _section(raw, "compile", known)
-    command = raw.get("command")
-    try:
-        return CompileConfig(
-            compiler_command=tuple(command) if command else None,
-            extra_flags=tuple(raw.get("extra_flags", ())),
-            mode=raw.get("mode", "syntax_only"),
-            timeout=float(raw.get("timeout", 30.0)),
-            wrap_snippets=_flag(raw.get("wrap_snippets", True), "compile.wrap_snippets"),
-            cache_dir=raw.get("cache_dir"),
-            timeout_as_failure=_flag(
-                raw.get("timeout_as_failure", False), "compile.timeout_as_failure"
-            ),
-            language=raw.get("language", AUTO_LANGUAGE),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+# Every key of the root and of the `backend` and `compile` sections, each
+# with the check of its value.
+_BACKEND_KEYS = {
+    "kind": _typed(str),
+    "endpoint": _typed(str, nullable=True),
+    "model_id": _typed(str, nullable=True),
+    "timeout": _number,
+}
+_COMPILE_KEYS = {
+    "command": _typed(tuple, nullable=True),
+    "extra_flags": _typed(tuple),
+    "mode": _typed(str),
+    "timeout": _number,
+    "wrap_snippets": _typed(bool),
+    "cache_dir": _typed(str, nullable=True),
+    "timeout_as_failure": _typed(bool),
+    "language": _typed(str),
+}
+_ROOT_KEYS = {
+    "weights": _build_weights,
+    "clause_weights": _build_clause_weights,
+    "backend": partial(_build, BackendSpec, _BACKEND_KEYS),
+    "compile": partial(_build, CompileConfig, _COMPILE_KEYS),
+    "compile_enabled": _typed(bool),
+    "clause_vocabulary": _typed(str, nullable=True),
+    "tag_vocabulary": _typed(str, nullable=True),
+}
 
 
 def read_vocabulary(path: str | Path | None, packaged: str) -> list[str]:
@@ -183,17 +216,4 @@ def load_config(path: str | Path | None) -> EvalConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    known = (
-        "weights", "clause_weights", "backend", "compile", "compile_enabled",
-        "clause_vocabulary", "tag_vocabulary",
-    )
-    raw = _section(raw, "config", known)
-    return EvalConfig(
-        weights=_build_weights(raw.get("weights", {})),
-        clause_weights=_build_clause_weights(raw.get("clause_weights", {})),
-        backend=_build_backend(raw.get("backend", {})),
-        compile=_build_compile(raw.get("compile", {})),
-        compile_enabled=_flag(raw.get("compile_enabled", True), "compile_enabled"),
-        clause_vocabulary_path=raw.get("clause_vocabulary"),
-        tag_vocabulary_path=raw.get("tag_vocabulary"),
-    )
+    return EvalConfig(**_values(raw, "config", _ROOT_KEYS, ""))

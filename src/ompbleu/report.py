@@ -191,11 +191,8 @@ def rank_candidates(
                 )
             )
         except Exception as exc:  # noqa: BLE001 - candidate faults must not abort the run
-            scored.append(
-                RankedCandidate(
-                    candidate_index=idx, rank=0, breakdown=None, error=str(exc) or type(exc).__name__
-                )
-            )
+            error = str(exc) or type(exc).__name__
+            scored.append(RankedCandidate(candidate_index=idx, rank=0, breakdown=None, error=error))
     scored.sort(
         key=lambda rc: (
             -(rc.breakdown.composite if rc.breakdown else float("-inf")),
@@ -335,7 +332,7 @@ def evaluate_dataset(
     """Score every record (top-1 of its ranking) and aggregate."""
     if not records:
         raise DatasetError("no records in dataset")
-    vocab = ClauseVocabulary.load(config.clause_vocabulary_path)
+    vocab = ClauseVocabulary.load(config.clause_vocabulary)
 
     backend = config.make_backend()
     # threads overlap only waits outside the interpreter, which holds its lock

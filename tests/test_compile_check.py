@@ -96,7 +96,7 @@ def test_env_override_resolution(monkeypatch):
 
 def test_missing_compiler_is_an_error(monkeypatch):
     monkeypatch.delenv("OMPBLEU_CC", raising=False)
-    cfg = CompileConfig(compiler_command=("definitely-not-a-compiler-xyz",))
+    cfg = CompileConfig(command=("definitely-not-a-compiler-xyz",))
     with pytest.raises(CompileError):
         compile_score("int main(void){return 0;}", cfg)
 
@@ -116,11 +116,11 @@ def test_timeout_raises_or_maps(monkeypatch, tmp_path):
     slow = tmp_path / "slowcc"
     slow.write_text("#!/bin/sh\nsleep 30\n")
     slow.chmod(0o755)
-    cfg = CompileConfig(compiler_command=(str(slow),), timeout=0.3)
+    cfg = CompileConfig(command=(str(slow),), timeout=0.3)
     with pytest.raises(CompileTimeout):
         compile_score("int main(void){return 0;}\n", cfg)
     mapped = CompileConfig(
-        compiler_command=(str(slow),), timeout=0.3, timeout_as_failure=True
+        command=(str(slow),), timeout=0.3, timeout_as_failure=True
     )
     result = compile_score("int main(void){return 0;}\n", mapped)
     assert result.score == 0
@@ -133,7 +133,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CompileConfig(mode="link-only")
     with pytest.raises(ValueError):
-        CompileConfig(compiler_command=())
+        CompileConfig(command=())
 
 
 def test_stripped_code_still_compiles_and_pragmas_readd():

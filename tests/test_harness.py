@@ -470,6 +470,18 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         {"compile": {"timeout_as_failure": 1}},
         {"compile": {"language": "cpp17"}},
         {"compile": {"language": None}},
+        {"compile": {"command": "gcc"}},
+        {"compile": {"command": []}},
+        {"compile": {"extra_flags": "-Wall"}},
+        {"backend": {"kind": "remote_embedding", "endpoint": 5, "model_id": "m"}},
+        {"clause_vocabulary": 5},
+        {"tag_vocabulary": 5},
+        {"compile": {"cache_dir": 5}},
+        {"compile": {"timeout": True}},
+        {"backend": {"timeout": "30"}},
+        {"weights": {"wc": "0.3"}},
+        {"compile": {"timeout": float("nan")}},
+        {"clause_weights": {"default": float("inf")}},
     ],
     ids=[
         "root-not-object",
@@ -488,6 +500,18 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         "timeout-as-failure-not-boolean",
         "compile-unknown-language",
         "compile-language-null",
+        "compile-command-a-string",
+        "compile-command-empty",
+        "extra-flags-a-string",
+        "endpoint-a-number",
+        "clause-vocabulary-a-number",
+        "tag-vocabulary-a-number",
+        "cache-dir-a-number",
+        "timeout-a-boolean",
+        "timeout-a-string",
+        "weight-a-string",
+        "timeout-nan",
+        "clause-weight-infinite",
     ],
 )
 def test_cli_malformed_config_section_exit_2(tmp_path, capsys, raw):
@@ -496,6 +520,35 @@ def test_cli_malformed_config_section_exit_2(tmp_path, capsys, raw):
     rc = main(["--config", str(bad), "strip", str(FIXTURES / "fig1_gt.c")])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_config_values_are_read_as_their_json_types(tmp_path):
+    # a JSON number is a float, a list of strings a tuple, and null keeps a
+    # default that is null
+    path = tmp_path / "cfg.json"
+    raw = {
+        "compile": {"command": ["gcc"], "extra_flags": ["-Wall"], "timeout": 5, "cache_dir": None},
+        "backend": {"timeout": 2, "endpoint": None},
+        "weights": {"is_blend_alpha": 1},
+        "clause_vocabulary": None,
+    }
+    path.write_text(json.dumps(raw))
+    config = load_config(path)
+    assert (config.compile.command, config.compile.extra_flags) == (("gcc",), ("-Wall",))
+    assert (config.compile.timeout, config.backend.timeout) == (5.0, 2.0)
+    assert type(config.compile.timeout) is float and type(config.weights.is_blend_alpha) is float
+    assert (config.compile.cache_dir, config.backend.endpoint, config.clause_vocabulary) == (None,) * 3
+    for section, key, value, expected in [
+        ("compile", "command", "gcc", "a list of strings"),
+        ("compile", "extra_flags", ["-W", 1], "a list of strings"),
+        ("backend", "kind", 1, "a string"),
+        ("compile", "timeout", "30", "a number"),
+        ("compile", "wrap_snippets", None, "true or false"),
+    ]:
+        path.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{section}.{key} must be {expected}, got {value!r}"
 
 
 def test_cli_restores_the_gc_threshold_on_every_exit(tmp_path, capsys):
