@@ -3,6 +3,7 @@ import json
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -537,7 +538,7 @@ def test_config_values_are_read_as_their_json_types(tmp_path):
     assert (config.compile.command, config.compile.extra_flags) == (("gcc",), ("-Wall",))
     assert (config.compile.timeout, config.backend.timeout) == (5.0, 2.0)
     assert type(config.compile.timeout) is float and type(config.weights.is_blend_alpha) is float
-    assert (config.compile.cache_dir, config.backend.endpoint, config.clause_vocabulary) == (None,) * 3
+    assert config.compile.cache_dir is config.backend.endpoint is config.clause_vocabulary is None
     for section, key, value, expected in [
         ("compile", "command", "gcc", "a list of strings"),
         ("compile", "extra_flags", ["-W", 1], "a list of strings"),
@@ -622,6 +623,31 @@ def test_cli_corpus_commands_build_no_token_stream(monkeypatch, tmp_path, capsys
     command, *options = argv
     for path in (FIXTURES / "fig1_gt.c", commented):
         assert main([command, str(path), *options]) == 0
+
+
+@requires_compiler
+def test_no_command_builds_the_token_stream(monkeypatch, tmp_path, capsys):
+    # SourceUnit.tokens is derived from the columns, slower than lexing them;
+    # no command, scoring or corpus, may need it
+    def refuse(unit):
+        raise AssertionError("the full token stream was built")
+
+    monkeypatch.setattr(SourceUnit, "tokens", property(refuse))
+    names = sorted(p.name for p in FIXTURES.glob("*.c"))
+    fixtures = [str(FIXTURES / name) for name in names]
+    gts = [path for path in fixtures if path.endswith("_gt.c")]
+    candidates = list(map(fixture_text, names))
+    ds = tmp_path / "ds.jsonl"
+    _write_jsonl(ds, [{"id": gt, "reference": Path(gt).read_text(), "candidates": candidates} for gt in gts])
+    runs = [["dataset", str(ds)], ["classify", str(ds)]]
+    runs += [["rank", gt, *fixtures] for gt in gts]
+    modes = "mask,shuffle,drop,keyword_drop,lang_token_insert"
+    for path in fixtures:
+        runs += [["score", gts[0], path], ["strip", path], ["annotate", path]]
+        runs += [["corrupt", path, "--seed", "5", "--modes", modes], ["compile-check", path]]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_cli_classify(tmp_path, capsys):

@@ -261,7 +261,8 @@ def _count_decisions(unit: SourceUnit, start_offset: int, end_offset: int) -> in
     Comments, strings, and pragma lines never contribute.
     """
     count = 0
-    for tok in token_tokenize(unit.text)[unit.token_index(start_offset) : unit.token_index(end_offset)]:
+    code = token_tokenize(unit.text)
+    for tok in code[unit.token_index(start_offset) : unit.token_index(end_offset)]:
         if tok.in_directive:
             continue
         if tok.kind == "keyword" and tok.lexeme in DECISION_KEYWORDS:

@@ -209,7 +209,8 @@ def stripped_slice(
     """
     kept = _kept_ranges(pragma_lines, lo, hi)
     text = "".join(unit.text[a:b] for a, b in kept)
-    tokens = [t for a, b in kept for t in token_tokenize(unit.text)[unit.token_index(a) : unit.token_index(b)]]
+    code = token_tokenize(unit.text)
+    tokens = [t for a, b in kept for t in code[unit.token_index(a) : unit.token_index(b)]]
     return text, tokens
 
 
