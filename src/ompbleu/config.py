@@ -93,13 +93,15 @@ _JSON_TYPES = {
     str: ("a string", lambda v: type(v) is str),
     float: ("a number", lambda v: type(v) in (int, float) and math.isfinite(v)),
     bool: ("true or false", lambda v: type(v) is bool),
-    tuple: ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
+    tuple: ("a list of strings", lambda v: type(v) is list),
 }
 
 
 def _typed(kind: type, nullable: bool = False) -> Callable[[object, str], object]:
     """The check of a config value of the JSON type ``kind`` holds, which
-    gives the value as a ``kind``; with ``nullable``, null passes as None."""
+    gives the value as a ``kind``; with ``nullable``, null passes as None.
+    A list's items are checked as strings, each named by its index, so a
+    refusal names the first bad item, not the whole list."""
     expected, holds = _JSON_TYPES[kind]
 
     def check(value: object, name: str) -> object:
@@ -107,9 +109,14 @@ def _typed(kind: type, nullable: bool = False) -> Callable[[object, str], object
             return None
         if not holds(value):
             raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        if kind is tuple:
+            return tuple(_string(s, f"{name}[{i}]") for i, s in enumerate(value))
         return kind(value)
 
     return check
+
+
+_string = _typed(str)
 
 
 def _values(raw: object, name: str, table: dict, prefix: str) -> dict:

@@ -539,17 +539,19 @@ def test_config_values_are_read_as_their_json_types(tmp_path):
     assert (config.compile.timeout, config.backend.timeout) == (5.0, 2.0)
     assert type(config.compile.timeout) is float and type(config.weights.is_blend_alpha) is float
     assert config.compile.cache_dir is config.backend.endpoint is config.clause_vocabulary is None
-    for section, key, value, expected in [
-        ("compile", "command", "gcc", "a list of strings"),
-        ("compile", "extra_flags", ["-W", 1], "a list of strings"),
-        ("backend", "kind", 1, "a string"),
-        ("compile", "timeout", "30", "a number"),
-        ("compile", "wrap_snippets", None, "true or false"),
+    for section, key, value, message in [
+        ("compile", "command", "gcc", "compile.command must be a list of strings, got 'gcc'"),
+        # a list is refused at its first item that is not a string
+        ("compile", "extra_flags", ["-W", 1], "compile.extra_flags[1] must be a string, got 1"),
+        ("compile", "command", ["gcc", None, 2], "compile.command[1] must be a string, got None"),
+        ("backend", "kind", 1, "backend.kind must be a string, got 1"),
+        ("compile", "timeout", "30", "compile.timeout must be a number, got '30'"),
+        ("compile", "wrap_snippets", None, "compile.wrap_snippets must be true or false, got None"),
     ]:
         path.write_text(json.dumps({section: {key: value}}))
         with pytest.raises(ConfigError) as info:
             load_config(path)
-        assert str(info.value) == f"{section}.{key} must be {expected}, got {value!r}"
+        assert str(info.value) == message
 
 
 def test_cli_restores_the_gc_threshold_on_every_exit(tmp_path, capsys):
