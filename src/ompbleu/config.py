@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .compile_check import CompileConfig
 from .metrics import SUBSCORE_WEIGHTS, ClauseWeightTable, MetricWeights
@@ -58,37 +59,24 @@ class EvalConfig:
         return BagOfTokensBackend()
 
     def echo(self) -> dict:
-        """JSON-serializable view of the effective configuration."""
-        return {
-            "weights": {**self.weights.composite, "is_blend_alpha": self.weights.is_blend_alpha},
-            "clause_weights": {
-                "table": dict(sorted(self.clause_weights.weights.items())),
-                "default": self.clause_weights.default_weight,
-            },
-            "backend": {"kind": self.backend.kind, "model_id": self.backend.model_id},
-            "compile": {
-                "command": list(self.compile.command or []),
-                "extra_flags": list(self.compile.extra_flags),
-                "mode": self.compile.mode,
-                "language": self.compile.language,
-                "enabled": self.compile_enabled,
-            },
-        }
+        """The configuration as a config file that reproduces it: every key
+        of the tables that read a config file, but the unechoed ones."""
+        return _echo(_ROOT_KEYS, self)
 
 
 def _section(raw: object, name: str, known: Collection[str]) -> dict:
     """``raw`` if it is a JSON object whose keys are all in ``known``."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {type(raw).__name__}")
+        raise ValueError(f"{name} must be a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - set(known)
     if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
     return raw
 
 
-# Each JSON type a config value may take, by the Python type that holds it:
-# what a check calls it, and whether a value json gives is one.  A number is
-# finite (json reads NaN and Infinity too); a list of strings is a tuple.
+# Each JSON type a value may take, by the Python type that holds it: what a
+# check calls it, and whether a value json gives is one.  A number is finite
+# (json reads NaN and Infinity too); a list of strings is a tuple.
 _JSON_TYPES = {
     str: ("a string", lambda v: type(v) is str),
     float: ("a number", lambda v: type(v) in (int, float) and math.isfinite(v)),
@@ -97,33 +85,50 @@ _JSON_TYPES = {
 }
 
 
-def _typed(kind: type, nullable: bool = False) -> Callable[[object, str], object]:
-    """The check of a config value of the JSON type ``kind`` holds, which
-    gives the value as a ``kind``; with ``nullable``, null passes as None.
-    A list's items are checked as strings, each named by its index, so a
-    refusal names the first bad item, not the whole list."""
+class Key(NamedTuple):
+    """A key of a JSON object: ``read`` checks the value it gives, named,
+    and ``write`` gives back the JSON value of what ``read`` gave, by
+    default with a tuple as a list.  A key with an ``unechoed`` reason
+    stays out of the report's config echo."""
+
+    read: Callable[[object, str], object]
+    write: Callable[[object], object] = lambda v: list(v) if isinstance(v, tuple) else v
+    unechoed: str = ""
+
+
+def typed(kind: type, nullable: bool = False, unechoed: str = "") -> Key:
+    """The key of a value of the JSON type ``kind`` holds, read as a
+    ``kind``; with ``nullable``, null reads as None.  A list's items are
+    checked as strings, each named by its index, so a refusal names the
+    first bad item, not the whole list."""
     expected, holds = _JSON_TYPES[kind]
 
     def check(value: object, name: str) -> object:
         if nullable and value is None:
             return None
         if not holds(value):
-            raise ConfigError(f"{name} must be {expected}, got {value!r}")
+            raise ValueError(f"{name} must be {expected}, got {value!r}")
         if kind is tuple:
-            return tuple(_string(s, f"{name}[{i}]") for i, s in enumerate(value))
+            return tuple(_string.read(s, f"{name}[{i}]") for i, s in enumerate(value))
         return kind(value)
 
-    return check
+    return Key(check, unechoed=unechoed)
 
 
-_string = _typed(str)
+_string = typed(str)
 
 
-def _values(raw: object, name: str, table: dict, prefix: str) -> dict:
-    """The values the config section ``raw`` gives, by key: ``table`` maps
-    each key it may have to the check of its value, named ``prefix + key``."""
+def values_of(raw: object, name: str, table: dict[str, Key], prefix: str) -> dict:
+    """The values the JSON object ``raw`` gives, by key, each read by its key
+    in ``table`` and named ``prefix + key``; a refusal raises ValueError."""
     raw = _section(raw, name, table)
-    return {key: check(raw[key], prefix + key) for key, check in table.items() if key in raw}
+    return {key: k.read(raw[key], prefix + key) for key, k in table.items() if key in raw}
+
+
+def _echo(table: dict[str, Key], setting: object) -> dict:
+    """The JSON object of each key of ``table`` but the unechoed ones, whose
+    values ``setting`` holds as attributes."""
+    return {key: k.write(getattr(setting, key)) for key, k in table.items() if not k.unechoed}
 
 
 def config_checked(call: Callable, *args: object, **kwargs: object):
@@ -135,20 +140,20 @@ def config_checked(call: Callable, *args: object, **kwargs: object):
         raise ConfigError(str(exc)) from exc
 
 
-def _build(cls: type, table: dict, raw: object, name: str):
+def _build(cls: type, table: dict[str, Key], raw: object, name: str):
     """The ``cls`` the config section ``raw`` holds, whose keys are fields of
     ``cls``: a key left out keeps the default of ``cls``."""
-    return config_checked(cls, **_values(raw, name, table, f"{name}."))
+    return cls(**values_of(raw, name, table, f"{name}."))
 
 
-_number = _typed(float)
+_number = typed(float)
 
 
 def _build_weights(raw: object, name: str) -> MetricWeights:
     table = dict.fromkeys((*SUBSCORE_WEIGHTS, "is_blend_alpha"), _number)
-    values = _values(raw, name, table, f"{name}.")
+    values = values_of(raw, name, table, f"{name}.")
     alpha = values.pop("is_blend_alpha", MetricWeights.is_blend_alpha)
-    return config_checked(MetricWeights, {**SUBSCORE_WEIGHTS, **values}, alpha)
+    return MetricWeights({**SUBSCORE_WEIGHTS, **values}, alpha)
 
 
 def _build_clause_weights(raw: object, name: str) -> ClauseWeightTable:
@@ -158,38 +163,41 @@ def _build_clause_weights(raw: object, name: str) -> ClauseWeightTable:
     table = _section(raw.get("table", {}), f"{name} table", KNOWN_CLAUSE_KINDS)
     given = {}
     if "table" in raw:
-        given["weights"] = {k: _number(v, f"{name}.table.{k}") for k, v in table.items()}
+        given["weights"] = {k: _number.read(v, f"{name}.table.{k}") for k, v in table.items()}
     if "default" in raw:
-        given["default_weight"] = _number(raw["default"], f"{name}.default")
-    return config_checked(ClauseWeightTable, **given)
+        given["default_weight"] = _number.read(raw["default"], f"{name}.default")
+    return ClauseWeightTable(**given)
 
 
-# Every key of the root and of the `backend` and `compile` sections, each
-# with the check of its value.
+# Every key of the root and of the `backend` and `compile` sections.  The
+# config echo writes each back but the unechoed ones, so that a report's
+# config, read back, is the config it ran under.
 _BACKEND_KEYS = {
-    "kind": _typed(str),
-    "endpoint": _typed(str, nullable=True),
-    "model_id": _typed(str, nullable=True),
+    "kind": typed(str),
+    "endpoint": typed(str, nullable=True),
+    "model_id": typed(str, nullable=True),
     "timeout": _number,
 }
 _COMPILE_KEYS = {
-    "command": _typed(tuple, nullable=True),
-    "extra_flags": _typed(tuple),
-    "mode": _typed(str),
+    "command": typed(tuple, nullable=True),
+    "extra_flags": typed(tuple),
+    "mode": typed(str),
     "timeout": _number,
-    "wrap_snippets": _typed(bool),
-    "cache_dir": _typed(str, nullable=True),
-    "timeout_as_failure": _typed(bool),
-    "language": _typed(str),
+    "wrap_snippets": typed(bool),
+    "cache_dir": typed(str, nullable=True, unechoed="a path on one machine; no score reads it"),
+    "timeout_as_failure": typed(bool),
+    "language": typed(str),
 }
 _ROOT_KEYS = {
-    "weights": _build_weights,
-    "clause_weights": _build_clause_weights,
-    "backend": partial(_build, BackendSpec, _BACKEND_KEYS),
-    "compile": partial(_build, CompileConfig, _COMPILE_KEYS),
-    "compile_enabled": _typed(bool),
-    "clause_vocabulary": _typed(str, nullable=True),
-    "tag_vocabulary": _typed(str, nullable=True),
+    "weights": Key(_build_weights, lambda w: {**w.composite, "is_blend_alpha": w.is_blend_alpha}),
+    "clause_weights": Key(
+        _build_clause_weights, lambda t: {"table": dict(t.weights), "default": t.default_weight}
+    ),
+    "backend": Key(partial(_build, BackendSpec, _BACKEND_KEYS), partial(_echo, _BACKEND_KEYS)),
+    "compile": Key(partial(_build, CompileConfig, _COMPILE_KEYS), partial(_echo, _COMPILE_KEYS)),
+    "compile_enabled": typed(bool),
+    "clause_vocabulary": typed(str, nullable=True),
+    "tag_vocabulary": typed(str, nullable=True),
 }
 
 
@@ -223,4 +231,4 @@ def load_config(path: str | Path | None) -> EvalConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return EvalConfig(**_values(raw, "config", _ROOT_KEYS, ""))
+    return config_checked(lambda: EvalConfig(**values_of(raw, "config", _ROOT_KEYS, "")))
