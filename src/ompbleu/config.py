@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
 from functools import partial
@@ -100,14 +101,14 @@ def typed(kind: type, nullable: bool = False, unechoed: str = "") -> Key:
     """The key of a value of the JSON type ``kind`` holds, read as a
     ``kind``; with ``nullable``, null reads as None.  A list's items are
     checked as strings, each named by its index, so a refusal names the
-    first bad item, not the whole list."""
+    first bad item, and it shows a value only as far as ``reprlib.repr``."""
     expected, holds = _JSON_TYPES[kind]
 
     def check(value: object, name: str) -> object:
         if nullable and value is None:
             return None
         if not holds(value):
-            raise ValueError(f"{name} must be {expected}, got {value!r}")
+            raise ValueError(f"{name} must be {expected}, got {reprlib.repr(value)}")
         if kind is tuple:
             return tuple(_string.read(s, f"{name}[{i}]") for i, s in enumerate(value))
         return kind(value)

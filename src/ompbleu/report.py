@@ -24,7 +24,7 @@ from .classify import (
     clause_confusion,
 )
 from .compile_check import canonical_language, language_of_path, resolve_language
-from .config import EvalConfig
+from .config import EvalConfig, typed, values_of
 from .metrics import SUBSCORE_WEIGHTS, ScoreBreakdown, SideAnalysis, analyze, ompbleu_score
 from .similarity import SimilarityBackend
 
@@ -34,8 +34,9 @@ SUBSCORE_KEYS = tuple(SUBSCORE_WEIGHTS)
 @dataclass(frozen=True)
 class DatasetRecord:
     """One reference with one or more candidate parallelizations, all in one
-    language: ``language`` is their hint for the compile check (canonical,
-    or None when the record names none)."""
+    language: ``language`` is their hint for the compile check, any spelling
+    of ``LANGUAGE_SPELLINGS`` kept as the language it names, or None when
+    the record names none."""
 
     id: str
     reference: str
@@ -43,8 +44,19 @@ class DatasetRecord:
     language: str | None = None
 
     def __post_init__(self) -> None:
+        if self.language is not None:
+            object.__setattr__(self, "language", canonical_language(self.language))
         if not self.candidates:
             raise ValueError(f"record {self.id!r} has no candidates")
+
+
+# Every key of a JSONL dataset record, with the check of its value.
+_RECORD_KEYS = {
+    "id": typed(str),
+    "reference": typed(str),
+    "candidates": typed(tuple),
+    "language": typed(str, nullable=True),
+}
 
 
 @dataclass
@@ -78,8 +90,8 @@ def read_source(path: str | Path) -> str:
 
 
 def load_jsonl(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
-    """Records from JSONL lines of {id, reference, candidates:[...]} and an
-    optional "language" spelled as in ``LANGUAGE_SPELLINGS``."""
+    """Records from JSONL lines, each an object of the keys of
+    ``_RECORD_KEYS``; a line that is not one is a load error naming why."""
     records: list[DatasetRecord] = []
     errors: list[str] = []
     seen: set[str] = set()
@@ -91,25 +103,13 @@ def load_jsonl(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
         if not line.strip():
             continue
         try:
-            raw = json.loads(line)
-            rec_id = str(raw["id"])
-            reference = raw["reference"]
-            candidates = raw["candidates"]
-            if not isinstance(reference, str) or not isinstance(candidates, list):
-                raise TypeError("reference must be a string, candidates a list")
-            if rec_id in seen:
-                raise ValueError(f"duplicate record id {rec_id!r}")
-            language = raw.get("language")
-            record = DatasetRecord(
-                id=rec_id,
-                reference=reference,
-                candidates=tuple(str(c) for c in candidates),
-                language=None if language is None else canonical_language(language),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            record = DatasetRecord(**values_of(json.loads(line), "record", _RECORD_KEYS, ""))
+            if record.id in seen:
+                raise ValueError(f"duplicate record id {record.id!r}")
+        except (TypeError, ValueError) as exc:
             errors.append(f"line {lineno}: skipped malformed record ({exc})")
             continue
-        seen.add(rec_id)
+        seen.add(record.id)
         records.append(record)
     return records, errors
 

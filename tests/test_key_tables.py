@@ -1,5 +1,6 @@
-"""The key tables that read a config file also write the report's config
-echo: every key reads back as written, so a report's config reproduces it."""
+"""The key tables that read each external input: a dataset record, whose
+refusals name their field, and a config file, whose tables also write the
+report's config echo, so that a report's config reproduces it."""
 
 import dataclasses
 import json
@@ -12,6 +13,7 @@ from ompbleu import config
 from ompbleu.cli import main
 from ompbleu.compile_check import CompileConfig
 from ompbleu.config import BackendSpec, EvalConfig
+from ompbleu.report import _RECORD_KEYS, DatasetRecord, load_jsonl
 
 from conftest import fixture_text
 
@@ -22,7 +24,11 @@ TABLES = [
 ]
 
 
-@pytest.mark.parametrize("table, cls", TABLES, ids=["root", "backend", "compile"])
+@pytest.mark.parametrize(
+    "table, cls",
+    [*TABLES, (_RECORD_KEYS, DatasetRecord)],
+    ids=["root", "backend", "compile", "record"],
+)
 def test_each_table_holds_exactly_its_dataclass_fields(table, cls):
     # a new field cannot be missed by the reader or by the echo
     assert list(table) == [f.name for f in dataclasses.fields(cls)]
@@ -36,6 +42,49 @@ def test_only_the_compile_cache_dir_stays_out_of_the_echo():
         if k.unechoed
     }
     assert unechoed == {("compile", "cache_dir")}
+
+
+GOOD = {"id": "ok", "reference": "int x;", "candidates": ["int x;"]}
+LONG = "x" * 100
+
+
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("candidates", [5], "candidates[0] must be a string, got 5"),
+        ("candidates", ["int x;", None], "candidates[1] must be a string, got None"),
+        ("candidates", "int x;", "candidates must be a list of strings, got 'int x;'"),
+        ("id", {"a": 1}, "id must be a string, got {'a': 1}"),
+        ("id", 7, "id must be a string, got 7"),
+        ("reference", 5, "reference must be a string, got 5"),
+        ("language", 3, "language must be a string, got 3"),
+        ("langauge", "c", "unknown record keys: ['langauge']"),
+        # a value is shown cut short, never as whole sources
+        ("reference", [LONG, LONG], "reference must be a string, got "
+         "['xxxxxxxxxxxx...xxxxxxxxxxxxx', 'xxxxxxxxxxxx...xxxxxxxxxxxxx']"),
+    ],
+)
+def test_a_record_field_of_the_wrong_type_is_a_load_error_naming_it(tmp_path, key, value, error):
+    path = tmp_path / "ds.jsonl"
+    path.write_text(json.dumps(GOOD) + "\n" + json.dumps({**GOOD, "id": "bad", key: value}) + "\n")
+    records, errors = load_jsonl(path)
+    assert [r.id for r in records] == ["ok"]
+    assert errors == [f"line 2: skipped malformed record ({error})"]
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("[1, 2]", "record must be a JSON object, got list"),
+        ('"int x;"', "record must be a JSON object, got str"),
+        ('{"id": "a", "candidates": ["x"]}',
+         "DatasetRecord.__init__() missing 1 required positional argument: 'reference'"),
+    ],
+)
+def test_a_line_that_is_not_a_record_is_a_load_error(tmp_path, line, error):
+    path = tmp_path / "ds.jsonl"
+    path.write_text(line + "\n")
+    assert load_jsonl(path) == ([], [f"line 1: skipped malformed record ({error})"])
 
 
 def test_default_echo():
