@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from collections.abc import Callable, Collection
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
@@ -65,16 +65,6 @@ class EvalConfig:
         return _echo(_ROOT_KEYS, self)
 
 
-def _section(raw: object, name: str, known: Collection[str]) -> dict:
-    """``raw`` if it is a JSON object whose keys are all in ``known``."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{name} must be a JSON object, got {type(raw).__name__}")
-    unknown = set(raw) - set(known)
-    if unknown:
-        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-    return raw
-
-
 # Each JSON type a value may take, by the Python type that holds it: what a
 # check calls it, and whether a value json gives is one.  A number is finite
 # (json reads NaN and Infinity too); a list of strings is a tuple.
@@ -87,10 +77,9 @@ _JSON_TYPES = {
 
 
 class Key(NamedTuple):
-    """A key of a JSON object: ``read`` checks the value it gives, named,
-    and ``write`` gives back the JSON value of what ``read`` gave, by
-    default with a tuple as a list.  A key with an ``unechoed`` reason
-    stays out of the report's config echo."""
+    """A key of a JSON object: ``read`` checks its value, named, and
+    ``write`` gives back the JSON value of what ``read`` gave (a tuple as a
+    list).  The config echo leaves out a key that says why it is unechoed."""
 
     read: Callable[[object, str], object]
     write: Callable[[object], object] = lambda v: list(v) if isinstance(v, tuple) else v
@@ -98,10 +87,9 @@ class Key(NamedTuple):
 
 
 def typed(kind: type, nullable: bool = False, unechoed: str = "") -> Key:
-    """The key of a value of the JSON type ``kind`` holds, read as a
-    ``kind``; with ``nullable``, null reads as None.  A list's items are
-    checked as strings, each named by its index, so a refusal names the
-    first bad item, and it shows a value only as far as ``reprlib.repr``."""
+    """The key of a value of the JSON type ``kind`` holds, read as a ``kind``;
+    with ``nullable``, null reads as None.  A list's items are read as strings,
+    each named by its index, and a refusal shows a value as ``reprlib.repr``."""
     expected, holds = _JSON_TYPES[kind]
 
     def check(value: object, name: str) -> object:
@@ -117,18 +105,22 @@ def typed(kind: type, nullable: bool = False, unechoed: str = "") -> Key:
 
 
 _string = typed(str)
+_number = typed(float)
 
 
 def values_of(raw: object, name: str, table: dict[str, Key], prefix: str) -> dict:
     """The values the JSON object ``raw`` gives, by key, each read by its key
     in ``table`` and named ``prefix + key``; a refusal raises ValueError."""
-    raw = _section(raw, name, table)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(raw).__name__}")
+    unknown = set(raw) - set(table)
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
     return {key: k.read(raw[key], prefix + key) for key, k in table.items() if key in raw}
 
 
 def _echo(table: dict[str, Key], setting: object) -> dict:
-    """The JSON object of each key of ``table`` but the unechoed ones, whose
-    values ``setting`` holds as attributes."""
+    """The JSON object of the echoed keys of ``table``, valued as ``setting``."""
     return {key: k.write(getattr(setting, key)) for key, k in table.items() if not k.unechoed}
 
 
@@ -147,9 +139,6 @@ def _build(cls: type, table: dict[str, Key], raw: object, name: str):
     return cls(**values_of(raw, name, table, f"{name}."))
 
 
-_number = typed(float)
-
-
 def _build_weights(raw: object, name: str) -> MetricWeights:
     table = dict.fromkeys((*SUBSCORE_WEIGHTS, "is_blend_alpha"), _number)
     values = values_of(raw, name, table, f"{name}.")
@@ -160,14 +149,11 @@ def _build_weights(raw: object, name: str) -> MetricWeights:
 def _build_clause_weights(raw: object, name: str) -> ClauseWeightTable:
     """The table the section gives; what it leaves out keeps the defaults of
     :class:`ClauseWeightTable`."""
-    raw = _section(raw, name, ("table", "default"))
-    table = _section(raw.get("table", {}), f"{name} table", KNOWN_CLAUSE_KINDS)
-    given = {}
-    if "table" in raw:
-        given["weights"] = {k: _number.read(v, f"{name}.table.{k}") for k, v in table.items()}
-    if "default" in raw:
-        given["default_weight"] = _number.read(raw["default"], f"{name}.default")
-    return ClauseWeightTable(**given)
+    kinds = dict.fromkeys(KNOWN_CLAUSE_KINDS, _number)
+    table = Key(lambda raw, named: values_of(raw, f"{name} table", kinds, f"{named}."))
+    given = values_of(raw, name, {"table": table, "default": _number}, f"{name}.")
+    fields = {"table": "weights", "default": "default_weight"}
+    return ClauseWeightTable(**{fields[key]: value for key, value in given.items()})
 
 
 # Every key of the root and of the `backend` and `compile` sections.  The

@@ -35,8 +35,7 @@ SUBSCORE_KEYS = tuple(SUBSCORE_WEIGHTS)
 class DatasetRecord:
     """One reference with one or more candidate parallelizations, all in one
     language: ``language`` is their hint for the compile check, any spelling
-    of ``LANGUAGE_SPELLINGS`` kept as the language it names, or None when
-    the record names none."""
+    of ``LANGUAGE_SPELLINGS`` kept as the language it names, or None."""
 
     id: str
     reference: str
@@ -92,9 +91,8 @@ def read_source(path: str | Path) -> str:
 def load_jsonl(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
     """Records from JSONL lines, each an object of the keys of
     ``_RECORD_KEYS``; a line that is not one is a load error naming why."""
-    records: list[DatasetRecord] = []
+    records: dict[str, DatasetRecord] = {}  # by id
     errors: list[str] = []
-    seen: set[str] = set()
     try:
         lines = read_source(path).splitlines()
     except OSError as exc:
@@ -104,14 +102,13 @@ def load_jsonl(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
             continue
         try:
             record = DatasetRecord(**values_of(json.loads(line), "record", _RECORD_KEYS, ""))
-            if record.id in seen:
+            if record.id in records:
                 raise ValueError(f"duplicate record id {record.id!r}")
         except (TypeError, ValueError) as exc:
             errors.append(f"line {lineno}: skipped malformed record ({exc})")
             continue
-        seen.add(record.id)
-        records.append(record)
-    return records, errors
+        records[record.id] = record
+    return list(records.values()), errors
 
 
 def load_paired_dirs(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
