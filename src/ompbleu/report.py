@@ -327,8 +327,8 @@ def evaluate_dataset(
     load_errors: list[str] | None = None,
 ) -> Report:
     """Score every record (top-1 of its ranking) and aggregate."""
-    if not records:
-        raise DatasetError("no records in dataset")
+    if not records:  # then the load errors say why
+        raise DatasetError("\n  ".join(["no records in dataset", *(load_errors or [])]))
     vocab = ClauseVocabulary.load(config.clause_vocabulary)
 
     backend = config.make_backend()

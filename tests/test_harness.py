@@ -444,6 +444,19 @@ def test_cli_empty_dataset_errors(tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
+def test_cli_dataset_of_no_loadable_record_prints_every_load_error(tmp_path, capsys):
+    ds = tmp_path / "bad.jsonl"
+    ds.write_text('{"id": "a", "reference": 5, "candidates": ["x"]}\n[1, 2]\n')
+    cfg = _no_compile_cfg_file(tmp_path)
+    for command in ("dataset", "classify"):
+        assert main(["--config", cfg, command, str(ds)]) == 1
+        assert capsys.readouterr().err == (
+            "error: no records in dataset\n"
+            "  line 1: skipped malformed record (reference must be a string, got 5)\n"
+            "  line 2: skipped malformed record (record must be a JSON object, got list)\n"
+        )
+
+
 def test_cli_config_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"weights\": {\"wc\": 0.999}}")
