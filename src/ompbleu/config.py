@@ -216,6 +216,6 @@ def load_config(path: str | Path | None) -> EvalConfig:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:  # json nests only so deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_checked(lambda: EvalConfig(**values_of(raw, "config", _ROOT_KEYS, "")))

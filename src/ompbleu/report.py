@@ -104,7 +104,7 @@ def load_jsonl(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
             record = DatasetRecord(**values_of(json.loads(line), "record", _RECORD_KEYS, ""))
             if record.id in records:
                 raise ValueError(f"duplicate record id {record.id!r}")
-        except (TypeError, ValueError) as exc:
+        except (RecursionError, TypeError, ValueError) as exc:  # json nests only so deep
             errors.append(f"line {lineno}: skipped malformed record ({exc})")
             continue
         records[record.id] = record

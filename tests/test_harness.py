@@ -457,6 +457,24 @@ def test_cli_dataset_of_no_loadable_record_prints_every_load_error(tmp_path, cap
         )
 
 
+def test_cli_json_nested_too_deep_is_an_input_error(tmp_path, capsys):
+    # json recurses once per nesting level, so a deep enough line or config
+    # raises RecursionError, which must read as malformed input
+    deep = "[" * 100_000
+    ds = tmp_path / "deep.jsonl"
+    gt = fixture_text("single_gt.c")
+    ds.write_text(deep + "\n" + json.dumps({"id": "ok", "reference": gt, "candidates": [gt]}) + "\n")
+    out = tmp_path / "r.json"
+    cfg = _no_compile_cfg_file(tmp_path)
+    assert main(["--config", cfg, "--out", str(out), "dataset", str(ds)]) == 1
+    [error] = json.loads(out.read_text())["errors"]
+    assert error.startswith("line 1: skipped malformed record (maximum recursion depth exceeded")
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(deep)
+    assert main(["--config", str(cfg), "strip", str(FIXTURES / "fig1_gt.c")]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: config {cfg} is not valid JSON")
+
+
 def test_cli_config_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"weights\": {\"wc\": 0.999}}")
