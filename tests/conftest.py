@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import shutil
 import sys
 from itertools import accumulate, compress, repeat
@@ -8,8 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from ompbleu import report
+from ompbleu import config, report
+from ompbleu.compile_check import LANGUAGE_SPELLINGS
+from ompbleu.metrics import SUBSCORE_WEIGHTS
 from ompbleu.syntax import lexer
+from ompbleu.syntax.directives import KNOWN_CLAUSE_KINDS
 from ompbleu.syntax.lexer import _KIND_OF, _KIND_OF_FIRST, _RE_CODE, Token
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -178,3 +182,108 @@ BRACKET_FRAGMENTS = [
 ]
 
 bracket_soups = st.lists(st.sampled_from(BRACKET_FRAGMENTS), max_size=60).map("".join)
+
+
+# Config files and dataset records drawn from the key tables that read them:
+# each key of a table has a draw of its valid JSON values here, and a key
+# that a table gains without one fails every draw.  A config draws no key
+# that the echo leaves out, so those keep their defaults.
+
+WRONG_JSON = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.none(), st.integers(), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+_positive = st.one_of(st.integers(1, 1000), st.floats(min_value=1e-3, max_value=1e3))
+
+
+def _composite_weights() -> st.SearchStrategy[dict]:
+    """All eight composite weights, whose sum is 1 within the check's 1e-9."""
+    parts = st.lists(
+        st.integers(0, 20), min_size=len(SUBSCORE_WEIGHTS), max_size=len(SUBSCORE_WEIGHTS)
+    ).filter(any)
+    return parts.map(lambda ps: {k: p / sum(ps) for k, p in zip(SUBSCORE_WEIGHTS, ps)})
+
+
+CONFIG_DRAWS = {
+    "weights": st.builds(
+        lambda composite, alpha: {**composite, **alpha},
+        st.one_of(st.just({}), _composite_weights()),
+        st.fixed_dictionaries({}, optional={"is_blend_alpha": st.floats(0, 1)}),
+    ),
+    "clause_weights": st.fixed_dictionaries(
+        {},
+        optional={
+            "table": st.dictionaries(
+                st.sampled_from(sorted(KNOWN_CLAUSE_KINDS)), _positive, max_size=4
+            ),
+            "default": _positive,
+        },
+    ),
+    "backend": {
+        "kind": st.sampled_from(["bag_of_tokens", "remote_embedding"]),
+        "endpoint": st.one_of(st.none(), st.text(min_size=1, max_size=12)),
+        "model_id": st.one_of(st.none(), st.text(min_size=1, max_size=12)),
+        "timeout": _positive,
+    },
+    "compile": {
+        "command": st.one_of(st.none(), st.lists(st.text(max_size=8), min_size=1, max_size=3)),
+        "extra_flags": st.lists(st.text(max_size=8), max_size=3),
+        "mode": st.sampled_from(["syntax_only", "full"]),
+        "timeout": _positive,
+        "wrap_snippets": st.booleans(),
+        "timeout_as_failure": st.booleans(),
+        "language": st.sampled_from(["auto", *sorted(LANGUAGE_SPELLINGS)]),
+    },
+    "compile_enabled": st.booleans(),
+    "clause_vocabulary": st.one_of(st.none(), st.text(max_size=12)),
+    "tag_vocabulary": st.one_of(st.none(), st.text(max_size=12)),
+}
+_SECTION_TABLES = {"backend": config._BACKEND_KEYS, "compile": config._COMPILE_KEYS}
+
+
+def config_files(draws: dict = CONFIG_DRAWS) -> st.SearchStrategy[dict]:
+    """Config files of some of the echoed keys of every table, each valued
+    from its draw in ``draws``."""
+
+    def section(table: dict, draws: dict) -> st.SearchStrategy[dict]:
+        return st.fixed_dictionaries(
+            {},
+            optional={
+                key: section(_SECTION_TABLES[key], draws[key])
+                if isinstance(draws[key], dict)
+                else draws[key]
+                for key, k in table.items()
+                if not k.unechoed
+            },
+        )
+
+    return section(config._ROOT_KEYS, draws)
+
+
+@st.composite
+def record_lines(draw, sources: st.SearchStrategy[str]) -> str:
+    """A JSONL line of a dataset record: each key of the record table valued
+    as it should be, with a value of another JSON type, or left out, and
+    now and then a key no record has, or a line that is no record at all."""
+    valid = {
+        "id": st.text(max_size=6),
+        "reference": sources,
+        "candidates": st.lists(sources, max_size=3),
+        "language": st.one_of(st.none(), st.sampled_from([*sorted(LANGUAGE_SPELLINGS), "f90"])),
+    }
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["[1, 2]", "null", '"int x;"', "{not json", "  "]))
+    record = {}
+    for key in report._RECORD_KEYS:
+        fate = draw(st.sampled_from(["valid"] * 6 + ["wrong", "missing"]))
+        if fate != "missing":
+            record[key] = draw(valid[key] if fate == "valid" else WRONG_JSON)
+    if draw(st.integers(0, 9)) == 0:
+        record[draw(st.sampled_from(["langauge", "candidate", "notes"]))] = draw(WRONG_JSON)
+    return json.dumps(record)

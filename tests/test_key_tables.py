@@ -8,14 +8,15 @@ import shutil
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
 
 from ompbleu import config
 from ompbleu.cli import main
 from ompbleu.compile_check import CompileConfig
-from ompbleu.config import BackendSpec, EvalConfig
+from ompbleu.config import BackendSpec, ConfigError, EvalConfig, load_config
 from ompbleu.report import _RECORD_KEYS, DatasetRecord, load_jsonl
 
-from conftest import fixture_text
+from conftest import config_files, fixture_text
 
 TABLES = [
     (config._ROOT_KEYS, EvalConfig),
@@ -165,3 +166,23 @@ def test_a_config_setting_every_echoed_key_reproduces_its_report(tmp_path):
     assert json.loads(first)["config"] == given
     path.write_text(json.dumps(json.loads(first)["config"]))
     assert _report(tmp_path, "second.json", "--config", str(path), "dataset", ds) == (rc, first)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "config.json"
+
+
+@given(raw=config_files())
+@settings(max_examples=300, deadline=None)
+def test_a_configs_echo_loads_back_as_it(config_path, raw):
+    config_path.write_text(json.dumps(raw))
+    try:
+        cfg = load_config(config_path)
+    except ConfigError as exc:
+        # the draws give each key a valid value; only the backend's kind
+        # and its endpoint and model_id depend on each other
+        assert str(exc) == "remote_embedding backend needs endpoint and model_id"
+        return
+    config_path.write_text(json.dumps(cfg.echo()))
+    assert load_config(config_path) == cfg
