@@ -10,14 +10,14 @@ callers may opt into mapping timeouts to 0.
 
 from __future__ import annotations
 
+# hashlib (OpenSSL), subprocess and shlex are imported where they are used,
+# so that a command that compiles nothing does not load them: hashlib alone
+# maps 3.7 MB.
 import functools
-import hashlib
 import json
 import os
 import re
-import shlex
 import shutil
-import subprocess
 import tempfile
 import threading
 import time
@@ -149,6 +149,8 @@ def resolve_compiler(config: CompileConfig) -> tuple[str, ...]:
     """The compiler argv to use, honoring the environment override."""
     override = os.environ.get(ENV_COMPILER_OVERRIDE)
     if override:
+        import shlex
+
         return tuple(shlex.split(override))
     if config.command is not None:
         return tuple(config.command)
@@ -185,6 +187,8 @@ def _wrap_source(source: str) -> tuple[str, bool]:
 def _cache_key(
     source: str, config: CompileConfig, argv: tuple[str, ...], language: str
 ) -> str:
+    import hashlib
+
     payload = json.dumps(
         {
             "source": source,
@@ -266,6 +270,8 @@ def compile_score(
 def _compile(source: str, cfg: CompileConfig, argv: tuple[str, ...], lang: str) -> dict:
     """Compile ``source`` in a temporary directory and return the run's
     cache entry; under ``timeout_as_failure`` a timeout is a failed compile."""
+    import subprocess
+
     text = source
     wrapped = False
     if cfg.wrap_snippets:

@@ -7,11 +7,11 @@ byte-identical canonical JSON.
 
 from __future__ import annotations
 
-import csv
+# csv, statistics and concurrent.futures (with logging) are imported by the
+# code that writes CSV, aggregates a dataset or starts threads, so that the
+# commands that do none of these do not load them at start-up.
 import io
 import json
-import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -236,6 +236,8 @@ class Report:
         return canonical_json(self.classification.as_dict())
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["id", "best_candidate", "composite", *SUBSCORE_KEYS, "error"])
@@ -254,6 +256,8 @@ class Report:
 
     def per_clause_csv(self) -> str:
         """Per-clause F1 as CSV, one row per vocabulary kind."""
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["clause", "f1"])
@@ -336,6 +340,8 @@ def evaluate_dataset(
     # through static scoring: the compiler subprocess and the embedding calls
     waits_outside = config.compile_enabled or config.backend.kind == "remote_embedding"
     if jobs > 1 and waits_outside:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(lambda r: _score_record(r, config, vocab, backend), records))
     else:
@@ -356,6 +362,8 @@ def evaluate_dataset(
 
     aggregates: dict = {"scored_records": len(scored_rows), "total_records": len(rows)}
     if scored_rows:
+        import statistics
+
         for stat_name, fn in (("mean", statistics.fmean), ("median", statistics.median)):
             aggregates[stat_name] = {
                 "composite": fn(r["breakdown"]["composite"] for r in scored_rows),

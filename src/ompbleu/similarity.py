@@ -7,7 +7,6 @@ HTTP protocol for callers who want model-based similarity.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import threading
@@ -207,16 +206,18 @@ class RemoteEmbeddingBackend:
         self._lock = threading.Lock()
 
     def embed(self, text: str) -> list[float]:
+        # imported here: http.client and its email parser cost ~50 ms at
+        # start-up, and hashlib maps OpenSSL (3.7 MB)
+        import hashlib
+        import http.client
+        import urllib.error
+        import urllib.request
+
         key = hashlib.sha256(text.encode("utf-8")).hexdigest()
         with self._lock:
             if key in self._cache:
                 self._cache.move_to_end(key)
                 return self._cache[key]
-        # imported here: http.client and its email parser cost ~50 ms at start-up
-        import http.client
-        import urllib.error
-        import urllib.request
-
         request = urllib.request.Request(
             f"{self.endpoint}/embed",
             data=json.dumps({"model": self.model_id, "text": text}).encode("utf-8"),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib.util
 import json
 import shutil
@@ -113,14 +114,14 @@ def tokenize_calls(monkeypatch):
 @pytest.fixture()
 def thread_pools(monkeypatch):
     """Sizes of the thread pools ``evaluate_dataset`` builds."""
-    original = report.ThreadPoolExecutor
+    original = concurrent.futures.ThreadPoolExecutor
     sizes: list[int] = []
 
     def recording(max_workers):
         sizes.append(max_workers)
         return original(max_workers=max_workers)
 
-    monkeypatch.setattr(report, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
     return sizes
 
 

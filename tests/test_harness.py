@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import ompbleu
 from ompbleu.cli import main
 from ompbleu.config import ConfigError, EvalConfig, load_config
 from ompbleu.report import (
@@ -207,7 +209,7 @@ def test_aggregate_mean_recomputable(small_dataset):
 
 def test_report_determinism(small_dataset, monkeypatch):
     # static scoring holds the interpreter lock, so --jobs 2 builds no pool
-    monkeypatch.setattr("ompbleu.report.ThreadPoolExecutor", lambda **_: pytest.fail("pool built"))
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", lambda **_: pytest.fail("pool built"))
     records, _ = load_jsonl(small_dataset)
     one = evaluate_dataset(records, NO_COMPILE_CFG, jobs=1).to_json()
     two = evaluate_dataset(records, NO_COMPILE_CFG, jobs=2).to_json()
@@ -970,3 +972,53 @@ def test_cli_entry_point_installed():
     )
     assert proc.returncode == 0
     assert "ompbleu" in proc.stdout
+
+
+# Runs every command but `compile-check` through `cli.main` in a fresh
+# interpreter, then prints the modules each one newly loaded, in order.
+FOOTPRINT_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+from ompbleu import cli, compile_check
+source, candidate, dataset, config, out = sys.argv[1:]
+stages = {
+    "strip": ["strip", source],
+    "annotate": ["annotate", source],
+    "corrupt": ["corrupt", source, "--seed", "1"],
+    "score": ["score", source, candidate],
+    "dataset": ["--jobs", "2", "--emit", "table", "dataset", dataset],
+    "dataset csv": ["--emit", "csv", "dataset", dataset],
+}
+loaded = {}
+for stage, args in stages.items():
+    assert cli.main(["--config", config, "--out", out, *args]) == 0, stage
+    loaded[stage] = sorted(set(sys.modules) - before)
+compile_check._cache_key("int x;", compile_check.CompileConfig(), ("cc",), "c")
+loaded["cache key"] = sorted(set(sys.modules) - before)
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path, small_dataset):
+    # pytest has all of these loaded already, so a fresh interpreter looks
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"compile_enabled": False}))
+    env = {k: v for k, v in os.environ.items() if k != "OMPBLEU_CC"}
+    env["PYTHONPATH"] = str(Path(ompbleu.__file__).parents[1])
+    args = [FIXTURES / "fig1_gt.c", FIXTURES / "fig1_gen.c", small_dataset, cfg, tmp_path / "out"]
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {stage: set(names) for stage, names in json.loads(proc.stdout).items()}
+    deferred = {"_hashlib", "subprocess", "concurrent.futures", "logging", "csv"}
+    assert loaded["dataset"] & deferred == set()
+    assert "statistics" not in loaded["score"]
+    assert "statistics" in loaded["dataset"]
+    # the paths that use them do load them
+    assert "csv" in loaded["dataset csv"]
+    assert "_hashlib" in loaded["cache key"]
