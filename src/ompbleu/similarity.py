@@ -189,10 +189,11 @@ class RemoteEmbeddingBackend:
     """HTTP embedding service client with per-text caching.
 
     Protocol: POST {endpoint}/embed with ``{"model": id, "text": code}``;
-    the response must be ``{"vector": [..]}``.  Any non-200 status,
-    malformed body or transport failure raises :class:`SimilarityError` -
-    never a silent zero.  The cache keeps the ``cache_entries`` most
-    recently used vectors, so one client can serve a whole dataset.
+    the response must be ``{"vector": [..]}``, a non-empty list of finite
+    JSON numbers, and no other key.  Any non-200 status, malformed body or
+    transport failure raises :class:`SimilarityError` - never a silent
+    zero.  The cache keeps the ``cache_entries`` most recently used
+    vectors, so one client can serve a whole dataset.
     """
 
     kind = "remote_embedding"
@@ -207,11 +208,13 @@ class RemoteEmbeddingBackend:
 
     def embed(self, text: str) -> list[float]:
         # imported here: http.client and its email parser cost ~50 ms at
-        # start-up, and hashlib maps OpenSSL (3.7 MB)
+        # start-up, hashlib maps OpenSSL (3.7 MB), and config imports this module
         import hashlib
         import http.client
         import urllib.error
         import urllib.request
+
+        from .config import Key, _number, values_of
 
         key = hashlib.sha256(text.encode("utf-8")).hexdigest()
         with self._lock:
@@ -233,13 +236,19 @@ class RemoteEmbeddingBackend:
             raise SimilarityError(f"embedding request failed: {exc}") from exc
         if status != 200:
             raise SimilarityError(f"embedding service returned HTTP {status}")
+
+        def numbers(value: object, name: str) -> list[float]:
+            if type(value) is not list or not value:
+                raise ValueError(f"{name} must be a non-empty list of numbers")
+            return [_number.read(x, f"{name}[{i}]") for i, x in enumerate(value)]
+
         try:
-            vector = json.loads(body)["vector"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SimilarityError("malformed embedding response") from exc
-        if not isinstance(vector, list) or not vector:
-            raise SimilarityError("malformed embedding response: empty vector")
-        vec = [float(x) for x in vector]
+            read = values_of(json.loads(body), "embedding response", {"vector": Key(numbers)}, "")
+            vec = read["vector"]
+        except KeyError:
+            raise SimilarityError("malformed embedding response: no vector") from None
+        except (RecursionError, ValueError) as exc:  # json nests only so deep
+            raise SimilarityError(f"malformed embedding response: {exc}") from exc
         with self._lock:
             self._cache[key] = vec
             if len(self._cache) > self.cache_entries:

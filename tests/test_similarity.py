@@ -301,6 +301,7 @@ def test_comments_and_whitespace_excluded_from_bags():
 class _EmbedHandler(BaseHTTPRequestHandler):
     vectors = {"alpha": [1.0, 0.0], "beta": [0.0, 1.0], "both": [1.0, 1.0], "zero": [0.0, 0.0]}
     fail_mode = None
+    malformed_body = b'{"nope": true}'
 
     def do_POST(self):
         if self.path != "/embed":
@@ -312,7 +313,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             self.send_error(500)
             return
         if self.fail_mode == "malformed":
-            payload = b"{\"nope\": true}"
+            payload = self.malformed_body
         else:
             text = body["text"]
             vec = self.vectors.get(text, [1.0, 2.0, 3.0])
@@ -359,11 +360,26 @@ def test_remote_backend_http_error(embed_server):
         backend.similarity("alpha", "beta")
 
 
-def test_remote_backend_malformed_body(embed_server):
+# Each malformed embedding response, with what its refusal says.
+MALFORMED_EMBEDDINGS = [
+    (b'{"nope": true}', r"unknown embedding response keys: \['nope'\]"),
+    (b"{}", "no vector"),
+    (b'{"vector": []}', "vector must be a non-empty list of numbers"),
+    (b"not json", "Expecting value"),
+    (b'{"vector": ["1.5", true, "2"], "extra": 1}', r"unknown .* keys: \['extra'\]"),
+    (b'{"vector": ["1.5", true, "2"]}', r"vector\[0\] must be a number, got '1.5'"),
+    (b'{"vector": [1.0, true]}', r"vector\[1\] must be a number, got True"),
+    (b'{"vector": [NaN, 1.0]}', r"vector\[0\] must be a number, got nan"),
+]
+
+
+def test_remote_backend_malformed_body(embed_server, monkeypatch):
     _EmbedHandler.fail_mode = "malformed"
-    backend = RemoteEmbeddingBackend(embed_server, "test-model", timeout=5)
-    with pytest.raises(SimilarityError):
-        backend.similarity("alpha", "beta")
+    for body, message in MALFORMED_EMBEDDINGS:
+        monkeypatch.setattr(_EmbedHandler, "malformed_body", body)
+        backend = RemoteEmbeddingBackend(embed_server, "test-model", timeout=5)
+        with pytest.raises(SimilarityError, match="malformed embedding response: .*" + message):
+            backend.similarity("alpha", "beta")
 
 
 def test_remote_backend_unreachable():
