@@ -146,12 +146,19 @@ _memory_lock = threading.Lock()
 
 
 def resolve_compiler(config: CompileConfig) -> tuple[str, ...]:
-    """The compiler argv to use, honoring the environment override."""
+    """The compiler argv to use, honoring the environment override; an
+    override that is blank or not shell-quoted right is a :class:`CompileError`."""
     override = os.environ.get(ENV_COMPILER_OVERRIDE)
     if override:
         import shlex
 
-        return tuple(shlex.split(override))
+        try:
+            argv = tuple(shlex.split(override))
+        except ValueError as exc:
+            raise CompileError(f"{ENV_COMPILER_OVERRIDE} cannot be split: {exc}") from None
+        if not argv:
+            raise CompileError(f"{ENV_COMPILER_OVERRIDE} names no compiler: {override!r}")
+        return argv
     if config.command is not None:
         return tuple(config.command)
     found = _compiler_on_path(os.environ.get("PATH", os.defpath))

@@ -94,6 +94,24 @@ def test_env_override_resolution(monkeypatch):
     assert resolve_compiler(CompileConfig()) == ("my-cc", "--special")
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [(" ", "names no compiler: ' '"), ("gcc 'x", "cannot be split: No closing quotation")],
+)
+def test_unusable_env_override_is_a_compile_error(monkeypatch, tmp_path, capsys, override, message):
+    monkeypatch.setenv("OMPBLEU_CC", override)
+    source = tmp_path / "unit.c"
+    source.write_text("int main(void){return 0;}\n")
+    assert main(["compile-check", str(source)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: OMPBLEU_CC {message}\n"
+    ds = tmp_path / "ds.jsonl"
+    ds.write_text(json.dumps({"id": "r", "reference": "int x;", "candidates": ["int x;"]}))
+    assert main(["--out", str(tmp_path / "report.json"), "dataset", str(ds)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["errors"] == [f"record r: OMPBLEU_CC {message}"]
+
+
 def test_missing_compiler_is_an_error(monkeypatch):
     monkeypatch.delenv("OMPBLEU_CC", raising=False)
     cfg = CompileConfig(command=("definitely-not-a-compiler-xyz",))
