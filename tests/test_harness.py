@@ -974,8 +974,8 @@ def test_cli_entry_point_installed():
     assert "ompbleu" in proc.stdout
 
 
-# Runs every command but `compile-check` through `cli.main` in a fresh
-# interpreter, then prints the modules each one newly loaded, in order.
+# Runs commands through `cli.main` one after another, then prints, for each,
+# the modules loaded between start-up and its end.
 FOOTPRINT_SCRIPT = """
 import json, sys
 before = set(sys.modules)
@@ -1000,7 +1000,8 @@ print(json.dumps(loaded))
 
 
 def test_commands_load_only_the_modules_they_run(tmp_path, small_dataset):
-    # pytest has all of these loaded already, so a fresh interpreter looks
+    # pytest has loaded all of these modules already: the commands run in a
+    # fresh interpreter
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"compile_enabled": False}))
     env = {k: v for k, v in os.environ.items() if k != "OMPBLEU_CC"}
