@@ -58,8 +58,11 @@ _MULTI_CHAR_OPERATORS = (
     "^=", ".*", "##",
 )
 
-# Layout: a newline, a splice or blanks (whitespace), or a comment.
-_INLINE_LAYOUT = r"\\\r?\n|[ \t\r\f\v]+|//[^\n]*|(?s:/\*.*?\*/|/\*.*)"
+# Layout: a newline, a splice or blanks (whitespace), or a comment.  Lines
+# are spliced before comments are found (C11 5.1.1.2 phases 2-3), so a `//`
+# comment runs on over each splice; the loop is unrolled so that a comment
+# with no backslash costs one character class.
+_INLINE_LAYOUT = r"\\\r?\n|[ \t\r\f\v]+|//[^\n\\]*(?:\\(?:\r?\n)?[^\n\\]*)*|(?s:/\*.*?\*/|/\*.*)"
 _RE_LAYOUT = re.compile(r"\n|" + _INLINE_LAYOUT)
 # A `#` and its directive word.  Blanks, block comments and splices may stand
 # between them, as in C (5.1.1.2 phases 2-3, 6.10p5); a comment ends at its

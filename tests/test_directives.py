@@ -1,3 +1,6 @@
+import shutil
+import subprocess
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +38,33 @@ def test_fig1_ground_truth_extraction():
     assert by_kind["schedule"].args_ordered[0] == "static"
     assert d.attached_kind == "for_loop"
     assert d.collapse_tag == COLLAPSE_VALID
+
+
+# Lines are spliced before comments are found (C11 5.1.1.2 phases 2-3): a
+# `//` comment that ends in a backslash takes the next line with it.
+SPLICED_LINE_COMMENT = (
+    "void f(int n, double *a) {\n int i;\n // scale the array \\\n"
+    " #pragma omp parallel for\n for (i = 0; i < n; i++) a[i] *= 2;\n}\n"
+)
+
+
+def test_a_line_comment_ending_in_a_splice_hides_the_next_line():
+    assert _parse(SPLICED_LINE_COMMENT)[1] == []
+    crlf = SPLICED_LINE_COMMENT.replace("\n", "\r\n")
+    assert _parse(crlf)[1] == []
+    # a backslash inside the comment splices nothing
+    moved = SPLICED_LINE_COMMENT.replace("the array \\\n", "the \\ array\n")
+    assert len(_parse(moved)[1]) == 1
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+def test_gcc_drops_the_pragma_a_spliced_line_comment_hides(tmp_path):
+    source = tmp_path / "probe.c"
+    source.write_text(SPLICED_LINE_COMMENT)
+    out = subprocess.run(
+        ["gcc", "-fopenmp", "-E", "-P", str(source)], capture_output=True, text=True, check=True
+    ).stdout
+    assert "pragma" not in out and "for (i = 0" in out
 
 
 def test_no_pragmas_yields_empty():

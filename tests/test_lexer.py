@@ -234,7 +234,8 @@ def test_a_one_clause_edit_of_a_large_unit_is_lexed_around_the_clause(monkeypatc
 
 _RE_LINE_SPLICE = re.compile(r"\\\r?\n")
 _RE_HORIZONTAL_WS = re.compile(r"[ \t\r\f\v]+")
-_RE_LINE_COMMENT = re.compile(r"//[^\n]*")
+# a `//` comment runs on over line splices (C11 5.1.1.2 phases 2-3)
+_RE_LINE_COMMENT = re.compile(r"//(?:\\\r?\n|[^\n])*")
 _RE_BLOCK_COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
 _RE_UNTERMINATED_BLOCK_COMMENT = re.compile(r"/\*.*", re.DOTALL)
 _RE_STRING = re.compile(r'"(?:\\.|[^"\\\n])*"?')
@@ -416,6 +417,7 @@ def assert_columns_match_token_lexer(text: str) -> None:
 # starts, CRLF line ends, and first characters outside ASCII.
 SOUP_FRAGMENTS = (
     *C_FRAGMENTS, "\\\n", "\\\r\n", "/* a\n b */", "/* \\\n */", "// c \\\n d",
+    "// c \\\r\n d", "// c \\", "// c \\ d\n",
     "#pragma", "# /* c\n */ pragma omp for", "#\\\npragma", "x # y", "a ## b",
     "\r\n", "\r\n#", "\n#", "\n  #", "ß", "éx", "\u00a0", "\u2028", "٣x", "'é'", '"\\',
 )
