@@ -222,12 +222,12 @@ def directive_kinds(words: Sequence[str]) -> tuple[tuple[str, ...], bool]:
 
 
 def _parse_directive_body(
-    unit: SourceUnit, start: int, end: int
+    lexemes: Sequence[str], closers: dict[int, int], start: int, end: int
 ) -> tuple[tuple[str, ...], tuple[Clause, ...], bool]:
-    """Parse code tokens ``start`` to ``end``, those after `omp` on a
-    pragma line, into directive kinds and clauses.  A bracket closed only
-    after the line is unclosed on it."""
-    lexemes, closers = unit.lexemes, unit.brackets.closers
+    """Parse ``lexemes[start:end]``, the code tokens after `omp` on a pragma
+    line, into directive kinds and clauses; ``closers`` maps an opener's
+    index to its closer's.  A bracket closed only after the line is unclosed
+    on it."""
     kinds, degraded = directive_kinds(lexemes[start:end])
     clauses: list[Clause] = []
     i = start + len(kinds)
@@ -333,12 +333,6 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
     k = next_start = len(lexemes)
     for lo, hi in reversed(directive_line_spans(unit)):
         start, end = unit.token_index(lo), unit.token_index(hi)
-        # code token start + 1 is the `omp` marker
-        kinds, clauses, degraded = _parse_directive_body(unit, start + 2, end)
-        if not kinds:
-            kinds = ("unknown",)
-            degraded = True
-
         i = end
         while i < next_start and flags[i]:
             i += 1
@@ -359,38 +353,56 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
             close = brackets.closers.get(k) if block else brackets.statement_end(k)
             if close is not None:
                 span = (starts[k], unit.token_end(close))
-
-        counters = frozenset() if attached_loop is None else attached_loop.nest_induction_vars
-        components: list[str] = []
-        implicit: list[str] = []
-        for clause in clauses:
-            comp = canonical_clause(clause)
-            if comp is None:
-                continue
-            components.append(comp)
-            if clause.kind == "private" and clause.variables and clause.variables <= counters:
-                implicit.append(comp)
-
+        # code token start + 1 is the `omp` marker
+        body = _parse_directive_body(lexemes, brackets.closers, start + 2, end)
         directives.append(
-            Directive(
-                kinds=kinds,
-                clauses=clauses,
-                components=frozenset(components),
-                implicit_private=frozenset(implicit),
-                canonical=" ".join([" ".join(kinds), *sorted(components)]),
+            _directive(
+                body,
+                attached_loop,
                 byte_offset=lo,
                 line=unit.line(lo),
                 ast_depth=brackets.brace_depth(start),
                 attached_kind=attached_kind,
-                attached_loop=attached_loop,
                 construct_span=span,
-                collapse_tag=collapse_validity(clauses, attached_loop),
                 raw_text=unit.text[lo:hi],
-                degraded=degraded,
             )
         )
     directives.reverse()
     return directives
+
+
+def _directive(
+    body: tuple[tuple[str, ...], tuple[Clause, ...], bool],
+    attached_loop: LoopContext | None,
+    **where,
+) -> Directive:
+    """The directive of a parsed pragma body, with its canonical components
+    marked against the counters of its attached loop; ``where`` holds the
+    other fields: its place, attachment and text."""
+    kinds, clauses, degraded = body
+    if not kinds:
+        kinds, degraded = ("unknown",), True
+    counters = frozenset() if attached_loop is None else attached_loop.nest_induction_vars
+    components: list[str] = []
+    implicit: list[str] = []
+    for clause in clauses:
+        comp = canonical_clause(clause)
+        if comp is None:
+            continue
+        components.append(comp)
+        if clause.kind == "private" and clause.variables and clause.variables <= counters:
+            implicit.append(comp)
+    return Directive(
+        kinds=kinds,
+        clauses=clauses,
+        components=frozenset(components),
+        implicit_private=frozenset(implicit),
+        canonical=" ".join([" ".join(kinds), *sorted(components)]),
+        attached_loop=attached_loop,
+        collapse_tag=collapse_validity(clauses, attached_loop),
+        degraded=degraded,
+        **where,
+    )
 
 
 def canonical_clause(clause: Clause) -> str | None:

@@ -300,11 +300,10 @@ def tokenize(text: str, like: SourceUnit | None = None) -> CodeTokens:
     texts differ is lexed and ``like``'s tokens are reused around it; the
     columns are the same as without it.
     """
-    if like is None:
-        # the newline put first makes the first code token start a line
-        lexemes, starts, heads = _lex("\n" + text, -1)
-    else:
-        lexemes, starts, heads = _relex(text, like)
+    if like is not None:
+        return _relex(text, like)
+    # the newline put first makes the first code token start a line
+    lexemes, starts, heads = _lex("\n" + text, -1)
     return CodeTokens(lexemes, starts, *_directive_lines(lexemes, heads), heads)
 
 
@@ -348,8 +347,8 @@ def _directive_lines(
 _MARGIN = 8
 
 
-def _relex(text: str, like: SourceUnit) -> tuple[list[str], list[int], list[int]]:
-    """:func:`_lex` of ``text``, lexing only around the span where it
+def _relex(text: str, like: SourceUnit) -> CodeTokens:
+    """:func:`tokenize` of ``text``, lexing only around the span where it
     differs from ``like.text`` and reusing ``like``'s tokens outside it."""
     old = like.text
     lexemes, starts = like.lexemes, like.starts
@@ -371,34 +370,42 @@ def _relex(text: str, like: SourceUnit) -> tuple[list[str], list[int], list[int]
     stop = resync + _MARGIN
     if stop < len(text):
         window = _lex_from(text, lo, stop)
-        w_lexemes, w_starts, _ = window
+        w_lexemes, w_starts, w_heads = window
         j = bisect.bisect_left(w_starts, resync)
         if j and w_starts[j - 1] + len(w_lexemes[j - 1]) == resync and "#" not in w_lexemes[:j]:
-            return _splice(like, keep, window, j, k + 1, shift)
-    window = _lex_from(text, lo, len(text))
-    return _splice(like, keep, window, len(window[0]), len(lexemes), shift)
+            used = (w_lexemes[:j], w_starts[:j], w_heads[: bisect.bisect_left(w_heads, j)])
+            return _splice(like, [(keep, k + 1, used, shift)])
+    return _splice(like, [(keep, len(lexemes), _lex_from(text, lo, len(text)), shift)])
 
 
-def _splice(
-    like: SourceUnit,
-    keep: int,
-    window: tuple[list[str], list[int], list[int]],
-    used: int,
-    resume: int,
-    shift: int,
-) -> tuple[list[str], list[int], list[int]]:
-    """``like``'s first ``keep`` tokens, the first ``used`` tokens of the
-    window lexed after them, then ``like``'s tokens from ``resume`` on,
-    shifted by ``shift`` characters."""
+_Window = tuple[list[str], list[int], list[int]]  # lexemes, offsets, line heads
+
+
+def _splice(like: SourceUnit, windows: list[tuple[int, int, _Window, int]]) -> CodeTokens:
+    """``like``'s code tokens with some of them replaced: each window
+    ``(keep, resume, tokens, shift)``, in order, stands for ``like``'s tokens
+    from ``keep`` to ``resume``, with offsets in the new text and heads
+    counted from its first token, and ``like``'s tokens after it move by
+    ``shift`` characters."""
     lexemes, starts, heads = like.lexemes, like.starts, like.heads
-    w_lexemes, w_starts, w_heads = window
-    return (
-        lexemes[:keep] + w_lexemes[:used] + lexemes[resume:],
-        starts[:keep] + w_starts[:used] + list(map(shift.__add__, starts[resume:])),
-        heads[: bisect.bisect_left(heads, keep)]
-        + list(map(keep.__add__, w_heads[: bisect.bisect_left(w_heads, used)]))
-        + list(map((keep + used - resume).__add__, heads[bisect.bisect_left(heads, resume) :])),
-    )
+    out_lexemes: list[str] = []
+    out_starts: list[int] = []
+    out_heads: list[int] = []
+    done = shift = 0
+    for keep, resume, (w_lexemes, w_starts, w_heads), next_shift in [
+        *windows,
+        (len(lexemes), len(lexemes), ([], [], []), 0),
+    ]:
+        moved = len(out_lexemes) - done
+        kept = heads[bisect.bisect_left(heads, done) : bisect.bisect_left(heads, keep)]
+        out_heads += map(moved.__add__, kept)
+        out_lexemes += lexemes[done:keep]
+        out_starts += map(shift.__add__, starts[done:keep])
+        out_heads += map(len(out_lexemes).__add__, w_heads)
+        out_lexemes += w_lexemes
+        out_starts += w_starts
+        done, shift = resume, next_shift
+    return CodeTokens(out_lexemes, out_starts, *_directive_lines(out_lexemes, out_heads), out_heads)
 
 
 def _lex_from(text: str, lo: int, hi: int) -> tuple[list[str], list[int], list[int]]:

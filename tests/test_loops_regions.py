@@ -377,8 +377,10 @@ def _parse_words(words: Sequence[Token]) -> tuple[tuple[str, ...], tuple[Clause,
     return kinds, tuple(clauses), degraded
 
 
-def _parse_words_alone(unit: SourceUnit, start: int, end: int):
-    return _parse_words(token_tokenize(unit.text)[start:end])
+def _parse_words_alone(text: str):
+    """A body parser that reads the words of ``text``'s pragma lines alone."""
+    tokens = token_tokenize(text)
+    return lambda lexemes, closers, start, end: _parse_words(tokens[start:end])
 
 
 def _extracted(unit: SourceUnit):
@@ -397,7 +399,7 @@ def test_extraction_matches_the_scanners_end_to_end(text):
     scanned.__dict__["brackets"] = ScanningBrackets(scanned)
     with (
         mock.patch.object(regions, "count_decisions", _count_decisions),
-        mock.patch.object(directives, "_parse_directive_body", _parse_words_alone),
+        mock.patch.object(directives, "_parse_directive_body", _parse_words_alone(text)),
     ):
         expected = _extracted(scanned)
     assert _extracted(parse_source(text)) == expected
