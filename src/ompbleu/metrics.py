@@ -28,6 +28,7 @@ from .syntax.directives import (
     attached_construct_span,
     canonical_clause,
     extract_directives,
+    pragma_edit,
 )
 from .syntax.regions import parallel_region_blocks
 
@@ -169,26 +170,38 @@ class SideAnalysis:
 
 
 def analyze(
-    source: str, language: str | None = None, like: SourceUnit | None = None
+    source: str, language: str | None = None, like: SideAnalysis | None = None
 ) -> SideAnalysis:
     """Parse one source into the artifacts the sub-scores consume.
 
     ``language`` is the unit's own language hint for the compile check, a
     spelling from :data:`~ompbleu.compile_check.LANGUAGE_SPELLINGS`.
-    With ``like``, the unit of a similar source such as a candidate's
-    reference, the source is lexed only where it differs from that unit
-    (:func:`~ompbleu.syntax.parse_source`).
+    ``like``, the analysis of a similar source such as a candidate's
+    reference, is only a speed-up.  A source that differs from it only on
+    whole `#pragma omp` lines that stay in place is analysed from it: only
+    those lines are lexed and parsed, and the tokens, loops, attachments
+    and stripped text are its own, moved (:func:`~.syntax.directives.pragma_edit`).
+    Any other source is lexed only where it differs from ``like``'s unit
+    (:func:`~ompbleu.syntax.parse_source`) and analysed in full.
     """
-    unit = parse_source(source, like=like)
-    directives = extract_directives(unit)
+    edit = like and pragma_edit(source, like.unit, like.directives)
+    if edit is None:
+        unit = parse_source(source, like=like and like.unit)
+        directives = extract_directives(unit)
+    else:
+        unit, directives, bounds, shifts = edit
     regions, region_diags = parallel_region_blocks(unit, directives)
-    return SideAnalysis(
+    side = SideAnalysis(
         unit=unit,
         directives=tuple(directives),
         regions=tuple(regions),
         region_diagnostics=tuple(region_diags),
         language=language,
     )
+    if edit is not None:
+        # the cached property: the stripped text is the reference's
+        side.__dict__["stripped_view"] = like.stripped_view.moved(bounds, shifts)
+    return side
 
 
 def _all_components(directives: tuple[Directive, ...]) -> frozenset[str]:

@@ -177,7 +177,7 @@ def rank_candidates(
             if candidate == record.reference:
                 analysis = reference
             else:
-                analysis = analyze(candidate, record.language, like=reference.unit)
+                analysis = analyze(candidate, record.language, like=reference)
             breakdown = ompbleu_score(reference, analysis, config, backend)
             scored.append(
                 RankedCandidate(

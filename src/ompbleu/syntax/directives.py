@@ -12,12 +12,14 @@ in the unit's bracket table (:class:`~.lexer.Brackets`).
 from __future__ import annotations
 
 import bisect
+import copy
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, replace
+from itertools import accumulate, compress, count
+from operator import ne, sub
 
-from .lexer import SourceUnit, lexeme_kind, newline_tokens
+from .lexer import SourceUnit, _splice, lexeme_kind, line_closers, newline_tokens, tokenize
 from .loops import _CLOSERS, _OPENERS, LoopContext, _split_top_level, loop_contexts
 
 # Directive keywords and the combinations they may extend.
@@ -514,6 +516,111 @@ class StrippedView:
             bisect.bisect_left(starts, lo),
             bisect.bisect_left(starts, hi),
         )
+
+    def moved(self, bounds: list[int], shifts: list[int]) -> StrippedView:
+        """This view of a text edited only inside its cut lines: the stripped
+        text and lexemes are the same, and each offset at or after
+        ``bounds[j]`` (and before the next bound) moves by ``shifts[j]``."""
+        view = copy.copy(self)
+        view.starts = _moved(self.starts, bounds, shifts)
+        view._cut_ends = _moved(self._cut_ends, bounds, shifts)
+        view._cut_starts = _moved(self._cut_starts, bounds, shifts)
+        view._removed = list(accumulate(map(sub, view._cut_ends, view._cut_starts), initial=0))
+        return view
+
+
+def _moved(values: list[int], bounds: list[int], shifts: list[int]) -> list[int]:
+    """The sorted ``values``, each moved by the shift of the last bound at
+    or below it, and not moved below the first bound."""
+    cuts = [*(bisect.bisect_left(values, b) for b in bounds), len(values)]
+    out = values[: cuts[0]]
+    for lo, hi, shift in zip(cuts, cuts[1:], shifts):
+        out += map(shift.__add__, values[lo:hi])
+    return out
+
+
+def pragma_edit(
+    text: str, unit: SourceUnit, directives: Sequence[Directive]
+) -> tuple[SourceUnit, list[Directive], list[int], list[int]] | None:
+    """The unit and directives of ``text`` read off ``unit`` and its
+    ``directives``, when the two texts differ only on whole `#pragma omp`
+    lines that stay in place; None otherwise.  Also returns the bounds and
+    shifts for :meth:`StrippedView.moved`.
+
+    Only the changed lines are lexed and parsed.  Each must be one directive's
+    whole logical line on both sides, after nothing but blanks in ``unit``,
+    and hold no `;` and no bracket that is not closed on it, nested properly.
+    Then no token, bracket match, statement end or decision point outside the
+    lines changes, and every directive keeps its attachment.
+    """
+    old_lines, new_lines = unit.text.split("\n"), text.split("\n")
+    if len(old_lines) != len(new_lines):
+        return None
+    changed = list(compress(count(), map(ne, old_lines, new_lines)))
+    line_starts = list(accumulate(map((1).__add__, map(len, old_lines)), initial=0))
+    by_offset = {d.byte_offset: k for k, d in enumerate(directives)}
+    # the changed lines lexed alone; a `#` after them must start a line of
+    # its own, so none of them runs on into the next
+    joined = "\n".join([*(new_lines[i] for i in changed), "#"])
+    code = SourceUnit(joined, *tokenize(joined))
+    heads, lines = code.heads, directive_line_spans(code)
+    if len(heads) != len(changed) + 1 or len(lines) != len(changed):
+        return None
+    windows, edits, bounds, shifts, token_bounds, token_shifts = [], {}, [], [], [], []
+    shift = token_shift = joined_at = 0  # bytes and tokens gained; the line's start in ``joined``
+    for (lo, hi), head, end, i in zip(lines, heads, heads[1:], changed):
+        old, new = old_lines[i], new_lines[i]
+        a, b = line_starts[i], line_starts[i] + len(old)
+        col = len(old) - len(old.lstrip(" \t"))
+        k = by_offset.get(a + col)
+        first, stop = unit.token_index(a), unit.token_index(b)
+        closers = line_closers(code.lexemes, head, end)
+        if (
+            k is None
+            or len(directives[k].raw_text) != len(old) - col
+            or line_closers(unit.lexemes, first, stop) is None
+            or closers is None
+        ):
+            return None
+        base = a + shift - joined_at  # from an offset in ``joined`` to one in ``text``
+        body = _parse_directive_body(code.lexemes, closers, head + 2, end)
+        edits[k] = body, base + lo, joined[lo:hi]
+        shift += len(new) - len(old)
+        token_shift += end - head - (stop - first)
+        starts = list(map(base.__add__, code.starts[head:end]))
+        windows.append((first, stop, (code.lexemes[head:end], starts, [0]), shift))
+        bounds.append(b)
+        shifts.append(shift)
+        token_bounds.append(stop)
+        token_shifts.append(token_shift)
+        joined_at += len(new) + 1
+
+    edited = SourceUnit(text, *_splice(unit, windows))
+    # the cached property, read off the reference: no decision point lies
+    # on a pragma line
+    edited.__dict__["decisions"] = _moved(unit.decisions, token_bounds, token_shifts)
+    after = [0, *shifts]
+
+    def at(offset: int) -> int:
+        return offset + after[bisect.bisect_right(bounds, offset)]
+
+    out: list[Directive] = []
+    for k, d in enumerate(directives):
+        loop = d.attached_loop
+        moved = loop and (at(loop.byte_offset), at(loop.end_offset))
+        if moved and moved != (loop.byte_offset, loop.end_offset):
+            loop = replace(loop, byte_offset=moved[0], end_offset=moved[1])
+        span = d.construct_span and (at(d.construct_span[0]), at(d.construct_span[1]))
+        if k in edits:
+            body, lo, raw_text = edits[k]
+            d = _directive(
+                body, loop, byte_offset=lo, line=d.line, ast_depth=d.ast_depth,
+                attached_kind=d.attached_kind, construct_span=span, raw_text=raw_text,
+            )
+        elif (at(d.byte_offset), span, loop) != (d.byte_offset, d.construct_span, d.attached_loop):
+            d = replace(d, byte_offset=at(d.byte_offset), construct_span=span, attached_loop=loop)
+        out.append(d)
+    return edited, out, bounds, shifts
 
 
 def strip_openmp(unit: SourceUnit) -> str:

@@ -205,6 +205,24 @@ class Brackets:
         return self._depths[bisect.bisect_left(self._at, i)]
 
 
+def line_closers(lexemes: list[str], lo: int, hi: int) -> dict[int, int] | None:
+    """The closer of each opener among ``lexemes[lo:hi]``, the code tokens
+    of one line; None unless every bracket there closes there, nested
+    properly, and no `;` is there.  Then the line changes no bracket match
+    or statement end of :class:`Brackets` outside it."""
+    closers: dict[int, int] = {}
+    stack: list[int] = []
+    for i in compress(range(lo, hi), map(_BRACKETS.__contains__, lexemes[lo:hi])):
+        lexeme = lexemes[i]
+        if lexeme in _OPENER_OF.values():
+            stack.append(i)
+        elif lexeme == ";" or not stack or lexemes[stack[-1]] != _OPENER_OF[lexeme]:
+            return None
+        else:
+            closers[stack.pop()] = i
+    return None if stack else closers
+
+
 @dataclass(frozen=True)
 class SourceUnit:
     """Source text plus its code tokens, the ones that are neither

@@ -112,6 +112,20 @@ def tokenize_calls(monkeypatch):
 
 
 @pytest.fixture()
+def bracket_builds(monkeypatch):
+    """The lexemes of the unit of each bracket table built."""
+    original = lexer.Brackets.__init__
+    built: list[list[str]] = []
+
+    def counting(self, lexemes, in_directive):
+        built.append(lexemes)
+        original(self, lexemes, in_directive)
+
+    monkeypatch.setattr(lexer.Brackets, "__init__", counting)
+    return built
+
+
+@pytest.fixture()
 def thread_pools(monkeypatch):
     """Sizes of the thread pools ``evaluate_dataset`` builds."""
     original = concurrent.futures.ThreadPoolExecutor

@@ -10,7 +10,7 @@ import json
 import tracemalloc
 from operator import itemgetter
 
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ompbleu.config import EvalConfig
@@ -31,11 +31,19 @@ from ompbleu.syntax import (
 from ompbleu.syntax.directives import (
     attached_construct_span,
     directive_line_spans,
+    pragma_edit,
     pragma_line_range,
 )
 from ompbleu.syntax.lexer import SourceUnit, Token
 
-from conftest import FIXTURES, bracket_soups, fixture_text, pragma_soups, token_tokenize
+from conftest import (
+    FIXTURES,
+    bracket_soups,
+    fixture_text,
+    perfbench_module,
+    pragma_soups,
+    token_tokenize,
+)
 
 NO_COMPILE_CFG = EvalConfig(compile_enabled=False)
 
@@ -62,23 +70,51 @@ def test_dataset_record_tokenizes_each_source_once(tokenize_calls, monkeypatch):
     assert len(built) == 1
 
 
-def test_each_candidate_is_lexed_against_its_reference(tokenize_calls, tmp_path, capsys):
+def _lexed_lines(reference: str, candidate: str) -> str:
+    """What a candidate that differs from its reference only on pragma lines
+    is lexed as: those lines alone, then a `#` that must start a line."""
+    pairs = zip(reference.split("\n"), candidate.split("\n"))
+    return "\n".join([*(new for old, new in pairs if old != new), "#"])
+
+
+def test_each_candidate_is_lexed_against_its_reference(tokenize_calls, tmp_path):
     gt = fixture_text("multiple_gt.c")
     cases = [fixture_text(f"multiple_case{i}.c") for i in range(1, 5)]
     record = DatasetRecord(id="r", reference=gt, candidates=(*cases, gt))
     ranked = rank_candidates(record, NO_COMPILE_CFG)
     reference = ranked[0].analyses[0].unit
-    assert [text for text, _ in tokenize_calls] == [gt, *cases]
-    assert [like is reference for _, like in tokenize_calls] == [False, True, True, True, True]
-    assert tokenize_calls[0][1] is None
+    # cases 1 and 3 also delete a pragma line, so they are lexed against the
+    # reference; cases 2 and 4 only edit one, so only that line is lexed
+    assert [text for text, _ in tokenize_calls] == [
+        gt,
+        cases[0],
+        _lexed_lines(gt, cases[1]),
+        cases[2],
+        _lexed_lines(gt, cases[3]),
+    ]
+    assert [like is reference for _, like in tokenize_calls] == [False, True, False, True, False]
+    assert [like for _, like in tokenize_calls[::2]] == [None, None, None]
 
     tokenize_calls.clear()
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"compile_enabled": False}))
-    paths = [str(FIXTURES / name) for name in ("multiple_gt.c", "multiple_case1.c")]
+    for case, lexed in ((cases[0], (cases[0], gt)), (cases[1], (_lexed_lines(gt, cases[1]), None))):
+        paths = [str(FIXTURES / "multiple_gt.c"), str(tmp_path / "case.c")]
+        (tmp_path / "case.c").write_text(case)
+        assert main(["--config", str(config), "score", *paths]) == 0
+        assert [(text, like and like.text) for text, like in tokenize_calls] == [(gt, None), lexed]
+        tokenize_calls.clear()
+
+
+def test_a_pragma_only_candidate_builds_no_bracket_table(bracket_builds, tmp_path, capsys):
+    # the candidate's brackets, loops and directives are the reference's,
+    # moved; only the reference builds a bracket table
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"compile_enabled": False}))
+    paths = [str(FIXTURES / name) for name in ("multiple_gt.c", "multiple_case2.c")]
     assert main(["--config", str(config), "score", *paths]) == 0
-    lexed = [(text, like and like.text) for text, like in tokenize_calls]
-    assert lexed == [(gt, None), (cases[0], gt)]
+    assert json.loads(capsys.readouterr().out)["composite"] < 100
+    assert bracket_builds == [parse_source(fixture_text("multiple_gt.c")).lexemes]
 
 
 def test_scoring_and_strip_build_no_token_tuples():
@@ -332,3 +368,126 @@ def test_cuts_and_attachments_match_the_oracles(text, draws):
         assert view.text[a:b] == text, (lo, hi)
         assert view.lexemes[first:stop] == [t.lexeme for t in tokens], (lo, hi)
         assert view.starts[first:stop] == [t.byte_offset for t in tokens], (lo, hi)
+
+
+# -- a candidate that differs only on pragma lines ----------------------------
+
+_GEN = perfbench_module("gen")
+EDIT_SOURCES = [
+    *(path.read_text() for path in sorted(FIXTURES.glob("*.c"))),
+    *(record.reference.text for record in _GEN.static_records(1, 0, FIXTURES)),
+    _GEN.large_pair(1, 0)[0].text,
+]
+# brackets, `;`, comments, splices, `#`, blanks before `#`, edits to `omp`
+EDIT_PIECES = [
+    "(", ")", "[", "]", "{", "}", ";", ",", "/*", "*/", "//", "\\", "\\\n", "#", " ", "\t",
+    "\r", "omp", "om", "OMP", "pragma", "x", "private(i)", "reduction(+:s)", "collapse(2)",
+    "critical(", "nowait", "/* c */",
+]
+
+
+@st.composite
+def pragma_edits(draw) -> tuple[str, str]:
+    """A source and a copy with pieces put into, or cut from, a few of its
+    lines that hold a `#`, with `\\n` or `\\r\\n` line ends."""
+    source = draw(st.one_of(st.sampled_from(EDIT_SOURCES), pragma_soups()))
+    if draw(st.booleans()):
+        source = source.replace("\n", "\r\n")
+    lines = source.split("\n")
+    marked = [i for i, line in enumerate(lines) if "#" in line] or [0]
+    for i in draw(st.lists(st.sampled_from(marked), max_size=3)):
+        line = lines[i]
+        at = draw(st.integers(0, len(line)))
+        cut = draw(st.integers(0, min(3, len(line) - at)))
+        lines[i] = line[:at] + draw(st.sampled_from(["", *EDIT_PIECES])) + line[at + cut :]
+    return source, "\n".join(lines)
+
+
+# Each pair is refused by one condition of the gate.
+GATE_REFUSALS = [
+    # a pragma line inserted, so the line count differs
+    ("#pragma omp parallel\n{ x++; }\n", "#pragma omp parallel\n#pragma omp single\n{ x++; }\n"),
+    # a code line edited
+    ("#pragma omp parallel for\nfor (i = 0; i < n; i++) x++;\n",
+     "#pragma omp parallel for\nfor (i = 0; i < n; i++) x--;\n"),
+    # a comment before the reference's `#`
+    ("/* c */ #pragma omp parallel\n{ x++; }\n", "/* c */ #pragma omp single\n{ x++; }\n"),
+    # a reference pragma carried on by a splice, or by a comment
+    ("#pragma omp parallel \\\n for\nfor (;;) x++;\n", "#pragma omp parallel\n for\nfor (;;) x++;\n"),
+    ("#pragma omp parallel /* a\n b */\n{ x++; }\n", "#pragma omp single\n b */\n{ x++; }\n"),
+    # a reference line that is no OpenMP pragma
+    ("#pragma GCC ivdep\nfor (;;) x++;\n", "#pragma omp simd\nfor (;;) x++;\n"),
+    # a candidate line that is no OpenMP pragma
+    ("#pragma omp parallel\n{ x++; }\n", "#pragma GCC parallel\n{ x++; }\n"),
+    ("#pragma omp parallel\n{ x++; }\n", "#pragma om parallel\n{ x++; }\n"),
+    ("#pragma omp parallel\n{ x++; }\n", "pragma omp parallel\n{ x++; }\n"),
+    # a candidate line with no line head
+    ("#pragma omp barrier\n{ x++; }\n", "// #pragma omp barrier\n{ x++; }\n"),
+    # a candidate line that runs on into the next: a splice, an open
+    # comment, a line comment ending in a splice
+    ("#pragma omp parallel\n{ x++; }\n", "#pragma omp parallel \\\n{ x++; }\n"),
+    ("#pragma omp parallel\n{ x++; }\n", "#pragma omp parallel /*\n{ x++; } */\n"),
+    ("#pragma omp parallel\n{ x++; }\n", "#pragma omp parallel // c \\\n{ x++; }\n"),
+    # a bracket left open, one closed by the wrong type, a surplus closer
+    ("#pragma omp for private(i)\nfor (;;) { x++; }\n", "#pragma omp for private(i\nfor (;;) { x++; }\n"),
+    ("#pragma omp for private(i)\nfor (;;) { x++; }\n", "#pragma omp for private(i]\nfor (;;) { x++; }\n"),
+    ("{\n#pragma omp barrier\nx++; }\n", "{\n#pragma omp barrier }\nx++; }\n"),
+    # a reference line whose bracket closes after it: the statement after
+    # `single` ends at the loop's `;` there, at the surplus `)` here
+    ("#pragma omp single\nx = y\n#pragma omp critical(\nfor (;;)) x++;\n",
+     "#pragma omp single\nx = y\n#pragma omp critical(a)\nfor (;;)) x++;\n"),
+    # a `;` on the line: the statement after `single` ends there
+    ("#pragma omp single\nx = y\n#pragma omp barrier;\nz;\n",
+     "#pragma omp single\nx = y\n#pragma omp barrier\nz;\n"),
+]
+GATE_TAKEN = [
+    # blanks and a comment before the candidate's `#`, `\r\n` line ends
+    ("#pragma omp parallel for\nfor (;;) x++;\n", "  /* c */ #pragma omp for\nfor (;;) x++;\n"),
+    ("{\r\n  #pragma omp for private(i)\r\n  for (;;) x++;\r\n}\r\n",
+     "{\r\n  #pragma omp for private(j) nowait\r\n  for (;;) x++;\r\n}\r\n"),
+    # the last line, with no newline after it, inside a loop that runs to
+    # the end of the text
+    ("#pragma omp for\nfor (;;) {\n#pragma omp barrier", "#pragma omp for\nfor (;;) {\n#pragma omp taskwait"),
+]
+
+
+def _assert_analysed_as_fresh(reference: str, candidate: str) -> bool:
+    """``candidate`` analysed against ``reference``'s analysis equals its
+    fresh analysis, field by field, and scores the same; returns whether it
+    took the pragma-line path."""
+    ref = analyze(reference)
+    got, fresh = analyze(candidate, like=ref), analyze(candidate)
+    assert got == fresh  # unit columns, directives, regions and their diagnostics
+    assert got.unit.decisions == fresh.unit.decisions
+    assert vars(got.stripped_view) == vars(fresh.stripped_view)
+    assert ompbleu_score(ref, got, NO_COMPILE_CFG).as_dict() == ompbleu_score(
+        ref, fresh, NO_COMPILE_CFG
+    ).as_dict()
+    return pragma_edit(candidate, ref.unit, ref.directives) is not None
+
+
+def _with_examples(pairs):
+    def add(test):
+        for pair in pairs:
+            test = example(pair)(test)
+        return test
+
+    return add
+
+
+@given(pragma_edits())
+@_with_examples(GATE_REFUSALS + GATE_TAKEN)
+@settings(max_examples=300, deadline=None)
+def test_a_pragma_line_edit_is_analysed_as_from_scratch(pair):
+    took = _assert_analysed_as_fresh(*pair)
+    event("took the pragma-line path" if took else "fell back")
+
+
+def test_the_gate_refuses_each_case_and_takes_the_others():
+    assert [_assert_analysed_as_fresh(*pair) for pair in GATE_REFUSALS] == [False] * len(GATE_REFUSALS)
+    assert all(_assert_analysed_as_fresh(*pair) for pair in GATE_TAKEN)
+    # most of the benchmark's kernels and the fixtures' pragma edits take it
+    gt = fixture_text("multiple_gt.c")
+    assert _assert_analysed_as_fresh(gt, fixture_text("multiple_case2.c"))
+    full_ref, full_cand = _GEN.large_pair(1, 0)[2:]
+    assert _assert_analysed_as_fresh(full_ref.text, full_cand.text)
