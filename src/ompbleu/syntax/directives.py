@@ -566,8 +566,8 @@ def pragma_edit(
     heads, lines = code.heads, directive_line_spans(code)
     if len(heads) != len(changed) + 1 or len(lines) != len(changed):
         return None
-    windows, edits, bounds, shifts, token_bounds, token_shifts = [], {}, [], [], [], []
-    shift = token_shift = joined_at = 0  # bytes and tokens gained; the line's start in ``joined``
+    windows, edits, bounds, shifts = [], {}, [], []
+    shift = joined_at = 0  # bytes gained; the line's start in ``joined``
     for (lo, hi), head, end, i in zip(lines, heads, heads[1:], changed):
         old, new = old_lines[i], new_lines[i]
         a, b = line_starts[i], line_starts[i] + len(old)
@@ -586,19 +586,17 @@ def pragma_edit(
         body = _parse_directive_body(code.lexemes, closers, head + 2, end)
         edits[k] = body, base + lo, joined[lo:hi]
         shift += len(new) - len(old)
-        token_shift += end - head - (stop - first)
         starts = list(map(base.__add__, code.starts[head:end]))
         windows.append((first, stop, (code.lexemes[head:end], starts, [0]), shift))
         bounds.append(b)
         shifts.append(shift)
-        token_bounds.append(stop)
-        token_shifts.append(token_shift)
         joined_at += len(new) + 1
 
     edited = SourceUnit(text, *_splice(unit, windows))
     # the cached property, read off the reference: no decision point lies
     # on a pragma line
-    edited.__dict__["decisions"] = _moved(unit.decisions, token_bounds, token_shifts)
+    gained = accumulate(len(tokens[0]) - (stop - first) for first, stop, tokens, _ in windows)
+    edited.__dict__["decisions"] = _moved(unit.decisions, [w[1] for w in windows], list(gained))
     after = [0, *shifts]
 
     def at(offset: int) -> int:

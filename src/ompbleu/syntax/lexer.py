@@ -17,11 +17,15 @@ no command asks for it.
 
 A text lexed against a similar one, a candidate against its reference, is
 lexed only where the two differ: the other text's tokens are reused, shifted,
-on both sides of that span (:func:`tokenize`).
+on both sides of that span (:func:`tokenize`).  A candidate that differs
+from its reference only on whole `#pragma omp` lines is lexed only on those
+lines, in one call, and their tokens take the place of the reference's
+(:func:`~.directives.pragma_edit`); both paths splice with :func:`_splice`.
 
 A `#` opens a preprocessor directive when nothing but layout comes before
-it on its logical line (C11 5.1.1.2, phases 3-4: a comment counts as a
-space and a line splice joins two lines).  The one match that lexes each
+it on its logical line (C11 5.1.1.2, phases 2-4: a line splice joins two
+lines before comments are found, so a `//` comment runs on over a splice,
+and a comment counts as a space).  The one match that lexes each
 code token decides this, from whether the layout before the token holds a
 newline token.
 """
@@ -210,8 +214,7 @@ def line_closers(lexemes: list[str], lo: int, hi: int) -> dict[int, int] | None:
     of one line; None unless every bracket there closes there, nested
     properly, and no `;` is there.  Then the line changes no bracket match
     or statement end of :class:`Brackets` outside it."""
-    closers: dict[int, int] = {}
-    stack: list[int] = []
+    closers, stack = {}, []
     for i in compress(range(lo, hi), map(_BRACKETS.__contains__, lexemes[lo:hi])):
         lexeme = lexemes[i]
         if lexeme in _OPENER_OF.values():
@@ -406,9 +409,7 @@ def _splice(like: SourceUnit, windows: list[tuple[int, int, _Window, int]]) -> C
     counted from its first token, and ``like``'s tokens after it move by
     ``shift`` characters."""
     lexemes, starts, heads = like.lexemes, like.starts, like.heads
-    out_lexemes: list[str] = []
-    out_starts: list[int] = []
-    out_heads: list[int] = []
+    out_lexemes, out_starts, out_heads = [], [], []
     done = shift = 0
     for keep, resume, (w_lexemes, w_starts, w_heads), next_shift in [
         *windows,
