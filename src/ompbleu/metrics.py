@@ -179,8 +179,8 @@ def analyze(
     ``like``, the analysis of a similar source such as a candidate's
     reference, is only a speed-up.  A source that differs from it only on
     whole `#pragma omp` lines that stay in place is analysed from it: only
-    those lines are lexed and parsed, and the tokens, loops, attachments
-    and stripped text are its own, moved (:func:`~.syntax.directives.pragma_edit`).
+    those lines are lexed and parsed, and the tokens, loops and attachments
+    are the reference's, moved (:func:`~.syntax.directives.pragma_edit`).
     Any other source is lexed only where it differs from ``like``'s unit
     (:func:`~ompbleu.syntax.parse_source`) and analysed in full.
     """
@@ -189,19 +189,15 @@ def analyze(
         unit = parse_source(source, like=like and like.unit)
         directives = extract_directives(unit)
     else:
-        unit, directives, bounds, shifts = edit
+        unit, directives = edit
     regions, region_diags = parallel_region_blocks(unit, directives)
-    side = SideAnalysis(
+    return SideAnalysis(
         unit=unit,
         directives=tuple(directives),
         regions=tuple(regions),
         region_diagnostics=tuple(region_diags),
         language=language,
     )
-    if edit is not None:
-        # the cached property: the stripped text is the reference's
-        side.__dict__["stripped_view"] = like.stripped_view.moved(bounds, shifts)
-    return side
 
 
 def _all_components(directives: tuple[Directive, ...]) -> frozenset[str]:

@@ -12,12 +12,11 @@ in the unit's bracket table (:class:`~.lexer.Brackets`).
 from __future__ import annotations
 
 import bisect
-import copy
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from itertools import accumulate, compress, count
-from operator import ne, sub
+from operator import ne
 
 from .lexer import SourceUnit, _splice, lexeme_kind, line_closers, newline_tokens, tokenize
 from .loops import _CLOSERS, _OPENERS, LoopContext, _split_top_level, loop_contexts
@@ -517,35 +516,13 @@ class StrippedView:
             bisect.bisect_left(starts, hi),
         )
 
-    def moved(self, bounds: list[int], shifts: list[int]) -> StrippedView:
-        """This view of a text edited only inside its cut lines: the stripped
-        text and lexemes are the same, and each offset at or after
-        ``bounds[j]`` (and before the next bound) moves by ``shifts[j]``."""
-        view = copy.copy(self)
-        view.starts = _moved(self.starts, bounds, shifts)
-        view._cut_ends = _moved(self._cut_ends, bounds, shifts)
-        view._cut_starts = _moved(self._cut_starts, bounds, shifts)
-        view._removed = list(accumulate(map(sub, view._cut_ends, view._cut_starts), initial=0))
-        return view
-
-
-def _moved(values: list[int], bounds: list[int], shifts: list[int]) -> list[int]:
-    """The sorted ``values``, each moved by the shift of the last bound at
-    or below it, and not moved below the first bound."""
-    cuts = [*(bisect.bisect_left(values, b) for b in bounds), len(values)]
-    out = values[: cuts[0]]
-    for lo, hi, shift in zip(cuts, cuts[1:], shifts):
-        out += map(shift.__add__, values[lo:hi])
-    return out
-
 
 def pragma_edit(
     text: str, unit: SourceUnit, directives: Sequence[Directive]
-) -> tuple[SourceUnit, list[Directive], list[int], list[int]] | None:
+) -> tuple[SourceUnit, list[Directive]] | None:
     """The unit and directives of ``text`` read off ``unit`` and its
     ``directives``, when the two texts differ only on whole `#pragma omp`
-    lines that stay in place; None otherwise.  Also returns the bounds and
-    shifts for :meth:`StrippedView.moved`.
+    lines that stay in place; None otherwise.
 
     Only the changed lines are lexed and parsed.  Each must be one directive's
     whole logical line on both sides, after nothing but blanks in ``unit``,
@@ -559,6 +536,19 @@ def pragma_edit(
     changed = list(compress(count(), map(ne, old_lines, new_lines)))
     line_starts = list(accumulate(map((1).__add__, map(len, old_lines)), initial=0))
     by_offset = {d.byte_offset: k for k, d in enumerate(directives)}
+    olds = []  # the directive and the token range of each changed line in ``unit``
+    for i in changed:
+        old, a = old_lines[i], line_starts[i]
+        col = len(old) - len(old.lstrip(" \t"))
+        k = by_offset.get(a + col)
+        first, stop = unit.token_index(a), unit.token_index(a + len(old))
+        if (
+            k is None
+            or len(directives[k].raw_text) != len(old) - col
+            or line_closers(unit.lexemes, first, stop) is None
+        ):
+            return None
+        olds.append((k, first, stop))
     # the changed lines lexed alone; a `#` after them must start a line of
     # its own, so none of them runs on into the next
     joined = "\n".join([*(new_lines[i] for i in changed), "#"])
@@ -568,35 +558,20 @@ def pragma_edit(
         return None
     windows, edits, bounds, shifts = [], {}, [], []
     shift = joined_at = 0  # bytes gained; the line's start in ``joined``
-    for (lo, hi), head, end, i in zip(lines, heads, heads[1:], changed):
-        old, new = old_lines[i], new_lines[i]
-        a, b = line_starts[i], line_starts[i] + len(old)
-        col = len(old) - len(old.lstrip(" \t"))
-        k = by_offset.get(a + col)
-        first, stop = unit.token_index(a), unit.token_index(b)
+    for (lo, hi), head, end, i, (k, first, stop) in zip(lines, heads, heads[1:], changed, olds):
         closers = line_closers(code.lexemes, head, end)
-        if (
-            k is None
-            or len(directives[k].raw_text) != len(old) - col
-            or line_closers(unit.lexemes, first, stop) is None
-            or closers is None
-        ):
+        if closers is None:
             return None
-        base = a + shift - joined_at  # from an offset in ``joined`` to one in ``text``
-        body = _parse_directive_body(code.lexemes, closers, head + 2, end)
-        edits[k] = body, base + lo, joined[lo:hi]
-        shift += len(new) - len(old)
+        base = line_starts[i] + shift - joined_at  # from an offset in ``joined`` to one in ``text``
+        edits[k] = _parse_directive_body(code.lexemes, closers, head + 2, end), base + lo, joined[lo:hi]
+        shift += len(new_lines[i]) - len(old_lines[i])
         starts = list(map(base.__add__, code.starts[head:end]))
         windows.append((first, stop, (code.lexemes[head:end], starts, [0]), shift))
-        bounds.append(b)
+        bounds.append(line_starts[i] + len(old_lines[i]))
         shifts.append(shift)
-        joined_at += len(new) + 1
+        joined_at += len(new_lines[i]) + 1
 
     edited = SourceUnit(text, *_splice(unit, windows))
-    # the cached property, read off the reference: no decision point lies
-    # on a pragma line
-    gained = accumulate(len(tokens[0]) - (stop - first) for first, stop, tokens, _ in windows)
-    edited.__dict__["decisions"] = _moved(unit.decisions, [w[1] for w in windows], list(gained))
     after = [0, *shifts]
 
     def at(offset: int) -> int:
@@ -618,7 +593,7 @@ def pragma_edit(
         elif (at(d.byte_offset), span, loop) != (d.byte_offset, d.construct_span, d.attached_loop):
             d = replace(d, byte_offset=at(d.byte_offset), construct_span=span, attached_loop=loop)
         out.append(d)
-    return edited, out, bounds, shifts
+    return edited, out
 
 
 def strip_openmp(unit: SourceUnit) -> str:

@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, repeat
-from operator import add, and_, not_
+from operator import add
 from typing import NamedTuple
 
 # Shared C/C++ keyword inventory.  Only lexeme classification depends on this;
@@ -270,8 +270,8 @@ class SourceUnit:
         """Indices of the decision points outside preprocessor lines among
         the code tokens, in order."""
         flags = self.in_directive
-        outside = map(and_, map(DECISION_LEXEMES.__contains__, self.lexemes), map(not_, flags))
-        return list(compress(range(len(flags)), outside))
+        found = compress(range(len(flags)), map(DECISION_LEXEMES.__contains__, self.lexemes))
+        return [i for i in found if not flags[i]]
 
     @cached_property
     def _newlines(self) -> list[int]:

@@ -106,6 +106,24 @@ def test_each_candidate_is_lexed_against_its_reference(tokenize_calls, tmp_path)
         tokenize_calls.clear()
 
 
+def test_a_code_edit_is_lexed_once_against_its_reference(tokenize_calls):
+    # the line count is kept but a code line differs, alone or after an
+    # edited pragma line: the gate refuses the candidate before it lexes any
+    # line, so the candidate is lexed once, with ``like``
+    gt = fixture_text("multiple_gt.c")
+    cases = (
+        gt.replace("int n = 10;", "int n = 12;"),
+        gt.replace("omp critical", "omp atomic").replace("return 0;", "return 1;"),
+    )
+    ranked = rank_candidates(DatasetRecord(id="r", reference=gt, candidates=cases), NO_COMPILE_CFG)
+    reference = ranked[0].analyses[0].unit
+    assert [(text, like is reference) for text, like in tokenize_calls] == [
+        (gt, False),
+        (cases[0], True),
+        (cases[1], True),
+    ]
+
+
 def test_a_pragma_only_candidate_builds_no_bracket_table(bracket_builds, tmp_path, capsys):
     # the candidate's brackets, loops and directives are the reference's,
     # moved; only the reference builds a bracket table
