@@ -2,17 +2,16 @@
 
 Each unit compiles in one language, C or C++, resolved from the config, a
 hint of the unit's own (a dataset record's ``language`` field or a file
-suffix) and a default.  Results are cached by (source hash, config hash,
-language) so re-scoring a corpus never recompiles unchanged code.  A
-missing compiler or a timeout raises instead of silently scoring 0;
-callers may opt into mapping timeouts to 0.
+suffix) and a default.  Results are cached under the exact source, compiler
+argv, flags, mode and language, so re-scoring a corpus never recompiles
+unchanged code.  A missing compiler or a timeout raises instead of silently
+scoring 0; callers may opt into mapping timeouts to 0, which is not cached.
 """
 
 from __future__ import annotations
 
-# hashlib (OpenSSL), subprocess and shlex are imported where they are used,
-# so that a command that compiles nothing does not load them: hashlib alone
-# maps 3.7 MB.
+# subprocess and shlex are imported where they are used, so that a command
+# that compiles nothing does not load them.
 import functools
 import json
 import os
@@ -21,6 +20,7 @@ import shutil
 import tempfile
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -194,9 +194,9 @@ def _wrap_source(source: str) -> tuple[str, bool]:
 def _cache_key(
     source: str, config: CompileConfig, argv: tuple[str, ...], language: str
 ) -> str:
-    import hashlib
-
-    payload = json.dumps(
+    """Every input of a compile, as sorted JSON: the memory cache's key, and
+    the key a ``cache_dir`` entry must hold to be a hit."""
+    return json.dumps(
         {
             "source": source,
             "argv": list(argv),
@@ -207,18 +207,22 @@ def _cache_key(
         },
         sort_keys=True,
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _entry_name(key: str) -> str:
+    """The ``cache_dir`` file of a key.  Two keys may share one; the entry
+    then holds the last one stored, and the other misses."""
+    data = key.encode("utf-8")
+    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}.json"
 
 
 def _cache_load(config: CompileConfig, key: str) -> dict | None:
     if config.cache_dir:
-        path = Path(config.cache_dir) / f"{key}.json"
-        if path.exists():
-            try:
-                return json.loads(path.read_text())
-            except (OSError, ValueError):
-                return None
-        return None
+        try:
+            entry = json.loads((Path(config.cache_dir) / _entry_name(key)).read_text())
+        except (OSError, ValueError):
+            return None
+        return entry if type(entry) is dict and entry.get("key") == key else None
     with _memory_lock:
         entry = _memory_cache.get(key)
         if entry is not None:
@@ -233,8 +237,8 @@ def _cache_store(config: CompileConfig, key: str, entry: dict) -> None:
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh)
-            os.replace(tmp, cache_dir / f"{key}.json")
+                json.dump({**entry, "key": key}, fh)
+            os.replace(tmp, cache_dir / _entry_name(key))
         except OSError:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -261,8 +265,9 @@ def compile_score(
     entry = _cache_load(cfg, key)
     cached = entry is not None
     if not cached:
-        entry = _compile(source, cfg, argv, lang)
-        _cache_store(cfg, key, entry)
+        entry, timed_out = _compile(source, cfg, argv, lang)
+        if not timed_out:  # a timeout says nothing about the source
+            _cache_store(cfg, key, entry)
     return CompileResult(
         score=entry["score"],
         diagnostics=entry["diagnostics"],
@@ -274,9 +279,12 @@ def compile_score(
     )
 
 
-def _compile(source: str, cfg: CompileConfig, argv: tuple[str, ...], lang: str) -> dict:
+def _compile(
+    source: str, cfg: CompileConfig, argv: tuple[str, ...], lang: str
+) -> tuple[dict, bool]:
     """Compile ``source`` in a temporary directory and return the run's
-    cache entry; under ``timeout_as_failure`` a timeout is a failed compile."""
+    cache entry and whether it timed out; under ``timeout_as_failure`` a
+    timeout is a failed compile."""
     import subprocess
 
     text = source
@@ -314,11 +322,12 @@ def _compile(source: str, cfg: CompileConfig, argv: tuple[str, ...], lang: str) 
                 raise CompileTimeout(
                     f"compilation exceeded {cfg.timeout}s"
                 ) from exc
-            score, diagnostics = 0, f"timeout after {cfg.timeout}s"
+            timed_out, score, diagnostics = True, 0, f"timeout after {cfg.timeout}s"
         else:
+            timed_out = False
             score = 1 if proc.returncode == 0 else 0
             diagnostics = (proc.stderr or "") + (proc.stdout or "")
             if wrapped:
                 diagnostics = "(snippet wrapped in stub translation unit)\n" + diagnostics
         duration = time.monotonic() - start
-    return {"score": score, "diagnostics": diagnostics, "duration": duration, "command": cmd}
+    return {"score": score, "diagnostics": diagnostics, "duration": duration, "command": cmd}, timed_out

@@ -208,19 +208,17 @@ class RemoteEmbeddingBackend:
 
     def embed(self, text: str) -> list[float]:
         # imported here: http.client and its email parser cost ~50 ms at
-        # start-up, hashlib maps OpenSSL (3.7 MB), and config imports this module
-        import hashlib
+        # start-up, urllib.request maps OpenSSL, and config imports this module
         import http.client
         import urllib.error
         import urllib.request
 
         from .config import Key, _number, values_of
 
-        key = hashlib.sha256(text.encode("utf-8")).hexdigest()
         with self._lock:
-            if key in self._cache:
-                self._cache.move_to_end(key)
-                return self._cache[key]
+            if text in self._cache:
+                self._cache.move_to_end(text)
+                return self._cache[text]
         request = urllib.request.Request(
             f"{self.endpoint}/embed",
             data=json.dumps({"model": self.model_id, "text": text}).encode("utf-8"),
@@ -250,7 +248,7 @@ class RemoteEmbeddingBackend:
         except (RecursionError, ValueError) as exc:  # json nests only so deep
             raise SimilarityError(f"malformed embedding response: {exc}") from exc
         with self._lock:
-            self._cache[key] = vec
+            self._cache[text] = vec
             if len(self._cache) > self.cache_entries:
                 self._cache.popitem(last=False)
         return vec

@@ -82,6 +82,35 @@ def test_memory_cache_keeps_the_most_recently_used(monkeypatch):
     assert compile_check._cache_load(cfg, "new") == {"score": -1}
 
 
+def test_a_shared_entry_name_never_serves_another_units_verdict(monkeypatch, tmp_path):
+    monkeypatch.setattr(compile_check, "_entry_name", lambda key: "same.json")
+    cfg = CompileConfig(cache_dir=str(tmp_path))
+    good, bad = fixture_text("single_gt.c"), fixture_text("single_case1.c")
+    first, second = compile_score(good, cfg), compile_score(bad, cfg)
+    assert (first.score, first.cached, second.score, second.cached) == (1, False, 0, False)
+    assert [p.name for p in tmp_path.iterdir()] == ["same.json"]
+    again = compile_score(good, cfg)  # the entry now holds the other unit
+    assert (again.score, again.cached) == (1, False)
+    assert compile_score(good, cfg).cached
+
+
+@pytest.mark.parametrize("text", ["[]", "null", "7", '"x"', '{"score": 1}', "{", ""])
+def test_a_cache_file_that_is_not_the_units_entry_is_a_miss(tmp_path, capsys, text):
+    cache = tmp_path / "cache"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"compile": {"cache_dir": str(cache)}}))
+    unit = str(FIXTURES / "single_gt.c")
+    assert main(["--config", str(config), "compile-check", unit]) == 0
+    assert json.loads(capsys.readouterr().out)["cached"] is False
+    (entry,) = cache.iterdir()
+    entry.write_text(text)
+    assert main(["--config", str(config), "compile-check", unit]) == 0
+    out, err = capsys.readouterr()
+    assert (json.loads(out)["score"], json.loads(out)["cached"], err) == (1, False, "")
+    assert main(["--config", str(config), "compile-check", unit]) == 0  # stored again
+    assert json.loads(capsys.readouterr().out)["cached"] is True
+
+
 def test_cache_distinguishes_configs(tmp_path):
     src = fixture_text("fig1_gt.c")
     a = compile_score(src, CompileConfig(cache_dir=str(tmp_path), extra_flags=("-Wall",)))
@@ -143,6 +172,23 @@ def test_timeout_raises_or_maps(monkeypatch, tmp_path):
     result = compile_score("int main(void){return 0;}\n", mapped)
     assert result.score == 0
     assert "timeout" in result.diagnostics
+
+
+@pytest.mark.parametrize("cache_dir", [None, "cache"])
+def test_a_timeout_is_not_cached(monkeypatch, tmp_path, cache_dir):
+    monkeypatch.setattr(compile_check, "_memory_cache", OrderedDict())
+    # a "compiler" that accepts anything, after 1 s
+    slow = tmp_path / "slowcc"
+    slow.write_text("#!/bin/sh\nsleep 1\n")
+    slow.chmod(0o755)
+    cache = cache_dir and str(tmp_path / cache_dir)
+    source = "int main(void){return 0;}\n"
+    hurried = CompileConfig(command=(str(slow),), timeout=0.3, timeout_as_failure=True, cache_dir=cache)
+    result = compile_score(source, hurried)
+    assert (result.score, result.cached, result.diagnostics) == (0, False, "timeout after 0.3s")
+    patient = compile_score(source, CompileConfig(command=(str(slow),), cache_dir=cache))
+    assert (patient.score, patient.cached, patient.diagnostics) == (1, False, "")
+    assert compile_score(source, hurried).cached  # the verdict is cached
 
 
 def test_config_validation():

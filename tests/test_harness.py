@@ -979,22 +979,23 @@ def test_cli_entry_point_installed():
 FOOTPRINT_SCRIPT = """
 import json, sys
 before = set(sys.modules)
-from ompbleu import cli, compile_check
-source, candidate, dataset, config, out = sys.argv[1:]
+from ompbleu import cli
+source, candidate, dataset, config, in_memory, on_disk, out = sys.argv[1:]
 stages = {
-    "strip": ["strip", source],
-    "annotate": ["annotate", source],
-    "corrupt": ["corrupt", source, "--seed", "1"],
-    "score": ["score", source, candidate],
-    "dataset": ["--jobs", "2", "--emit", "table", "dataset", dataset],
-    "dataset csv": ["--emit", "csv", "dataset", dataset],
+    "strip": [config, "strip", source],
+    "annotate": [config, "annotate", source],
+    "corrupt": [config, "corrupt", source, "--seed", "1"],
+    "score": [config, "score", source, candidate],
+    "dataset": [config, "--jobs", "2", "--emit", "table", "dataset", dataset],
+    "dataset csv": [config, "--emit", "csv", "dataset", dataset],
+    "compile-check": [in_memory, "compile-check", source],
+    "compile-check cache_dir": [on_disk, "compile-check", source],
+    "compile-check cache_dir hit": [on_disk, "compile-check", source],
 }
 loaded = {}
-for stage, args in stages.items():
-    assert cli.main(["--config", config, "--out", out, *args]) == 0, stage
+for stage, (cfg, *args) in stages.items():
+    assert cli.main(["--config", cfg, "--out", out, *args]) == 0, stage
     loaded[stage] = sorted(set(sys.modules) - before)
-compile_check._cache_key("int x;", compile_check.CompileConfig(), ("cc",), "c")
-loaded["cache key"] = sorted(set(sys.modules) - before)
 print(json.dumps(loaded))
 """
 
@@ -1004,9 +1005,15 @@ def test_commands_load_only_the_modules_they_run(tmp_path, small_dataset):
     # fresh interpreter
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"compile_enabled": False}))
+    # a stand-in compiler that accepts any unit, without and with a cache_dir
+    compilers = [tmp_path / "in_memory.json", tmp_path / "on_disk.json"]
+    for path, cache_dir in zip(compilers, (None, str(tmp_path / "cache"))):
+        compiler = {"command": [sys.executable, "-c", ""], "cache_dir": cache_dir}
+        path.write_text(json.dumps({"compile": compiler}))
     env = {k: v for k, v in os.environ.items() if k != "OMPBLEU_CC"}
     env["PYTHONPATH"] = str(Path(ompbleu.__file__).parents[1])
-    args = [FIXTURES / "fig1_gt.c", FIXTURES / "fig1_gen.c", small_dataset, cfg, tmp_path / "out"]
+    args = [FIXTURES / "fig1_gt.c", FIXTURES / "fig1_gen.c", small_dataset, cfg, *compilers,
+            tmp_path / "out"]
     proc = subprocess.run(
         [sys.executable, "-c", FOOTPRINT_SCRIPT, *map(str, args)],
         capture_output=True,
@@ -1022,4 +1029,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path, small_dataset):
     assert "statistics" in loaded["dataset"]
     # the paths that use them do load them
     assert "csv" in loaded["dataset csv"]
-    assert "_hashlib" in loaded["cache key"]
+    assert "subprocess" in loaded["compile-check"]
+    # the compile cache is keyed without hashlib, in memory as on disk
+    assert all("_hashlib" not in names for names in loaded.values())
+    assert json.loads((tmp_path / "out").read_text())["cached"] is True
