@@ -181,12 +181,11 @@ def analyze(
     whole `#pragma omp` lines that stay in place is analysed from it: only
     those lines are lexed and parsed, and the tokens, loops and attachments
     are the reference's, moved (:func:`~.syntax.directives.pragma_edit`).
-    Any other source is lexed only where it differs from ``like``'s unit
-    (:func:`~ompbleu.syntax.parse_source`) and analysed in full.
+    Any other source is lexed and analysed in full.
     """
     edit = like and pragma_edit(source, like.unit, like.directives)
     if edit is None:
-        unit = parse_source(source, like=like and like.unit)
+        unit = parse_source(source)
         directives = extract_directives(unit)
     else:
         unit, directives = edit

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate, compress, count
 from operator import ne
 
-from .lexer import SourceUnit, _splice, lexeme_kind, line_closers, newline_tokens, tokenize
+from .lexer import SourceUnit, lexeme_kind, line_closers, newline_tokens, splice, tokenize
 from .loops import _CLOSERS, _OPENERS, LoopContext, _split_top_level, loop_contexts
 
 # Directive keywords and the combinations they may extend.
@@ -571,7 +571,7 @@ def pragma_edit(
         shifts.append(shift)
         joined_at += len(new_lines[i]) + 1
 
-    edited = SourceUnit(text, *_splice(unit, windows))
+    edited = SourceUnit(text, *splice(unit, windows))
     after = [0, *shifts]
 
     def at(offset: int) -> int:

@@ -15,12 +15,11 @@ preprocessor line and the index of each line head.  The full stream of
 the lexer's own rules only where it is asked for (:attr:`SourceUnit.tokens`);
 no command asks for it.
 
-A text lexed against a similar one, a candidate against its reference, is
-lexed only where the two differ: the other text's tokens are reused, shifted,
-on both sides of that span (:func:`tokenize`).  A candidate that differs
-from its reference only on whole `#pragma omp` lines is lexed only on those
-lines, in one call, and their tokens take the place of the reference's
-(:func:`~.directives.pragma_edit`); both paths splice with :func:`_splice`.
+Every text is lexed in full, in one call (:func:`tokenize`).  The one
+exception is a candidate that differs from its reference only on whole
+`#pragma omp` lines: those lines alone are lexed, and :func:`splice` puts
+their tokens in the place of the reference's
+(:func:`~.directives.pragma_edit`).
 
 A `#` opens a preprocessor directive when nothing but layout comes before
 it on its logical line (C11 5.1.1.2, phases 2-4: a line splice joins two
@@ -306,7 +305,7 @@ def newline_tokens(text: str, lo: int, hi: int) -> list[int]:
     return offsets
 
 
-def tokenize(text: str, like: SourceUnit | None = None) -> CodeTokens:
+def tokenize(text: str) -> CodeTokens:
     """The code tokens of ``text``: every lexeme that is neither whitespace
     nor a comment, in order, with its offset and directive flag, the token
     range of each preprocessor line, and the line heads.
@@ -316,33 +315,21 @@ def tokenize(text: str, like: SourceUnit | None = None) -> CodeTokens:
     word, with any blanks, comments and splices between them, form a single
     token and the rest of the logical line, across backslash continuations,
     is flagged ``in_directive``.
-
-    With ``like``, the unit of a similar text, only the span where the two
-    texts differ is lexed and ``like``'s tokens are reused around it; the
-    columns are the same as without it.
     """
-    if like is not None:
-        return _relex(text, like)
-    # the newline put first makes the first code token start a line
-    lexemes, starts, heads = _lex("\n" + text, -1)
-    return CodeTokens(lexemes, starts, *_directive_lines(lexemes, heads), heads)
-
-
-def _lex(chunk: str, base: int) -> tuple[list[str], list[int], list[int]]:
-    """The lexemes, offsets and line heads of the code tokens of ``chunk``,
-    which starts at offset ``base`` of its text."""
     # The split gives four items per match: the text between matches, always
     # empty because the token group matches any character, and the groups.
-    parts = _RE_CODE.split(chunk)
+    # The newline put first makes the first code token start a line.
+    parts = _RE_CODE.split("\n" + text)
     lexemes = parts[3::4]
     n = lexemes.index("")  # the end-of-text matches come last
     del lexemes[n:]
-    # a token starts after the end of the one before it (or the chunk's
-    # start) and its layout
+    # a token starts after the end of the one before it (or the text's start)
+    # and its layout
     gap_lens = list(map(len, parts[1 : 4 * n : 4]))
-    ends = accumulate(map(add, gap_lens, map(len, lexemes)), initial=base)
+    ends = accumulate(map(add, gap_lens, map(len, lexemes)), initial=-1)
     starts = list(map(add, ends, gap_lens))
-    return lexemes, starts, list(compress(range(n), parts[2 : 4 * n : 4]))
+    heads = list(compress(range(n), parts[2 : 4 * n : 4]))
+    return CodeTokens(lexemes, starts, *_directive_lines(lexemes, heads), heads)
 
 
 def _directive_lines(
@@ -359,56 +346,15 @@ def _directive_lines(
     return flags, lines
 
 
-# Each match of _RE_CODE is layout plus one code token; it starts where the
-# last one ended and reads at most 3 characters past its own end, except a
-# line-head `#` that falls back to a lone `#` (its try at a directive word
-# reads block comments without bound) and an unclosed `/*` (which runs to the
-# end).  So a match that ends this far from a change is the same on both
-# sides of it.
-_MARGIN = 8
-
-
-def _relex(text: str, like: SourceUnit) -> CodeTokens:
-    """:func:`tokenize` of ``text``, lexing only around the span where it
-    differs from ``like.text`` and reusing ``like``'s tokens outside it."""
-    old = like.text
-    lexemes, starts = like.lexemes, like.starts
-    prefix = _common_prefix(old, text)
-    suffix = _common_prefix(old[prefix:][::-1], text[prefix:][::-1])
-    shift = len(text) - len(old)
-    # restart after the last token that ends well before the first
-    # difference and is not a lone `#`
-    keep = bisect.bisect_right(starts, prefix - _MARGIN)
-    while keep and (
-        starts[keep - 1] + len(lexemes[keep - 1]) > prefix - _MARGIN or lexemes[keep - 1] == "#"
-    ):
-        keep -= 1
-    lo = starts[keep - 1] + len(lexemes[keep - 1]) if keep else 0
-    # resync at the end of the first token well inside the common suffix:
-    # from a match boundary there, both texts go on with the same matches
-    k = bisect.bisect_left(starts, len(old) - suffix + _MARGIN)
-    resync = starts[k] + len(lexemes[k]) + shift if k < len(lexemes) else len(text)
-    stop = resync + _MARGIN
-    if stop < len(text):
-        window = _lex_from(text, lo, stop)
-        w_lexemes, w_starts, w_heads = window
-        j = bisect.bisect_left(w_starts, resync)
-        if j and w_starts[j - 1] + len(w_lexemes[j - 1]) == resync and "#" not in w_lexemes[:j]:
-            used = (w_lexemes[:j], w_starts[:j], w_heads[: bisect.bisect_left(w_heads, j)])
-            return _splice(like, [(keep, k + 1, used, shift)])
-    return _splice(like, [(keep, len(lexemes), _lex_from(text, lo, len(text)), shift)])
-
-
-_Window = tuple[list[str], list[int], list[int]]  # lexemes, offsets, line heads
-
-
-def _splice(like: SourceUnit, windows: list[tuple[int, int, _Window, int]]) -> CodeTokens:
-    """``like``'s code tokens with some of them replaced: each window
-    ``(keep, resume, tokens, shift)``, in order, stands for ``like``'s tokens
-    from ``keep`` to ``resume``, with offsets in the new text and heads
-    counted from its first token, and ``like``'s tokens after it move by
-    ``shift`` characters."""
-    lexemes, starts, heads = like.lexemes, like.starts, like.heads
+def splice(
+    unit: SourceUnit, windows: list[tuple[int, int, tuple[list[str], list[int], list[int]], int]]
+) -> CodeTokens:
+    """``unit``'s code tokens with some of them replaced: each window
+    ``(keep, resume, (lexemes, offsets, heads), shift)``, in order, stands
+    for ``unit``'s tokens from ``keep`` to ``resume``, with offsets in the
+    new text and heads counted from its first token, and ``unit``'s tokens
+    after it move by ``shift`` characters."""
+    lexemes, starts, heads = unit.lexemes, unit.starts, unit.heads
     out_lexemes, out_starts, out_heads = [], [], []
     done = shift = 0
     for keep, resume, (w_lexemes, w_starts, w_heads), next_shift in [
@@ -427,27 +373,6 @@ def _splice(like: SourceUnit, windows: list[tuple[int, int, _Window, int]]) -> C
     return CodeTokens(out_lexemes, out_starts, *_directive_lines(out_lexemes, out_heads), out_heads)
 
 
-def _lex_from(text: str, lo: int, hi: int) -> tuple[list[str], list[int], list[int]]:
-    """:func:`_lex` of ``text[lo:hi]`` as if the lexer had reached ``lo``
-    from the text's start."""
-    if lo:
-        return _lex(text[lo:hi], lo)
-    return _lex("\n" + text[:hi], -1)
-
-
-def _common_prefix(a: str, b: str) -> int:
-    """The length of the longest common prefix of ``a`` and ``b``."""
-    lo, hi = 0, min(len(a), len(b))
-    while lo < hi:  # a[:lo] == b[:lo], and they differ in [:hi + 1] unless hi is the end
-        mid = (lo + hi + 1) // 2
-        if a[lo:mid] == b[lo:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def parse_source(text: str, like: SourceUnit | None = None) -> SourceUnit:
-    """Lex ``text`` into an immutable :class:`SourceUnit`; ``like``, the
-    unit of a similar text, is only a speed-up (see :func:`tokenize`)."""
-    return SourceUnit(text, *tokenize(text, like=like))
+def parse_source(text: str) -> SourceUnit:
+    """Lex ``text`` into an immutable :class:`SourceUnit`."""
+    return SourceUnit(text, *tokenize(text))

@@ -94,14 +94,13 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture()
 def tokenize_calls(monkeypatch):
-    """``(text, like)`` of each ``tokenize`` call through any ``ompbleu``
-    module."""
+    """The text of each ``tokenize`` call through any ``ompbleu`` module."""
     original = lexer.tokenize
-    calls: list[tuple] = []
+    calls: list[str] = []
 
-    def counting(text, like=None):
-        calls.append((text, like))
-        return original(text, like=like)
+    def counting(text):
+        calls.append(text)
+        return original(text)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("ompbleu") and module is not None:

@@ -623,7 +623,7 @@ def test_cli_strip(capsys):
 
 def test_cli_strip_lexes_once(tokenize_calls, capsys):
     assert main(["strip", str(FIXTURES / "fig1_gt.c")]) == 0
-    assert tokenize_calls == [(fixture_text("fig1_gt.c"), None)]
+    assert tokenize_calls == [fixture_text("fig1_gt.c")]
 
 
 def test_cli_annotate_lexes_each_file_once(tokenize_calls, tmp_path, capsys):
@@ -631,12 +631,12 @@ def test_cli_annotate_lexes_each_file_once(tokenize_calls, tmp_path, capsys):
     for name in names:
         (tmp_path / name).write_text(fixture_text(name))
     assert main(["annotate", str(tmp_path)]) == 0
-    assert sorted(tokenize_calls) == sorted((fixture_text(name), None) for name in names)
+    assert sorted(tokenize_calls) == sorted(map(fixture_text, names))
 
 
 def test_cli_corrupt_lexes_once(tokenize_calls, capsys):
     assert main(["corrupt", str(FIXTURES / "single_gt.c"), "--seed", "1"]) == 0
-    assert tokenize_calls == [(fixture_text("single_gt.c"), None)]
+    assert tokenize_calls == [fixture_text("single_gt.c")]
 
 
 @pytest.mark.parametrize(

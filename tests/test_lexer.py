@@ -3,7 +3,6 @@ import random
 import re
 import string
 from collections.abc import Iterable
-from types import SimpleNamespace
 from itertools import chain, compress, takewhile
 from operator import itemgetter
 
@@ -12,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ompbleu.syntax import parse_source, strip_openmp, tokenize
-from ompbleu.syntax import lexer
 from ompbleu.syntax.directives import directive_line_spans
 from ompbleu.syntax.lexer import (
     _MULTI_CHAR_OPERATORS,
@@ -24,7 +22,7 @@ from ompbleu.syntax.lexer import (
     newline_tokens,
 )
 
-from conftest import FIXTURES, fixture_text, perfbench_module, pragma_soups, token_tokenize
+from conftest import FIXTURES, fixture_text, pragma_soups, token_tokenize
 
 
 def stream(text: str) -> list[Token]:
@@ -160,72 +158,6 @@ def test_columns_and_layout_gaps_rebuild_the_text(text):
         for i, (lo, hi) in enumerate(zip([0, *ends], unit.starts))
     ]
     assert unit.heads == list(compress(range(len(unit.lexemes)), starts_a_line))
-
-
-# Lexing against a similar text.  The unit lexed from scratch is the oracle.
-
-FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.glob("*.c"))]
-EDIT_PIECES = ["/*", "*/", "//", "\\\n", '"', "'", "#", "\n#", "\n", " ", "pragma", "1e+", ";", "{"]
-SAMPLE = fixture_text("multiple_gt.c")
-LINES = "int a = 0;\nint b = x + yyy;\nint c = 2;\nint d = 3;\n"
-STRINGS = 'x = 1;\na = "text";\nb = 1;\nc = 2;\nd = 3;\n'
-
-
-@st.composite
-def edited_texts(draw) -> tuple[str, str]:
-    """A text and a copy of it with one span replaced."""
-    old = draw(st.one_of(st.sampled_from(FIXTURE_TEXTS), pragma_soups(), st.text()))
-    lo = draw(st.integers(0, len(old)))
-    hi = draw(st.integers(lo, min(len(old), lo + 24)))
-    pieces = st.lists(st.sampled_from(EDIT_PIECES), max_size=3).map("".join)
-    piece = st.one_of(pieces, st.text(max_size=6))
-    return old, old[:lo] + draw(piece) + old[hi:]
-
-
-@given(edited_texts())
-@example(("", "x"))
-@example((SAMPLE, "x" + SAMPLE))  # an edit at the start
-@example((SAMPLE, SAMPLE[:-3]))  # and at the end
-@example(  # an edit inside a block comment
-    ("x;\n/* one two three four */\ny;\nz;\nw;\n", "x;\n/* one two */three four */\ny;\nz;\nw;\n")
-)
-@example(  # a `*/` after a line-start `#` and `/*`: the `#` takes the word after the comment
-    (
-        "int a = 0;\nint b = 1;\n#/* c pragma omp parallel for\nfor (;;) a++;\nint c = 2;\n",
-        "int a = 0;\nint b = 1;\n#/* c */pragma omp parallel for\nfor (;;) a++;\nint c = 2;\n",
-    )
-)
-@example(  # a lone `#` well before the edit reads up to it
-    (
-        "int a;\n#/* a comment of some length */;\nint b;\nint c;\n",
-        "int a;\n#/* a comment of some length */pragma;\nint b;\nint c;\n",
-    )
-)
-@example((STRINGS, STRINGS.replace('"text"', '"te"xt"')))  # an edit that opens a string
-@example((STRINGS, STRINGS.replace('"text"', '"text')))  # and one that closes it
-@example((LINES, LINES.replace("x +", "x1 +")))  # the first token 8 into the common suffix
-@settings(max_examples=400, deadline=None)
-def test_lexing_against_a_similar_text_gives_the_same_columns(pair):
-    old, new = pair
-    for text, like in ((new, old), (old, new)):
-        assert parse_source(text, like=parse_source(like)) == parse_source(text)
-
-
-def test_a_one_clause_edit_of_a_large_unit_is_lexed_around_the_clause(monkeypatch):
-    text = perfbench_module("gen").large_pair(1, 0)[2].text
-    assert len(text) > 24_000
-    reference = parse_source(text)
-    mid = text.index("#pragma omp parallel for", len(text) // 2)
-    line_end = text.index("\n", mid)
-    candidate = text[:line_end] + " nowait" + text[line_end:]
-    lexed = []
-    split = lexer._RE_CODE.split
-    recording = SimpleNamespace(split=lambda chunk: lexed.append(chunk) or split(chunk))
-    monkeypatch.setattr(lexer, "_RE_CODE", recording)
-    unit = parse_source(candidate, like=reference)
-    assert sum(map(len, lexed)) < 1024
-    monkeypatch.undo()
-    assert unit == parse_source(candidate)
 
 
 # Oracle: the rule-by-rule scanner that tries each regex in turn at each

@@ -81,47 +81,39 @@ def test_each_candidate_is_lexed_against_its_reference(tokenize_calls, tmp_path)
     gt = fixture_text("multiple_gt.c")
     cases = [fixture_text(f"multiple_case{i}.c") for i in range(1, 5)]
     record = DatasetRecord(id="r", reference=gt, candidates=(*cases, gt))
-    ranked = rank_candidates(record, NO_COMPILE_CFG)
-    reference = ranked[0].analyses[0].unit
-    # cases 1 and 3 also delete a pragma line, so they are lexed against the
-    # reference; cases 2 and 4 only edit one, so only that line is lexed
-    assert [text for text, _ in tokenize_calls] == [
+    rank_candidates(record, NO_COMPILE_CFG)
+    # cases 1 and 3 also delete a pragma line, so they are lexed once, in
+    # full; cases 2 and 4 only edit one, so only that line is lexed
+    assert tokenize_calls == [
         gt,
         cases[0],
         _lexed_lines(gt, cases[1]),
         cases[2],
         _lexed_lines(gt, cases[3]),
     ]
-    assert [like is reference for _, like in tokenize_calls] == [False, True, False, True, False]
-    assert [like for _, like in tokenize_calls[::2]] == [None, None, None]
 
     tokenize_calls.clear()
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"compile_enabled": False}))
-    for case, lexed in ((cases[0], (cases[0], gt)), (cases[1], (_lexed_lines(gt, cases[1]), None))):
+    for case, lexed in ((cases[0], cases[0]), (cases[1], _lexed_lines(gt, cases[1]))):
         paths = [str(FIXTURES / "multiple_gt.c"), str(tmp_path / "case.c")]
         (tmp_path / "case.c").write_text(case)
         assert main(["--config", str(config), "score", *paths]) == 0
-        assert [(text, like and like.text) for text, like in tokenize_calls] == [(gt, None), lexed]
+        assert tokenize_calls == [gt, lexed]
         tokenize_calls.clear()
 
 
-def test_a_code_edit_is_lexed_once_against_its_reference(tokenize_calls):
+def test_a_code_edit_is_lexed_once_in_full(tokenize_calls):
     # the line count is kept but a code line differs, alone or after an
     # edited pragma line: the gate refuses the candidate before it lexes any
-    # line, so the candidate is lexed once, with ``like``
+    # line, so the candidate is lexed once, in full
     gt = fixture_text("multiple_gt.c")
     cases = (
         gt.replace("int n = 10;", "int n = 12;"),
         gt.replace("omp critical", "omp atomic").replace("return 0;", "return 1;"),
     )
-    ranked = rank_candidates(DatasetRecord(id="r", reference=gt, candidates=cases), NO_COMPILE_CFG)
-    reference = ranked[0].analyses[0].unit
-    assert [(text, like is reference) for text, like in tokenize_calls] == [
-        (gt, False),
-        (cases[0], True),
-        (cases[1], True),
-    ]
+    rank_candidates(DatasetRecord(id="r", reference=gt, candidates=cases), NO_COMPILE_CFG)
+    assert tokenize_calls == [gt, *cases]
 
 
 def test_a_pragma_only_candidate_builds_no_bracket_table(bracket_builds, tmp_path, capsys):
@@ -509,3 +501,47 @@ def test_the_gate_refuses_each_case_and_takes_the_others():
     assert _assert_analysed_as_fresh(gt, fixture_text("multiple_case2.c"))
     full_ref, full_cand = _GEN.large_pair(1, 0)[2:]
     assert _assert_analysed_as_fresh(full_ref.text, full_cand.text)
+
+
+# -- any edit, through the same entry point ------------------------------------
+
+FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.glob("*.c"))]
+TEXT_EDIT_PIECES = ["/*", "*/", "//", "\\\n", '"', "'", "#", "\n#", "\n", " ", "pragma", "1e+", ";", "{"]
+STRINGS = 'x = 1;\na = "text";\nb = 1;\nc = 2;\nd = 3;\n'
+
+
+@st.composite
+def edited_texts(draw) -> tuple[str, str]:
+    """A text and a copy of it with one span replaced."""
+    old = draw(st.one_of(st.sampled_from(FIXTURE_TEXTS), pragma_soups(), st.text()))
+    lo = draw(st.integers(0, len(old)))
+    hi = draw(st.integers(lo, min(len(old), lo + 24)))
+    pieces = st.lists(st.sampled_from(TEXT_EDIT_PIECES), max_size=3).map("".join)
+    piece = st.one_of(pieces, st.text(max_size=6))
+    return old, old[:lo] + draw(piece) + old[hi:]
+
+
+@given(edited_texts())
+@example(  # an edit inside a block comment
+    ("x;\n/* one two three four */\ny;\nz;\nw;\n", "x;\n/* one two */three four */\ny;\nz;\nw;\n")
+)
+@example(  # a `*/` after a line-start `#` and `/*`: the `#` takes the word after the comment
+    (
+        "int a = 0;\nint b = 1;\n#/* c pragma omp parallel for\nfor (;;) a++;\nint c = 2;\n",
+        "int a = 0;\nint b = 1;\n#/* c */pragma omp parallel for\nfor (;;) a++;\nint c = 2;\n",
+    )
+)
+@example(  # a lone `#` before the edit
+    (
+        "int a;\n#/* a comment of some length */;\nint b;\nint c;\n",
+        "int a;\n#/* a comment of some length */pragma;\nint b;\nint c;\n",
+    )
+)
+@example((STRINGS, STRINGS.replace('"text"', '"te"xt"')))  # an edit that opens a string
+@settings(max_examples=400, deadline=None)
+def test_any_edit_is_analysed_as_from_scratch(pair):
+    # most of these draws are refused by the pragma-line gate and lexed in full
+    old, new = pair
+    for reference, candidate in ((old, new), (new, old)):
+        took = _assert_analysed_as_fresh(reference, candidate)
+        event("took the pragma-line path" if took else "fell back")
