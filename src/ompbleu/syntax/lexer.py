@@ -61,16 +61,21 @@ _MULTI_CHAR_OPERATORS = (
     "^=", ".*", "##",
 )
 
-# Layout: a newline, a splice or blanks (whitespace), or a comment.  Lines
-# are spliced before comments are found (C11 5.1.1.2 phases 2-3), so a `//`
-# comment runs on over each splice; the loop is unrolled so that a comment
-# with no backslash costs one character class.
-_INLINE_LAYOUT = r"\\\r?\n|[ \t\r\f\v]+|//[^\n\\]*(?:\\(?:\r?\n)?[^\n\\]*)*|(?s:/\*.*?\*/|/\*.*)"
+# Layout: a newline, a splice or blanks (whitespace), or a comment.  A
+# splice is a backslash, then blanks, then a newline: gcc joins the lines
+# over the blanks too (with a warning).  Lines are spliced before comments
+# are found (C11 5.1.1.2 phases 2-3), so a `//` comment runs on over each
+# splice; the loop is unrolled so that a comment with no backslash costs one
+# character class.
+_INLINE_LAYOUT = (
+    r"\\[ \t\f\v]*\r?\n|[ \t\r\f\v]+"
+    r"|//[^\n\\]*(?:\\(?:[ \t\f\v]*\r?\n)?[^\n\\]*)*|(?s:/\*.*?\*/|/\*.*)"
+)
 _RE_LAYOUT = re.compile(r"\n|" + _INLINE_LAYOUT)
 # A `#` and its directive word.  Blanks, block comments and splices may stand
 # between them, as in C (5.1.1.2 phases 2-3, 6.10p5); a comment ends at its
 # first `*/`.
-_RE_PREPROC = re.compile(r"#(?:[ \t]|\\\r?\n|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*[A-Za-z_]\w*|#")
+_RE_PREPROC = re.compile(r"#(?:[ \t]|\\[ \t\f\v]*\r?\n|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*[A-Za-z_]\w*|#")
 
 # One match per code token: the layout before it, then the token.  Group 2
 # is set when that layout holds a newline token (a capture in a repetition

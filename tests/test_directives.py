@@ -67,6 +67,40 @@ def test_gcc_drops_the_pragma_a_spliced_line_comment_hides(tmp_path):
     assert "pragma" not in out and "for (i = 0" in out
 
 
+# gcc splices a backslash followed by blanks and then a newline, with a
+# warning: the comment hides the next line, and the pragma runs on over it.
+BLANK_SPLICED_COMMENT = SPLICED_LINE_COMMENT.replace("the array \\\n", "the array \\ \t\n")
+BLANK_SPLICED_PRAGMA = (
+    "void f(int n, double *a) {\n int i;\n #pragma omp parallel \\ \n for\n"
+    " for (i = 0; i < n; i++) a[i] *= 2;\n}\n"
+)
+
+
+def test_a_splice_may_hold_blanks_before_its_newline():
+    assert _parse(BLANK_SPLICED_COMMENT)[1] == []
+    assert _parse(BLANK_SPLICED_COMMENT.replace("\n", "\r\n"))[1] == []
+    (d,) = _parse(BLANK_SPLICED_PRAGMA)[1]
+    assert d.kinds == ("parallel", "for")
+    assert d.attached_kind == "for_loop"
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+def test_gcc_splices_over_blanks_as_the_extractor_does(tmp_path):
+    def pragma_lines(text):
+        source = tmp_path / "probe.c"
+        source.write_text(text)
+        out = subprocess.run(
+            ["gcc", "-fopenmp", "-E", "-P", str(source)], capture_output=True, text=True, check=True
+        ).stdout
+        return [line.split() for line in out.splitlines() if line.startswith("#pragma")]
+
+    assert pragma_lines(BLANK_SPLICED_COMMENT) == []
+    assert pragma_lines(BLANK_SPLICED_PRAGMA) == [["#pragma", "omp", "parallel", "for"]]
+    assert [["#pragma", "omp", *d.kinds] for d in _parse(BLANK_SPLICED_PRAGMA)[1]] == (
+        pragma_lines(BLANK_SPLICED_PRAGMA)
+    )
+
+
 def test_no_pragmas_yields_empty():
     _, dirs = _parse("int main(void) { return 0; }\n")
     assert dirs == []

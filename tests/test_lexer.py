@@ -164,10 +164,11 @@ def test_columns_and_layout_gaps_rebuild_the_text(text):
 # position, sharing only the keyword, operator and directive tables with the
 # lexer.  A unit's full stream must be the oracle's field for field.
 
-_RE_LINE_SPLICE = re.compile(r"\\\r?\n")
+# a splice may hold blanks between its backslash and newline, as gcc reads it
+_RE_LINE_SPLICE = re.compile(r"\\[ \t\f\v]*\r?\n")
 _RE_HORIZONTAL_WS = re.compile(r"[ \t\r\f\v]+")
 # a `//` comment runs on over line splices (C11 5.1.1.2 phases 2-3)
-_RE_LINE_COMMENT = re.compile(r"//(?:\\\r?\n|[^\n])*")
+_RE_LINE_COMMENT = re.compile(r"//(?:\\[ \t\f\v]*\r?\n|[^\n])*")
 _RE_BLOCK_COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
 _RE_UNTERMINATED_BLOCK_COMMENT = re.compile(r"/\*.*", re.DOTALL)
 _RE_STRING = re.compile(r'"(?:\\.|[^"\\\n])*"?')
@@ -349,7 +350,7 @@ def assert_columns_match_token_lexer(text: str) -> None:
 # starts, CRLF line ends, and first characters outside ASCII.
 SOUP_FRAGMENTS = (
     *C_FRAGMENTS, "\\\n", "\\\r\n", "/* a\n b */", "/* \\\n */", "// c \\\n d",
-    "// c \\\r\n d", "// c \\", "// c \\ d\n",
+    "// c \\\r\n d", "// c \\", "// c \\ d\n", "\\ \t\n", "// c \\ \r\n d",
     "#pragma", "# /* c\n */ pragma omp for", "#\\\npragma", "x # y", "a ## b",
     "\r\n", "\r\n#", "\n#", "\n  #", "ß", "éx", "\u00a0", "\u2028", "٣x", "'é'", '"\\',
 )
