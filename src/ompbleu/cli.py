@@ -179,8 +179,12 @@ def _cmd_strip(args: argparse.Namespace, config: EvalConfig) -> int:
 
 def _cmd_annotate(args: argparse.Namespace, config: EvalConfig) -> int:
     vocab = TagVocabulary.load(config.tag_vocabulary)
+    paths = _source_files(Path(args.path))
+    if not paths:
+        print(f"error: no source files under {args.path}", file=sys.stderr)
+        return 1
     lines = []
-    for path in _source_files(Path(args.path)):
+    for path in paths:
         unit = parse_source(read_source(path))
         tags = ssa_annotate(unit, vocab)
         lines.append(", ".join(str(t) for t in tags))

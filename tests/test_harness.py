@@ -790,6 +790,19 @@ def test_cli_annotate(capsys):
     assert any(t != 0 for t in tags)
 
 
+def test_cli_annotate_refuses_a_directory_without_sources(tmp_path, capsys):
+    # one empty file prints an empty line; no file at all is an error
+    (tmp_path / "notes.txt").write_text("int x;\n")
+    out = tmp_path / "out.txt"
+    for argv in (["annotate", str(tmp_path)], ["--out", str(out), "annotate", str(tmp_path)]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: no source files under {tmp_path}\n")
+    assert not out.exists()
+    (tmp_path / "empty.c").write_text("")
+    assert main(["annotate", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "\n"
+
+
 def test_cli_corrupt_deterministic(tmp_path):
     out1, out2 = tmp_path / "c1.txt", tmp_path / "c2.txt"
     args = ["corrupt", str(FIXTURES / "single_gt.c"), "--seed", "9", "--step", "3",
