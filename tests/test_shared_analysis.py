@@ -383,8 +383,9 @@ def test_cuts_and_attachments_match_the_oracles(text, draws):
 # -- a candidate that differs only on pragma lines ----------------------------
 
 _GEN = perfbench_module("gen")
+FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.glob("*.c"))]
 EDIT_SOURCES = [
-    *(path.read_text() for path in sorted(FIXTURES.glob("*.c"))),
+    *FIXTURE_TEXTS,
     *(record.reference.text for record in _GEN.static_records(1, 0, FIXTURES)),
     _GEN.large_pair(1, 0)[0].text,
 ]
@@ -505,7 +506,6 @@ def test_the_gate_refuses_each_case_and_takes_the_others():
 
 # -- any edit, through the same entry point ------------------------------------
 
-FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.glob("*.c"))]
 TEXT_EDIT_PIECES = ["/*", "*/", "//", "\\\n", '"', "'", "#", "\n#", "\n", " ", "pragma", "1e+", ";", "{"]
 STRINGS = 'x = 1;\na = "text";\nb = 1;\nc = 2;\nd = 3;\n'
 
