@@ -25,56 +25,92 @@ class SimilarityError(RuntimeError):
     """A similarity backend failed: raised to the caller, never scored as 0."""
 
 
-def _trimmed_pattern(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence, int, dict]:
-    """The set-up of the bit-parallel kernels: cut the common prefix, then
-    the common suffix, of ``a`` and ``b`` (exact for both LCS and edit
-    distance; both searches run in C), and return the longer rest (the
-    pattern), the shorter rest, the number of elements cut from each, and
-    the masks where bit ``i`` of ``masks[x]`` is set if ``pattern[i] == x``."""
+_STEP = 128  # columns per window position of the banded kernel
+
+
+def _trim(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence]:
+    """``a`` and ``b`` without their common prefix, then without their
+    common suffix (both searches run in C)."""
     n = min(len(a), len(b))
     lo = next(compress(count(), map(ne, a, b)), n)
     a, b = a[lo:], b[lo:]
     hi = next(compress(count(), map(ne, reversed(a), reversed(b))), n - lo)
-    a, b = a[: len(a) - hi], b[: len(b) - hi]
+    return a[: len(a) - hi], b[: len(b) - hi]
+
+
+def _trimmed_pattern(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence, int, dict]:
+    """The set-up of the bit-parallel kernels: cut the common prefix and
+    suffix of ``a`` and ``b`` (exact for both LCS and edit distance), and
+    return the longer rest (the pattern), the shorter rest, the number of
+    elements cut from each, and the pattern's rows, where bit ``i`` of the
+    little-endian ``rows[x]`` is set if ``pattern[i] == x``.  Each element
+    sets one bit of one byte, so the rows take time linear in the pattern."""
+    cut = len(a) + len(b)
+    a, b = _trim(a, b)
     if len(a) < len(b):
         a, b = b, a
-    masks: dict = {}
+    rows = {x: bytearray(len(a) // 8 + 1) for x in set(a)}
     for i, x in enumerate(a):
-        masks[x] = masks.get(x, 0) | (1 << i)
-    return a, b, lo + hi, masks
+        rows[x][i >> 3] |= 1 << (i & 7)
+    return a, b, (cut - len(a) - len(b)) // 2, rows
 
 
 def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance by the bit-parallel algorithm of Myers (J. ACM
-    46(3), 1999) in Hyyrö's (2001) form for global edit distance.
+    46(3), 1999) in Hyyrö's (2001) form for global edit distance, banded by
+    Ukkonen's cutoff (Inf. Control 64, 1985), so that its cost follows the
+    distance rather than the length.
 
-    Past the common prefix and suffix, the longer string is the pattern:
-    bit ``i`` of each vector describes row ``i`` of the dynamic-programming
-    table, held in one Python int, and the loop runs once per character of
-    the shorter string.  ``pv``/``mv`` mark where a column steps up/down by
-    one; ``score`` follows the last row.  The result equals the table.
+    Past the common prefix and suffix, the longer string (m characters) is
+    the pattern and the shorter (n) the text: the table has a row per
+    pattern character and a column per text character.  ``k`` bounds the
+    distance from above.  When the two strings hold as many newlines, it is
+    the cost of aligning them line by line: for each pair of differing
+    lines, the longer one's length less the pair's common prefix and
+    suffix; otherwise it is m.  Every cell of a path of cost at most k lies
+    within ``up`` rows above or ``down`` rows below the diagonal of its
+    column, so only those rows are computed, in a window of rows that
+    slides once per ``_STEP`` columns.  Bit ``p`` of ``pv``/``mv`` marks
+    where the window's row ``p`` steps up/down by one from the row above.
+    A row that leaves the top of the window passes on a horizontal step of
+    +1, and a row that enters at the bottom starts with a vertical step of
+    +1.  Both over-estimate the table and no cheapest path leaves the
+    window, so the result equals the table.  Within a step the vectors are
+    not masked: carries and shifts only move bits upwards, so the bits
+    above the window collect garbage that never reaches the window, and
+    are cut once per step.  Each column costs O(⌈(k + _STEP)/w⌉).
     """
-    a, b, _, peq = _trimmed_pattern(a, b)
-    m = len(a)
-    mask = (1 << m) - 1
-    high = (mask + 1) >> 1  # the last row's bit; 0 when both strings are empty
-    pv, mv, score = mask, 0, m
-    for ch in b:
-        eq = peq.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
-        mh = pv & xh
-        if ph & high:
-            score += 1
-        elif mh & high:
-            score -= 1
-        # row 0 of the table rises by one per column: shift a +1 in
-        ph = ((ph << 1) | 1) & mask
-        mh = (mh << 1) & mask
-        pv = mh | (~(xv | ph) & mask)
-        mv = ph & xv
-    return score
+    a, b, _, rows = _trimmed_pattern(a, b)
+    if not b:
+        return len(a)
+    m, n = len(a), len(b)
+    k = m
+    if a.count("\n") == b.count("\n"):
+        k = sum(max(map(len, _trim(x, y))) for x, y in zip(a.split("\n"), b.split("\n")) if x != y)
+    up, down = (k - m + n) // 2, (k + m - n) // 2
+    distance = n  # the value of the row above the window: +1 per column
+    pv = mv = lo = hi = 0
+    for j in range(0, n, _STEP):
+        top, bottom = max(0, j - up), min(m, j + _STEP + down)
+        left = (1 << (top - lo)) - 1
+        distance += (pv & left).bit_count() - (mv & left).bit_count()
+        kept = (1 << (hi - top)) - 1
+        ones = (1 << (bottom - top)) - 1
+        pv = (pv >> (top - lo)) & kept | ones ^ kept
+        mv = (mv >> (top - lo)) & kept
+        lo, hi = top, bottom
+        text = b[j : j + _STEP]
+        peq = dict.fromkeys(text, 0)
+        for x in peq.keys() & rows.keys():
+            peq[x] = int.from_bytes(rows[x][lo >> 3 : (hi >> 3) + 1], "little") >> (lo & 7)
+        for eq in map(peq.__getitem__, text):
+            d0 = (((eq & pv) + pv) ^ pv) | eq | mv
+            hp = mv | (d0 | pv) ^ ones
+            hn = pv & d0
+            hp = hp << 1 | 1
+            pv = hn << 1 | (d0 | hp) ^ ones
+            mv = hp & d0
+    return distance + (pv & ones).bit_count() - (mv & ones).bit_count()
 
 
 def lev_similarity(a: str, b: str) -> float:
@@ -89,7 +125,8 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
     elements, bit-parallel (Allison & Dix, IPL 23(5), 1986; Hyyrö 2004):
     past the common prefix and suffix, the longer sequence is the pattern,
     and a clear bit ``i`` of ``v`` marks a step at row ``i`` of the table."""
-    a, b, common, peq = _trimmed_pattern(a, b)
+    a, b, common, rows = _trimmed_pattern(a, b)
+    peq = {x: int.from_bytes(r, "little") for x, r in rows.items()}
     v = mask = (1 << len(a)) - 1
     for y in b:
         u = v & peq.get(y, 0)
