@@ -90,7 +90,7 @@ _RE_CODE = re.compile(
     rf"((?:(\n)|{_INLINE_LAYOUT})*)("
     r"[A-Za-z_]\w*"
     rf"|(?=#)(?(2)(?:{_RE_PREPROC.pattern})|(?!))"
-    r'|"(?:\\.|[^"\\\n])*"?' r"|'(?:\\.|[^'\\\n])*'?"
+    r'|"(?:\\[ \t\f\v]*\r?\n|\\.|[^"\\\n])*"?' r"|'(?:\\[ \t\f\v]*\r?\n|\\.|[^'\\\n])*'?"
     r"|(?:0[xX][0-9a-fA-F]+|0[bB][01]+|\d+\.\d*(?:[eE][+-]?\d+)?"
     r"|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)[uUlLfF]*"
     r"|" + "|".join(map(re.escape, _MULTI_CHAR_OPERATORS)) + r"|(?s:.)|\Z)"

@@ -71,7 +71,9 @@ def token_tokenize(text: str) -> list[Token]:
     gap_lens = list(map(len, gaps))
     ends = accumulate(map(add, gap_lens, map(len, lexemes)), initial=-1)
     starts = list(map(add, ends, gap_lens))
-    newline_counts = list(map(str.count, gaps, repeat("\n")))
+    # a token's line counts the newlines in the layout and in the token before
+    # it: a directive or a literal holds one where it runs on over a splice
+    newline_counts = [gap.count("\n") + before.count("\n") for gap, before in zip(gaps, ["", *lexemes])]
     first = map(_KIND_OF_FIRST.__getitem__, map(itemgetter(0), lexemes))
     kinds = list(map(_KIND_OF.get, lexemes, first))
     flags = [False] * n
@@ -81,8 +83,6 @@ def token_tokenize(text: str) -> list[Token]:
         if lexeme[0] == "#":
             kinds[head] = "preprocessor"
             flags[head:end] = repeat(True, end - head)
-            if head + 1 < n:
-                newline_counts[head + 1] += lexeme.count("\n")
     lines = accumulate(newline_counts)
     return list(map(Token, lexemes, kinds, starts, lines, flags))
 

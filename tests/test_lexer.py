@@ -1,7 +1,9 @@
 import bisect
 import random
 import re
+import shutil
 import string
+import subprocess
 from collections.abc import Iterable
 from itertools import chain, compress, takewhile
 from operator import itemgetter
@@ -92,6 +94,34 @@ def test_pragma_inside_comment_or_string_ignored():
     assert all(t.kind != "preprocessor" for t in toks)
 
 
+# Lines are spliced before tokens are formed (C11 5.1.1.2 phases 2-3), so a
+# string or character literal runs on over a splice, blanks before the
+# newline included, as gcc reads it.
+SPLICED_LITERALS = (
+    'const char *s = "scale \\\n the array";\n'
+    'const char *t = "a \\ \t\r\n b";\n'
+    "char c = '\\\nx';\n"
+)
+
+
+def test_a_literal_runs_on_over_a_line_splice():
+    lexemes = tokenize(SPLICED_LITERALS).lexemes
+    literals = [x for x in lexemes if x[0] in "\"'"]
+    assert literals == ['"scale \\\n the array"', '"a \\ \t\r\n b"', "'\\\nx'"]
+    assert lexemes.count(";") == 3
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+def test_gcc_reads_the_spliced_literals_the_lexer_reads(tmp_path):
+    source = tmp_path / "probe.c"
+    source.write_bytes(SPLICED_LITERALS.encode())
+    out = subprocess.run(
+        ["gcc", "-fopenmp", "-E", "-P", str(source)], capture_output=True, text=True, check=True
+    ).stdout
+    lexed = [_RE_LINE_SPLICE.sub("", x) for x in tokenize(SPLICED_LITERALS).lexemes if x[0] in "\"'"]
+    assert lexed == re.findall(r'"[^"]*"|\'[^\']*\'', out) == ['"scale  the array"', '"a  b"', "'x'"]
+
+
 def test_line_continuation_stays_in_directive():
     code = "#pragma omp parallel \\\n    private(i)\nint x;\n"
     toks = stream(code)
@@ -171,8 +201,9 @@ _RE_HORIZONTAL_WS = re.compile(r"[ \t\r\f\v]+")
 _RE_LINE_COMMENT = re.compile(r"//(?:\\[ \t\f\v]*\r?\n|[^\n])*")
 _RE_BLOCK_COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
 _RE_UNTERMINATED_BLOCK_COMMENT = re.compile(r"/\*.*", re.DOTALL)
-_RE_STRING = re.compile(r'"(?:\\.|[^"\\\n])*"?')
-_RE_CHAR = re.compile(r"'(?:\\.|[^'\\\n])*'?")
+# a string or character literal runs on over line splices too
+_RE_STRING = re.compile(r'"(?:\\[ \t\f\v]*\r?\n|\\.|[^"\\\n])*"?')
+_RE_CHAR = re.compile(r"'(?:\\[ \t\f\v]*\r?\n|\\.|[^'\\\n])*'?")
 _RE_NUMBER = re.compile(
     r"(?:0[xX][0-9a-fA-F]+|0[bB][01]+|\d+\.\d*(?:[eE][+-]?\d+)?"
     r"|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)[uUlLfF]*"
@@ -353,6 +384,7 @@ SOUP_FRAGMENTS = (
     "// c \\\r\n d", "// c \\", "// c \\ d\n", "\\ \t\n", "// c \\ \r\n d",
     "#pragma", "# /* c\n */ pragma omp for", "#\\\npragma", "x # y", "a ## b",
     "\r\n", "\r\n#", "\n#", "\n  #", "ß", "éx", "\u00a0", "\u2028", "٣x", "'é'", '"\\',
+    '"s \\\n t"', "'\\ \r\n'",
 )
 
 
