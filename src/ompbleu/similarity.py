@@ -38,21 +38,25 @@ def _trim(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence]:
     return a[: len(a) - hi], b[: len(b) - hi]
 
 
-def _trimmed_pattern(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence, int, dict]:
-    """The set-up of the bit-parallel kernels: cut the common prefix and
-    suffix of ``a`` and ``b`` (exact for both LCS and edit distance), and
-    return the longer rest (the pattern), the shorter rest, the number of
-    elements cut from each, and the pattern's rows, where bit ``i`` of the
-    little-endian ``rows[x]`` is set if ``pattern[i] == x``.  Each element
-    sets one bit of one byte, so the rows take time linear in the pattern."""
+def _trimmed(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence, int]:
+    """``a`` and ``b`` without their common prefix and suffix (exact for
+    both LCS and edit distance), the longer rest (the pattern) first, and
+    the number of elements cut from each."""
     cut = len(a) + len(b)
     a, b = _trim(a, b)
     if len(a) < len(b):
         a, b = b, a
-    rows = {x: bytearray(len(a) // 8 + 1) for x in set(a)}
-    for i, x in enumerate(a):
+    return a, b, (cut - len(a) - len(b)) // 2
+
+
+def _rows(pattern: Sequence) -> dict:
+    """The rows of the bit-parallel kernels: bit ``i`` of the little-endian
+    ``rows[x]`` is set if ``pattern[i] == x``.  Each element sets one bit
+    of one byte, so the rows take time linear in the pattern."""
+    rows = {x: bytearray(len(pattern) // 8 + 1) for x in set(pattern)}
+    for i, x in enumerate(pattern):
         rows[x][i >> 3] |= 1 << (i & 7)
-    return a, b, (cut - len(a) - len(b)) // 2, rows
+    return rows
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -80,10 +84,10 @@ def edit_distance(a: str, b: str) -> int:
     above the window collect garbage that never reaches the window, and
     are cut once per step.  Each column costs O(⌈(k + _STEP)/w⌉).
     """
-    a, b, _, rows = _trimmed_pattern(a, b)
+    a, b, _ = _trimmed(a, b)
     if not b:
         return len(a)
-    m, n = len(a), len(b)
+    m, n, rows = len(a), len(b), _rows(a)
     k = m
     if a.count("\n") == b.count("\n"):
         k = sum(max(map(len, _trim(x, y))) for x, y in zip(a.split("\n"), b.split("\n")) if x != y)
@@ -125,8 +129,10 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
     elements, bit-parallel (Allison & Dix, IPL 23(5), 1986; Hyyrö 2004):
     past the common prefix and suffix, the longer sequence is the pattern,
     and a clear bit ``i`` of ``v`` marks a step at row ``i`` of the table."""
-    a, b, common, rows = _trimmed_pattern(a, b)
-    peq = {x: int.from_bytes(r, "little") for x, r in rows.items()}
+    a, b, common = _trimmed(a, b)
+    if not b:
+        return common
+    peq = {x: int.from_bytes(r, "little") for x, r in _rows(a).items()}
     v = mask = (1 << len(a)) - 1
     for y in b:
         u = v & peq.get(y, 0)
