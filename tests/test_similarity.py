@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 import sys
 import threading
@@ -229,6 +230,107 @@ def test_edit_distance_with_shared_prefix_and_suffix_matches_brute_force():
             a, b = "".join(a), "".join(b)
             expected = brute_force_edit_distance(a, b)
             assert edit_distance(a, b) == expected == edit_distance(b, a), (a, b)
+
+
+# The kernel computes only the rows a path within a bound k can reach.  When
+# both texts hold as many lines, k is the cost of aligning them line by line;
+# otherwise the band spans the table.  Directive strings are lines of
+# canonical directives, and a clause edit changes lines in place.
+LINE_ALPHABETS = ("abc(),:+ ", "for(i=0;<n+)", "aé€😀 \t")
+
+
+def line_alignment_cost(a: str, b: str) -> int:
+    """The cost of aligning two texts of as many lines line by line: each
+    pair of lines costs the longer one's length less their common prefix
+    and suffix."""
+
+    def cost(x: str, y: str) -> int:
+        p = len(os.path.commonprefix([x, y]))
+        return max(len(x), len(y)) - p - len(os.path.commonprefix([x[p:][::-1], y[p:][::-1]]))
+
+    return sum(map(cost, a.split("\n"), b.split("\n")))
+
+
+def random_lines(rng: random.Random, alphabet: str, count: int) -> list[str]:
+    return ["".join(rng.choices(alphabet, k=rng.randint(0, 8))) for _ in range(count)]
+
+
+def edit_lines(rng: random.Random, lines: list[str], alphabet: str, edits: int, kind: int) -> list[str]:
+    """``lines`` with ``edits`` scattered lines changed in place: a piece
+    inserted (kind 0), deleted (1) or replaced (2), or any of these (3)."""
+    out = list(lines)
+    for i in rng.sample(range(len(out)), min(edits, len(out))):
+        line, step = out[i], kind if kind < 3 else rng.randrange(3)
+        lo = rng.randint(0, len(line))
+        hi = lo if step == 0 else rng.randint(lo, len(line))
+        piece = "" if step == 1 else "".join(rng.choices(alphabet, k=rng.randint(1, 6)))
+        out[i] = line[:lo] + piece + line[hi:]
+    return out
+
+
+def assert_edit_distance_is_exact(a: str, b: str) -> int:
+    expected = brute_force_edit_distance(a, b)
+    assert edit_distance(a, b) == expected == edit_distance(b, a), (a, b)
+    return expected
+
+
+def test_edit_distance_of_line_edited_texts_matches_brute_force():
+    rng = random.Random(20261021)
+    for trial in range(16):
+        alphabet = LINE_ALPHABETS[trial % len(LINE_ALPHABETS)]
+        lines = random_lines(rng, alphabet, rng.randint(20, 120))
+        edited = edit_lines(rng, lines, alphabet, rng.randint(1, 30), trial % 4)
+        # the band is on: as many lines on both sides
+        assert_edit_distance_is_exact("\n".join(lines), "\n".join(edited))
+        # one line inserted or deleted: the band is off
+        at = rng.randrange(len(edited))
+        inserted = edited[:at] + random_lines(rng, alphabet, 1) + edited[at:]
+        assert_edit_distance_is_exact("\n".join(lines), "\n".join(inserted))
+        assert_edit_distance_is_exact("\n".join(lines), "\n".join(edited[:at] + edited[at + 1 :]))
+
+
+def test_edit_distance_when_the_best_alignment_crosses_lines():
+    # periodic lines whose breaks move by a period: the line-by-line
+    # alignment costs more than the distance, which moves the breaks
+    rng = random.Random(20261022)
+    for period in ("abc", "for(i", "a\u00e9b"):
+        text = period * rng.randint(20, 40)
+        breaks = sorted(rng.sample(range(len(period), len(text) - len(period)), 8))
+        moved = [at + rng.choice((-1, 1)) * len(period) for at in breaks]
+
+        def cut(at_positions: list[int]) -> str:
+            bounds = [0, *at_positions, len(text)]
+            return "\n".join(text[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+
+        a, b = cut(breaks), cut(sorted(moved))
+        distance = assert_edit_distance_is_exact(a, b)
+        assert line_alignment_cost(a, b) > distance
+
+
+def test_edit_distance_when_the_cheapest_path_runs_along_the_band_edge():
+    # a piece added before the text on one side and after it on the other:
+    # the line bound equals the distance, and the only cheapest path runs
+    # the whole way on the band's top (or bottom) row
+    rng = random.Random(20261024)
+    for trial in range(20):
+        text = "\n".join(random_lines(rng, "abcde", rng.randint(30, 60)))
+        before, after = rng.randint(1, 5), rng.randint(1, 8)
+        a, b = "y" * before + text, text + "z" * after
+        if trial % 2:
+            a, b = text + "y" * before, "z" * after + text
+        distance = assert_edit_distance_is_exact(a, b)
+        assert line_alignment_cost(a, b) == distance == before + after
+
+
+def test_edit_distance_over_crlf_non_ascii_and_empty_lines():
+    rng = random.Random(20261023)
+    for trial in range(6):
+        lines = random_lines(rng, "aé€😀\u2028", rng.randint(20, 60))
+        lines[rng.randrange(len(lines))] = ""
+        edited = edit_lines(rng, lines, "xé😀", rng.randint(1, 12), trial % 4)
+        for sep in ("\r\n", "\n"):
+            assert_edit_distance_is_exact(sep.join(lines), sep.join(edited))
+            assert_edit_distance_is_exact(sep.join(lines), sep.join(edited[1:]))
 
 
 @given(
