@@ -28,25 +28,19 @@ class SimilarityError(RuntimeError):
 _STEP = 128  # columns per window position of the banded kernel
 
 
-def _trim(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence]:
+def _trimmed(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence, int]:
     """``a`` and ``b`` without their common prefix, then without their
-    common suffix (both searches run in C)."""
+    common suffix (exact for both LCS and edit distance; both searches run
+    in C): the longer rest (the pattern), the shorter rest, and the number
+    of elements cut from each."""
     n = min(len(a), len(b))
     lo = next(compress(count(), map(ne, a, b)), n)
     a, b = a[lo:], b[lo:]
     hi = next(compress(count(), map(ne, reversed(a), reversed(b))), n - lo)
-    return a[: len(a) - hi], b[: len(b) - hi]
-
-
-def _trimmed(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence, int]:
-    """``a`` and ``b`` without their common prefix and suffix (exact for
-    both LCS and edit distance), the longer rest (the pattern) first, and
-    the number of elements cut from each."""
-    cut = len(a) + len(b)
-    a, b = _trim(a, b)
+    a, b = a[: len(a) - hi], b[: len(b) - hi]
     if len(a) < len(b):
         a, b = b, a
-    return a, b, (cut - len(a) - len(b)) // 2
+    return a, b, lo + hi
 
 
 def _rows(pattern: Sequence) -> dict:
@@ -90,7 +84,7 @@ def edit_distance(a: str, b: str) -> int:
     m, n, rows = len(a), len(b), _rows(a)
     k = m
     if a.count("\n") == b.count("\n"):
-        k = sum(max(map(len, _trim(x, y))) for x, y in zip(a.split("\n"), b.split("\n")) if x != y)
+        k = sum(len(_trimmed(x, y)[0]) for x, y in zip(a.split("\n"), b.split("\n")) if x != y)
     up, down = (k - m + n) // 2, (k + m - n) // 2
     distance = n  # the value of the row above the window: +1 per column
     pv = mv = lo = hi = 0
