@@ -18,8 +18,10 @@ from dataclasses import dataclass, replace
 from itertools import accumulate, compress, count
 from operator import ne
 
-from .lexer import SourceUnit, lexeme_kind, line_closers, newline_tokens, splice, tokenize
-from .loops import _CLOSERS, _OPENERS, LoopContext, _split_top_level, loop_contexts
+from .lexer import (
+    CLOSERS, OPENERS, SourceUnit, lexeme_kind, line_closers, newline_tokens, splice, tokenize,
+)
+from .loops import LoopContext, loop_contexts, split_top_level
 
 # Directive keywords and the combinations they may extend.
 DIRECTIVE_KINDS = frozenset(
@@ -140,9 +142,9 @@ def _idents_of(lexemes: Sequence[str]) -> list[str]:
     depth = 0
     prev_was_name = False
     for lexeme in lexemes:
-        if lexeme in _OPENERS:
+        if lexeme in OPENERS:
             depth += 1
-        elif lexeme in _CLOSERS:
+        elif lexeme in CLOSERS:
             depth -= 1
         is_name = lexeme_kind(lexeme) in ("identifier", "keyword")
         if is_name and depth == 0 and not prev_was_name:
@@ -161,11 +163,11 @@ def _parse_clause(word: str, arg_tokens: Sequence[str] | None, raw: str) -> tupl
     collapse_n = None
 
     if arg_tokens is not None:
-        groups = _split_top_level(arg_tokens, ",")
+        groups = split_top_level(arg_tokens, ",")
         args = tuple(_text_of(g) for g in groups if g)
 
     if word == "reduction" and arg_tokens is not None:
-        halves = _split_top_level(arg_tokens, ":")
+        halves = split_top_level(arg_tokens, ":")
         if len(halves) >= 2:
             reduction_op = _text_of(halves[0]).replace(" ", "")
             var_tokens = [lexeme for h in halves[1:] for lexeme in h]

@@ -100,8 +100,11 @@ _RE_CODE = re.compile(
 # The decision points that cyclomatic complexity counts.
 DECISION_LEXEMES = frozenset({"if", "for", "while", "case", "&&", "||"})
 
-_BRACKETS = frozenset("()[]{};")
-_OPENER_OF = {")": "(", "]": "[", "}": "{"}
+# The brackets: each closer and its opener.
+OPENER_OF = {")": "(", "]": "[", "}": "{"}
+OPENERS = frozenset(OPENER_OF.values())
+CLOSERS = frozenset(OPENER_OF)
+_BRACKETS = OPENERS | CLOSERS | {";"}  # the tokens a bracket pass reads
 
 
 class _KindOfFirst(dict):
@@ -169,7 +172,7 @@ class Brackets:
     def __init__(self, lexemes: list[str], in_directive: list[bool]) -> None:
         at = list(compress(range(len(lexemes)), map(_BRACKETS.__contains__, lexemes)))
         closers: dict[int, int] = {}
-        open_by_type: dict[str, list[int]] = {"(": [], "[": [], "{": []}  # code indices
+        open_by_type: dict[str, list[int]] = {opener: [] for opener in OPENERS}  # code indices
         open_any: list[int] = []  # indices into ``at``
         any_closers: dict[int, int] = {}
         ends: list[int | None] = [None] * (len(at) + 1)  # statement ends
@@ -185,7 +188,7 @@ class Brackets:
             else:
                 ends[j] = i
                 if lexeme != ";":
-                    stack = open_by_type[_OPENER_OF[lexeme]]
+                    stack = open_by_type[OPENER_OF[lexeme]]
                     if stack:
                         closers[stack.pop()] = i
                     if open_any:
@@ -221,9 +224,9 @@ def line_closers(lexemes: list[str], lo: int, hi: int) -> dict[int, int] | None:
     closers, stack = {}, []
     for i in compress(range(lo, hi), map(_BRACKETS.__contains__, lexemes[lo:hi])):
         lexeme = lexemes[i]
-        if lexeme in _OPENER_OF.values():
+        if lexeme in OPENERS:
             stack.append(i)
-        elif lexeme == ";" or not stack or lexemes[stack[-1]] != _OPENER_OF[lexeme]:
+        elif lexeme == ";" or not stack or lexemes[stack[-1]] != OPENER_OF[lexeme]:
             return None
         else:
             closers[stack.pop()] = i

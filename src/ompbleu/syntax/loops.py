@@ -13,10 +13,7 @@ import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .lexer import SourceUnit, lexeme_kind
-
-_OPENERS = frozenset("([{")
-_CLOSERS = frozenset(")]}")
+from .lexer import CLOSERS, OPENERS, SourceUnit, lexeme_kind
 
 
 @dataclass(frozen=True)
@@ -31,14 +28,14 @@ class LoopContext:
     nest_induction_vars: frozenset[str]
 
 
-def _split_top_level(lexemes: Sequence[str], sep: str) -> list[list[str]]:
+def split_top_level(lexemes: Sequence[str], sep: str) -> list[list[str]]:
     """``lexemes`` cut at each ``sep`` punctuation outside any brackets."""
     groups: list[list[str]] = [[]]
     depth = 0
     for lexeme in lexemes:
-        if lexeme in _OPENERS:
+        if lexeme in OPENERS:
             depth += 1
-        elif lexeme in _CLOSERS:
+        elif lexeme in CLOSERS:
             depth -= 1
         elif lexeme == sep and depth == 0:
             groups.append([])
@@ -63,7 +60,7 @@ def _induction_vars(header: Sequence[str]) -> frozenset[str]:
     Handles `int i = 0`, `i = 0`, multi-declarations, and range-for
     (`auto x : v`).  Best effort: unparseable headers yield an empty set.
     """
-    clauses = _split_top_level(header, ";")
+    clauses = split_top_level(header, ";")
     if len(clauses) == 1:
         # range-based for: `for (decl : range)` declares one name
         decl: list[str] = []
@@ -74,7 +71,7 @@ def _induction_vars(header: Sequence[str]) -> frozenset[str]:
         names = [lexeme for lexeme in decl if lexeme_kind(lexeme) == "identifier"]
         return frozenset(names[-1:])
 
-    groups = _split_top_level(clauses[0], ",")
+    groups = split_top_level(clauses[0], ",")
     found: set[str] = set()
     for group in groups:
         target: str | None = None
