@@ -5,8 +5,9 @@ backslash continuations) and then clause-parsed with a hand-written grammar
 covering the common OpenMP 5.x inventory, with an ``unknown`` fallback for
 anything else.  Nesting depth is the brace depth of the pragma among code
 tokens, which stands in for the depth of the pragma node in a concrete
-syntax tree.  Depths, clause parentheses and construct ends are looked up
-in the unit's bracket table (:class:`~.lexer.Brackets`).
+syntax tree.  Depths and construct ends are looked up in the unit's bracket
+table (:class:`~.lexer.Brackets`), which reads no preprocessor line; clause
+parentheses are matched on the pragma's own line (:func:`~.lexer.line_closers`).
 """
 
 from __future__ import annotations
@@ -225,20 +226,20 @@ def directive_kinds(words: Sequence[str]) -> tuple[tuple[str, ...], bool]:
 
 
 def _parse_directive_body(
-    lexemes: Sequence[str], closers: dict[int, int], start: int, end: int
+    lexemes: list[str], start: int, end: int
 ) -> tuple[tuple[str, ...], tuple[Clause, ...], bool]:
     """Parse ``lexemes[start:end]``, the code tokens after `omp` on a pragma
-    line, into directive kinds and clauses; ``closers`` maps an opener's
-    index to its closer's.  A bracket closed only after the line is unclosed
-    on it."""
+    line, into directive kinds and clauses.  The line's brackets are matched
+    on it alone (:func:`~.lexer.line_closers`): one left open is unclosed."""
+    closers = line_closers(lexemes, start, end)
     kinds, degraded = directive_kinds(lexemes[start:end])
     clauses: list[Clause] = []
     i = start + len(kinds)
 
     # `critical(name)` carries its name as a pseudo-clause
     if kinds == ("critical",) and i < end and lexemes[i] == "(":
-        close = closers.get(i, end)
-        if close < end:
+        close = closers.get(i)
+        if close is not None:
             inner = lexemes[i + 1 : close]
             name = _text_of(inner).replace(" ", "")
             clauses.append(
@@ -266,8 +267,8 @@ def _parse_directive_body(
         arg_tokens: Sequence[str] | None = None
         j = i + 1
         if j < end and lexemes[j] == "(":
-            close = closers.get(j, end)
-            if close >= end:
+            close = closers.get(j)
+            if close is None:
                 degraded = True
                 close = end
             arg_tokens = lexemes[j + 1 : close]
@@ -357,7 +358,7 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
             if close is not None:
                 span = (starts[k], unit.token_end(close))
         # code token start + 1 is the `omp` marker
-        body = _parse_directive_body(lexemes, brackets.closers, start + 2, end)
+        body = _parse_directive_body(lexemes, start + 2, end)
         directives.append(
             _directive(
                 body,
@@ -504,8 +505,8 @@ class StrippedView:
         lines in :attr:`text`, and ``[first, stop)`` of its code tokens in
         :attr:`lexemes`.
 
-        ``lo`` lies outside the cuts.  Brackets match across pragma lines, so
-        ``hi`` may lie inside a cut; the span then ends where the cut starts.
+        ``lo`` lies outside the cuts; ``hi`` may lie inside one, and the span
+        then ends where the cut starts.
         For a span that starts and ends on token boundaries with a code token
         first, the text equals ``strip_openmp`` of the span's text parsed
         alone, and the tokens have the lexemes of its code tokens.
@@ -527,10 +528,10 @@ def pragma_edit(
     lines that stay in place; None otherwise.
 
     Only the changed lines are lexed and parsed.  Each must be one directive's
-    whole logical line on both sides, after nothing but blanks in ``unit``,
-    and hold no `;` and no bracket that is not closed on it, nested properly.
-    Then no token, bracket match, statement end or decision point outside the
-    lines changes, and every directive keeps its attachment.
+    whole logical line on both sides, after nothing but blanks in ``unit``.
+    A preprocessor line takes no part in a bracket match, statement end or
+    decision point outside it, so none of those changes, and every directive
+    keeps its attachment.
     """
     old_lines, new_lines = unit.text.split("\n"), text.split("\n")
     if len(old_lines) != len(new_lines):
@@ -543,14 +544,9 @@ def pragma_edit(
         old, a = old_lines[i], line_starts[i]
         col = len(old) - len(old.lstrip(" \t"))
         k = by_offset.get(a + col)
-        first, stop = unit.token_index(a), unit.token_index(a + len(old))
-        if (
-            k is None
-            or len(directives[k].raw_text) != len(old) - col
-            or line_closers(unit.lexemes, first, stop) is None
-        ):
+        if k is None or len(directives[k].raw_text) != len(old) - col:
             return None
-        olds.append((k, first, stop))
+        olds.append((k, unit.token_index(a), unit.token_index(a + len(old))))
     # the changed lines lexed alone; a `#` after them must start a line of
     # its own, so none of them runs on into the next
     joined = "\n".join([*(new_lines[i] for i in changed), "#"])
@@ -561,11 +557,8 @@ def pragma_edit(
     windows, edits, bounds, shifts = [], {}, [], []
     shift = joined_at = 0  # bytes gained; the line's start in ``joined``
     for (lo, hi), head, end, i, (k, first, stop) in zip(lines, heads, heads[1:], changed, olds):
-        closers = line_closers(code.lexemes, head, end)
-        if closers is None:
-            return None
         base = line_starts[i] + shift - joined_at  # from an offset in ``joined`` to one in ``text``
-        edits[k] = _parse_directive_body(code.lexemes, closers, head + 2, end), base + lo, joined[lo:hi]
+        edits[k] = _parse_directive_body(code.lexemes, head + 2, end), base + lo, joined[lo:hi]
         shift += len(new_lines[i]) - len(old_lines[i])
         starts = list(map(base.__add__, code.starts[head:end]))
         windows.append((first, stop, (code.lexemes[head:end], starts, [0]), shift))

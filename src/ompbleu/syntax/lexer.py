@@ -5,7 +5,8 @@ whose concatenated lexemes reproduce the input exactly.  This round-trip
 property is what the rest of the toolkit relies on to reason about source
 positions, pragma lines, and brace nesting without a full parser.  Bracket
 structure comes from one table per unit (:class:`Brackets`), built on first
-use in one stack pass over the bracket and `;` tokens.
+use from the bracket and `;` tokens outside preprocessor lines; a pragma
+line's own brackets are matched on it alone (:func:`line_closers`).
 
 Lexing is one pass that yields the code tokens, the ones that are neither
 whitespace nor comments, as three parallel columns: lexemes, start offsets
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, repeat
@@ -162,17 +164,18 @@ class CodeTokens(NamedTuple):
 
 
 class Brackets:
-    """The bracket structure of a unit's code tokens, from one stack pass
-    over its brackets and `;` tokens; every index is a code-token index.
+    """The bracket structure of a unit's code, from its bracket and `;`
+    tokens outside preprocessor lines; every index is a code-token index.
 
-    ``closers`` maps each closed opener to its closer, matching brackets of
-    the opener's type over all code tokens, pragma lines included.
+    A preprocessor line's tokens are not part of the code around it (C11
+    6.10), so no bracket or `;` on one changes a match, a statement end or a
+    depth; :func:`line_closers` reads a pragma line's own brackets.
+    ``closers`` maps each closed opener to its closer, matched by type.
     """
 
     def __init__(self, lexemes: list[str], in_directive: list[bool]) -> None:
-        at = list(compress(range(len(lexemes)), map(_BRACKETS.__contains__, lexemes)))
-        closers: dict[int, int] = {}
-        open_by_type: dict[str, list[int]] = {opener: [] for opener in OPENERS}  # code indices
+        found = compress(range(len(lexemes)), map(_BRACKETS.__contains__, lexemes))
+        at = [i for i in found if not in_directive[i]]
         open_any: list[int] = []  # indices into ``at``
         any_closers: dict[int, int] = {}
         ends: list[int | None] = [None] * (len(at) + 1)  # statement ends
@@ -180,27 +183,21 @@ class Brackets:
         depth = 0
         for j, i in enumerate(at):
             lexeme = lexemes[i]
-            if lexeme in open_by_type:
-                open_by_type[lexeme].append(i)
+            if lexeme in OPENERS:
                 open_any.append(j)
-                if lexeme == "{" and not in_directive[i]:
-                    depth += 1
+                depth += lexeme == "{"
             else:
                 ends[j] = i
-                if lexeme != ";":
-                    stack = open_by_type[OPENER_OF[lexeme]]
-                    if stack:
-                        closers[stack.pop()] = i
-                    if open_any:
-                        any_closers[open_any.pop()] = j
-                    if lexeme == "}" and depth and not in_directive[i]:
-                        depth -= 1
+                if lexeme != ";" and open_any:
+                    any_closers[open_any.pop()] = j
+                if lexeme == "}" and depth:
+                    depth -= 1
             depths.append(depth)
         # from an opener, a statement runs over its group to the end of the
         # statement after it; an unclosed group leaves it unterminated
         for j in sorted(any_closers, reverse=True):
             ends[j] = ends[any_closers[j] + 1]
-        self.closers = closers
+        self.closers = _closers(lexemes, at)
         self._at = at
         self._ends = ends
         self._depths = depths
@@ -211,26 +208,29 @@ class Brackets:
         return self._ends[bisect.bisect_left(self._at, i)]
 
     def brace_depth(self, i: int) -> int:
-        """Braces open before ``i``, counting only those outside
-        preprocessor lines; a surplus `}` leaves the depth at 0."""
+        """Braces open before ``i``; a surplus `}` leaves the depth at 0."""
         return self._depths[bisect.bisect_left(self._at, i)]
 
 
-def line_closers(lexemes: list[str], lo: int, hi: int) -> dict[int, int] | None:
-    """The closer of each opener among ``lexemes[lo:hi]``, the code tokens
-    of one line; None unless every bracket there closes there, nested
-    properly, and no `;` is there.  Then the line changes no bracket match
-    or statement end of :class:`Brackets` outside it."""
-    closers, stack = {}, []
-    for i in compress(range(lo, hi), map(_BRACKETS.__contains__, lexemes[lo:hi])):
+def _closers(lexemes: list[str], at: Iterable[int]) -> dict[int, int]:
+    """The closer of each opener among the bracket and `;` tokens ``at``,
+    in order, that closes among them, matched by type."""
+    closers: dict[int, int] = {}
+    open_by_type: dict[str, list[int]] = {opener: [] for opener in OPENERS}
+    for i in at:
         lexeme = lexemes[i]
         if lexeme in OPENERS:
-            stack.append(i)
-        elif lexeme == ";" or not stack or lexemes[stack[-1]] != OPENER_OF[lexeme]:
-            return None
-        else:
-            closers[stack.pop()] = i
-    return None if stack else closers
+            open_by_type[lexeme].append(i)
+        elif lexeme != ";" and open_by_type[OPENER_OF[lexeme]]:
+            closers[open_by_type[OPENER_OF[lexeme]].pop()] = i
+    return closers
+
+
+def line_closers(lexemes: list[str], lo: int, hi: int) -> dict[int, int]:
+    """The closer of each opener among ``lexemes[lo:hi]``, the code tokens
+    of one preprocessor line, that closes on the line, matched by type as in
+    :class:`Brackets`; a bracket left open there closes nowhere."""
+    return _closers(lexemes, compress(range(lo, hi), map(_BRACKETS.__contains__, lexemes[lo:hi])))
 
 
 @dataclass(frozen=True)

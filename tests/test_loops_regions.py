@@ -1,8 +1,11 @@
 import re
+import shutil
+import subprocess
 import time
 from collections.abc import Sequence
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +27,7 @@ from ompbleu.syntax.directives import (
     _text_of,
     directive_kinds,
 )
-from ompbleu.syntax.lexer import SourceUnit, Token
+from ompbleu.syntax.lexer import SourceUnit, Token, line_closers
 
 from conftest import bracket_soups, fixture_text, token_tokenize
 
@@ -180,6 +183,46 @@ def test_inner_pragma_tokens_not_counted():
     assert blocks[0].decision_count == 2
 
 
+# A preprocessor line's tokens are not part of the code around it (C11
+# 6.10): a `}` in a `#define` closes no block, and a `;` on a pragma line
+# ends no statement.
+DEFINE_IN_REGION = (
+    "int f(int n, int x) {\n"
+    "#pragma omp parallel\n"
+    "  {\n"
+    "    if (n > 0) x++;\n"
+    "#define CLOSE }\n"
+    "    while (n-- && x) x++;\n"
+    "  }\n"
+    "  return x;\n"
+    "}\n"
+)
+
+
+def test_a_brace_in_a_define_closes_no_block():
+    blocks, diags = _regions(DEFINE_IN_REGION)
+    start = DEFINE_IN_REGION.index("{\n    if")
+    end = DEFINE_IN_REGION.index("}\n  return") + 1
+    assert diags == []
+    assert [(b.byte_offset, b.end_offset) for b in blocks] == [(start, end)]
+    # `if`, `while` and `&&`, before and after the `#define`
+    assert blocks[0].decision_count == 3
+
+
+def test_a_semicolon_on_a_pragma_line_ends_no_statement():
+    text = "#pragma omp single\nx = y\n#pragma omp barrier;\nz;\n"
+    single, barrier = extract_directives(parse_source(text))
+    assert single.construct_span == (text.index("x = y"), len(text) - 1)
+    assert barrier.construct_span == (text.index("z;"), len(text) - 1)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+def test_gcc_accepts_the_brace_in_a_define(tmp_path):
+    source = tmp_path / "probe.c"
+    source.write_text(DEFINE_IN_REGION)
+    subprocess.run(["gcc", "-fopenmp", "-fsyntax-only", str(source)], capture_output=True, check=True)
+
+
 def test_decision_count_matches_brute_force_on_fixtures():
     from conftest import FIXTURES
 
@@ -195,6 +238,7 @@ def test_decision_count_matches_brute_force_on_fixtures():
 #
 # The scanners below are the ones analysis ran before the bracket table, one
 # scan per loop, construct and clause; they stay here as the table's oracle.
+# As in C, they read each preprocessor line apart from the code around it.
 
 _OPEN = {"(": ")", "[": "]", "{": "}"}
 DECISION_KEYWORDS = frozenset({"if", "for", "while", "case"})
@@ -202,13 +246,18 @@ DECISION_OPERATORS = frozenset({"&&", "||"})
 
 
 def _match_delim(tokens: tuple[Token, ...] | list[Token], start: int) -> int | None:
-    """Index of the token closing the delimiter opened at ``start``."""
+    """Index of the token closing the delimiter opened at ``start``: on the
+    opener's own line if that is a preprocessor line, and among the tokens
+    outside preprocessor lines otherwise."""
     opener = tokens[start].lexeme
     closer = _OPEN[opener]
+    on_line = tokens[start].in_directive
     depth = 0
     for i in range(start, len(tokens)):
         tok = tokens[i]
-        if tok.kind != "punctuation":
+        if on_line and (tok.kind == "preprocessor" or not tok.in_directive):
+            return None  # the opener's line has ended
+        if tok.kind != "punctuation" or tok.in_directive != on_line:
             continue
         if tok.lexeme == opener:
             depth += 1
@@ -220,7 +269,8 @@ def _match_delim(tokens: tuple[Token, ...] | list[Token], start: int) -> int | N
 
 
 def _statement_end(tokens: tuple[Token, ...] | list[Token], start: int) -> int | None:
-    """Index of the token terminating the single statement at ``start``.
+    """Index of the token terminating the single statement at ``start``,
+    among the tokens outside preprocessor lines.
 
     Returns the index of the closing `;`, or of an unbalanced `}` when the
     statement is cut short by the enclosing block.
@@ -228,7 +278,7 @@ def _statement_end(tokens: tuple[Token, ...] | list[Token], start: int) -> int |
     depth = 0
     for i in range(start, len(tokens)):
         tok = tokens[i]
-        if tok.kind != "punctuation":
+        if tok.kind != "punctuation" or tok.in_directive:
             continue
         if tok.lexeme in "([{":
             depth += 1
@@ -301,9 +351,15 @@ class ScanningBrackets:
 def test_bracket_table_matches_the_scanners(text):
     unit = parse_source(text)
     code, brackets = token_tokenize(text), unit.brackets
+    # an opener on a preprocessor line is matched on that line alone
+    on_lines: dict[int, int] = {}
+    for lo, hi in unit.directive_lines:
+        on_lines.update(line_closers(unit.lexemes, lo, hi))
+    assert not any(code[i].in_directive for i in brackets.closers)
     for i, tok in enumerate(code):
         if tok.lexeme in _OPEN:
-            assert brackets.closers.get(i) == _match_delim(code, i)
+            closers = on_lines if tok.in_directive else brackets.closers
+            assert closers.get(i) == _match_delim(code, i)
     assert [brackets.statement_end(i) for i in range(len(code) + 1)] == [
         _statement_end(code, i) for i in range(len(code) + 1)
     ]
@@ -380,7 +436,7 @@ def _parse_words(words: Sequence[Token]) -> tuple[tuple[str, ...], tuple[Clause,
 def _parse_words_alone(text: str):
     """A body parser that reads the words of ``text``'s pragma lines alone."""
     tokens = token_tokenize(text)
-    return lambda lexemes, closers, start, end: _parse_words(tokens[start:end])
+    return lambda lexemes, start, end: _parse_words(tokens[start:end])
 
 
 def _extracted(unit: SourceUnit):

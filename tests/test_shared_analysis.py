@@ -320,7 +320,7 @@ def _attached_construct_span(
 
 
 # Runs of pragma lines with other preprocessor lines between them, and
-# closers on pragma lines that match brackets opened before them.
+# closers on pragma lines, which close no bracket opened before them.
 PRAGMA_RUN_LINES = [
     "#pragma omp barrier", "#pragma omp parallel", "#pragma omp single }",
     "#pragma omp critical(x) ;", "#pragma omp for private(i) )", "#pragma omp task ]",
@@ -336,7 +336,8 @@ pragma_runs = st.lists(st.sampled_from(PRAGMA_RUN_LINES), max_size=30).map("\n".
     st.one_of(pragma_soups(), bracket_soups, pragma_runs),
     st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=5),
 )
-# a construct closed on a pragma line; other preprocessor lines in a run
+# a closer on a pragma line, which closes no construct; other preprocessor
+# lines in a run
 @example("{\n#pragma omp single\n{ x;\n#pragma omp barrier }\ny; }\n", [])
 @example("#pragma omp single\n#define M }\n#pragma omp for\n#ifdef X\nx; }\n", [])
 @example("f(\n#pragma omp parallel\n#pragma omp barrier )\ny;", [])
@@ -439,19 +440,20 @@ GATE_REFUSALS = [
     ("#pragma omp parallel\n{ x++; }\n", "#pragma omp parallel \\\n{ x++; }\n"),
     ("#pragma omp parallel\n{ x++; }\n", "#pragma omp parallel /*\n{ x++; } */\n"),
     ("#pragma omp parallel\n{ x++; }\n", "#pragma omp parallel // c \\\n{ x++; }\n"),
-    # a bracket left open, one closed by the wrong type, a surplus closer
+]
+GATE_TAKEN = [
+    # a bracket left open, one closed by the wrong type, a surplus closer:
+    # a pragma line's brackets match on it alone
     ("#pragma omp for private(i)\nfor (;;) { x++; }\n", "#pragma omp for private(i\nfor (;;) { x++; }\n"),
     ("#pragma omp for private(i)\nfor (;;) { x++; }\n", "#pragma omp for private(i]\nfor (;;) { x++; }\n"),
     ("{\n#pragma omp barrier\nx++; }\n", "{\n#pragma omp barrier }\nx++; }\n"),
     # a reference line whose bracket closes after it: the statement after
-    # `single` ends at the loop's `;` there, at the surplus `)` here
+    # `single` ends at the surplus `)` on both sides
     ("#pragma omp single\nx = y\n#pragma omp critical(\nfor (;;)) x++;\n",
      "#pragma omp single\nx = y\n#pragma omp critical(a)\nfor (;;)) x++;\n"),
-    # a `;` on the line: the statement after `single` ends there
+    # a `;` on the line ends no statement
     ("#pragma omp single\nx = y\n#pragma omp barrier;\nz;\n",
      "#pragma omp single\nx = y\n#pragma omp barrier\nz;\n"),
-]
-GATE_TAKEN = [
     # blanks and a comment before the candidate's `#`, `\r\n` line ends
     ("#pragma omp parallel for\nfor (;;) x++;\n", "  /* c */ #pragma omp for\nfor (;;) x++;\n"),
     ("{\r\n  #pragma omp for private(i)\r\n  for (;;) x++;\r\n}\r\n",
