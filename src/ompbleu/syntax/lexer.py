@@ -185,7 +185,8 @@ class Brackets:
             lexeme = lexemes[i]
             if lexeme in OPENERS:
                 open_any.append(j)
-                depth += lexeme == "{"
+                if lexeme == "{":
+                    depth += 1
             else:
                 ends[j] = i
                 if lexeme != ";" and open_any:

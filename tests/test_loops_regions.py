@@ -220,7 +220,8 @@ def test_a_semicolon_on_a_pragma_line_ends_no_statement():
 def test_gcc_accepts_the_brace_in_a_define(tmp_path):
     source = tmp_path / "probe.c"
     source.write_text(DEFINE_IN_REGION)
-    subprocess.run(["gcc", "-fopenmp", "-fsyntax-only", str(source)], capture_output=True, check=True)
+    run = subprocess.run(["gcc", "-fopenmp", "-fsyntax-only", str(source)], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_decision_count_matches_brute_force_on_fixtures():
