@@ -24,6 +24,7 @@ from .similarity import (
 )
 from .syntax import Directive, RegionBlock, SourceUnit, parse_source
 from .syntax.directives import (
+    PragmaEdit,
     StrippedView,
     attached_construct_span,
     canonical_clause,
@@ -133,6 +134,8 @@ class SideAnalysis:
     region_diagnostics: tuple[str, ...]
     # the unit's own language hint (a record's field or a file suffix)
     language: str | None = None
+    # the analysis this one was read off by a pragma-line edit, and the edit
+    like: "tuple[SideAnalysis, PragmaEdit] | None" = field(default=None, repr=False, compare=False)
     _stripped: dict[tuple[int, int], CodeText] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -143,11 +146,14 @@ class SideAnalysis:
     @cached_property
     def code(self) -> CodeText:
         """The whole source, pragmas included."""
-        return CodeText(self.unit.text, self.unit.lexemes)
+        edit_of = self.like and (self.like[0].code, self.like[1].removed, self.like[1].added)
+        return CodeText(self.unit.text, self.unit.lexemes, edit_of=edit_of)
 
     @cached_property
     def stripped_view(self) -> StrippedView:
         """The source without its OpenMP pragma lines."""
+        if self.like is not None:
+            return self.like[0].stripped_view.moved(self.unit, self.like[1].at)
         lines = ((d.byte_offset, d.byte_offset + len(d.raw_text)) for d in self.directives)
         return StrippedView(self.unit, lines)
 
@@ -179,16 +185,17 @@ def analyze(
     ``like``, the analysis of a similar source such as a candidate's
     reference, is only a speed-up.  A source that differs from it only on
     whole `#pragma omp` lines that stay in place is analysed from it: only
-    those lines are lexed and parsed, and the tokens, loops and attachments
-    are the reference's, moved (:func:`~.syntax.directives.pragma_edit`).
-    Any other source is lexed and analysed in full.
+    those lines are lexed and parsed, and everything else is the
+    reference's, moved (:func:`~.syntax.directives.pragma_edit`), its
+    stripped view and bag of code tokens too.  ``like`` is not changed, so
+    threads may share it.  Any other source is lexed and analysed in full.
     """
     edit = like and pragma_edit(source, like.unit, like.directives)
     if edit is None:
         unit = parse_source(source)
         directives = extract_directives(unit)
     else:
-        unit, directives = edit
+        unit, directives = edit.unit, edit.directives
     regions, region_diags = parallel_region_blocks(unit, directives)
     return SideAnalysis(
         unit=unit,
@@ -196,6 +203,7 @@ def analyze(
         regions=tuple(regions),
         region_diagnostics=tuple(region_diags),
         language=language,
+        like=edit and (like, edit),
     )
 
 

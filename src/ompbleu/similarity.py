@@ -11,7 +11,7 @@ import json
 import math
 import threading
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count
 from operator import ne
@@ -181,7 +181,9 @@ class CodeText:
     ``lexemes[first:stop]``, cut from the text and the lexemes of a whole
     unit: holding one copies neither, and nothing is lexed again.  The text
     is cut each time it is read, and the bag of code tokens is built on
-    first use; comparing equal texts builds none."""
+    first use; comparing equal texts builds none.  ``edit_of`` is a code
+    text this one edits, with the lexemes the edit cuts and puts in: the bag
+    is then that text's, less the first and plus the second."""
 
     source: str
     lexemes: Sequence[str]
@@ -189,6 +191,9 @@ class CodeText:
     stop: int | None = None
     lo: int = 0
     hi: int | None = None
+    edit_of: "tuple[CodeText, Sequence[str], Sequence[str]] | None" = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def text(self) -> str:
@@ -196,7 +201,13 @@ class CodeText:
 
     @cached_property
     def vector(self) -> SparseTokenVector:
-        return SparseTokenVector.from_lexemes(self.lexemes[self.first : self.stop])
+        if self.edit_of is None:
+            return SparseTokenVector.from_lexemes(self.lexemes[self.first : self.stop])
+        code, removed, added = self.edit_of
+        counts = Counter(code.vector.counts)
+        counts.subtract(SparseTokenVector.from_lexemes(removed).counts)
+        counts.update(SparseTokenVector.from_lexemes(added).counts)
+        return SparseTokenVector({key: n for key, n in counts.items() if n})  # no zero count
 
 
 class SimilarityBackend(Protocol):

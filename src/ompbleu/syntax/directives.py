@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import bisect
 import re
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 from itertools import accumulate, compress, count
 from operator import ne
+from typing import NamedTuple
 
 from .lexer import (
     CLOSERS, OPENERS, SourceUnit, lexeme_kind, line_closers, newline_tokens, splice, tokenize,
@@ -477,22 +478,35 @@ class StrippedView:
     """
 
     def __init__(self, unit: SourceUnit, lines: Iterable[tuple[int, int]]) -> None:
-        text = unit.text
-        cuts = [pragma_line_range(unit, lo, hi) for lo, hi in lines]
+        kept = self._cut(unit, [pragma_line_range(unit, lo, hi) for lo, hi in lines])
+        self.text = "".join(unit.text[a:b] for a, b in zip([0, *self._cut_ends], self._cut_starts))
+        self.lexemes: list[str] = []
+        for first, stop in kept:
+            self.lexemes += unit.lexemes[first:stop]
+
+    def _cut(self, unit: SourceUnit, cuts: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        """Set the ``cuts`` of ``unit``'s text and the offsets of the code
+        tokens they keep; the index ranges of those tokens."""
         self._cut_ends = [hi for _, hi in cuts]
         # the end of the text closes the last kept range
-        self._cut_starts = [lo for lo, _ in cuts] + [len(text)]
+        self._cut_starts = [lo for lo, _ in cuts] + [len(unit.text)]
         # bytes removed before each cut
         self._removed = list(accumulate((hi - lo for lo, hi in cuts), initial=0))
-        kept = list(zip([0, *self._cut_ends], self._cut_starts))
-        self.text = "".join(text[a:b] for a, b in kept)
-        # the kept code tokens: their lexemes, and their offsets in the unit
-        self.lexemes: list[str] = []
-        self.starts: list[int] = []
-        for a, b in kept:
-            first, stop = unit.token_index(a), unit.token_index(b)
-            self.lexemes += unit.lexemes[first:stop]
+        bounds = [0, *self._cut_ends], self._cut_starts  # of the kept ranges
+        kept = list(zip(*(map(unit.token_index, offsets) for offsets in bounds)))
+        self.starts: list[int] = []  # the kept code tokens' offsets in the unit
+        for first, stop in kept:
             self.starts += unit.starts[first:stop]
+        return kept
+
+    def moved(self, unit: SourceUnit, at: Callable[[int], int]) -> StrippedView:
+        """This view for ``unit``, whose text is this one's unit's with the
+        cut lines changed, each still cut whole, and an offset ``x`` moved
+        to ``at(x)``: the stripped text and lexemes are this view's."""
+        view = object.__new__(StrippedView)
+        view.text, view.lexemes = self.text, self.lexemes
+        view._cut(unit, [(at(lo), at(hi)) for lo, hi in zip(self._cut_starts, self._cut_ends)])
+        return view
 
     def _stripped_offset(self, offset: int) -> int:
         """Where ``offset`` of the unit lies in the stripped text; an offset
@@ -520,12 +534,32 @@ class StrippedView:
         )
 
 
+def _copy(obj, **fields):
+    """A copy of the frozen dataclass instance ``obj`` with ``fields``
+    changed, without the checks and keyword binding of ``dataclasses.replace``."""
+    new = object.__new__(type(obj))
+    vars(new).update(vars(obj), **fields)
+    return new
+
+
+class PragmaEdit(NamedTuple):
+    """What :func:`pragma_edit` reads off a unit: the new unit and
+    directives, where each old offset moves to, and the code tokens of the
+    old lines and of the new ones."""
+
+    unit: SourceUnit
+    directives: list[Directive]
+    at: Callable[[int], int]
+    removed: list[str]
+    added: list[str]
+
+
 def pragma_edit(
     text: str, unit: SourceUnit, directives: Sequence[Directive]
-) -> tuple[SourceUnit, list[Directive]] | None:
+) -> PragmaEdit | None:
     """The unit and directives of ``text`` read off ``unit`` and its
-    ``directives``, when the two texts differ only on whole `#pragma omp`
-    lines that stay in place; None otherwise.
+    ``directives``, with the edit, when the two texts differ only on whole
+    `#pragma omp` lines that stay in place; None otherwise.
 
     Only the changed lines are lexed and parsed.  Each must be one directive's
     whole logical line on both sides, after nothing but blanks in ``unit``.
@@ -554,20 +588,17 @@ def pragma_edit(
     heads, lines = code.heads, directive_line_spans(code)
     if len(heads) != len(changed) + 1 or len(lines) != len(changed):
         return None
-    windows, edits, bounds, shifts = [], {}, [], []
-    shift = joined_at = 0  # bytes gained; the line's start in ``joined``
+    windows, edits, bounds, after, removed = [], {}, [], [0], []
+    joined_at = 0  # the line's start in ``joined``; ``after`` holds the bytes gained
     for (lo, hi), head, end, i, (k, first, stop) in zip(lines, heads, heads[1:], changed, olds):
-        base = line_starts[i] + shift - joined_at  # from an offset in ``joined`` to one in ``text``
+        base = line_starts[i] + after[-1] - joined_at  # from an offset in ``joined`` to one in ``text``
         edits[k] = _parse_directive_body(code.lexemes, head + 2, end), base + lo, joined[lo:hi]
-        shift += len(new_lines[i]) - len(old_lines[i])
+        after.append(after[-1] + len(new_lines[i]) - len(old_lines[i]))
         starts = list(map(base.__add__, code.starts[head:end]))
-        windows.append((first, stop, (code.lexemes[head:end], starts, [0]), shift))
+        windows.append((first, stop, (code.lexemes[head:end], starts, [0]), after[-1]))
         bounds.append(line_starts[i] + len(old_lines[i]))
-        shifts.append(shift)
+        removed += unit.lexemes[first:stop]
         joined_at += len(new_lines[i]) + 1
-
-    edited = SourceUnit(text, *splice(unit, windows))
-    after = [0, *shifts]
 
     def at(offset: int) -> int:
         return offset + after[bisect.bisect_right(bounds, offset)]
@@ -577,7 +608,7 @@ def pragma_edit(
         loop = d.attached_loop
         moved = loop and (at(loop.byte_offset), at(loop.end_offset))
         if moved and moved != (loop.byte_offset, loop.end_offset):
-            loop = replace(loop, byte_offset=moved[0], end_offset=moved[1])
+            loop = _copy(loop, byte_offset=moved[0], end_offset=moved[1])
         span = d.construct_span and (at(d.construct_span[0]), at(d.construct_span[1]))
         if k in edits:
             body, lo, raw_text = edits[k]
@@ -586,9 +617,10 @@ def pragma_edit(
                 attached_kind=d.attached_kind, construct_span=span, raw_text=raw_text,
             )
         elif (at(d.byte_offset), span, loop) != (d.byte_offset, d.construct_span, d.attached_loop):
-            d = replace(d, byte_offset=at(d.byte_offset), construct_span=span, attached_loop=loop)
+            d = _copy(d, byte_offset=at(d.byte_offset), construct_span=span, attached_loop=loop)
         out.append(d)
-    return edited, out
+    added = code.lexemes[: heads[-1]]  # every line's tokens, without the `#` after them
+    return PragmaEdit(splice(unit, text, windows), out, at, removed, added)
 
 
 def strip_openmp(unit: SourceUnit) -> str:

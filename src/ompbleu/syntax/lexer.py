@@ -19,8 +19,8 @@ no command asks for it.
 Every text is lexed in full, in one call (:func:`tokenize`).  The one
 exception is a candidate that differs from its reference only on whole
 `#pragma omp` lines: those lines alone are lexed, and :func:`splice` puts
-their tokens in the place of the reference's
-(:func:`~.directives.pragma_edit`).
+their tokens in the place of the reference's and moves the reference's
+decision points (:func:`~.directives.pragma_edit`).
 
 A `#` opens a preprocessor directive when nothing but layout comes before
 it on its logical line (C11 5.1.1.2, phases 2-4: a line splice joins two
@@ -356,30 +356,38 @@ def _directive_lines(
 
 
 def splice(
-    unit: SourceUnit, windows: list[tuple[int, int, tuple[list[str], list[int], list[int]], int]]
-) -> CodeTokens:
-    """``unit``'s code tokens with some of them replaced: each window
-    ``(keep, resume, (lexemes, offsets, heads), shift)``, in order, stands
-    for ``unit``'s tokens from ``keep`` to ``resume``, with offsets in the
-    new text and heads counted from its first token, and ``unit``'s tokens
-    after it move by ``shift`` characters."""
-    lexemes, starts, heads = unit.lexemes, unit.starts, unit.heads
-    out_lexemes, out_starts, out_heads = [], [], []
+    unit: SourceUnit,
+    text: str,
+    windows: list[tuple[int, int, tuple[list[str], list[int], list[int]], int]],
+) -> SourceUnit:
+    """The unit of ``text``: ``unit``'s code tokens with some of them
+    replaced.  Each window ``(keep, resume, (lexemes, offsets, heads),
+    shift)``, in order, stands for ``unit``'s tokens from ``keep`` to
+    ``resume``, with offsets in ``text`` and heads counted from its first
+    token, and ``unit``'s tokens after it move by ``shift`` characters.
+    Windows are whole preprocessor lines, which hold no decision point, so
+    the decision points are ``unit``'s, moved."""
+    lexemes, starts, heads, decisions = unit.lexemes, unit.starts, unit.heads, unit.decisions
+    out_lexemes, out_starts, out_heads, out_decisions = [], [], [], []
     done = shift = 0
     for keep, resume, (w_lexemes, w_starts, w_heads), next_shift in [
         *windows,
         (len(lexemes), len(lexemes), ([], [], []), 0),
     ]:
         moved = len(out_lexemes) - done
-        kept = heads[bisect.bisect_left(heads, done) : bisect.bisect_left(heads, keep)]
-        out_heads += map(moved.__add__, kept)
+        for column, out in ((heads, out_heads), (decisions, out_decisions)):
+            kept = column[bisect.bisect_left(column, done) : bisect.bisect_left(column, keep)]
+            out += map(moved.__add__, kept)
         out_lexemes += lexemes[done:keep]
-        out_starts += map(shift.__add__, starts[done:keep])
+        out_starts += [start + shift for start in starts[done:keep]]
         out_heads += map(len(out_lexemes).__add__, w_heads)
         out_lexemes += w_lexemes
         out_starts += w_starts
         done, shift = resume, next_shift
-    return CodeTokens(out_lexemes, out_starts, *_directive_lines(out_lexemes, out_heads), out_heads)
+    flags, lines = _directive_lines(out_lexemes, out_heads)
+    edited = SourceUnit(text, out_lexemes, out_starts, flags, lines, out_heads)
+    vars(edited)["decisions"] = out_decisions  # the cached property, filled in
+    return edited
 
 
 def parse_source(text: str) -> SourceUnit:

@@ -1,4 +1,6 @@
 import concurrent.futures
+import dataclasses
+import functools
 import importlib.util
 import json
 import shutil
@@ -10,10 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from ompbleu import config, report
+from ompbleu import config, report, similarity
 from ompbleu.compile_check import LANGUAGE_SPELLINGS
 from ompbleu.metrics import SUBSCORE_WEIGHTS
-from ompbleu.syntax import lexer
+from ompbleu.syntax import directives, lexer
 from ompbleu.syntax.directives import KNOWN_CLAUSE_KINDS
 from ompbleu.syntax.lexer import _KIND_OF, _KIND_OF_FIRST, _RE_CODE, Token
 
@@ -122,6 +124,70 @@ def bracket_builds(monkeypatch):
 
     monkeypatch.setattr(lexer.Brackets, "__init__", counting)
     return built
+
+
+@pytest.fixture()
+def view_builds(monkeypatch):
+    """The text of the unit of each stripped view built from scratch."""
+    original = directives.StrippedView.__init__
+    built: list[str] = []
+
+    def counting(self, unit, lines):
+        built.append(unit.text)
+        original(self, unit, lines)
+
+    monkeypatch.setattr(directives.StrippedView, "__init__", counting)
+    return built
+
+
+@pytest.fixture()
+def bag_builds(monkeypatch):
+    """The lexemes of each bag of code tokens counted."""
+    original = similarity.SparseTokenVector.from_lexemes
+    counted: list[list[str]] = []
+
+    def counting(cls, lexemes):
+        counted.append(list(lexemes))
+        return original(counted[-1])
+
+    monkeypatch.setattr(similarity.SparseTokenVector, "from_lexemes", classmethod(counting))
+    return counted
+
+
+@pytest.fixture()
+def decision_scans(monkeypatch):
+    """The lexemes of the unit of each scan for decision points."""
+    original = lexer.SourceUnit.decisions.func
+    scanned: list[list[str]] = []
+
+    def counting(self):
+        scanned.append(self.lexemes)
+        return original(self)
+
+    scan = functools.cached_property(counting)
+    scan.__set_name__(lexer.SourceUnit, "decisions")
+    monkeypatch.setattr(lexer.SourceUnit, "decisions", scan)
+    return scanned
+
+
+@pytest.fixture()
+def dataclass_replaces(monkeypatch):
+    """The instance of each ``dataclasses.replace`` call, through the
+    module or any ``ompbleu`` module that binds it."""
+    original = dataclasses.replace
+    copied: list[object] = []
+
+    def counting(obj, /, **changes):
+        copied.append(obj)
+        return original(obj, **changes)
+
+    monkeypatch.setattr(dataclasses, "replace", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ompbleu") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return copied
 
 
 @pytest.fixture()

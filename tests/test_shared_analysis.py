@@ -9,7 +9,9 @@ import bisect
 import json
 import tracemalloc
 from operator import itemgetter
+from pathlib import Path
 
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +127,35 @@ def test_a_pragma_only_candidate_builds_no_bracket_table(bracket_builds, tmp_pat
     assert main(["--config", str(config), "score", *paths]) == 0
     assert json.loads(capsys.readouterr().out)["composite"] < 100
     assert bracket_builds == [parse_source(fixture_text("multiple_gt.c")).lexemes]
+
+
+def _large_pair_files(tmp_path):
+    _, _, ref, cand = _GEN.large_pair(1, 0)
+    (tmp_path / "ref.c").write_text(ref.text)
+    (tmp_path / "cand.c").write_text(cand.text)
+    return str(tmp_path / "ref.c"), str(tmp_path / "cand.c")
+
+
+@pytest.mark.parametrize("pair", ["fixtures", "large-tu"])
+def test_a_pragma_only_candidate_derives_its_view_bag_and_decision_points(
+    pair, view_builds, bag_builds, decision_scans, dataclass_replaces, tmp_path, capsys
+):
+    # the candidate's stripped view, bag of code tokens and decision points
+    # are its reference's, moved or edited, and its moved directives and
+    # loops are copied without dataclasses.replace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"compile_enabled": False}))
+    if pair == "fixtures":
+        paths = [str(FIXTURES / name) for name in ("multiple_gt.c", "multiple_case2.c")]
+    else:
+        paths = _large_pair_files(tmp_path)
+    assert main(["--config", str(config), "score", *paths]) == 0
+    assert json.loads(capsys.readouterr().out)["composite"] < 100
+    ref, cand = (parse_source(Path(path).read_text()) for path in paths)
+    assert view_builds == [ref.text]
+    assert ref.lexemes in bag_builds and cand.lexemes not in bag_builds
+    assert decision_scans == [ref.lexemes]
+    assert dataclass_replaces == []
 
 
 def test_scoring_and_strip_build_no_token_tuples():
@@ -473,6 +504,14 @@ def _assert_analysed_as_fresh(reference: str, candidate: str) -> bool:
     assert got == fresh  # unit columns, directives, regions and their diagnostics
     assert got.unit.decisions == fresh.unit.decisions
     assert vars(got.stripped_view) == vars(fresh.stripped_view)
+    assert got.code.vector == fresh.code.vector
+    assert all(got.code.vector.counts.values())  # no zero count
+    for d in fresh.directives:
+        loop = d.attached_loop and (d.attached_loop.byte_offset, d.attached_loop.end_offset)
+        for span in filter(None, (attached_construct_span(d), loop)):
+            a, b = got.stripped(span), fresh.stripped(span)
+            assert a.text == b.text, span
+            assert a.lexemes[a.first : a.stop] == b.lexemes[b.first : b.stop], span
     assert ompbleu_score(ref, got, NO_COMPILE_CFG).as_dict() == ompbleu_score(
         ref, fresh, NO_COMPILE_CFG
     ).as_dict()
@@ -494,6 +533,39 @@ def _with_examples(pairs):
 def test_a_pragma_line_edit_is_analysed_as_from_scratch(pair):
     took = _assert_analysed_as_fresh(*pair)
     event("took the pragma-line path" if took else "fell back")
+
+
+def _pragma_lines_only(reference: str, candidate: str) -> bool:
+    """Whether the two texts have as many lines and each line that differs
+    is, on both sides, blanks and then the whole text of a directive of the
+    text's fresh analysis."""
+
+    def pragma_lines(text: str) -> set[int]:
+        lines = text.split("\n")
+        return {
+            d.line - 1 for d in analyze(text).directives if lines[d.line - 1].lstrip(" \t") == d.raw_text
+        }
+
+    old, new = reference.split("\n"), candidate.split("\n")
+    changed = {i for i, (a, b) in enumerate(zip(old, new)) if a != b}
+    return len(old) == len(new) and changed <= pragma_lines(reference) & pragma_lines(candidate)
+
+
+def test_the_benchmarks_candidates_are_analysed_as_fresh():
+    # every candidate of one round of the static, compile and large-tu
+    # inputs; each that differs from its reference only on pragma lines
+    # takes the pragma-line path
+    pairs = [
+        (record.reference.text, candidate.text)
+        for record in [*_GEN.static_records(1, 0, FIXTURES), *_GEN.compile_records(1, 0)]
+        for candidate in record.candidates
+    ]
+    q_ref, q_cand, f_ref, f_cand = _GEN.large_pair(1, 0)
+    pairs += [(q_ref.text, q_cand.text), (f_ref.text, f_cand.text)]
+    taken = [_assert_analysed_as_fresh(*pair) for pair in pairs]
+    expected = [_pragma_lines_only(*pair) for pair in pairs]
+    assert [t for t, e in zip(taken, expected) if e] == [True] * sum(expected)
+    assert sum(expected) > len(pairs) // 2
 
 
 def test_the_gate_refuses_each_case_and_takes_the_others():
