@@ -94,7 +94,7 @@ def load_jsonl(path: str | Path) -> tuple[list[DatasetRecord], list[str]]:
     records: dict[str, DatasetRecord] = {}  # by id
     errors: list[str] = []
     try:
-        lines = read_source(path).splitlines()
+        lines = read_source(path).split("\n")  # a JSON string may hold U+2028 raw
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):

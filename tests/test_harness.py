@@ -81,6 +81,22 @@ def test_load_jsonl_skips_malformed(tmp_path):
     assert "line 6" in errors[4] and "unknown language 'fortran'" in errors[4]
 
 
+def test_load_jsonl_splits_records_only_at_newlines(tmp_path):
+    # JSON strings may hold U+2028, U+2029 and U+0085 raw, and
+    # ``json.dumps(..., ensure_ascii=False)`` writes them so: none ends a line
+    path = tmp_path / "separators.jsonl"
+    records = [
+        {"id": f"r{k}", "reference": f"/* a{ch}b */\nint x;\n", "candidates": [f"int x;{ch}\n"]}
+        for k, ch in enumerate(["\u2028", "\u2029", "\x85", "\u2028\u2029\x85"])
+    ]
+    lines = [json.dumps(record, ensure_ascii=False) for record in records]
+    lines.insert(2, '{"id": "broken\u2028", "reference": ')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    loaded, errors = load_jsonl(path)
+    assert loaded == [DatasetRecord(r["id"], r["reference"], tuple(r["candidates"])) for r in records]
+    assert len(errors) == 1 and errors[0].startswith("line 3: skipped malformed record")
+
+
 def test_load_jsonl_reads_language(tmp_path):
     path = tmp_path / "langs.jsonl"
     spellings = {"c": "c", "cpp": "c++", "c++": "c++", "hpp": "c++", None: None}
