@@ -135,7 +135,7 @@ class SideAnalysis:
     # the unit's own language hint (a record's field or a file suffix)
     language: str | None = None
     # the analysis this one was read off by a pragma-line edit, and the edit
-    like: "tuple[SideAnalysis, PragmaEdit] | None" = field(default=None, repr=False, compare=False)
+    like: tuple[SideAnalysis, PragmaEdit] | None = field(default=None, repr=False, compare=False)
     _stripped: dict[tuple[int, int], CodeText] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
