@@ -19,7 +19,10 @@ relative to it, so two checkouts print lines that compare line by line::
     python ../parent/tests/differential.py --seeds 31 37 --rounds 3 > old.txt
     diff old.txt new.txt
 
-The test suite does not collect this file; ``test_differential.py`` runs it.
+The test suite does not collect this file.  ``test_differential.py`` runs
+it, and compares the lines of seed 3's round 0 with ``differential.txt``
+and the digest of their inputs (:func:`input_digest`) with
+``differential_inputs.txt``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import json
 import os
 import sys
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,26 +132,47 @@ def _generated_inputs(gen, seed: int, r: int) -> tuple[dict[str, list[str]], str
     return pairs, dataset, list(dict.fromkeys(files))
 
 
-def lines(seeds: list[int], rounds: int) -> Iterator[str]:
-    """One line per run, in a fixed order, for the fixtures and for rounds
-    ``0 .. rounds - 1`` of each seed."""
+@contextlib.contextmanager
+def _inputs(seeds: list[int], rounds: int) -> Iterator[list[tuple[str, Callable]]]:
+    """Work in a new temporary directory that holds the config file, and
+    give the tag of each set of inputs with the function that writes them
+    there: the fixtures, then rounds ``0 .. rounds - 1`` of each seed."""
     gen = _generator()
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
             Path(CONFIG).write_text(json.dumps({"compile_enabled": False}))
-            inputs = [("fixtures", _fixture_inputs)]
-            inputs += [
+            yield [("fixtures", _fixture_inputs)] + [
                 (f"seed{seed}-r{r}", lambda seed=seed, r=r: _generated_inputs(gen, seed, r))
                 for seed in seeds
                 for r in range(rounds)
             ]
-            for tag, make in inputs:
-                for argv in _commands(*make()):
-                    yield f"{tag} {' '.join(argv)} {run(argv)}"
         finally:
             os.chdir(here)
+
+
+def lines(seeds: list[int], rounds: int) -> Iterator[str]:
+    """One line per run, in a fixed order, for the fixtures and for rounds
+    ``0 .. rounds - 1`` of each seed."""
+    with _inputs(seeds, rounds) as inputs:
+        for tag, make in inputs:
+            for argv in _commands(*make()):
+                yield f"{tag} {' '.join(argv)} {run(argv)}"
+
+
+def input_digest(seeds: list[int], rounds: int) -> str:
+    """A SHA-256 of every file that :func:`lines` runs on, each one's
+    relative path and text, so that a change of inputs can be told from a
+    change of outputs."""
+    with _inputs(seeds, rounds) as inputs:
+        for _, make in inputs:
+            make()
+        digest = hashlib.sha256()
+        for path in sorted(Path().rglob("*")):
+            if path.is_file():
+                digest.update(f"{path.as_posix()}\0{path.read_text()}\0".encode())
+        return digest.hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
