@@ -509,18 +509,17 @@ class StrippedView:
         return view
 
     def _stripped_offset(self, offset: int) -> int:
-        """Where ``offset`` of the unit lies in the stripped text; an offset
-        inside a cut lies at the cut's start."""
-        i = bisect.bisect_right(self._cut_ends, offset)
-        return min(offset, self._cut_starts[i]) - self._removed[i]
+        """Where ``offset`` of the unit, outside the cuts, lies in the
+        stripped text."""
+        return offset - self._removed[bisect.bisect_right(self._cut_ends, offset)]
 
     def slice(self, lo: int, hi: int) -> tuple[int, int, int, int]:
         """The bounds ``[a, b)`` of ``unit.text[lo:hi]`` without the cut
         lines in :attr:`text`, and ``[first, stop)`` of its code tokens in
         :attr:`lexemes`.
 
-        ``lo`` lies outside the cuts; ``hi`` may lie inside one, and the span
-        then ends where the cut starts.
+        ``lo`` and ``hi`` lie outside the cuts: a cut's own bounds are
+        outside it.
         For a span that starts and ends on token boundaries with a code token
         first, the text equals ``strip_openmp`` of the span's text parsed
         alone, and the tokens have the lexemes of its code tokens.

@@ -6,10 +6,12 @@ is the path that re-lexed the pragma-stripped text of each span instead.
 """
 
 import bisect
+import contextlib
 import json
 import tracemalloc
 from operator import itemgetter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -31,6 +33,7 @@ from ompbleu.syntax import (
     strip_openmp,
 )
 from ompbleu.syntax.directives import (
+    StrippedView,
     attached_construct_span,
     directive_line_spans,
     pragma_edit,
@@ -395,13 +398,13 @@ def test_cuts_and_attachments_match_the_oracles(text, draws):
         if d.attached_loop is not None:
             spans.append((d.attached_loop.byte_offset, d.attached_loop.end_offset))
 
-    # any span that starts outside the cuts, ending anywhere on a token boundary
+    # any span on token boundaries whose two ends lie outside the cuts
     code = token_tokenize(text)
     bounds = sorted({0, len(text), *(t.byte_offset for t in code), *(t.end_offset for t in code)})
-    starts = [x for x in bounds if not any(lo < x < hi for lo, hi in pragma_lines)]
+    outside = [x for x in bounds if not any(lo < x < hi for lo, hi in pragma_lines)]
     for i, j in draws:
-        lo = starts[i % len(starts)]
-        ends = [x for x in bounds if x >= lo]
+        lo = outside[i % len(outside)]
+        ends = [x for x in outside if x >= lo]
         spans.append((lo, ends[j % len(ends)]))
 
     for lo, hi in spans:
@@ -410,6 +413,54 @@ def test_cuts_and_attachments_match_the_oracles(text, draws):
         assert view.text[a:b] == text, (lo, hi)
         assert view.lexemes[first:stop] == [t.lexeme for t in tokens], (lo, hi)
         assert view.starts[first:stop] == [t.byte_offset for t in tokens], (lo, hi)
+
+
+@contextlib.contextmanager
+def _checked_slices():
+    """Count each :meth:`StrippedView.slice` call and collect every end of
+    a span that lies inside one of the view's cuts."""
+    slices, inside = [0], []
+    original = StrippedView.slice
+
+    def checked(view, lo, hi):
+        slices[0] += 1
+        cuts = list(zip(view._cut_starts, view._cut_ends))
+        inside.extend((x, cut) for x in (lo, hi) for cut in cuts if cut[0] < x < cut[1])
+        return original(view, lo, hi)
+
+    with mock.patch.object(StrippedView, "slice", checked):
+        yield slices, inside
+
+
+def _rank_all(records: list[tuple[str, tuple[str, ...]]]) -> None:
+    for reference, candidates in records:
+        record = DatasetRecord(id="r", reference=reference, candidates=candidates)
+        ranked = rank_candidates(record, NO_COMPILE_CFG)
+        assert all(rc.breakdown is not None for rc in ranked), [rc.error for rc in ranked]
+
+
+def test_the_scorer_slices_only_between_the_cuts():
+    # every pair of fixtures, and one round of the benchmark's static,
+    # compile and large-tu inputs: every span the scorer cuts from a
+    # stripped view ends outside its cuts, which is what StrippedView.slice
+    # asks of its callers
+    records = [(text, tuple(FIXTURE_TEXTS)) for text in FIXTURE_TEXTS]
+    for record in [*_GEN.static_records(1, 0, FIXTURES), *_GEN.compile_records(1, 0)]:
+        records.append((record.reference.text, tuple(c.text for c in record.candidates)))
+    q_ref, q_cand, f_ref, f_cand = _GEN.large_pair(1, 0)
+    records += [(q_ref.text, (q_cand.text, q_ref.text)), (f_ref.text, (f_cand.text,))]
+    with _checked_slices() as (slices, inside):
+        _rank_all(records)
+    assert inside == []
+    assert slices[0] > 200
+
+
+@given(st.one_of(pragma_soups(), bracket_soups), st.one_of(pragma_soups(), bracket_soups))
+@settings(max_examples=200, deadline=None)
+def test_the_scorer_slices_soups_only_between_the_cuts(reference, candidate):
+    with _checked_slices() as (_, inside):
+        _rank_all([(reference, (candidate, reference))])
+    assert inside == []
 
 
 # -- a candidate that differs only on pragma lines ----------------------------
