@@ -122,20 +122,24 @@ class ScoreBreakdown:
 class SideAnalysis:
     """Everything the sub-scores need from one side of a pair.
 
-    Built from one tokenization of the source.  The code texts the cosine
-    backends compare are bounds into the source, or into its stripped view,
-    and into their code tokens; they are kept here, with any bag built from
-    them, so a reference shared by several candidates builds each once.
+    Built from one tokenization of the source, or read through the
+    analysis of a similar source (:func:`analyze`'s ``like``).  The code
+    texts the cosine backends compare are bounds into the source, or into
+    its stripped view, and into their code tokens; they are kept here, with
+    any bag built from them, so a reference shared by several candidates
+    builds each once.
     """
 
-    unit: SourceUnit
+    text: str
     directives: tuple[Directive, ...]
     regions: tuple[RegionBlock, ...]
     region_diagnostics: tuple[str, ...]
     # the unit's own language hint (a record's field or a file suffix)
     language: str | None = None
-    # the analysis this one was read off by a pragma-line edit, and the edit
+    # the analysis this one was read through by a pragma-line edit, and the edit
     like: tuple[SideAnalysis, PragmaEdit] | None = field(default=None, repr=False, compare=False)
+    # the source's code tokens, when it was lexed in full
+    lexed: SourceUnit | None = field(default=None, repr=False, compare=False)
     _stripped: dict[tuple[int, int], CodeText] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -144,21 +148,33 @@ class SideAnalysis:
     )
 
     @cached_property
+    def unit(self) -> SourceUnit:
+        """The source's code tokens; a source read through ``like`` is lexed
+        in full only here, for a caller that asks."""
+        return self.lexed or parse_source(self.text)
+
+    @cached_property
     def code(self) -> CodeText:
         """The whole source, pragmas included."""
-        edit_of = self.like and (self.like[0].code, self.like[1].removed, self.like[1].added)
-        return CodeText(self.unit.text, self.unit.lexemes, edit_of=edit_of)
+        if self.like is None:
+            return CodeText(self.text, self.unit.lexemes)
+        like, edit = self.like  # the bag is like's edited: this text's lexemes go unread
+        return CodeText(self.text, (), edit_of=(like.code, edit.removed, edit.added))
 
     @cached_property
     def stripped_view(self) -> StrippedView:
         """The source without its OpenMP pragma lines."""
-        if self.like is not None:
-            return self.like[0].stripped_view.moved(self.unit, self.like[1].at)
         lines = ((d.byte_offset, d.byte_offset + len(d.raw_text)) for d in self.directives)
         return StrippedView(self.unit, lines)
 
     def stripped(self, span: tuple[int, int]) -> CodeText:
-        """A byte span of the source with its OpenMP pragma lines removed."""
+        """A byte span of the source with its OpenMP pragma lines removed.
+        Its ends lie outside the pragma lines; a source read through
+        ``like`` cuts the edited lines whole, so the span is ``like``'s at
+        the edit's ``back`` of its ends."""
+        if self.like is not None:
+            like, edit = self.like
+            return like.stripped((edit.back(span[0]), edit.back(span[1])))
         code = self._stripped.get(span)
         if code is None:
             view = self.stripped_view
@@ -171,7 +187,7 @@ class SideAnalysis:
         a reference shared by several candidates compiles once."""
         result = self._compiled.get(config)
         if result is None:
-            result = self._compiled[config] = compile_score(self.unit.text, config, self.language)
+            result = self._compiled[config] = compile_score(self.text, config, self.language)
         return result
 
 
@@ -183,27 +199,35 @@ def analyze(
     ``language`` is the unit's own language hint for the compile check, a
     spelling from :data:`~ompbleu.compile_check.LANGUAGE_SPELLINGS`.
     ``like``, the analysis of a similar source such as a candidate's
-    reference, is only a speed-up.  A source that differs from it only on
-    whole `#pragma omp` lines that stay in place is analysed from it: only
-    those lines are lexed and parsed, and everything else is the
-    reference's, moved (:func:`~.syntax.directives.pragma_edit`), its
-    stripped view and bag of code tokens too.  ``like`` is not changed, so
-    threads may share it.  Any other source is lexed and analysed in full.
+    reference, is only a speed-up.  A source and language equal to its own
+    are ``like`` itself.  A source that differs from it only on whole
+    `#pragma omp` lines that stay in place is read through it: only those
+    lines are lexed and parsed (:func:`~.syntax.directives.pragma_edit`),
+    each region counts its decision points in ``like``'s unit, each
+    stripped span is ``like``'s, and the bag of code tokens is ``like``'s
+    edited; the source's own unit is lexed only if a caller asks for it.
+    Only ``like``'s lazily built parts change, each to the value it would
+    take anyway, so threads may share it.  Any other source is lexed and
+    analysed in full.
     """
+    if like is not None and (source, language) == (like.text, like.language):
+        return like
     edit = like and pragma_edit(source, like.unit, like.directives)
     if edit is None:
         unit = parse_source(source)
         directives = extract_directives(unit)
+        regions, region_diags = parallel_region_blocks(unit, directives)
     else:
-        unit, directives = edit.unit, edit.directives
-    regions, region_diags = parallel_region_blocks(unit, directives)
+        unit, directives = None, edit.directives
+        regions, region_diags = parallel_region_blocks(like.unit, directives, edit.back)
     return SideAnalysis(
-        unit=unit,
+        text=source,
         directives=tuple(directives),
         regions=tuple(regions),
         region_diagnostics=tuple(region_diags),
         language=language,
         like=edit and (like, edit),
+        lexed=unit,
     )
 
 

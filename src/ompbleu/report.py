@@ -174,10 +174,7 @@ def rank_candidates(
             # each candidate with its error, not the whole run
             if reference is None:
                 reference = analyze(record.reference, record.language)
-            if candidate == record.reference:
-                analysis = reference
-            else:
-                analysis = analyze(candidate, record.language, like=reference)
+            analysis = analyze(candidate, record.language, like=reference)
             breakdown = ompbleu_score(reference, analysis, config, backend)
             scored.append(
                 RankedCandidate(

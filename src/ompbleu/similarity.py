@@ -183,7 +183,8 @@ class CodeText:
     is cut each time it is read, and the bag of code tokens is built on
     first use; comparing equal texts builds none.  ``edit_of`` is a code
     text this one edits, with the lexemes the edit cuts and puts in: the bag
-    is then that text's, less the first and plus the second."""
+    is then that text's, less the first and plus the second, and this
+    text's own lexemes are not read."""
 
     source: str
     lexemes: Sequence[str]

@@ -17,11 +17,11 @@ import re
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, compress, count
-from operator import ne
+from operator import add, ne
 from typing import NamedTuple
 
 from .lexer import (
-    CLOSERS, OPENERS, SourceUnit, lexeme_kind, line_closers, newline_tokens, splice, tokenize,
+    CLOSERS, OPENERS, SourceUnit, lexeme_kind, line_closers, newline_tokens, tokenize,
 )
 from .loops import LoopContext, loop_contexts, split_top_level
 
@@ -478,35 +478,19 @@ class StrippedView:
     """
 
     def __init__(self, unit: SourceUnit, lines: Iterable[tuple[int, int]]) -> None:
-        kept = self._cut(unit, [pragma_line_range(unit, lo, hi) for lo, hi in lines])
-        self.text = "".join(unit.text[a:b] for a, b in zip([0, *self._cut_ends], self._cut_starts))
-        self.lexemes: list[str] = []
-        for first, stop in kept:
-            self.lexemes += unit.lexemes[first:stop]
-
-    def _cut(self, unit: SourceUnit, cuts: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        """Set the ``cuts`` of ``unit``'s text and the offsets of the code
-        tokens they keep; the index ranges of those tokens."""
+        cuts = [pragma_line_range(unit, lo, hi) for lo, hi in lines]
         self._cut_ends = [hi for _, hi in cuts]
-        # the end of the text closes the last kept range
-        self._cut_starts = [lo for lo, _ in cuts] + [len(unit.text)]
         # bytes removed before each cut
         self._removed = list(accumulate((hi - lo for lo, hi in cuts), initial=0))
-        bounds = [0, *self._cut_ends], self._cut_starts  # of the kept ranges
-        kept = list(zip(*(map(unit.token_index, offsets) for offsets in bounds)))
+        # the kept ranges: the end of the text closes the last
+        kept = list(zip([0, *self._cut_ends], [lo for lo, _ in cuts] + [len(unit.text)]))
+        self.text = "".join(unit.text[a:b] for a, b in kept)
+        self.lexemes: list[str] = []
         self.starts: list[int] = []  # the kept code tokens' offsets in the unit
-        for first, stop in kept:
+        for a, b in kept:
+            first, stop = unit.token_index(a), unit.token_index(b)
+            self.lexemes += unit.lexemes[first:stop]
             self.starts += unit.starts[first:stop]
-        return kept
-
-    def moved(self, unit: SourceUnit, at: Callable[[int], int]) -> StrippedView:
-        """This view for ``unit``, whose text is this one's unit's with the
-        cut lines changed, each still cut whole, and an offset ``x`` moved
-        to ``at(x)``: the stripped text and lexemes are this view's."""
-        view = object.__new__(StrippedView)
-        view.text, view.lexemes = self.text, self.lexemes
-        view._cut(unit, [(at(lo), at(hi)) for lo, hi in zip(self._cut_starts, self._cut_ends)])
-        return view
 
     def _stripped_offset(self, offset: int) -> int:
         """Where ``offset`` of the unit, outside the cuts, lies in the
@@ -542,13 +526,14 @@ def _copy(obj, **fields):
 
 
 class PragmaEdit(NamedTuple):
-    """What :func:`pragma_edit` reads off a unit: the new unit and
-    directives, where each old offset moves to, and the code tokens of the
-    old lines and of the new ones."""
+    """What :func:`pragma_edit` reads off a unit: the new directives, where
+    each old offset moves to (``at``) and where each new offset outside the
+    changed lines comes from (``back``), and the code tokens of the old
+    lines and of the new ones."""
 
-    unit: SourceUnit
     directives: list[Directive]
     at: Callable[[int], int]
+    back: Callable[[int], int]
     removed: list[str]
     added: list[str]
 
@@ -556,15 +541,18 @@ class PragmaEdit(NamedTuple):
 def pragma_edit(
     text: str, unit: SourceUnit, directives: Sequence[Directive]
 ) -> PragmaEdit | None:
-    """The unit and directives of ``text`` read off ``unit`` and its
-    ``directives``, with the edit, when the two texts differ only on whole
-    `#pragma omp` lines that stay in place; None otherwise.
+    """The directives of ``text`` read off ``unit`` and its ``directives``,
+    with the edit, when the two texts differ only on whole `#pragma omp`
+    lines that stay in place; None otherwise.
 
     Only the changed lines are lexed and parsed.  Each must be one directive's
     whole logical line on both sides, after nothing but blanks in ``unit``.
     A preprocessor line takes no part in a bracket match, statement end or
     decision point outside it, so none of those changes, and every directive
-    keeps its attachment.
+    keeps its attachment.  Each changed line is cut whole from both texts'
+    stripped views, so the two views are equal, and a span of ``text`` whose
+    ends lie outside the changed lines is the span of ``unit`` between
+    ``back`` of its ends.
     """
     old_lines, new_lines = unit.text.split("\n"), text.split("\n")
     if len(old_lines) != len(new_lines):
@@ -572,14 +560,15 @@ def pragma_edit(
     changed = list(compress(count(), map(ne, old_lines, new_lines)))
     line_starts = list(accumulate(map((1).__add__, map(len, old_lines)), initial=0))
     by_offset = {d.byte_offset: k for k, d in enumerate(directives)}
-    olds = []  # the directive and the token range of each changed line in ``unit``
+    olds, removed = [], []  # the directive of each changed line, and their code tokens
     for i in changed:
         old, a = old_lines[i], line_starts[i]
         col = len(old) - len(old.lstrip(" \t"))
         k = by_offset.get(a + col)
         if k is None or len(directives[k].raw_text) != len(old) - col:
             return None
-        olds.append((k, unit.token_index(a), unit.token_index(a + len(old))))
+        olds.append(k)
+        removed += unit.lexemes[unit.token_index(a) : unit.token_index(a + len(old))]
     # the changed lines lexed alone; a `#` after them must start a line of
     # its own, so none of them runs on into the next
     joined = "\n".join([*(new_lines[i] for i in changed), "#"])
@@ -587,20 +576,21 @@ def pragma_edit(
     heads, lines = code.heads, directive_line_spans(code)
     if len(heads) != len(changed) + 1 or len(lines) != len(changed):
         return None
-    windows, edits, bounds, after, removed = [], {}, [], [0], []
-    joined_at = 0  # the line's start in ``joined``; ``after`` holds the bytes gained
-    for (lo, hi), head, end, i, (k, first, stop) in zip(lines, heads, heads[1:], changed, olds):
+    edits, bounds, after = {}, [], [0]  # ``after`` holds the bytes gained
+    joined_at = 0  # the line's start in ``joined``
+    for (lo, hi), head, end, i, k in zip(lines, heads, heads[1:], changed, olds):
         base = line_starts[i] + after[-1] - joined_at  # from an offset in ``joined`` to one in ``text``
         edits[k] = _parse_directive_body(code.lexemes, head + 2, end), base + lo, joined[lo:hi]
         after.append(after[-1] + len(new_lines[i]) - len(old_lines[i]))
-        starts = list(map(base.__add__, code.starts[head:end]))
-        windows.append((first, stop, (code.lexemes[head:end], starts, [0]), after[-1]))
         bounds.append(line_starts[i] + len(old_lines[i]))
-        removed += unit.lexemes[first:stop]
         joined_at += len(new_lines[i]) + 1
+    new_bounds = list(map(add, bounds, after[1:]))  # the changed lines' ends in ``text``
 
     def at(offset: int) -> int:
         return offset + after[bisect.bisect_right(bounds, offset)]
+
+    def back(offset: int) -> int:
+        return offset - after[bisect.bisect_right(new_bounds, offset)]
 
     out: list[Directive] = []
     for k, d in enumerate(directives):
@@ -619,7 +609,7 @@ def pragma_edit(
             d = _copy(d, byte_offset=at(d.byte_offset), construct_span=span, attached_loop=loop)
         out.append(d)
     added = code.lexemes[: heads[-1]]  # every line's tokens, without the `#` after them
-    return PragmaEdit(splice(unit, text, windows), out, at, removed, added)
+    return PragmaEdit(out, at, back, removed, added)
 
 
 def strip_openmp(unit: SourceUnit) -> str:

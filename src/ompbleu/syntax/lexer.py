@@ -16,11 +16,10 @@ preprocessor line and the index of each line head.  The full stream of
 the lexer's own rules only where it is asked for (:attr:`SourceUnit.tokens`);
 no command asks for it.
 
-Every text is lexed in full, in one call (:func:`tokenize`).  The one
-exception is a candidate that differs from its reference only on whole
-`#pragma omp` lines: those lines alone are lexed, and :func:`splice` puts
-their tokens in the place of the reference's and moves the reference's
-decision points (:func:`~.directives.pragma_edit`).
+A text is lexed in full, in one call (:func:`tokenize`), when it is
+lexed at all.  A candidate that differs from its reference only on whole
+`#pragma omp` lines is read through its reference's unit instead: only
+those lines are lexed (:func:`~.directives.pragma_edit`).
 
 A `#` opens a preprocessor directive when nothing but layout comes before
 it on its logical line (C11 5.1.1.2, phases 2-4: a line splice joins two
@@ -338,56 +337,14 @@ def tokenize(text: str) -> CodeTokens:
     ends = accumulate(map(add, gap_lens, map(len, lexemes)), initial=-1)
     starts = list(map(add, ends, gap_lens))
     heads = list(compress(range(n), parts[2 : 4 * n : 4]))
-    return CodeTokens(lexemes, starts, *_directive_lines(lexemes, heads), heads)
-
-
-def _directive_lines(
-    lexemes: list[str], heads: list[int]
-) -> tuple[list[bool], list[tuple[int, int]]]:
-    """The directive flags and the preprocessor lines: a line head that is a
-    `#` token opens a directive, which runs to the next line head."""
-    n = len(lexemes)
-    flags = [False] * n
+    # a line head that is a `#` token opens a directive, which runs to the
+    # next line head
     bounds = [*heads, n]
     lines = [(head, end) for head, end in zip(bounds, bounds[1:]) if lexemes[head][0] == "#"]
+    flags = [False] * n
     for head, end in lines:
         flags[head:end] = repeat(True, end - head)
-    return flags, lines
-
-
-def splice(
-    unit: SourceUnit,
-    text: str,
-    windows: list[tuple[int, int, tuple[list[str], list[int], list[int]], int]],
-) -> SourceUnit:
-    """The unit of ``text``: ``unit``'s code tokens with some of them
-    replaced.  Each window ``(keep, resume, (lexemes, offsets, heads),
-    shift)``, in order, stands for ``unit``'s tokens from ``keep`` to
-    ``resume``, with offsets in ``text`` and heads counted from its first
-    token, and ``unit``'s tokens after it move by ``shift`` characters.
-    Windows are whole preprocessor lines, which hold no decision point, so
-    the decision points are ``unit``'s, moved."""
-    lexemes, starts, heads, decisions = unit.lexemes, unit.starts, unit.heads, unit.decisions
-    out_lexemes, out_starts, out_heads, out_decisions = [], [], [], []
-    done = shift = 0
-    for keep, resume, (w_lexemes, w_starts, w_heads), next_shift in [
-        *windows,
-        (len(lexemes), len(lexemes), ([], [], []), 0),
-    ]:
-        moved = len(out_lexemes) - done
-        for column, out in ((heads, out_heads), (decisions, out_decisions)):
-            kept = column[bisect.bisect_left(column, done) : bisect.bisect_left(column, keep)]
-            out += map(moved.__add__, kept)
-        out_lexemes += lexemes[done:keep]
-        out_starts += [start + shift for start in starts[done:keep]]
-        out_heads += map(len(out_lexemes).__add__, w_heads)
-        out_lexemes += w_lexemes
-        out_starts += w_starts
-        done, shift = resume, next_shift
-    flags, lines = _directive_lines(out_lexemes, out_heads)
-    edited = SourceUnit(text, out_lexemes, out_starts, flags, lines, out_heads)
-    vars(edited)["decisions"] = out_decisions  # the cached property, filled in
-    return edited
+    return CodeTokens(lexemes, starts, flags, lines, heads)
 
 
 def parse_source(text: str) -> SourceUnit:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .directives import Directive, attached_construct_span
@@ -32,12 +33,16 @@ def count_decisions(unit: SourceUnit, start_offset: int, end_offset: int) -> int
 
 
 def parallel_region_blocks(
-    unit: SourceUnit, directives: list[Directive]
+    unit: SourceUnit, directives: list[Directive], back: Callable[[int], int] | None = None
 ) -> tuple[list[RegionBlock], list[str]]:
     """One block per parallel-family directive, plus omission diagnostics.
 
     Worksharing-loop combinations require the attached for loop; a plain
     `parallel` governs the following compound or single statement.
+    ``back`` is given when the directives are those of a text that differs
+    from ``unit``'s only on whole pragma lines, which hold no decision
+    point: a block's decisions are then counted in ``unit`` between
+    ``back`` of its ends (:func:`~.directives.pragma_edit`).
     """
     blocks: list[RegionBlock] = []
     diagnostics: list[str] = []
@@ -53,9 +58,10 @@ def parallel_region_blocks(
             continue
         span = attached_construct_span(d, diagnostics)
         if span is not None:
+            lo, hi = span if back is None else map(back, span)
             blocks.append(
                 RegionBlock(
-                    decision_count=count_decisions(unit, span[0], span[1]),
+                    decision_count=count_decisions(unit, lo, hi),
                     byte_offset=span[0],
                     end_offset=span[1],
                 )

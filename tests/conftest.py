@@ -127,6 +127,20 @@ def bracket_builds(monkeypatch):
 
 
 @pytest.fixture()
+def unit_builds(monkeypatch):
+    """The text of each :class:`~ompbleu.syntax.lexer.SourceUnit` built."""
+    original = lexer.SourceUnit.__init__
+    built: list[str] = []
+
+    def counting(self, text, *columns):
+        built.append(text)
+        original(self, text, *columns)
+
+    monkeypatch.setattr(lexer.SourceUnit, "__init__", counting)
+    return built
+
+
+@pytest.fixture()
 def view_builds(monkeypatch):
     """The text of the unit of each stripped view built from scratch."""
     original = directives.StrippedView.__init__

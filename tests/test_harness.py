@@ -401,11 +401,12 @@ def test_cli_rank(tmp_path, capsys):
 def test_a_candidate_equal_to_its_reference_shares_its_analysis(tmp_path, capsys, monkeypatch):
     from ompbleu import metrics, report
 
-    calls = []
+    calls = []  # each source analysed, and whether its analysis is the one it was given
 
     def counting(source, language=None, like=None):
-        calls.append(source)
-        return metrics.analyze(source, language, like=like)
+        side = metrics.analyze(source, language, like=like)
+        calls.append((source, side is like))
+        return side
 
     gt = fixture_text("multiple_gt.c")
     expected = metrics.ompbleu_score(gt, gt, NO_COMPILE_CFG).as_dict()
@@ -413,13 +414,13 @@ def test_a_candidate_equal_to_its_reference_shares_its_analysis(tmp_path, capsys
     path = str(FIXTURES / "multiple_gt.c")
     assert main(["--config", _no_compile_cfg_file(tmp_path), "score", path, path]) == 0
     assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
-    assert calls == [gt]
+    assert calls == [(gt, False), (gt, True)]
 
     calls.clear()
     case = fixture_text("multiple_case1.c")
     record = DatasetRecord(id="r", reference=gt, candidates=(case, gt, case))
     ranked = rank_candidates(record, NO_COMPILE_CFG)
-    assert calls == [gt, case, case]
+    assert calls == [(gt, False), (case, False), (gt, True), (case, False)]
     assert ranked[0].candidate_index == 1
     assert ranked[0].breakdown.as_dict() == expected
     assert ranked[0].analyses[0] is ranked[0].analyses[1]

@@ -9,7 +9,8 @@ import bisect
 import contextlib
 import json
 import tracemalloc
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, not_
 from pathlib import Path
 from unittest import mock
 
@@ -141,24 +142,39 @@ def _large_pair_files(tmp_path):
 
 @pytest.mark.parametrize("pair", ["fixtures", "large-tu"])
 def test_a_pragma_only_candidate_derives_its_view_bag_and_decision_points(
-    pair, view_builds, bag_builds, decision_scans, dataclass_replaces, tmp_path, capsys
+    pair, unit_builds, view_builds, bag_builds, decision_scans, bracket_builds,
+    dataclass_replaces, tmp_path, capsys,
 ):
-    # the candidate's stripped view, bag of code tokens and decision points
-    # are its reference's, moved or edited, and its moved directives and
-    # loops are copied without dataclasses.replace
+    # the candidate is read through its reference's analysis: only its
+    # changed lines are lexed, its stripped spans, decision points and
+    # brackets are its reference's, its bag of code tokens is its
+    # reference's edited, and its moved directives and loops are copied
+    # without dataclasses.replace; through `score` and through `dataset`
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"compile_enabled": False}))
     if pair == "fixtures":
         paths = [str(FIXTURES / name) for name in ("multiple_gt.c", "multiple_case2.c")]
     else:
         paths = _large_pair_files(tmp_path)
-    assert main(["--config", str(config), "score", *paths]) == 0
-    assert json.loads(capsys.readouterr().out)["composite"] < 100
-    ref, cand = (parse_source(Path(path).read_text()) for path in paths)
-    assert view_builds == [ref.text]
-    assert ref.lexemes in bag_builds and cand.lexemes not in bag_builds
-    assert decision_scans == [ref.lexemes]
-    assert dataclass_replaces == []
+    texts = [Path(path).read_text() for path in paths]
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(json.dumps({"id": "r", "reference": texts[0], "candidates": texts[1:]}) + "\n")
+    composite = {
+        "score": itemgetter("composite"),
+        "dataset": lambda out: out["records"][0]["breakdown"]["composite"],
+    }
+    for argv in (["score", *paths], ["dataset", str(dataset)]):
+        for built in (unit_builds, view_builds, bag_builds, decision_scans, bracket_builds):
+            built.clear()
+        assert main(["--config", str(config), *argv]) == 0
+        assert composite[argv[0]](json.loads(capsys.readouterr().out)) < 100
+        assert unit_builds == [texts[0], _lexed_lines(*texts)]
+        ref, cand = (parse_source(text) for text in texts)
+        assert view_builds == [ref.text]
+        assert ref.lexemes in bag_builds and cand.lexemes not in bag_builds
+        assert decision_scans == [ref.lexemes]
+        assert bracket_builds == [ref.lexemes]
+        assert dataclass_replaces == []
 
 
 def test_scoring_and_strip_build_no_token_tuples():
@@ -424,7 +440,8 @@ def _checked_slices():
 
     def checked(view, lo, hi):
         slices[0] += 1
-        cuts = list(zip(view._cut_starts, view._cut_ends))
+        ends, removed = view._cut_ends, view._removed
+        cuts = [(end - (b - a), end) for end, a, b in zip(ends, removed, removed[1:])]
         inside.extend((x, cut) for x in (lo, hi) for cut in cuts if cut[0] < x < cut[1])
         return original(view, lo, hi)
 
@@ -552,20 +569,26 @@ def _assert_analysed_as_fresh(reference: str, candidate: str) -> bool:
     took the pragma-line path."""
     ref = analyze(reference)
     got, fresh = analyze(candidate, like=ref), analyze(candidate)
-    assert got == fresh  # unit columns, directives, regions and their diagnostics
-    assert got.unit.decisions == fresh.unit.decisions
-    assert vars(got.stripped_view) == vars(fresh.stripped_view)
+    assert got == fresh  # text, directives, regions and their diagnostics
+    assert ompbleu_score(ref, got, NO_COMPILE_CFG).as_dict() == ompbleu_score(
+        ref, fresh, NO_COMPILE_CFG
+    ).as_dict()
     assert got.code.vector == fresh.code.vector
     assert all(got.code.vector.counts.values())  # no zero count
+    edit = got.like and got.like[1]
     for d in fresh.directives:
         loop = d.attached_loop and (d.attached_loop.byte_offset, d.attached_loop.end_offset)
         for span in filter(None, (attached_construct_span(d), loop)):
             a, b = got.stripped(span), fresh.stripped(span)
+            if edit:  # the reference's own code text, at the edit's inverse map
+                assert a is ref.stripped((edit.back(span[0]), edit.back(span[1]))), span
             assert a.text == b.text, span
             assert a.lexemes[a.first : a.stop] == b.lexemes[b.first : b.stop], span
-    assert ompbleu_score(ref, got, NO_COMPILE_CFG).as_dict() == ompbleu_score(
-        ref, fresh, NO_COMPILE_CFG
-    ).as_dict()
+    if edit:  # scored and read with no unit of its own
+        assert "unit" not in vars(got)
+        # ``back`` undoes ``at`` on every code token outside the pragma lines
+        code = compress(ref.unit.starts, map(not_, ref.unit.in_directive))
+        assert all(edit.back(edit.at(x)) == x for x in code)
     return pragma_edit(candidate, ref.unit, ref.directives) is not None
 
 
