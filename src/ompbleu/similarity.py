@@ -18,7 +18,7 @@ from operator import ne
 from typing import Iterable, Protocol, Sequence
 
 from .syntax import tokenize
-from .syntax.directives import _RE_DIRECTIVE_WORD
+from .syntax.directives import RE_DIRECTIVE_WORD
 
 
 class SimilarityError(RuntimeError):
@@ -155,7 +155,7 @@ class SparseTokenVector:
         stand between them: `#  pragma` and `#/* c */pragma` are `#pragma`."""
         counts = Counter(lexemes)
         for lexeme in [k for k in counts if k[0] == "#"]:
-            key = "#" + _RE_DIRECTIVE_WORD.search(lexeme)[0]
+            key = "#" + RE_DIRECTIVE_WORD.search(lexeme)[0]
             if key != lexeme and key != "#":
                 counts[key] += counts.pop(lexeme)
         return cls(counts=dict(counts))

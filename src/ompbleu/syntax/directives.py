@@ -77,7 +77,7 @@ ATTACHED_NONE = "none"
 
 # A preprocessor token ends in its directive word; blanks, comments and line
 # splices may stand between the `#` and the word.
-_RE_DIRECTIVE_WORD = re.compile(r"\w*\Z")
+RE_DIRECTIVE_WORD = re.compile(r"\w*\Z")
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,7 @@ def directive_line_spans(unit: SourceUnit) -> list[tuple[int, int]]:
         if (
             start + 1 < end
             and lexemes[start + 1] == "omp"
-            and _RE_DIRECTIVE_WORD.search(lexemes[start])[0] == "pragma"
+            and RE_DIRECTIVE_WORD.search(lexemes[start])[0] == "pragma"
         ):
             hi = starts[end] if end < len(lexemes) else len(text)
             newlines = newline_tokens(text, unit.token_end(end - 1), hi)
