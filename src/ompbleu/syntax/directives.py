@@ -325,10 +325,13 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
     attached to and that construct's span, a collapse validity tag, and its
     canonical components, marked against the counters of the attached loop.
     Malformed clause syntax is parsed best-effort and flagged on the
-    directive rather than raised.
+    directive rather than raised.  Each distinct line text is parsed once:
+    equal text is equal code tokens, so its kinds and clauses are equal,
+    while the rest is read at each line's own place.
     """
     lexemes, starts, flags, brackets = unit.lexemes, unit.starts, unit.in_directive, unit.brackets
     loops_by_offset = {lp.byte_offset: lp for lp in loop_contexts(unit)}
+    bodies: dict[str, tuple] = {}  # each distinct line's parsed body
 
     directives: list[Directive] = []
     # A pragma attaches to the next code token after its line and any other
@@ -358,8 +361,10 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
             close = brackets.closers.get(k) if block else brackets.statement_end(k)
             if close is not None:
                 span = (starts[k], unit.token_end(close))
-        # code token start + 1 is the `omp` marker
-        body = _parse_directive_body(lexemes, start + 2, end)
+        raw_text = unit.text[lo:hi]
+        body = bodies.get(raw_text)
+        if body is None:  # code token start + 1 is the `omp` marker
+            body = bodies[raw_text] = _parse_directive_body(lexemes, start + 2, end)
         directives.append(
             _directive(
                 body,
@@ -369,7 +374,7 @@ def extract_directives(unit: SourceUnit) -> list[Directive]:
                 ast_depth=brackets.brace_depth(start),
                 attached_kind=attached_kind,
                 construct_span=span,
-                raw_text=unit.text[lo:hi],
+                raw_text=raw_text,
             )
         )
     directives.reverse()
@@ -545,8 +550,11 @@ def pragma_edit(
     with the edit, when the two texts differ only on whole `#pragma omp`
     lines that stay in place; None otherwise.
 
-    Only the changed lines are lexed and parsed.  Each must be one directive's
-    whole logical line on both sides, after nothing but blanks in ``unit``.
+    Only the changed lines are lexed, and only those whose text no directive
+    of ``unit`` nor an earlier changed line holds are parsed: the others
+    take that parse (see :func:`extract_directives`).  Each changed line
+    must be one directive's whole logical line on both sides, after nothing
+    but blanks in ``unit``.
     A preprocessor line takes no part in a bracket match, statement end or
     decision point outside it, so none of those changes, and every directive
     keeps its attachment.  Each changed line is cut whole from both texts'
@@ -576,11 +584,17 @@ def pragma_edit(
     heads, lines = code.heads, directive_line_spans(code)
     if len(heads) != len(changed) + 1 or len(lines) != len(changed):
         return None
+    # a directive's fields rebuild it: no kinds became `unknown`, degraded
+    bodies = {d.raw_text: (d.kinds, d.clauses, d.degraded) for d in directives}
     edits, bounds, after = {}, [], [0]  # ``after`` holds the bytes gained
     joined_at = 0  # the line's start in ``joined``
     for (lo, hi), head, end, i, k in zip(lines, heads, heads[1:], changed, olds):
         base = line_starts[i] + after[-1] - joined_at  # from an offset in ``joined`` to one in ``text``
-        edits[k] = _parse_directive_body(code.lexemes, head + 2, end), base + lo, joined[lo:hi]
+        raw_text = joined[lo:hi]
+        body = bodies.get(raw_text)
+        if body is None:
+            body = bodies[raw_text] = _parse_directive_body(code.lexemes, head + 2, end)
+        edits[k] = body, base + lo, raw_text
         after.append(after[-1] + len(new_lines[i]) - len(old_lines[i]))
         bounds.append(line_starts[i] + len(old_lines[i]))
         joined_at += len(new_lines[i]) + 1

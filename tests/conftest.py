@@ -127,6 +127,20 @@ def bracket_builds(monkeypatch):
 
 
 @pytest.fixture()
+def body_parses(monkeypatch):
+    """The code tokens after `omp` of each pragma body parsed."""
+    original = directives._parse_directive_body
+    parsed: list[list[str]] = []
+
+    def counting(lexemes, start, end):
+        parsed.append(lexemes[start:end])
+        return original(lexemes, start, end)
+
+    monkeypatch.setattr(directives, "_parse_directive_body", counting)
+    return parsed
+
+
+@pytest.fixture()
 def unit_builds(monkeypatch):
     """The text of each :class:`~ompbleu.syntax.lexer.SourceUnit` built."""
     original = lexer.SourceUnit.__init__

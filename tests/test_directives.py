@@ -409,3 +409,44 @@ def test_strip_removes_continuation_lines():
     assert "private" not in stripped
     assert stripped.startswith("int before;\n")
     assert "for (i = 0; i < 3; i++) sum += i;\n" in stripped
+
+
+REPEATED_LINES = (
+    "void f(int n, double *a) {\n"
+    "  int i, j, k;\n"
+    "#pragma omp parallel for collapse(2) private(i)\n"
+    "  for (i = 0; i < n; i++)\n"
+    "    for (j = 0; j < n; j++) a[i] += j;\n"
+    "#pragma omp parallel for collapse(2) private(i)\n"
+    "  for (k = 0; k < n; k++) a[k] = 0;\n"
+    "#pragma omp parallel\n"
+    "  {\n"
+    "    a[0] = 1;\n"
+    "  }\n"
+    "#pragma omp parallel\n"
+    "  a[1] = 2;\n"
+    "}\n"
+)
+
+
+def test_a_repeated_line_shares_only_its_parsed_body():
+    # each repeat of a line is placed on its own: attachment, collapse tag
+    # and counter marks follow the construct after it, as when it is the
+    # only pragma line of the text
+    unit, dirs = _parse(REPEATED_LINES)
+    assert [(d.collapse_tag, d.implicit_private, d.attached_kind) for d in dirs] == [
+        (COLLAPSE_VALID, {"private(i)"}, "for_loop"),
+        (COLLAPSE_INVALID, frozenset(), "for_loop"),
+        (COLLAPSE_NOT_APPLICABLE, frozenset(), "block"),
+        (COLLAPSE_NOT_APPLICABLE, frozenset(), "statement"),
+    ]
+    for d in dirs:
+        # every other pragma line blanked, its bytes and newlines kept
+        text = REPEATED_LINES
+        for other in dirs:
+            if other is not d:
+                lo, hi = other.byte_offset, other.byte_offset + len(other.raw_text)
+                text = text[:lo] + " " * (hi - lo) + text[hi:]
+        assert _parse(text)[1] == [d]
+    assert dirs[0].attached_loop.nesting_depth == 2 and dirs[1].attached_loop.nesting_depth == 1
+    assert dirs[2].construct_span != dirs[3].construct_span

@@ -177,6 +177,46 @@ def test_a_pragma_only_candidate_derives_its_view_bag_and_decision_points(
         assert dataclass_replaces == []
 
 
+def _distinct_bodies(reference: str, candidates: list[str]) -> int:
+    """How many pragma bodies scoring ``candidates`` against ``reference``
+    parses: one per distinct line text of the reference, and for each
+    candidate one per distinct text of the lines the reference lacks, or of
+    all its lines when it is analysed in full."""
+    ref = analyze(reference)
+    held = {d.raw_text for d in ref.directives}
+    count = len(held)
+    for text in candidates:
+        cand = analyze(text, like=ref)
+        texts = {d.raw_text for d in cand.directives}
+        count += len(texts if cand.like is None and cand is not ref else texts - held)
+    return count
+
+
+@pytest.mark.parametrize("command", ["score", "dataset"])
+def test_each_distinct_pragma_line_is_parsed_once(command, body_parses, tmp_path, capsys):
+    # the full large-tu pair repeats most of its pragma lines; the
+    # reference's parsed bodies serve its candidates' equal lines
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"compile_enabled": False}))
+    if command == "score":
+        paths = _large_pair_files(tmp_path)
+        texts = [Path(path).read_text() for path in paths]
+        argv = ["score", *paths]
+    else:
+        record = _GEN.static_records(1, 0, FIXTURES)[0]  # one candidate analysed in full
+        texts = [record.reference.text, *(c.text for c in record.candidates)]
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(json.dumps({"id": "r", "reference": texts[0], "candidates": texts[1:]}) + "\n")
+        argv = ["dataset", str(dataset)]
+    expected = _distinct_bodies(texts[0], texts[1:])
+    body_parses.clear()
+    assert main(["--config", str(config), *argv]) == 0
+    capsys.readouterr()
+    assert len(body_parses) == expected
+    if command == "score":
+        assert expected < len(analyze(texts[0]).directives) // 2
+
+
 def test_scoring_and_strip_build_no_token_tuples():
     # analysis reads the lexeme, offset and directive-flag columns; the
     # full token stream, with its Token tuples, is only a derived view
@@ -560,6 +600,17 @@ GATE_TAKEN = [
     # the last line, with no newline after it, inside a loop that runs to
     # the end of the text
     ("#pragma omp for\nfor (;;) {\n#pragma omp barrier", "#pragma omp for\nfor (;;) {\n#pragma omp taskwait"),
+    # lines whose text the reference holds elsewhere, whose parsed bodies
+    # are the reference's: two lines swapped, a line copied onto another,
+    # and a bare `#pragma omp` (kind `unknown`, degraded) repeated
+    ("#pragma omp parallel for collapse(2) private(i)\nfor (i = 0; i < n; i++)\n for (j = 0; j < n; j++) x++;\n"
+     "#pragma omp single\n{ y++; }\n",
+     "#pragma omp single\nfor (i = 0; i < n; i++)\n for (j = 0; j < n; j++) x++;\n"
+     "#pragma omp parallel for collapse(2) private(i)\n{ y++; }\n"),
+    ("#pragma omp parallel for private(i)\nfor (i = 0; i < n; i++) x++;\n#pragma omp barrier\nfor (k = 0; k < n; k++) y++;\n",
+     "#pragma omp parallel for private(i)\nfor (i = 0; i < n; i++) x++;\n"
+     "#pragma omp parallel for private(i)\nfor (k = 0; k < n; k++) y++;\n"),
+    ("#pragma omp\nx++;\n#pragma omp barrier\ny++;\n", "#pragma omp\nx++;\n#pragma omp\ny++;\n"),
 ]
 
 
