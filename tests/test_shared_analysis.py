@@ -203,8 +203,10 @@ def test_each_distinct_pragma_line_is_parsed_once(command, body_parses, tmp_path
         texts = [Path(path).read_text() for path in paths]
         argv = ["score", *paths]
     else:
-        record = _GEN.static_records(1, 0, FIXTURES)[0]  # one candidate analysed in full
+        # its first candidate is its reference; a code edit is analysed in full
+        record = _GEN.static_records(1, 0, FIXTURES)[0]
         texts = [record.reference.text, *(c.text for c in record.candidates)]
+        texts.append(texts[1].replace(";", " ;", 1))
         dataset = tmp_path / "data.jsonl"
         dataset.write_text(json.dumps({"id": "r", "reference": texts[0], "candidates": texts[1:]}) + "\n")
         argv = ["dataset", str(dataset)]
