@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from .config import read_vocabulary
 from .syntax import SourceUnit
 from .syntax.directives import directive_kinds, directive_line_spans
-from .syntax.lexer import _RE_LAYOUT, KEYWORDS, lexeme_kind
+from .syntax.lexer import KEYWORDS, RE_LAYOUT, lexeme_kind
 
 if TYPE_CHECKING:  # numpy (the `loss` extra) is imported by the two loss functions only
     import numpy as np
@@ -203,7 +203,7 @@ def ssa_annotate(unit: SourceUnit, vocab: TagVocabulary | None = None) -> list[i
         if lo <= slash:  # the `/` lies in the layout before token i
             hi = starts[i] if i < len(starts) else len(text)
             merged += roles[pos:i]
-            merged += ("comment" for layout in _RE_LAYOUT.findall(text, lo, hi) if layout[0] == "/")
+            merged += ("comment" for layout in RE_LAYOUT.findall(text, lo, hi) if layout[0] == "/")
             pos, lo = i, hi
         slash = text.find("/", lo)
     merged += roles[pos:]

@@ -262,7 +262,7 @@ class RemoteEmbeddingBackend:
         import urllib.error
         import urllib.request
 
-        from .config import Key, _number, values_of
+        from .config import Key, typed, values_of
 
         with self._lock:
             if text in self._cache:
@@ -284,10 +284,12 @@ class RemoteEmbeddingBackend:
         if status != 200:
             raise SimilarityError(f"embedding service returned HTTP {status}")
 
+        number = typed(float)
+
         def numbers(value: object, name: str) -> list[float]:
             if type(value) is not list or not value:
                 raise ValueError(f"{name} must be a non-empty list of numbers")
-            return [_number.read(x, f"{name}[{i}]") for i, x in enumerate(value)]
+            return [number.read(x, f"{name}[{i}]") for i, x in enumerate(value)]
 
         try:
             read = values_of(json.loads(body), "embedding response", {"vector": Key(numbers)}, "")

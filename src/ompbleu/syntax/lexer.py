@@ -72,7 +72,7 @@ _INLINE_LAYOUT = (
     r"\\[ \t\f\v]*\r?\n|[ \t\r\f\v]+"
     r"|//[^\n\\]*(?:\\(?:[ \t\f\v]*\r?\n)?[^\n\\]*)*|(?s:/\*.*?\*/|/\*.*)"
 )
-_RE_LAYOUT = re.compile(r"\n|" + _INLINE_LAYOUT)
+RE_LAYOUT = re.compile(r"\n|" + _INLINE_LAYOUT)
 # A `#` and its directive word.  Blanks, block comments and splices may stand
 # between them, as in C (5.1.1.2 phases 2-3, 6.10p5); a comment ends at its
 # first `*/`.
@@ -256,7 +256,7 @@ class SourceUnit:
         out: list[Token] = []
         pos, flag = 0, False  # where the layout starts, and its directive flag
         for i, start in enumerate([*self.starts, len(text)]):
-            for lexeme in _RE_LAYOUT.findall(text, pos, start):
+            for lexeme in RE_LAYOUT.findall(text, pos, start):
                 flag = flag and lexeme != "\n"  # a newline token ends the line
                 kind = "comment" if lexeme[0] == "/" else "whitespace"
                 out.append(Token(lexeme, kind, pos, self.line(pos), flag))
@@ -306,7 +306,7 @@ def newline_tokens(text: str, lo: int, hi: int) -> list[int]:
     newline inside a comment or a splice ends no line."""
     offsets = []
     pos = lo
-    for lexeme in _RE_LAYOUT.findall(text, lo, hi):
+    for lexeme in RE_LAYOUT.findall(text, lo, hi):
         if lexeme == "\n":
             offsets.append(pos)
         pos += len(lexeme)

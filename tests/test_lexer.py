@@ -16,9 +16,9 @@ from ompbleu.syntax import parse_source, strip_openmp, tokenize
 from ompbleu.syntax.directives import directive_line_spans
 from ompbleu.syntax.lexer import (
     _MULTI_CHAR_OPERATORS,
-    _RE_LAYOUT,
     _RE_PREPROC,
     KEYWORDS,
+    RE_LAYOUT,
     CodeTokens,
     Token,
     newline_tokens,
@@ -181,7 +181,7 @@ def test_columns_and_layout_gaps_rebuild_the_text(text):
     gaps = [text[lo:hi] for lo, hi in zip([0, *ends], [*unit.starts, len(text)])]
     assert "".join(chain.from_iterable(zip(gaps, [*unit.lexemes, ""]))) == text
     assert [text[start:end] for start, end in zip(unit.starts, ends)] == unit.lexemes
-    assert all("".join(_RE_LAYOUT.findall(gap)) == gap for gap in gaps)  # layout alone
+    assert all("".join(RE_LAYOUT.findall(gap)) == gap for gap in gaps)  # layout alone
     # a line head is the first token or one whose layout holds a newline token
     starts_a_line = [
         i == 0 or bool(newline_tokens(text, lo, hi))
