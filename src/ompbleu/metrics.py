@@ -123,11 +123,12 @@ class SideAnalysis:
     """Everything the sub-scores need from one side of a pair.
 
     Built from one tokenization of the source, or read through the
-    analysis of a similar source (:func:`analyze`'s ``like``).  The code
-    texts the cosine backends compare are bounds into the source, or into
-    its stripped view, and into their code tokens; they are kept here, with
-    any bag built from them, so a reference shared by several candidates
-    builds each once.
+    analysis of a similar source (:func:`analyze`'s ``like``).  A source
+    read through ``like`` lies in ``like``'s text: every offset it holds is
+    ``like``'s, and it has no unit of its own.  The code texts the cosine
+    backends compare are bounds into the source, or into its stripped view,
+    and into their code tokens; they are kept here, with any bag built from
+    them, so a reference shared by several candidates builds each once.
     """
 
     text: str
@@ -138,20 +139,14 @@ class SideAnalysis:
     language: str | None = None
     # the analysis this one was read through by a pragma-line edit, and the edit
     like: tuple[SideAnalysis, PragmaEdit] | None = field(default=None, repr=False, compare=False)
-    # the source's code tokens, when it was lexed in full
-    lexed: SourceUnit | None = field(default=None, repr=False, compare=False)
+    # the source's code tokens; None when it was read through ``like``
+    unit: SourceUnit | None = field(default=None, repr=False, compare=False)
     _stripped: dict[tuple[int, int], CodeText] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _compiled: dict[CompileConfig, CompileResult] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    @cached_property
-    def unit(self) -> SourceUnit:
-        """The source's code tokens; a source read through ``like`` is lexed
-        in full only here, for a caller that asks."""
-        return self.lexed or parse_source(self.text)
 
     @cached_property
     def code(self) -> CodeText:
@@ -163,18 +158,19 @@ class SideAnalysis:
 
     @cached_property
     def stripped_view(self) -> StrippedView:
-        """The source without its OpenMP pragma lines."""
+        """The source without its OpenMP pragma lines; a source read
+        through ``like`` has ``like``'s, which is equal."""
+        if self.like is not None:
+            return self.like[0].stripped_view
         lines = ((d.byte_offset, d.byte_offset + len(d.raw_text)) for d in self.directives)
         return StrippedView(self.unit, lines)
 
     def stripped(self, span: tuple[int, int]) -> CodeText:
         """A byte span of the source with its OpenMP pragma lines removed.
         Its ends lie outside the pragma lines; a source read through
-        ``like`` cuts the edited lines whole, so the span is ``like``'s at
-        the edit's ``back`` of its ends."""
+        ``like`` cuts the edited lines whole, so the span is ``like``'s."""
         if self.like is not None:
-            like, edit = self.like
-            return like.stripped((edit.back(span[0]), edit.back(span[1])))
+            return self.like[0].stripped(span)
         code = self._stripped.get(span)
         if code is None:
             view = self.stripped_view
@@ -199,27 +195,29 @@ def analyze(
     ``language`` is the unit's own language hint for the compile check, a
     spelling from :data:`~ompbleu.compile_check.LANGUAGE_SPELLINGS`.
     ``like``, the analysis of a similar source such as a candidate's
-    reference, is only a speed-up.  A source and language equal to its own
-    are ``like`` itself.  A source that differs from it only on whole
-    `#pragma omp` lines that stay in place is read through it: only those
-    lines are lexed and parsed (:func:`~.syntax.directives.pragma_edit`),
-    each region counts its decision points in ``like``'s unit, each
-    stripped span is ``like``'s, and the bag of code tokens is ``like``'s
-    edited; the source's own unit is lexed only if a caller asks for it.
-    Only ``like``'s lazily built parts change, each to the value it would
-    take anyway, so threads may share it.  Any other source is lexed and
-    analysed in full.
+    reference, is only a speed-up; one itself read through another is
+    replaced by that other, whose unit was lexed in full.  A source and
+    language equal to its own are ``like`` itself.  A source that differs
+    from it only on whole `#pragma omp` lines that stay in place is read
+    through it, at its offsets: only those lines are lexed and parsed
+    (:func:`~.syntax.directives.pragma_edit`), each region counts its
+    decision points in ``like``'s unit, each stripped span is ``like``'s,
+    and the bag of code tokens is ``like``'s edited; the source gets no
+    unit of its own.  Only ``like``'s lazily built parts change, each to
+    the value it would take anyway, so threads may share it.  Any other
+    source is lexed and analysed in full.
     """
+    if like is not None and like.like is not None:
+        like = like.like[0]
     if like is not None and (source, language) == (like.text, like.language):
         return like
     edit = like and pragma_edit(source, like.unit, like.directives)
     if edit is None:
         unit = parse_source(source)
         directives = extract_directives(unit)
-        regions, region_diags = parallel_region_blocks(unit, directives)
     else:
         unit, directives = None, edit.directives
-        regions, region_diags = parallel_region_blocks(like.unit, directives, edit.back)
+    regions, region_diags = parallel_region_blocks(like.unit if unit is None else unit, directives)
     return SideAnalysis(
         text=source,
         directives=tuple(directives),
@@ -227,7 +225,7 @@ def analyze(
         region_diagnostics=tuple(region_diags),
         language=language,
         like=edit and (like, edit),
-        lexed=unit,
+        unit=unit,
     )
 
 

@@ -158,7 +158,7 @@ def rank_candidates(
 
     The reference is analysed once and, with one similarity backend, shared
     by every candidate; a candidate equal to it shares its analysis too, and
-    any other is lexed only where it differs from it.
+    one that differs from it only on pragma lines is read through it.
     Ties break toward the earlier candidate; a
     candidate that fails hard is ranked after every scored one with the
     error recorded, never dropped: its message, or the exception's type

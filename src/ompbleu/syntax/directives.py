@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import bisect
 import re
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, compress, count
-from operator import add, ne
+from operator import attrgetter, ne
 from typing import NamedTuple
 
 from .lexer import (
@@ -104,6 +104,10 @@ class Directive:
     is spelled out.  The mark is applied on both sides of a comparison; only
     the coverage score's forgiveness policy is reference-side specific.
     ``canonical`` is the kinds and the sorted components, repeats kept.
+    Its offsets, ``byte_offset``, ``construct_span`` and the attached
+    loop's, index the text it was read from; a directive of a text read
+    through its reference's analysis holds the reference's
+    (:func:`pragma_edit`).
     """
 
     kinds: tuple[str, ...]
@@ -522,23 +526,12 @@ class StrippedView:
         )
 
 
-def _copy(obj, **fields):
-    """A copy of the frozen dataclass instance ``obj`` with ``fields``
-    changed, without the checks and keyword binding of ``dataclasses.replace``."""
-    new = object.__new__(type(obj))
-    vars(new).update(vars(obj), **fields)
-    return new
-
-
 class PragmaEdit(NamedTuple):
-    """What :func:`pragma_edit` reads off a unit: the new directives, where
-    each old offset moves to (``at``) and where each new offset outside the
-    changed lines comes from (``back``), and the code tokens of the old
-    lines and of the new ones."""
+    """What :func:`pragma_edit` reads off a unit: the new directives, at the
+    unit's offsets, and the code tokens of the old lines and of the new
+    ones."""
 
     directives: list[Directive]
-    at: Callable[[int], int]
-    back: Callable[[int], int]
     removed: list[str]
     added: list[str]
 
@@ -557,23 +550,25 @@ def pragma_edit(
     but blanks in ``unit``.
     A preprocessor line takes no part in a bracket match, statement end or
     decision point outside it, so none of those changes, and every directive
-    keeps its attachment.  Each changed line is cut whole from both texts'
-    stripped views, so the two views are equal, and a span of ``text`` whose
-    ends lie outside the changed lines is the span of ``unit`` between
-    ``back`` of its ends.
+    keeps its attachment.  The new directives stay in ``unit``'s text: each
+    offset they hold is ``unit``'s, an edited line's directive takes the
+    place of the one it replaces with its own body and text, and every
+    other is ``unit``'s own object.  Each changed line is cut whole from
+    both texts' stripped views, so the two views are equal, and a span of
+    the new directives is cut from ``unit``'s.
     """
     old_lines, new_lines = unit.text.split("\n"), text.split("\n")
     if len(old_lines) != len(new_lines):
         return None
     changed = list(compress(count(), map(ne, old_lines, new_lines)))
     line_starts = list(accumulate(map((1).__add__, map(len, old_lines)), initial=0))
-    by_offset = {d.byte_offset: k for k, d in enumerate(directives)}
-    olds, removed = [], []  # the directive of each changed line, and their code tokens
+    olds, removed = [], []  # the index of each changed line's directive, and their code tokens
     for i in changed:
         old, a = old_lines[i], line_starts[i]
         col = len(old) - len(old.lstrip(" \t"))
-        k = by_offset.get(a + col)
-        if k is None or len(directives[k].raw_text) != len(old) - col:
+        k = bisect.bisect_left(directives, a + col, key=attrgetter("byte_offset"))
+        d = directives[k] if k < len(directives) else None
+        if d is None or d.byte_offset != a + col or len(d.raw_text) != len(old) - col:
             return None
         olds.append(k)
         removed += unit.lexemes[unit.token_index(a) : unit.token_index(a + len(old))]
@@ -586,44 +581,18 @@ def pragma_edit(
         return None
     # a directive's fields rebuild it: no kinds became `unknown`, degraded
     bodies = {d.raw_text: (d.kinds, d.clauses, d.degraded) for d in directives}
-    edits, bounds, after = {}, [], [0]  # ``after`` holds the bytes gained
-    joined_at = 0  # the line's start in ``joined``
-    for (lo, hi), head, end, i, k in zip(lines, heads, heads[1:], changed, olds):
-        base = line_starts[i] + after[-1] - joined_at  # from an offset in ``joined`` to one in ``text``
-        raw_text = joined[lo:hi]
+    out = list(directives)
+    for (lo, hi), head, end, k in zip(lines, heads, heads[1:], olds):
+        raw_text, d = joined[lo:hi], directives[k]
         body = bodies.get(raw_text)
         if body is None:
             body = bodies[raw_text] = _parse_directive_body(code.lexemes, head + 2, end)
-        edits[k] = body, base + lo, raw_text
-        after.append(after[-1] + len(new_lines[i]) - len(old_lines[i]))
-        bounds.append(line_starts[i] + len(old_lines[i]))
-        joined_at += len(new_lines[i]) + 1
-    new_bounds = list(map(add, bounds, after[1:]))  # the changed lines' ends in ``text``
-
-    def at(offset: int) -> int:
-        return offset + after[bisect.bisect_right(bounds, offset)]
-
-    def back(offset: int) -> int:
-        return offset - after[bisect.bisect_right(new_bounds, offset)]
-
-    out: list[Directive] = []
-    for k, d in enumerate(directives):
-        loop = d.attached_loop
-        moved = loop and (at(loop.byte_offset), at(loop.end_offset))
-        if moved and moved != (loop.byte_offset, loop.end_offset):
-            loop = _copy(loop, byte_offset=moved[0], end_offset=moved[1])
-        span = d.construct_span and (at(d.construct_span[0]), at(d.construct_span[1]))
-        if k in edits:
-            body, lo, raw_text = edits[k]
-            d = _directive(
-                body, loop, byte_offset=lo, line=d.line, ast_depth=d.ast_depth,
-                attached_kind=d.attached_kind, construct_span=span, raw_text=raw_text,
-            )
-        elif (at(d.byte_offset), span, loop) != (d.byte_offset, d.construct_span, d.attached_loop):
-            d = _copy(d, byte_offset=at(d.byte_offset), construct_span=span, attached_loop=loop)
-        out.append(d)
+        out[k] = _directive(
+            body, d.attached_loop, byte_offset=d.byte_offset, line=d.line, ast_depth=d.ast_depth,
+            attached_kind=d.attached_kind, construct_span=d.construct_span, raw_text=raw_text,
+        )
     added = code.lexemes[: heads[-1]]  # every line's tokens, without the `#` after them
-    return PragmaEdit(out, at, back, removed, added)
+    return PragmaEdit(out, removed, added)
 
 
 def strip_openmp(unit: SourceUnit) -> str:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .directives import Directive, attached_construct_span
@@ -33,16 +32,15 @@ def count_decisions(unit: SourceUnit, start_offset: int, end_offset: int) -> int
 
 
 def parallel_region_blocks(
-    unit: SourceUnit, directives: list[Directive], back: Callable[[int], int] | None = None
+    unit: SourceUnit, directives: list[Directive]
 ) -> tuple[list[RegionBlock], list[str]]:
     """One block per parallel-family directive, plus omission diagnostics.
 
     Worksharing-loop combinations require the attached for loop; a plain
     `parallel` governs the following compound or single statement.
-    ``back`` is given when the directives are those of a text that differs
-    from ``unit``'s only on whole pragma lines, which hold no decision
-    point: a block's decisions are then counted in ``unit`` between
-    ``back`` of its ends (:func:`~.directives.pragma_edit`).
+    The directives' offsets index ``unit``; those of a text that differs
+    from it only on whole pragma lines, which hold no decision point, are
+    ``unit``'s own (:func:`~.directives.pragma_edit`).
     """
     blocks: list[RegionBlock] = []
     diagnostics: list[str] = []
@@ -58,10 +56,9 @@ def parallel_region_blocks(
             continue
         span = attached_construct_span(d, diagnostics)
         if span is not None:
-            lo, hi = span if back is None else map(back, span)
             blocks.append(
                 RegionBlock(
-                    decision_count=count_decisions(unit, lo, hi),
+                    decision_count=count_decisions(unit, *span),
                     byte_offset=span[0],
                     end_offset=span[1],
                 )

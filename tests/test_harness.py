@@ -177,7 +177,7 @@ def _fail_boom(monkeypatch):
     real = report_mod.ompbleu_score
 
     def flaky(ref, gen, *args, **kwargs):
-        if gen.unit.text == "BOOM":
+        if gen.text == "BOOM":
             raise RuntimeError("unreadable candidate")
         return real(ref, gen, *args, **kwargs)
 

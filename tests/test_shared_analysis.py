@@ -9,8 +9,8 @@ import bisect
 import contextlib
 import json
 import tracemalloc
-from itertools import compress
-from operator import itemgetter, not_
+from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
@@ -148,8 +148,8 @@ def test_a_pragma_only_candidate_derives_its_view_bag_and_decision_points(
     # the candidate is read through its reference's analysis: only its
     # changed lines are lexed, its stripped spans, decision points and
     # brackets are its reference's, its bag of code tokens is its
-    # reference's edited, and its moved directives and loops are copied
-    # without dataclasses.replace; through `score` and through `dataset`
+    # reference's edited, and its directives and loops keep the reference's
+    # offsets, so none is copied; through `score` and through `dataset`
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"compile_enabled": False}))
     if pair == "fixtures":
@@ -617,32 +617,83 @@ GATE_TAKEN = [
 
 
 def _assert_analysed_as_fresh(reference: str, candidate: str) -> bool:
-    """``candidate`` analysed against ``reference``'s analysis equals its
-    fresh analysis, field by field, and scores the same; returns whether it
+    """``candidate`` analysed against ``reference``'s analysis agrees with
+    its fresh analysis (:func:`_assert_reads_as_fresh`); returns whether it
     took the pragma-line path."""
     ref = analyze(reference)
-    got, fresh = analyze(candidate, like=ref), analyze(candidate)
-    assert got == fresh  # text, directives, regions and their diagnostics
+    _assert_reads_as_fresh(ref, analyze(candidate, like=ref))
+    return pragma_edit(candidate, ref.unit, ref.directives) is not None
+
+
+def _without(obj, names: tuple[str, ...]) -> dict:
+    """The fields of the frozen dataclass instance ``obj`` but ``names``."""
+    return {k: v for k, v in vars(obj).items() if k not in names}
+
+
+def _spans(d: Directive) -> list[tuple[int, int] | None]:
+    """The spans of ``d``'s construct and of its attached loop."""
+    loop = d.attached_loop and (d.attached_loop.byte_offset, d.attached_loop.end_offset)
+    return [d.construct_span, loop]
+
+
+def _assert_reads_as_fresh(ref, got) -> None:
+    """``got``, analysed against ``ref``, scores as the fresh analysis of
+    its text.  Analysed in full, it equals that analysis field by field.
+    Read through ``ref``, it lies in ``ref``'s text with no unit of its
+    own: each directive equals the fresh one at its index but for its
+    offsets, which are ``ref``'s directive's; an unchanged line's directive
+    is ``ref``'s own; regions count the fresh decisions at ``ref``'s
+    offsets; and each stripped span is ``ref``'s own code text."""
+    fresh = analyze(got.text, got.language)
     assert ompbleu_score(ref, got, NO_COMPILE_CFG).as_dict() == ompbleu_score(
         ref, fresh, NO_COMPILE_CFG
     ).as_dict()
     assert got.code.vector == fresh.code.vector
     assert all(got.code.vector.counts.values())  # no zero count
-    edit = got.like and got.like[1]
-    for d in fresh.directives:
-        loop = d.attached_loop and (d.attached_loop.byte_offset, d.attached_loop.end_offset)
-        for span in filter(None, (attached_construct_span(d), loop)):
-            a, b = got.stripped(span), fresh.stripped(span)
-            if edit:  # the reference's own code text, at the edit's inverse map
-                assert a is ref.stripped((edit.back(span[0]), edit.back(span[1]))), span
-            assert a.text == b.text, span
-            assert a.lexemes[a.first : a.stop] == b.lexemes[b.first : b.stop], span
-    if edit:  # scored and read with no unit of its own
-        assert "unit" not in vars(got)
-        # ``back`` undoes ``at`` on every code token outside the pragma lines
-        code = compress(ref.unit.starts, map(not_, ref.unit.in_directive))
-        assert all(edit.back(edit.at(x)) == x for x in code)
-    return pragma_edit(candidate, ref.unit, ref.directives) is not None
+    if got.like is None:
+        assert got == fresh  # text, directives, regions and their diagnostics
+    else:
+        assert got.like[0] is ref and got.unit is None and got.stripped_view is ref.stripped_view
+        assert (got.text, got.language, got.region_diagnostics) == (
+            fresh.text, fresh.language, fresh.region_diagnostics
+        )
+        old, new = ref.text.split("\n"), got.text.split("\n")
+        old_starts, new_starts = ([0, *accumulate(len(x) + 1 for x in lines)] for lines in (old, new))
+
+        def in_ref(span: tuple[int, int] | None) -> tuple[int, int] | None:
+            """The same lines and columns of the reference, for a span
+            whose ends lie outside the changed lines or at the text's end."""
+            if span is None:
+                return None
+            ends = []
+            for x in span:
+                i = bisect.bisect_right(new_starts, x) - 1
+                ends.append(len(ref.text) if x == len(got.text) else old_starts[i] + x - new_starts[i])
+            return tuple(ends)
+
+        place, bounds = ("byte_offset", "construct_span", "attached_loop"), ("byte_offset", "end_offset")
+        for g, f, r in zip(got.directives, fresh.directives, ref.directives, strict=True):
+            assert _without(g, place) == _without(f, place)
+            assert g.byte_offset == r.byte_offset
+            assert _spans(g) == _spans(r) == list(map(in_ref, _spans(f)))
+            if f.attached_loop is not None:
+                assert _without(g.attached_loop, bounds) == _without(f.attached_loop, bounds)
+            assert g.attached_loop is r.attached_loop  # no loop is built again
+            if old[r.line - 1] == new[r.line - 1]:
+                assert g is r
+        assert [x.decision_count for x in got.regions] == [x.decision_count for x in fresh.regions]
+        assert [(x.byte_offset, x.end_offset) for x in got.regions] == [
+            in_ref((x.byte_offset, x.end_offset)) for x in fresh.regions
+        ]
+    for g, f in zip(got.directives, fresh.directives, strict=True):
+        for got_span, fresh_span in zip(_spans(g), _spans(f)):
+            if got_span is None:
+                continue
+            a, b = got.stripped(got_span), fresh.stripped(fresh_span)
+            if got.like is not None:  # the reference's own code text
+                assert a is ref.stripped(got_span), got_span
+            assert a.text == b.text, got_span
+            assert a.lexemes[a.first : a.stop] == b.lexemes[b.first : b.stop], got_span
 
 
 def _with_examples(pairs):
@@ -703,6 +754,36 @@ def test_the_gate_refuses_each_case_and_takes_the_others():
     assert _assert_analysed_as_fresh(gt, fixture_text("multiple_case2.c"))
     full_ref, full_cand = _GEN.large_pair(1, 0)[2:]
     assert _assert_analysed_as_fresh(full_ref.text, full_cand.text)
+
+
+CHAINED_REF = (
+    "void f(int n, int *a) {\n"
+    "#pragma omp single\n"
+    "  a[0] = n;\n"
+    "#pragma omp parallel\n"
+    "  { if (n) a[1] = n; a[2] = n && a[3]; }\n"
+    "  while (n--) a[n] = 0;\n"
+    "}\n"
+)
+
+
+def test_a_candidate_read_through_a_derived_analysis_reads_through_its_reference():
+    # c1 lengthens the later pragma line by more than the region after it,
+    # whose decision points lie at its two ends; c2 edits the earlier line
+    # of c1.  Read through c1, c2 takes c1's reference, so its offsets and
+    # those of the unit its decisions and stripped spans are read in agree.
+    c1 = CHAINED_REF.replace(
+        "#pragma omp parallel\n", "#pragma omp parallel default(none) shared(a, n) num_threads(4)\n"
+    )
+    c2 = c1.replace("#pragma omp single\n", "#pragma omp master\n")
+    ref = analyze(CHAINED_REF)
+    got = analyze(c2, like=analyze(c1, like=ref))
+    assert got.like is not None  # read through, not analysed in full
+    _assert_reads_as_fresh(ref, got)
+    assert [r.decision_count for r in got.regions] == [2]
+    assert ompbleu_score(ref, got, NO_COMPILE_CFG).as_dict() == ompbleu_score(
+        ref, analyze(c2, like=ref), NO_COMPILE_CFG
+    ).as_dict()
 
 
 # -- any edit, through the same entry point ------------------------------------
