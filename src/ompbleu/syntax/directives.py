@@ -554,8 +554,8 @@ def pragma_edit(
     offset they hold is ``unit``'s, an edited line's directive takes the
     place of the one it replaces with its own body and text, and every
     other is ``unit``'s own object.  Each changed line is cut whole from
-    both texts' stripped views, so the two views are equal, and a span of
-    the new directives is cut from ``unit``'s.
+    both texts' stripped views, so the two views are equal, and each span
+    the new directives hold is cut from ``unit``'s.
     """
     old_lines, new_lines = unit.text.split("\n"), text.split("\n")
     if len(old_lines) != len(new_lines):
